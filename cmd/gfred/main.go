@@ -176,6 +176,13 @@ func run(args []string, stderr io.Writer) (retErr error) {
 		})
 	}
 
+	// Install the drain handler before the listener exists: once /readyz can
+	// answer 200, a SIGTERM must take the drain path, never the default
+	// kill.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -187,8 +194,6 @@ func run(args []string, stderr io.Writer) (retErr error) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Fprintf(stderr, "gfred: %v — draining (grace %v)\n", sig, *drainGrace)

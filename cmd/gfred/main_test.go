@@ -43,6 +43,15 @@ func TestGfredHelper(t *testing.T) {
 // daemon flags (e.g. -peers, -lease-ttl) to the default set.
 func startDaemon(t *testing.T, spool string, extra ...string) (*exec.Cmd, string) {
 	t.Helper()
+	cmd, baseURL, _ := startDaemonLogged(t, spool, io.Discard, extra...)
+	return cmd, baseURL
+}
+
+// startDaemonLogged is startDaemon copying the daemon's stderr after the
+// banner to log; the returned channel closes once the daemon has exited
+// and its stderr is fully copied.
+func startDaemonLogged(t *testing.T, spool string, log io.Writer, extra ...string) (*exec.Cmd, string, <-chan struct{}) {
+	t.Helper()
 	args := append([]string{
 		"-addr", "localhost:0", "-spool", spool, "-drain-grace", "10s",
 	}, extra...)
@@ -75,8 +84,12 @@ func startDaemon(t *testing.T, spool string, extra ...string) (*exec.Cmd, string
 		t.Fatalf("no serving banner from gfred (scan err %v)", sc.Err())
 	}
 	// Keep draining stderr so the daemon never blocks on a full pipe.
-	go io.Copy(io.Discard, stderr) //nolint:errcheck
-	return cmd, baseURL
+	logged := make(chan struct{})
+	go func() {
+		defer close(logged)
+		io.Copy(log, stderr) //nolint:errcheck
+	}()
+	return cmd, baseURL, logged
 }
 
 func postNetlist(t *testing.T, baseURL, text string) *server.JobState {
@@ -180,6 +193,43 @@ func TestGfredLifecycle(t *testing.T) {
 	again := getJob(t, baseURL2, st.ID)
 	if again.Status != server.StatusDone || again.Result == nil || again.Result.Polynomial != p.String() {
 		t.Fatalf("restarted daemon lost the job: %+v", again)
+	}
+}
+
+// TestGfredSIGTERMRightAfterReady: the first moment /readyz answers 200,
+// SIGTERM must already be routed to the drain path — exit 0 with the drain
+// banners — rather than killing the daemon with the default handler.
+func TestGfredSIGTERMRightAfterReady(t *testing.T) {
+	var log bytes.Buffer
+	cmd, baseURL, logged := startDaemonLogged(t, filepath.Join(t.TempDir(), "spool"), &log)
+	defer func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill() //nolint:errcheck
+			cmd.Wait()         //nolint:errcheck
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		resp, err := http.Get(baseURL + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz never answered 200 (last err %v)", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	<-logged
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("gfred exited uncleanly after SIGTERM: %v\n%s", err, log.String())
+	}
+	if out := log.String(); !strings.Contains(out, "draining") || !strings.Contains(out, "drained") {
+		t.Fatalf("SIGTERM did not take the drain path:\n%s", out)
 	}
 }
 

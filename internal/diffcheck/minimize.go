@@ -419,9 +419,10 @@ func Minimize(n *netlist.Netlist, o MinimizeOptions) (*netlist.Netlist, error) {
 	// Cone-restrict to the deviating bit with the smallest cone.
 	_, _, outPos := looseResolve(n, o.Binding)
 	outs := n.Outputs()
+	sizes := n.ConeSizes()
 	best, bestCone := -1, 0
 	for _, c := range dev {
-		cone := len(n.Cone(outs[outPos[c]]))
+		cone := sizes[outPos[c]]
 		if best < 0 || cone < bestCone {
 			best, bestCone = c, cone
 		}

@@ -441,24 +441,30 @@ func localize(n *netlist.Netlist, ext *Extraction, diag *Diagnosis) []Suspect {
 		}
 	}
 
-	tHits := map[int]int{}
-	coneBits := map[int][]int{} // gate -> deviating bits whose cone holds it
-	for _, i := range devBits {
-		for _, id := range n.Cone(outs[i]) {
-			if t := n.Gate(id).Type; t != netlist.Input && t != netlist.Const0 && t != netlist.Const1 {
-				tHits[id]++
-				coneBits[id] = append(coneBits[id], i)
+	// Structural prior from the cone index: a gate's membership row masked
+	// with the deviating bits names its tampered cones, masked with the
+	// clean bits counts its clean ones.
+	cHits := make([]int, n.NumGates())
+	coneBits := map[int][]int{}  // candidate gate -> deviating bits whose cone holds it
+	coneGates := map[int][]int{} // deviating bit -> candidate gates in its cone
+	n.ConeMembership(func(base int, rows []uint64) {
+		devMask, cleanMask := blockMask(devBits, base), blockMask(cleanBits, base)
+		for id, row := range rows {
+			cHits[id] += bits.OnesCount64(row & cleanMask)
+			dev := row & devMask
+			if dev == 0 {
+				continue
+			}
+			if t := n.Gate(id).Type; t == netlist.Input || t == netlist.Const0 || t == netlist.Const1 {
+				continue
+			}
+			for ; dev != 0; dev &= dev - 1 {
+				bit := base + bits.TrailingZeros64(dev)
+				coneBits[id] = append(coneBits[id], bit)
+				coneGates[bit] = append(coneGates[bit], id)
 			}
 		}
-	}
-	cHits := map[int]int{}
-	for _, i := range cleanBits {
-		for _, id := range n.Cone(outs[i]) {
-			if _, ok := tHits[id]; ok {
-				cHits[id]++
-			}
-		}
-	}
+	})
 
 	corrected := map[int]int{}
 	attempted := map[int]int{}
@@ -483,10 +489,7 @@ func localize(n *netlist.Netlist, ext *Extraction, diag *Diagnosis) []Suspect {
 				continue // no deviating vector in this round
 			}
 			want := vals[outs[bit]] ^ mask // the spec's response on deviating lanes
-			for _, id := range n.Cone(outs[bit]) {
-				if _, ok := tHits[id]; !ok {
-					continue
-				}
+			for _, id := range coneGates[bit] {
 				fv, err := n.SimulateXor(words, map[int]uint64{id: mask})
 				if err != nil {
 					continue
@@ -498,8 +501,9 @@ func localize(n *netlist.Netlist, ext *Extraction, diag *Diagnosis) []Suspect {
 		}
 	}
 
-	suspects := make([]Suspect, 0, len(tHits))
-	for id, th := range tHits {
+	suspects := make([]Suspect, 0, len(coneBits))
+	for id, devs := range coneBits {
+		th := len(devs)
 		s := Suspect{Gate: id, Name: n.NameOf(id), TamperedCones: th, CleanCones: cHits[id], CorrectRate: -1}
 		s.Structural = float64(th) / float64(len(devBits))
 		if len(cleanBits) > 0 {
@@ -561,6 +565,18 @@ func localize(n *netlist.Netlist, ext *Extraction, diag *Diagnosis) []Suspect {
 		suspects = out
 	}
 	return suspects
+}
+
+// blockMask selects, as a ConeMembership row mask, the output bits of list
+// that fall in the 64-output block starting at base.
+func blockMask(list []int, base int) uint64 {
+	var m uint64
+	for _, b := range list {
+		if b >= base && b < base+64 {
+			m |= 1 << uint(b-base)
+		}
+	}
+	return m
 }
 
 // evalMask evaluates an ANF over primary inputs bit-parallel: each input

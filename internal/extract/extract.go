@@ -66,7 +66,7 @@ type Options struct {
 	// as in the paper's runtime tables). The diagnosis path (Tolerate > 0
 	// or Diagnose) ignores it: consensus arbitration IS the verification.
 	SkipVerify bool
-	// Recorder receives telemetry for the whole pipeline: the cone-sort /
+	// Recorder receives telemetry for the whole pipeline: the cone-index /
 	// rewrite / extract / golden-model / verify phase spans, per-bit
 	// rewriting events, and the metrics registry. nil disables
 	// instrumentation at negligible cost.

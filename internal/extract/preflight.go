@@ -20,6 +20,11 @@ func preflight(n *netlist.Netlist, opts *Options) (*netlint.Report, error) {
 	span := opts.Recorder.StartSpan("preflight", map[string]int64{
 		"gates": int64(n.NumGates()),
 	})
+	// Build the cone index under its own span: the cost predictor reads the
+	// cone sizes from it, and rewriting reuses the memoized sizes.
+	idx := opts.Recorder.StartSpan("cone-index", nil)
+	n.ConeSizes()
+	idx.End()
 	rep := netlint.Analyze(n, netlint.Options{RequireMultiplier: true})
 	span.End()
 	if err := rep.Err(); err != nil {

@@ -175,34 +175,6 @@ func termBound(n *netlist.Netlist) []int {
 	return t
 }
 
-// coneSizes counts each output's transitive fanin (root included). It is
-// netlist.Cone minus the parts the predictor never uses: the per-root map
-// and the ID sort. One stamp array shared across roots keeps the sweep
-// allocation-free after the first cone, which matters because this loop
-// dominates lint time on large multipliers (m^2-gate cones, m roots).
-func coneSizes(n *netlist.Netlist, outs []int) []int {
-	sizes := make([]int, len(outs))
-	stamp := make([]int, n.NumGates())
-	var stack []int
-	for i, root := range outs {
-		mark := i + 1
-		count := 0
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if stamp[id] == mark {
-				continue
-			}
-			stamp[id] = mark
-			count++
-			stack = append(stack, n.Gate(id).Fanin...)
-		}
-		sizes[i] = count
-	}
-	return sizes
-}
-
 // predictCones computes the per-output cost table plus suggested governor
 // defaults, and is also responsible for the blowup-risk finding (emitted by
 // checkConeCost via the shared context). The result is memoized on the
@@ -219,7 +191,7 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 		return nil, 0, 0
 	}
 	bounds := termBound(c.N)
-	sizes := coneSizes(c.N, outs)
+	sizes := c.N.ConeSizes() // the netlist's cone index, shared with rewrite
 	names := c.N.OutputNames()
 	sems := c.Sem()
 	maxPeak, maxGates := 0, 0

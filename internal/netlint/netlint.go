@@ -117,8 +117,7 @@ type Context struct {
 	Fanout []int
 
 	// Memoized cone-cost prediction: predictCones is needed both by the
-	// cone-cost rule and for the report's suggestions, and the cone sweep
-	// dominates analysis time on large multipliers.
+	// cone-cost rule and for the report's suggestions.
 	conesOnce     bool
 	cones         []ConeCost
 	coneBudget    int

@@ -381,7 +381,12 @@ func (n *Netlist) WriteEQN(w io.Writer) error {
 		if g.Type == Input {
 			continue
 		}
-		fmt.Fprintf(bw, "%s = %s;\n", n.NameOf(id), n.gateExpr(g))
+		// Plain writes, not Fprintf: this loop is the whole cost of content
+		// hashing (checkpoint.HashNetlist), which preflight pays per job.
+		bw.WriteString(n.NameOf(id))
+		bw.WriteString(" = ")
+		bw.WriteString(n.gateExpr(g))
+		bw.WriteString(";\n")
 	}
 	// Deterministic order for alias buffers.
 	names := make([]string, 0, len(aliased))

@@ -20,7 +20,9 @@ package netlist
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
+	"sync"
 
 	"github.com/galoisfield/gfre/internal/anf"
 )
@@ -162,6 +164,11 @@ type Netlist struct {
 	inputs      []int // gate IDs of primary inputs, in port order
 	outputs     []int // gate IDs driving primary outputs, in port order
 	outputNames []string
+
+	// coneSizes memoizes ConeSizes; every mutator resets it. The mutex lets
+	// concurrent readers (rewrite workers, shard leases) share one build.
+	coneMu    sync.Mutex
+	coneSizes []int
 }
 
 // New returns an empty netlist with the given model name.
@@ -236,6 +243,7 @@ func (n *Netlist) AddInput(name string) (int, error) {
 		return 0, err
 	}
 	n.inputs = append(n.inputs, id)
+	n.coneSizes = nil
 	return id, nil
 }
 
@@ -280,6 +288,7 @@ func (n *Netlist) addChecked(g Gate) (int, error) {
 	}
 	n.gates = append(n.gates, g)
 	n.names = append(n.names, "")
+	n.coneSizes = nil
 	return id, nil
 }
 
@@ -299,48 +308,19 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 	}
 	n.outputs = append(n.outputs, id)
 	n.outputNames = append(n.outputNames, name)
+	n.coneSizes = nil
 	return nil
 }
 
 // Cone returns the gate IDs in the transitive fanin of root (root included),
 // in ascending — hence topological — order. Per Theorem 2 of the paper,
 // backward rewriting of one output bit only ever touches its cone.
-//
-// Membership is tracked in a bitset over the dense ID space. Fanins are
-// always smaller than their readers, so only IDs ≤ root need representing,
-// and — the key property — a single descending sweep over the IDs settles
-// reachability: by the time the sweep reaches gate id, every reader of id
-// has already been processed, so id's membership bit is final. The sweep
-// visits gates in decreasing ID order, which walks the gate table
-// sequentially instead of in DFS stack order; on Montgomery netlists (whose
-// per-bit cones approach the full ~m²-gate netlist) that cache locality is
-// worth ~10x over the explicit-stack DFS this replaced, which itself
-// replaced a map+sort.Ints implementation that dominated whole extractions
-// (see BenchmarkConeSort). Zero words skip 64 absent IDs at a time, so
-// small cones under a large root stay cheap. O(root/64 + cone + edges).
 func (n *Netlist) Cone(root int) []int {
-	seen := make([]uint64, root/64+1)
-	seen[root>>6] |= 1 << (uint(root) & 63)
-	count := 1
-	for w := len(seen) - 1; w >= 0; w-- {
-		rem := seen[w]
-		for rem != 0 {
-			b := 63 - bits.LeadingZeros64(rem)
-			rem &^= 1 << uint(b)
-			for _, f := range n.gates[w<<6+b].Fanin {
-				fw, fb := f>>6, uint64(1)<<(uint(f)&63)
-				if seen[fw]&fb == 0 {
-					seen[fw] |= fb
-					count++
-					if fw == w {
-						// A fanin below b in the current word: fold it into
-						// the in-progress descent so it is not skipped.
-						rem |= fb
-					}
-				}
-			}
-		}
-	}
+	count := 0
+	seen, _ := n.walkCone(root, func(int) (bool, error) {
+		count++
+		return true, nil
+	})
 	out := make([]int, 0, count)
 	for w, word := range seen {
 		base := w << 6
@@ -351,6 +331,125 @@ func (n *Netlist) Cone(root int) []int {
 		}
 	}
 	return out
+}
+
+// WalkCone visits root and then, in descending ID order, every gate that a
+// visited gate expands into: a visit returning expand=true marks the gate's
+// fanins for visiting, expand=false leaves them unmarked (they are still
+// visited if another expanded gate reads them). Expanding every gate walks
+// the whole cone in reverse topological order; backward rewriting expands
+// only the gates it substituted, so fanins whose occurrences cancelled — and
+// everything only they reach — are never touched. The first visit error
+// stops the walk and is returned.
+//
+// Membership is tracked in a bitset over the dense ID space. Fanins are
+// always smaller than their readers, so only IDs ≤ root need representing,
+// and a single descending sweep settles the walk: by the time it reaches
+// gate id, every reader of id has already been visited, so id's mark is
+// final. The sweep walks the gate table sequentially instead of in DFS
+// stack order — on Montgomery netlists, whose per-bit cones approach the
+// whole ~m²-gate netlist, that locality is worth ~10x over an explicit-stack
+// DFS (see BenchmarkConeSort). Zero words skip 64 unmarked IDs at a time, so
+// small walks under a large root stay cheap. O(root/64 + visited + edges).
+func (n *Netlist) WalkCone(root int, visit func(id int) (expand bool, err error)) error {
+	_, err := n.walkCone(root, visit)
+	return err
+}
+
+// walkCone is WalkCone returning the final membership bitset.
+func (n *Netlist) walkCone(root int, visit func(id int) (expand bool, err error)) ([]uint64, error) {
+	seen := make([]uint64, root/64+1)
+	seen[root>>6] |= 1 << (uint(root) & 63)
+	for w := len(seen) - 1; w >= 0; w-- {
+		rem := seen[w]
+		for rem != 0 {
+			b := 63 - bits.LeadingZeros64(rem)
+			rem &^= 1 << uint(b)
+			id := w<<6 + b
+			expand, err := visit(id)
+			if err != nil {
+				return seen, err
+			}
+			if !expand {
+				continue
+			}
+			for _, f := range n.gates[id].Fanin {
+				fw, fb := f>>6, uint64(1)<<(uint(f)&63)
+				if seen[fw]&fb == 0 {
+					seen[fw] |= fb
+					if fw == w {
+						// A fanin below b in the current word: fold it into
+						// the in-progress descent so it is not skipped.
+						rem |= fb
+					}
+				}
+			}
+		}
+	}
+	return seen, nil
+}
+
+// ConeSizes returns, per primary output in port order, the number of gates
+// in its transitive fanin (root included) — len(n.Cone(root)) for every
+// output at once, from one cone index instead of one sweep per output. The
+// sizes are memoized on the netlist until the next mutation; the caller
+// gets its own copy.
+func (n *Netlist) ConeSizes() []int {
+	n.coneMu.Lock()
+	defer n.coneMu.Unlock()
+	if n.coneSizes == nil {
+		n.coneSizes = n.countCones()
+	}
+	return slices.Clone(n.coneSizes)
+}
+
+// countCones computes ConeSizes as column counts of the membership rows.
+// The counts are kept bit-sliced — planes[k] holds bit k of all 64 columns'
+// running counts — so adding a row is a ripple-carry increment of at most
+// log2(gates) word operations (two on average) instead of 64 per-bit adds.
+func (n *Netlist) countCones() []int {
+	sizes := make([]int, len(n.outputs))
+	n.ConeMembership(func(base int, rows []uint64) {
+		var planes [64]uint64
+		for _, r := range rows {
+			for k := 0; r != 0; k++ {
+				planes[k], r = planes[k]^r, planes[k]&r
+			}
+		}
+		for j := base; j < len(sizes) && j < base+64; j++ {
+			for k, p := range planes {
+				sizes[j] += int(p>>uint(j-base)&1) << uint(k)
+			}
+		}
+	})
+	return sizes
+}
+
+// ConeMembership is the cone index: which output cones hold each gate. It
+// calls visit once per block of up to 64 primary outputs, in port order;
+// rows[id] has bit j set iff gate id lies in the transitive fanin of output
+// base+j. Each block is one descending sweep that ORs a gate's row into its
+// fanins' rows — every reader of a gate precedes it, so the row is final
+// when the sweep reaches it. rows is reused across blocks and must not be
+// retained; one word per gate bounds the index's memory regardless of m.
+func (n *Netlist) ConeMembership(visit func(base int, rows []uint64)) {
+	rows := make([]uint64, len(n.gates))
+	for base := 0; base < len(n.outputs); base += 64 {
+		clear(rows)
+		top := 0
+		for j, root := range n.outputs[base:min(base+64, len(n.outputs))] {
+			rows[root] |= 1 << uint(j)
+			top = max(top, root)
+		}
+		for id := top; id >= 0; id-- {
+			if r := rows[id]; r != 0 {
+				for _, f := range n.gates[id].Fanin {
+					rows[f] |= r
+				}
+			}
+		}
+		visit(base, rows)
+	}
 }
 
 // Levels returns the logic depth of each gate (inputs and constants at 0)

@@ -92,7 +92,6 @@ func TestNilSafety(t *testing.T) {
 	rec.BitStart(0, "z0")
 	rec.BitFinish(BitStats{})
 	rec.SampleHeap()
-	rec.RecordSpan("x", time.Second)
 	rec.AttachSink(NewMemorySink())
 	rec.StartHeapSampler(time.Millisecond)()
 	if rec.Elapsed() != 0 || rec.Spans() != nil {
@@ -168,22 +167,22 @@ func TestRecorderSpans(t *testing.T) {
 	if d := sp.End(); d < 0 {
 		t.Fatalf("duration %v", d)
 	}
-	rec.RecordSpan("cone-sort", 5*time.Millisecond)
+	d := rec.StartSpan("cone-index", nil).End()
 
 	spans := rec.Spans()
-	if len(spans) != 2 || spans[0].Name != "parse" || spans[1].Name != "cone-sort" {
+	if len(spans) != 2 || spans[0].Name != "parse" || spans[1].Name != "cone-index" {
 		t.Fatalf("spans %+v", spans)
 	}
-	if spans[1].Duration != 5*time.Millisecond {
-		t.Fatalf("recorded duration %v", spans[1].Duration)
+	if spans[1].Duration != d {
+		t.Fatalf("recorded duration %v, End returned %v", spans[1].Duration, d)
 	}
 
 	starts := mem.ByType(EvSpanStart)
 	ends := mem.ByType(EvSpanEnd)
-	if len(starts) != 1 || starts[0].Name != "parse" || starts[0].V["files"] != 1 {
+	if len(starts) != 2 || starts[0].Name != "parse" || starts[0].V["files"] != 1 {
 		t.Fatalf("span_start events %+v", starts)
 	}
-	if len(ends) != 2 || ends[1].V["dur_ns"] != int64(5*time.Millisecond) {
+	if len(ends) != 2 || ends[1].V["dur_ns"] != int64(d) {
 		t.Fatalf("span_end events %+v", ends)
 	}
 }

@@ -72,7 +72,7 @@ func TestProgressSinkConcurrentEmit(t *testing.T) {
 
 // TestProgressSinkConeSpanFiltering: per-cone child spans under the rewrite
 // phase are suppressed (bit_finish lines cover them), while sibling phase
-// spans and the cone-sort summary still print.
+// spans and the cone-index summary still print.
 func TestProgressSinkConeSpanFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewProgressSink(&buf)
@@ -80,7 +80,7 @@ func TestProgressSinkConeSpanFiltering(t *testing.T) {
 	s.Emit(Event{Ev: EvSpanStart, Name: "rewrite", Span: 1, V: map[string]int64{"bits": 2, "threads": 1}})
 	s.Emit(Event{Ev: EvSpanStart, Name: "z0", Span: 2, Parent: 1})
 	s.Emit(Event{Ev: EvSpanEnd, Name: "z0", Span: 2, Parent: 1, V: map[string]int64{"dur_ns": 500}})
-	s.Emit(Event{Ev: EvSpanEnd, Name: "cone-sort", Span: 3, Parent: 1, V: map[string]int64{"dur_ns": 100}})
+	s.Emit(Event{Ev: EvSpanEnd, Name: "cone-index", Span: 3, Parent: 1, V: map[string]int64{"dur_ns": 100}})
 	s.Emit(Event{Ev: EvSpanEnd, Name: "rewrite", Span: 1, V: map[string]int64{"dur_ns": 9000}})
 	s.Emit(Event{Ev: EvSpanStart, Name: "verify", Span: 4, Parent: 0})
 
@@ -88,7 +88,7 @@ func TestProgressSinkConeSpanFiltering(t *testing.T) {
 	if strings.Contains(out, "z0") {
 		t.Fatalf("cone child span leaked into ticker:\n%s", out)
 	}
-	for _, want := range []string{"rewrite: 2 bits", "cone-sort done", "rewrite done", "verify..."} {
+	for _, want := range []string{"rewrite: 2 bits", "cone-index done", "rewrite done", "verify..."} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ticker lacks %q:\n%s", want, out)
 		}

@@ -105,20 +105,6 @@ func TestSpanEndWithAttrsOnEvent(t *testing.T) {
 	}
 }
 
-func TestRecordSpanParentsUnderOpenPhase(t *testing.T) {
-	rec := NewRecorder()
-	phase := rec.StartSpan("rewrite", nil)
-	rec.RecordSpan("cone-sort", 5*time.Millisecond)
-	phase.End()
-	tree := rec.TraceTree()
-	if len(tree) != 1 || tree[0].Name != "rewrite" {
-		t.Fatalf("tree roots: %+v", tree)
-	}
-	if len(tree[0].Children) != 1 || tree[0].Children[0].Name != "cone-sort" {
-		t.Fatalf("rewrite children: %+v", tree[0].Children)
-	}
-}
-
 func TestWriteTraceTreeRendering(t *testing.T) {
 	rec := NewRecorder()
 	root := rec.StartSpan("extraction", nil)

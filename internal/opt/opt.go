@@ -389,10 +389,17 @@ func evalType(t netlist.GateType, in []bool) bool {
 // elimination). Primary inputs are always kept so the port signature is
 // preserved.
 func sweepDead(n *netlist.Netlist) (*netlist.Netlist, error) {
+	// One reverse sweep marks the union of all output cones: every reader
+	// of a gate has a larger ID, so a gate's liveness is final when reached.
 	live := make([]bool, n.NumGates())
 	for _, root := range n.Outputs() {
-		for _, id := range n.Cone(root) {
-			live[id] = true
+		live[root] = true
+	}
+	for id := n.NumGates() - 1; id >= 0; id-- {
+		if live[id] {
+			for _, f := range n.Gate(id).Fanin {
+				live[f] = true
+			}
 		}
 	}
 	out := netlist.New(n.Name)

@@ -49,6 +49,7 @@ func RewriteCone(n *netlist.Netlist, bit int, opts Options) (BitResult, error) {
 	h.busyAdd(-1)
 	br.Bit = bit
 	br.Name = name
+	br.ConeGates = n.ConeSizes()[bit]
 	if err == nil {
 		br.Status = StatusOK
 		rec.BitFinish(statsOf(br))

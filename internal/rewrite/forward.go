@@ -61,6 +61,7 @@ func Forward(n *netlist.Netlist) (*Result, error) {
 
 	res := &Result{Bits: make([]BitResult, len(outs)), Threads: 1}
 	names := n.OutputNames()
+	sizes := n.ConeSizes()
 	for i, root := range outs {
 		br := BitResult{Expr: exprs[root]}
 		br.Bit = i
@@ -69,7 +70,7 @@ func Forward(n *netlist.Netlist) (*Result, error) {
 		// Forward abstraction holds every gate's expression at once; the
 		// whole-pass resident term count is the honest "peak" for each bit.
 		br.PeakTerms = resident
-		br.ConeGates = len(n.Cone(root))
+		br.ConeGates = sizes[i]
 		res.Bits[i] = br
 	}
 	res.Runtime = time.Since(start)

@@ -118,14 +118,14 @@ var testPanicOutput = -1
 
 // rewriteSafe runs one rewriting attempt with panic containment: a panicking
 // cone yields ErrConePanic instead of crashing the process.
-func rewriteSafe(n *netlist.Netlist, root int, h *hooks, gov *governor, order []int) (br BitResult, err error) {
+func rewriteSafe(n *netlist.Netlist, root int, p pass) (br BitResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			br.Status = StatusPanic
 			err = fmt.Errorf("%w: output %q: %v", ErrConePanic, n.NameOf(root), r)
 		}
 	}()
-	return rewriteOutput(n, root, h, gov, order)
+	return rewriteOutput(n, root, p)
 }
 
 // rewriteGoverned is the per-cone retry ladder: one attempt in the default
@@ -138,7 +138,7 @@ func rewriteGoverned(n *netlist.Netlist, root int, h *hooks, opts Options, ctx c
 	if opts.ConeDeadline > 0 {
 		gov.deadline = time.Now().Add(opts.ConeDeadline)
 	}
-	br, err := rewriteSafe(n, root, h, gov, nil)
+	br, err := rewriteSafe(n, root, pass{h: h, gov: gov})
 	if err == nil || opts.NoRetry || !errors.Is(err, ErrBudgetExceeded) {
 		return br, err, false
 	}
@@ -147,7 +147,7 @@ func rewriteGoverned(n *netlist.Netlist, root int, h *hooks, opts Options, ctx c
 	// the frontier smaller than the ID-driven one. The deadline keeps
 	// running, so a retry cannot extend the cone's wall budget.
 	h.countRetry()
-	br2, err2 := rewriteSafe(n, root, h, gov, altOrder(n, n.Cone(root)))
+	br2, err2 := rewriteSafe(n, root, pass{h: h, gov: gov, order: altOrder(n, n.Cone(root))})
 	if err2 != nil {
 		// Report the attempt that got further; both failed.
 		if br2.Substitutions < br.Substitutions {

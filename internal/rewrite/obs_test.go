@@ -128,19 +128,25 @@ func TestOutputsWithRecorder(t *testing.T) {
 		}
 	}
 
-	// Span bookkeeping: one rewrite span (wall), one cone-sort span (CPU),
-	// and one child span per output cone parented under rewrite.
-	var rewriteStarts, coneStarts []obs.Event
+	// Span bookkeeping: one rewrite span, one cone-index span nested in it,
+	// and one child span per output cone parented under rewrite — all wall.
+	var rewriteStarts, indexStarts, coneStarts []obs.Event
 	for _, e := range mem.ByType(obs.EvSpanStart) {
-		if e.Name == "rewrite" {
+		switch e.Name {
+		case "rewrite":
 			rewriteStarts = append(rewriteStarts, e)
-		} else {
+		case "cone-index":
+			indexStarts = append(indexStarts, e)
+		default:
 			coneStarts = append(coneStarts, e)
 		}
 	}
 	if len(rewriteStarts) != 1 || rewriteStarts[0].V["bits"] != int64(m) ||
 		rewriteStarts[0].V["threads"] != 4 {
 		t.Errorf("rewrite span_start %+v", rewriteStarts)
+	}
+	if len(indexStarts) != 1 || indexStarts[0].Parent != rewriteStarts[0].Span {
+		t.Errorf("cone-index span_start %+v, want one under rewrite", indexStarts)
 	}
 	if len(coneStarts) != m {
 		t.Errorf("cone span_start events: %d, want %d", len(coneStarts), m)
@@ -154,7 +160,7 @@ func TestOutputsWithRecorder(t *testing.T) {
 	coneSpans := 0
 	for _, sp := range rec.Spans() {
 		spanNames[sp.Name] = true
-		if sp.Parent != 0 && sp.Parent == rewriteStarts[0].Span && sp.Name != "cone-sort" {
+		if sp.Parent != 0 && sp.Parent == rewriteStarts[0].Span && sp.Name != "cone-index" {
 			coneSpans++
 			if sp.Status != string(StatusOK) {
 				t.Errorf("cone span %q status %q", sp.Name, sp.Status)
@@ -167,8 +173,8 @@ func TestOutputsWithRecorder(t *testing.T) {
 	if coneSpans != m {
 		t.Errorf("cone child spans recorded: %d, want %d", coneSpans, m)
 	}
-	if !spanNames["rewrite"] || !spanNames["cone-sort"] {
-		t.Errorf("spans %v, want rewrite and cone-sort", spanNames)
+	if !spanNames["rewrite"] || !spanNames["cone-index"] {
+		t.Errorf("spans %v, want rewrite and cone-index", spanNames)
 	}
 
 	// Metric consistency with the returned result.

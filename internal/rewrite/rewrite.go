@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -37,7 +38,7 @@ type Options struct {
 	// The paper's experiments use 16.
 	Threads int
 	// Recorder receives telemetry: per-bit start/finish events, the
-	// rewrite and cone-sort phase spans, and the substitutions /
+	// rewrite and cone-index phase spans, and the substitutions /
 	// cancellations / live_terms / workers_busy metrics. nil disables
 	// instrumentation at negligible cost.
 	Recorder *obs.Recorder
@@ -177,7 +178,6 @@ type hooks struct {
 	rec    *obs.Recorder
 	subst  *obs.Counter // substitutions performed
 	cancel *obs.Counter // terms eliminated mod 2
-	coneNs *obs.Counter // cone sorting, CPU ns summed over workers
 	live   *obs.Gauge   // resident terms across all in-flight bits
 	busy   *obs.Gauge   // workers currently rewriting a bit
 	retry  *obs.Counter // cone_retries: budget aborts re-attempted
@@ -193,7 +193,6 @@ func newHooks(rec *obs.Recorder) *hooks {
 		rec:    rec,
 		subst:  m.Counter("substitutions"),
 		cancel: m.Counter("cancellations"),
-		coneNs: m.Counter("cone_sort_ns"),
 		live:   m.Gauge("live_terms"),
 		busy:   m.Gauge("workers_busy"),
 		retry:  m.Counter("cone_retries"),
@@ -257,6 +256,12 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 	span := rec.StartSpan("rewrite", map[string]int64{
 		"bits": int64(len(outs)), "threads": int64(threads),
 	})
+	// Per-bit cone sizes come from the netlist's cone index: one build per
+	// netlist (free when preflight already paid for it), never a per-bit
+	// sweep.
+	idx := rec.StartSpan("cone-index", nil)
+	sizes := n.ConeSizes()
+	idx.End()
 
 	// Adopt checkpointed cones before any worker starts: a reused bit is
 	// final state, not work. Name matching guards against stale snapshots
@@ -320,6 +325,7 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 				}
 				br.Bit = bit
 				br.Name = names[bit]
+				br.ConeGates = sizes[bit]
 				if coneSpan != nil {
 					retriedV := int64(0)
 					if retried {
@@ -411,11 +417,6 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 		}
 	}
 	res.Runtime = time.Since(start)
-	if h != nil {
-		// Cone sorting runs inside the workers; its span is CPU time summed
-		// across them, not a wall-clock bracket.
-		rec.RecordSpan("cone-sort", time.Duration(h.coneNs.Value()))
-	}
 	span.End()
 	if fatalErr != nil {
 		return res, fatalErr
@@ -435,20 +436,28 @@ func (h *hooks) busyAdd(delta int64) {
 // Output rewrites the single output driven by gate root into its canonical
 // ANF over primary inputs (Algorithm 1 restricted to root's cone).
 func Output(n *netlist.Netlist, root int) (BitResult, error) {
-	return rewriteOutput(n, root, nil, nil, nil)
+	br, err := rewriteOutput(n, root, pass{})
+	br.ConeGates = len(n.Cone(root))
+	return br, err
 }
 
-// rewriteOutput runs Algorithm 1 on root's cone. gov (may be nil) enforces
-// the per-cone resource policy; order (may be nil) overrides the default
-// descending-ID substitution schedule with an explicit linear extension.
-func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order []int) (BitResult, error) {
+// pass configures one rewriting attempt over a cone. The zero value is the
+// plain default: ungoverned, uninstrumented, silent, descending-ID order.
+type pass struct {
+	h     *hooks
+	gov   *governor // per-cone resource policy; nil disables it
+	order []int     // explicit substitution schedule (retry); nil = the fused walk
+	trace io.Writer // Figure-3 step log (TraceOutput); nil = silent
+}
+
+// rewriteOutput runs Algorithm 1 on root's cone. It leaves ConeGates to the
+// caller, which reads it from the cone index.
+func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 	start := time.Now()
-	cone := n.Cone(root)
+	h, gov := p.h, p.gov
 	br := BitResult{}
 	br.Bit = -1
-	br.ConeGates = len(cone)
 	if h != nil {
-		h.coneNs.Add(int64(time.Since(start)))
 		h.live.Add(1) // F₀ = z
 	}
 
@@ -461,14 +470,12 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		defer func() { h.live.Add(-int64(f.Len())) }()
 	}
 
-	// Reverse topological order: cone is ascending and every fanin ID is
-	// smaller than its reader, so walking backwards guarantees each gate
-	// variable is eliminated before its fanins are visited. An explicit
-	// order replaces the walk with its own schedule (already reversed).
-	step := func(id int) error {
+	// substitute eliminates gate id's variable from f if it still occurs
+	// there, and reports whether it did.
+	substitute := func(id int) (bool, error) {
 		g := n.Gate(id)
 		if g.Type == netlist.Input {
-			return nil
+			return false, nil
 		}
 		if id == testPanicOutput {
 			panic(fmt.Sprintf("test-injected panic at gate %d", id))
@@ -477,15 +484,15 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		k := f.VarOccurrences(v)
 		if k == 0 {
 			// The gate's contribution cancelled out earlier; nothing to do.
-			return nil
+			return false, nil
 		}
 		if st, err := gov.poll(); err != nil {
 			br.Status = st
-			return err
+			return false, err
 		}
 		e, err := n.GateANF(id, varOf)
 		if err != nil {
-			return fmt.Errorf("rewrite: gate %d (%s): %w", id, n.NameOf(id), err)
+			return false, fmt.Errorf("rewrite: gate %d (%s): %w", id, n.NameOf(id), err)
 		}
 		before := f.Len()
 		f.Substitute(v, e)
@@ -493,11 +500,19 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		br.Substitutions++
 		// Exact mod-2 accounting: the k occurrences of v expand to k·|e|
 		// terms, so before-k+k·|e| were produced and the shortfall vanished
-		// in cancelling pairs.
+		// in cancelling pairs — always an even number.
 		cancelled := before - k + k*e.Len() - after
 		br.Cancelled += cancelled
 		if after > br.PeakTerms {
 			br.PeakTerms = after
+		}
+		if p.trace != nil {
+			elim := ""
+			if cancelled > 0 {
+				elim = fmt.Sprintf("   [%d terms cancelled mod 2]", cancelled)
+			}
+			fmt.Fprintf(p.trace, "%-6s %s = %-24s F%d = %s%s\n",
+				n.NameOf(id)+":", g.Type, FormatPoly(e, n), br.Substitutions, FormatPoly(f, n), elim)
 		}
 		if h != nil {
 			h.subst.Inc()
@@ -506,25 +521,31 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		}
 		if gov.charge(after) {
 			br.Status = StatusBudget
-			return &BudgetError{Bit: -1, Name: n.NameOf(root),
+			return true, &BudgetError{Bit: -1, Name: n.NameOf(root),
 				Terms: after, Budget: gov.budget, Substitutions: br.Substitutions}
 		}
-		return nil
+		return true, nil
 	}
-	if order == nil {
-		for i := len(cone) - 1; i >= 0; i-- {
-			if err := step(cone[i]); err != nil {
-				br.Runtime = time.Since(start)
-				return br, err
-			}
-		}
+	var err error
+	if p.order == nil {
+		// Reverse topological order, fused with the cone sweep: every fanin
+		// ID is smaller than its reader, so the descending walk eliminates
+		// each gate variable before its fanins are visited. Only substituted
+		// gates expand, because a variable can only enter f through the
+		// substitution of one of its readers: the gates skipped this way are
+		// exactly those the full cone walk would find absent, so the
+		// substitution sequence — and every count — is the full walk's.
+		err = n.WalkCone(root, substitute)
 	} else {
-		for _, id := range order {
-			if err := step(id); err != nil {
-				br.Runtime = time.Since(start)
-				return br, err
+		for _, id := range p.order {
+			if _, err = substitute(id); err != nil {
+				break
 			}
 		}
+	}
+	if err != nil {
+		br.Runtime = time.Since(start)
+		return br, err
 	}
 
 	// Sanity: only primary-input variables may remain (Theorem 1).

@@ -42,52 +42,8 @@ func FormatPoly(p anf.Poly, n *netlist.Netlist) string {
 // simplification, and the number of monomials cancelled in the step.
 // Intended for small designs (the full expression is printed per step).
 func TraceOutput(n *netlist.Netlist, root int, w io.Writer) (BitResult, error) {
-	cone := n.Cone(root)
-	br := BitResult{}
-	br.ConeGates = len(cone)
-
-	f := anf.Variable(anf.Var(root))
-	br.PeakTerms = 1
-	varOf := func(id int) anf.Var { return anf.Var(id) }
 	fmt.Fprintf(w, "F0 = %s\n", n.NameOf(root))
-
-	for i := len(cone) - 1; i >= 0; i-- {
-		id := cone[i]
-		g := n.Gate(id)
-		if g.Type == netlist.Input {
-			continue
-		}
-		v := anf.Var(id)
-		k := f.VarOccurrences(v)
-		if k == 0 {
-			continue
-		}
-		e, err := n.GateANF(id, varOf)
-		if err != nil {
-			return br, err
-		}
-		before := f.Len()
-		f.Substitute(v, e)
-		br.Substitutions++
-		after := f.Len()
-		// Exact count of the terms the expansion produced: each of the k
-		// occurrences of v expands to |e| terms, so the pre-cancellation
-		// size is before-k+k·|e| and the shortfall is the number of mod-2
-		// cancellations ("2x"-style eliminations) — always an even number,
-		// since collisions vanish in pairs.
-		produced := before - k + k*e.Len()
-		br.Cancelled += produced - after
-		elim := ""
-		if after < produced {
-			elim = fmt.Sprintf("   [%d terms cancelled mod 2]", produced-after)
-		}
-		fmt.Fprintf(w, "%-6s %s = %-24s F%d = %s%s\n",
-			n.NameOf(id)+":", g.Type, FormatPoly(e, n), br.Substitutions, FormatPoly(f, n), elim)
-		if after > br.PeakTerms {
-			br.PeakTerms = after
-		}
-	}
-	br.Expr = f
-	br.FinalTerms = f.Len()
-	return br, nil
+	br, err := rewriteOutput(n, root, pass{trace: w})
+	br.ConeGates = len(n.Cone(root))
+	return br, err
 }
