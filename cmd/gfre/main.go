@@ -41,6 +41,8 @@ import (
 	"time"
 
 	gfre "github.com/galoisfield/gfre"
+	"github.com/galoisfield/gfre/internal/extract"
+	"github.com/galoisfield/gfre/internal/shard"
 )
 
 // Exit codes, so scripted callers can tell failure classes apart without
@@ -149,12 +151,6 @@ exit codes:
 	}
 	if *resume && *checkpointDir == "" {
 		return fmt.Errorf("%w: -resume requires -checkpoint", errUsage)
-	}
-	if *checkpointDir != "" && *infer {
-		return fmt.Errorf("%w: -checkpoint cannot be combined with -infer (inferred runs rewrite under unnamed ports, so snapshots cannot be bound to them)", errUsage)
-	}
-	if *shardN > 0 && *infer {
-		return fmt.Errorf("%w: -shard cannot be combined with -infer (port inference rewrites under its own scheduler)", errUsage)
 	}
 	path := fs.Arg(0)
 
@@ -273,20 +269,14 @@ exit codes:
 	if *checkpointDir != "" {
 		opts.Checkpoint = gfre.NewCheckpointManager(*checkpointDir, -1)
 	}
-	start := time.Now()
-	var ext *gfre.Extraction
-	var diag *gfre.Diagnosis
-	var ports *gfre.InferredPorts
-	if *infer {
-		opts.PrefixA, opts.PrefixB = "", ""
-		ext, ports, err = gfre.ExtractInferred(n, opts)
-	} else if *shardN > 0 {
-		ext, diag, _, err = gfre.ExtractSharded(n, opts, gfre.ShardOptions{Workers: *shardN})
-	} else if *tolerate > 0 || *diagnose {
-		ext, diag, err = gfre.ExtractDiagnose(n, opts)
-	} else {
-		ext, err = gfre.Extract(n, opts)
+	// One pipeline; the flags only pick its stages: the lease pool as the
+	// rewriting scheduler, and ports inferred from the expressions.
+	stages := extract.Stages{InferPorts: *infer}
+	if *shardN > 0 {
+		stages.Rewrite = shard.Rewriter(gfre.ShardOptions{Workers: *shardN}, nil)
 	}
+	start := time.Now()
+	ext, diag, ports, err := extract.Run(n, opts, stages)
 	elapsed := time.Since(start)
 	stopHeap() // final heap sample; the deferred rec.Close flushes the stream
 	if err != nil {

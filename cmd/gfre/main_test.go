@@ -527,3 +527,42 @@ func TestMetricsFlushedOnErrorExit(t *testing.T) {
 		t.Fatal("metrics from before the failure (parse span) did not survive the error exit")
 	}
 }
+
+// TestRunInferComposesWithShardAndCheckpoint: -infer picks the ports stage
+// of the same pipeline, so it combines with the lease scheduler and with
+// checkpoint/resume like any other run.
+func TestRunInferComposesWithShardAndCheckpoint(t *testing.T) {
+	path := filepath.Join("..", "..", "testdata", "scrambled16.eqn")
+	p, err := gfre.DefaultPolynomial(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type report struct {
+		Polynomial  string `json:"polynomial"`
+		Verified    bool   `json:"verified"`
+		ReusedCones int    `json:"reused_cones"`
+	}
+	runJSON := func(args ...string) report {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if err := run(append([]string{"-json", "-infer"}, append(args, path)...), &out, &errOut); err != nil {
+			t.Fatalf("gfre %v: %v\n%s", args, err, errOut.String())
+		}
+		var rep report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatalf("gfre %v: %v\n%s", args, err, out.String())
+		}
+		if rep.Polynomial != p.String() || !rep.Verified {
+			t.Fatalf("gfre %v: P = %s (verified %v), want %v verified", args, rep.Polynomial, rep.Verified, p)
+		}
+		return rep
+	}
+
+	runJSON("-shard", "2")
+
+	ckpt := t.TempDir()
+	runJSON("-checkpoint", ckpt)
+	if rep := runJSON("-checkpoint", ckpt, "-resume"); rep.ReusedCones != 16 {
+		t.Fatalf("-infer -resume reused %d cones, want 16", rep.ReusedCones)
+	}
+}

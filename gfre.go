@@ -388,8 +388,10 @@ type ShardStats = shard.Stats
 // every output cone becomes an independently failable lease executed by a
 // pool of local workers (and remote gfred peers when a hub is configured).
 // Worker death, duplicated submissions and stragglers are absorbed by lease
-// expiry, the epoch fence and work stealing; failed cones degrade into
-// consensus extraction instead of hanging the run.
+// expiry, the epoch fence and work stealing. A cone that keeps failing
+// (budget, timeout, panic) ends its retries instead of hanging the run: with
+// opts.Tolerate > 0 it becomes a failed cone the consensus votes around,
+// otherwise it fails the run with the same typed error Extract returns.
 func ExtractSharded(n *Netlist, opts Options, sopts ShardOptions) (*Extraction, *Diagnosis, ShardStats, error) {
 	return shard.Extract(n, opts, sopts)
 }

@@ -117,12 +117,14 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 		return fail(fmt.Errorf("chaos: %d cones accepted for %d bits (stats %+v)", stats.Accepted, c.M, stats))
 	}
 
-	// The pipeline oracle: the assembled result must yield exactly the
+	// The pipeline oracle: the assembled result, fed through the
+	// extraction pipeline as its rewriting stage, must yield exactly the
 	// planted P(x), with golden-model verification passing.
 	*stage = "assemble"
 	rw := pool.Result()
 	rw.Threads = chaosWorkerCount
-	ext, _, err := extract.FromRewriteResult(n, rw, extract.Options{Threads: c.Threads})
+	poolResult := func(*netlist.Netlist, rewrite.Options) (*rewrite.Result, error) { return rw, nil }
+	ext, _, _, err := extract.Run(n, extract.Options{Threads: c.Threads}, extract.Stages{Rewrite: poolResult})
 	if err != nil {
 		return fail(err)
 	}

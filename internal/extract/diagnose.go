@@ -28,6 +28,7 @@ import (
 	"github.com/galoisfield/gfre/internal/anf"
 	"github.com/galoisfield/gfre/internal/gf2poly"
 	"github.com/galoisfield/gfre/internal/netlist"
+	"github.com/galoisfield/gfre/internal/obs"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
@@ -111,60 +112,36 @@ const maxSuspects = 64
 // output cones, and localizes the damage. It always returns a Diagnosis
 // (even on error, with whatever was learned); the Extraction is non-nil
 // whenever rewriting produced usable bits.
-func Diagnose(n *netlist.Netlist, opts Options) (ext *Extraction, _ *Diagnosis, err error) {
-	if opts.PrefixA == "" {
-		opts.PrefixA = "a"
-	}
-	if opts.PrefixB == "" {
-		opts.PrefixB = "b"
-	}
-	m := len(n.Outputs())
-	diag := &Diagnosis{Tolerate: opts.Tolerate}
-	if m < 2 {
-		return nil, diag, fmt.Errorf("%w: %d outputs", ErrNotMultiplier, m)
-	}
-	// Root span for the fault-tolerant pipeline; same name as the strict
-	// path so trace consumers see one "extraction" tree either way.
-	root := opts.Recorder.StartSpan("extraction", map[string]int64{
-		"m": int64(m), "tolerate": int64(opts.Tolerate),
-	})
-	defer func() {
-		if err != nil {
-			root.SetStatus("error")
-		}
-		root.End()
-	}()
-	lint, err := preflight(n, &opts)
-	if err != nil {
-		return &Extraction{M: m, Lint: lint}, diag, err
-	}
-	a, b, err := identifyPorts(n, m, opts.PrefixA, opts.PrefixB)
-	if err != nil {
-		return nil, diag, err
-	}
+func Diagnose(n *netlist.Netlist, opts Options) (*Extraction, *Diagnosis, error) {
+	opts.Diagnose = true
+	ext, diag, _, err := run(n, opts, Stages{}, nil)
+	return ext, diag, err
+}
 
-	rw, rwErr := rewriteCheckpointed(n, opts, true)
-	if rw != nil {
-		diag.Bits = bitDiagnoses(rw)
-		diag.FailedCones = append([]int(nil), rw.Failed...)
+// observe records the per-bit picture of a rewrite result; nil-safe on
+// both sides, so the strict path (no Diagnosis) can call it unconditionally.
+func (d *Diagnosis) observe(rw *rewrite.Result) {
+	if d == nil || rw == nil {
+		return
 	}
-	if rwErr != nil {
-		// Run-level failure: tolerance exceeded, caller context ended, or
-		// a structural error. The partial per-bit picture still tells the
-		// operator which cones died and why.
-		return nil, diag, rwErr
-	}
-	ext = &Extraction{M: m, AInputs: a, BInputs: b, Rewrite: rw, Diag: diag, Lint: lint}
+	d.Bits = bitDiagnoses(rw)
+	d.FailedCones = append([]int(nil), rw.Failed...)
+}
 
-	rec := opts.Recorder
+// decideConsensus is the fault-tolerant decision: per-bit votes arbitrated
+// by the golden model (consensusP), with the deviating bits marked
+// tampered. The extraction counts as verified when no cone failed or
+// deviated.
+func decideConsensus(ext *Extraction, tol int, rec *obs.Recorder) error {
+	rw, diag := ext.Rewrite, ext.Diag
 	span := rec.StartSpan("consensus", map[string]int64{
-		"m": int64(m), "tolerate": int64(opts.Tolerate), "failed": int64(len(rw.Failed)),
+		"m": int64(ext.M), "tolerate": int64(tol), "failed": int64(len(rw.Failed)),
 	})
-	p, tampered, tried, err := consensusP(rw, a, b, opts.Tolerate)
+	p, tampered, tried, err := consensusP(rw, ext.AInputs, ext.BInputs, tol)
 	span.End()
 	diag.CandidatesTried = tried
 	if err != nil {
-		return ext, diag, err
+		return err
 	}
 	ext.P = p
 	diag.P = p.String()
@@ -174,21 +151,8 @@ func Diagnose(n *netlist.Netlist, opts Options) (ext *Extraction, _ *Diagnosis, 
 		diag.Bits[i].State = BitTampered
 	}
 	diag.Faults = len(rw.Failed) + len(tampered)
-	if diag.Faults == 0 {
-		ext.Verified = true
-		if err := finalizeCheckpoint(opts, ext); err != nil {
-			return ext, diag, err
-		}
-		return ext, diag, nil
-	}
-
-	span = rec.StartSpan("localize", map[string]int64{"deviating": int64(diag.Faults)})
-	diag.Suspects = localize(n, ext, diag)
-	span.End()
-	if err := finalizeCheckpoint(opts, ext); err != nil {
-		return ext, diag, err
-	}
-	return ext, diag, nil
+	ext.Verified = diag.Faults == 0
+	return nil
 }
 
 // bitDiagnoses converts rewrite statuses into the per-bit verdicts;
@@ -363,44 +327,51 @@ func deviations(rw *rewrite.Result, a, b []int, p gf2poly.Poly, allowance int) (
 // Bits are returned most-violating first.
 func anomalousBits(rw *rewrite.Result, a, b []int) []int {
 	m := len(a)
-	inA := make(map[anf.Var]bool, len(a))
-	inB := make(map[anf.Var]bool, len(b))
-	for _, id := range a {
-		inA[anf.Var(id)] = true
+	idxA := make(map[anf.Var]int, len(a))
+	idxB := make(map[anf.Var]int, len(b))
+	for i, id := range a {
+		idxA[anf.Var(id)] = i
 	}
-	for _, id := range b {
-		inB[anf.Var(id)] = true
+	for j, id := range b {
+		idxB[anf.Var(id)] = j
 	}
 	type anomaly struct{ bit, viol int }
 	var anomalies []anomaly
+	// have[k] counts the products of s_k present in the bit: one pass over
+	// the monomials buckets every a_i·b_j into s_{i+j}.
+	have := make([]int, 2*m-1)
 	for i, br := range rw.Bits {
 		if br.Status.Failed() {
 			continue
 		}
+		clear(have)
 		viol := 0
 		for _, mo := range br.Expr.Monos() {
-			vars := mo.Vars()
-			if len(vars) != 2 || !(inA[vars[0]] && inB[vars[1]] || inA[vars[1]] && inB[vars[0]]) {
-				viol++
-			}
-		}
-		for k := 0; k <= 2*m-2; k++ {
-			have, total := 0, 0
-			for j := 0; j < m; j++ {
-				if k-j < 0 || k-j >= m {
+			if vars := mo.Vars(); len(vars) == 2 {
+				u, v := vars[0], vars[1]
+				if _, ok := idxA[u]; !ok {
+					u, v = v, u
+				}
+				x, okA := idxA[u]
+				y, okB := idxB[v]
+				if okA && okB {
+					have[x+y]++
 					continue
 				}
-				total++
-				if br.Expr.Contains(anf.NewMono(anf.Var(a[j]), anf.Var(b[k-j]))) {
-					have++
-				}
+			}
+			viol++
+		}
+		for k, h := range have {
+			total := k + 1 // |{(i,j) : i+j = k, 0 ≤ i,j < m}|
+			if k >= m {
+				total = 2*m - 1 - k
 			}
 			switch {
-			case have != 0 && have != total:
+			case h != 0 && h != total:
 				viol++
-			case k == i && have != total:
+			case k == i && h != total:
 				viol++
-			case k < m && k != i && have != 0:
+			case k < m && k != i && h != 0:
 				viol++
 			}
 		}

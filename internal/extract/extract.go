@@ -111,21 +111,6 @@ type Options struct {
 	Preflight bool
 }
 
-// governedRewriteOptions translates the extraction options into the rewrite
-// engine's governance knobs. keepPartial is set on the diagnosis path, where
-// failed cones are data rather than fatal.
-func (o Options) governedRewriteOptions(keepPartial bool) rewrite.Options {
-	ro := rewrite.Options{
-		Threads: o.Threads, Recorder: o.Recorder,
-		Ctx: o.Ctx, ConeDeadline: o.ConeDeadline, BudgetTerms: o.BudgetTerms,
-	}
-	if keepPartial {
-		ro.KeepPartial = true
-		ro.MaxFailures = o.Tolerate
-	}
-	return ro
-}
-
 // Extraction is the result of reverse engineering a multiplier netlist.
 type Extraction struct {
 	// P is the recovered irreducible polynomial.
@@ -207,70 +192,12 @@ func outFieldProducts(a, b []int) []anf.Mono {
 // The number of primary outputs determines m; inputs must be the two m-bit
 // operands.
 //
-// With Options.Tolerate > 0 or Options.Diagnose the call is routed through
-// the fault-tolerant consensus path (see Diagnose); otherwise any failed
-// cone or deviating bit is fatal, as in the paper.
-func IrreduciblePolynomial(n *netlist.Netlist, opts Options) (ext *Extraction, err error) {
-	if opts.Tolerate > 0 || opts.Diagnose {
-		ext, _, err := Diagnose(n, opts)
-		return ext, err
-	}
-	if opts.PrefixA == "" {
-		opts.PrefixA = "a"
-	}
-	if opts.PrefixB == "" {
-		opts.PrefixB = "b"
-	}
-	m := len(n.Outputs())
-	if m < 2 {
-		return nil, fmt.Errorf("%w: %d outputs", ErrNotMultiplier, m)
-	}
-	// The extraction root span: every phase below (preflight, rewrite with
-	// its per-cone children, extract, golden-model, verify) nests under it,
-	// so a trace tree reconstructs the whole pipeline from one job.
-	root := opts.Recorder.StartSpan("extraction", map[string]int64{"m": int64(m)})
-	defer func() {
-		if err != nil {
-			root.SetStatus("error")
-		}
-		root.End()
-	}()
-	lint, err := preflight(n, &opts)
-	if err != nil {
-		return &Extraction{M: m, Lint: lint}, err
-	}
-	a, b, err := identifyPorts(n, m, opts.PrefixA, opts.PrefixB)
-	if err != nil {
-		return nil, err
-	}
-
-	rw, err := rewriteCheckpointed(n, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	ext = &Extraction{M: m, AInputs: a, BInputs: b, Rewrite: rw, Lint: lint}
-
-	// Note: the out-field product set {a_i·b_j : i+j=m} is invariant under
-	// swapping the two operands (monomials are unordered), so extraction is
-	// insensitive to which operand is which — only the bit order within each
-	// operand matters.
-	span := opts.Recorder.StartSpan("extract", map[string]int64{"m": int64(m)})
-	ext.P, err = FromExpressions(rw, a, b)
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := finalizeCheckpoint(opts, ext); err != nil {
-		return ext, err
-	}
-
-	if !opts.SkipVerify {
-		if err := verifyObserved(n, ext, opts.Recorder); err != nil {
-			return ext, err
-		}
-		ext.Verified = true
-	}
-	return ext, nil
+// With Options.Tolerate > 0 or Options.Diagnose the decision is consensus
+// (see Diagnose); otherwise any failed cone or deviating bit is fatal, as in
+// the paper.
+func IrreduciblePolynomial(n *netlist.Netlist, opts Options) (*Extraction, error) {
+	ext, _, _, err := run(n, opts, Stages{}, nil)
+	return ext, err
 }
 
 // FromExpressions runs Algorithm 2 on already-rewritten output expressions:
@@ -420,46 +347,7 @@ func SimulationCrossCheck(n *netlist.Netlist, ext *Extraction, trials int, seed 
 // where P(x) is given). It rewrites the outputs and compares them with the
 // golden specification for p; no extraction is involved, so it also works
 // for netlists whose P(x) the caller obtained elsewhere.
-func VerifyAgainst(n *netlist.Netlist, p gf2poly.Poly, opts Options) (ext *Extraction, err error) {
-	if opts.PrefixA == "" {
-		opts.PrefixA = "a"
-	}
-	if opts.PrefixB == "" {
-		opts.PrefixB = "b"
-	}
-	m := len(n.Outputs())
-	if p.Deg() != m {
-		return nil, fmt.Errorf("extract: polynomial degree %d != output count %d", p.Deg(), m)
-	}
-	if !p.Irreducible() {
-		return nil, fmt.Errorf("%w: %v factors as %s", ErrNotIrreducible, p, factorString(p))
-	}
-	root := opts.Recorder.StartSpan("extraction", map[string]int64{"m": int64(m)})
-	defer func() {
-		if err != nil {
-			root.SetStatus("error")
-		}
-		root.End()
-	}()
-	lint, err := preflight(n, &opts)
-	if err != nil {
-		return &Extraction{M: m, Lint: lint}, err
-	}
-	a, b, err := identifyPorts(n, m, opts.PrefixA, opts.PrefixB)
-	if err != nil {
-		return nil, err
-	}
-	rw, err := rewriteCheckpointed(n, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	ext = &Extraction{P: p, M: m, AInputs: a, BInputs: b, Rewrite: rw, Lint: lint}
-	if err := verifyObserved(n, ext, opts.Recorder); err != nil {
-		return ext, err
-	}
-	ext.Verified = true
-	if err := finalizeCheckpoint(opts, ext); err != nil {
-		return ext, err
-	}
-	return ext, nil
+func VerifyAgainst(n *netlist.Netlist, p gf2poly.Poly, opts Options) (*Extraction, error) {
+	ext, _, _, err := run(n, opts, Stages{}, &p)
+	return ext, err
 }

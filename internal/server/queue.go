@@ -947,25 +947,21 @@ func (q *Queue) extract(id string, deadlineNS int64) (*JobResult, error) {
 	}
 	start := time.Now()
 	var (
-		ext    *extract.Extraction
+		st     extract.Stages
 		sstats shard.Stats
 	)
-	switch {
-	case spec.Shard != 0:
+	if spec.Shard != 0 {
 		// Lease-scheduled rewriting: local workers plus any peers reached
 		// through the hub. The job ID keys the hub registration so peers'
 		// telemetry can be correlated with this job.
-		ext, _, sstats, err = shard.Extract(n, opts, shard.ExtractOptions{
+		st.Rewrite = shard.Rewriter(shard.ExtractOptions{
 			Workers: spec.Shard,
 			Hub:     q.cfg.Hub, HubKey: id,
 			Store:    q.shardStore,
 			LeaseTTL: leaseTTL,
-		})
-	case spec.Tolerate > 0:
-		ext, _, err = extract.Diagnose(n, opts)
-	default:
-		ext, err = extract.IrreduciblePolynomial(n, opts)
+		}, &sstats)
 	}
+	ext, _, _, err := extract.Run(n, opts, st)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,14 @@
-// Extract is the lease-scheduled form of extract.IrreduciblePolynomial:
-// the same pipeline (preflight → rewrite → Algorithm 2 → golden model /
-// consensus), with the rewriting phase turned into a Pool of cone leases
-// executed by local workers and any remote peers reached through a Hub.
+// Extract is the lease-scheduled form of extract.IrreduciblePolynomial: the
+// same pipeline (extract.Run), with the rewriting stage turned into a Pool
+// of cone leases executed by local workers and any remote peers reached
+// through a Hub.
 package shard
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"time"
 
 	"github.com/galoisfield/gfre/internal/checkpoint"
@@ -46,122 +48,137 @@ type ExtractOptions struct {
 // zombies, reuse) of the run; the Extraction/Diagnosis pair matches what
 // the monolithic extract paths produce for the same options.
 func Extract(n *netlist.Netlist, eopts extract.Options, sopts ExtractOptions) (*extract.Extraction, *extract.Diagnosis, Stats, error) {
-	m := len(n.Outputs())
-	rec := eopts.Recorder
-	root := rec.StartSpan("extraction", map[string]int64{"m": int64(m), "sharded": 1})
-	var rootErr error
-	defer func() {
-		if rootErr != nil {
-			root.SetStatus("error")
-		}
-		root.End()
-	}()
-
-	lint, err := extract.Preflight(n, &eopts)
-	if err != nil {
-		rootErr = err
-		return &extract.Extraction{M: m, Lint: lint}, nil, Stats{}, err
-	}
-
-	hash, err := checkpoint.HashNetlist(n)
-	if err != nil {
-		rootErr = err
-		return nil, nil, Stats{}, err
-	}
-
-	// Checkpoint seam, mirroring extract's rewriteCheckpointed: Resume
-	// feeds the snapshot into Config.Prior, fresh runs Begin a snapshot,
-	// and every newly terminal cone lands in it through OnResult.
-	var (
-		prior    []rewrite.BitResult
-		onResult func(rewrite.BitResult)
-	)
-	if ckpt := eopts.Checkpoint; ckpt != nil {
-		if eopts.Resume {
-			if prior, err = ckpt.Restore(n); err != nil {
-				rootErr = err
-				return nil, nil, Stats{}, err
-			}
-		} else if err := ckpt.Begin(n); err != nil {
-			rootErr = err
-			return nil, nil, Stats{}, err
-		}
-		onResult = ckpt.Record
-	}
-
-	pool, err := NewPool(Config{
-		Hash: hash, Bits: m,
-		LeaseTTL: sopts.LeaseTTL, MaxConesPerLease: sopts.MaxCones,
-		MaxAttempts: sopts.MaxAttempts,
-		BackoffBase: sopts.BackoffBase, BackoffCap: sopts.BackoffCap,
-		StealAge:    sopts.StealAge,
-		BudgetTerms: eopts.BudgetTerms, ConeDeadline: eopts.ConeDeadline,
-		Store: sopts.Store, Prior: prior, OnResult: onResult,
-		Recorder: rec, Seed: sopts.Seed,
-	})
-	if err != nil {
-		rootErr = err
-		return nil, nil, Stats{}, err
-	}
-	defer pool.Close()
-
-	if sopts.Hub != nil {
-		key := sopts.HubKey
-		if key == "" {
-			key = hash
-		}
-		if err := sopts.Hub.Register(key, pool, n); err != nil {
-			rootErr = err
-			return nil, nil, Stats{}, err
-		}
-		defer sopts.Hub.Unregister(key)
-	}
-
-	ctx := eopts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	span := rec.StartSpan("rewrite", map[string]int64{"bits": int64(m), "sharded": 1})
-	if sopts.Workers >= 0 {
-		workers := sopts.Workers
-		if workers == 0 {
-			workers = 1
-		}
-		// RunWorkers returns on ErrDone; remote peers may race it to the
-		// last cone, which simply makes the local loop exit early.
-		RunWorkers(ctx, pool, n, WorkerConfig{
-			Workers: workers, MaxCones: sopts.MaxCones,
-			Rewrite: rewrite.Options{Recorder: rec, Threads: eopts.Threads},
-		})
-	}
-	waitErr := pool.Wait(ctx)
-	span.End()
-
-	rw := pool.Result()
-	rw.Runtime = time.Since(start)
-	rw.Threads = sopts.Workers
-	stats := pool.Stats()
-	if ckpt := eopts.Checkpoint; ckpt != nil {
-		if serr := ckpt.Sync(); serr != nil && waitErr == nil {
-			waitErr = serr
-		}
-	}
-	// A cancelled/expired wait still assembles: pending cones surface as
-	// cancelled bits the consensus path can vote around. Other errors
-	// (checkpoint I/O) abort.
-	if waitErr != nil && !errors.Is(waitErr, context.Canceled) && !errors.Is(waitErr, context.DeadlineExceeded) {
-		rootErr = waitErr
-		return nil, nil, stats, waitErr
-	}
-
-	ext, diag, err := extract.FromRewriteResult(n, rw, eopts)
-	if ext != nil {
-		ext.Lint = lint
-	}
-	if err == nil && waitErr != nil {
-		err = waitErr
-	}
-	rootErr = err
+	var stats Stats
+	ext, diag, _, err := extract.Run(n, eopts, extract.Stages{Rewrite: Rewriter(sopts, &stats)})
 	return ext, diag, stats, err
+}
+
+// Rewriter returns the lease-scheduled rewriting stage of extract.Run. The
+// rewrite options map onto the pool: Prior seeds completed cones, OnBitDone
+// observes every newly terminal cone, and BudgetTerms/ConeDeadline ride on
+// every grant. The error contract is rewrite.Outputs': without KeepPartial
+// the first permanently failed cone stops the run with its typed error,
+// under KeepPartial one failure beyond MaxFailures does, and a run cut
+// short by the caller's context returns the context's error. The pool's
+// robustness counters land in *stats when stats is non-nil.
+func Rewriter(sopts ExtractOptions, stats *Stats) extract.Rewriter {
+	return func(n *netlist.Netlist, ro rewrite.Options) (*rewrite.Result, error) {
+		m := len(n.Outputs())
+		hash, err := checkpoint.HashNetlist(n)
+		if err != nil {
+			return nil, err
+		}
+		base := ro.Ctx
+		if base == nil {
+			base = context.Background()
+		}
+		// The internal cancel lets a fatal cone stop the run at once
+		// instead of leasing out cones whose results no longer matter.
+		ctx, cancel := context.WithCancel(base)
+		defer cancel()
+		var (
+			mu       sync.Mutex
+			failures int
+			fatal    error
+		)
+		onResult := func(br rewrite.BitResult) {
+			if ro.OnBitDone != nil {
+				ro.OnBitDone(br)
+			}
+			if !br.Status.Failed() || br.Status == rewrite.StatusCancelled {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			failures++
+			switch {
+			case fatal != nil:
+			case !ro.KeepPartial:
+				fatal = coneErr(br)
+			case ro.MaxFailures > 0 && failures > ro.MaxFailures:
+				fatal = fmt.Errorf("%w: %d cones failed (tolerate %d), last: %w",
+					rewrite.ErrTooManyFailures, failures, ro.MaxFailures, coneErr(br))
+			default:
+				return
+			}
+			cancel()
+		}
+
+		rec := ro.Recorder
+		pool, err := NewPool(Config{
+			Hash: hash, Bits: m,
+			LeaseTTL: sopts.LeaseTTL, MaxConesPerLease: sopts.MaxCones,
+			MaxAttempts: sopts.MaxAttempts,
+			BackoffBase: sopts.BackoffBase, BackoffCap: sopts.BackoffCap,
+			StealAge:    sopts.StealAge,
+			BudgetTerms: ro.BudgetTerms, ConeDeadline: ro.ConeDeadline,
+			Store: sopts.Store, Prior: ro.Prior, OnResult: onResult,
+			Recorder: rec, Seed: sopts.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer pool.Close()
+
+		if sopts.Hub != nil {
+			key := sopts.HubKey
+			if key == "" {
+				key = hash
+			}
+			if err := sopts.Hub.Register(key, pool, n); err != nil {
+				return nil, err
+			}
+			defer sopts.Hub.Unregister(key)
+		}
+
+		start := time.Now()
+		span := rec.StartSpan("rewrite", map[string]int64{"bits": int64(m), "sharded": 1})
+		if sopts.Workers >= 0 {
+			// RunWorkers returns on ErrDone; remote peers may race it to the
+			// last cone, which simply makes the local loop exit early.
+			RunWorkers(ctx, pool, n, WorkerConfig{
+				Workers: sopts.Workers, MaxCones: sopts.MaxCones,
+				Rewrite: rewrite.Options{Recorder: rec, Threads: ro.Threads},
+			})
+		}
+		waitErr := pool.Wait(ctx)
+		span.End()
+
+		rw := pool.Result()
+		rw.Runtime = time.Since(start)
+		rw.Threads = sopts.Workers
+		if stats != nil {
+			*stats = pool.Stats()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if fatal != nil {
+			return rw, fatal
+		}
+		return rw, waitErr
+	}
+}
+
+// coneError is a failed cone's error rebuilt from its wire form (status and
+// message): the message is the worker's own, and errors.Is classifies it
+// under the same sentinel rewrite.Outputs would have returned.
+type coneError struct {
+	kind error
+	msg  string
+}
+
+func (e *coneError) Error() string { return e.msg }
+func (e *coneError) Unwrap() error { return e.kind }
+
+func coneErr(br rewrite.BitResult) error {
+	switch br.Status {
+	case rewrite.StatusBudget:
+		return &coneError{rewrite.ErrBudgetExceeded, br.Err}
+	case rewrite.StatusTimeout:
+		return &coneError{rewrite.ErrConeTimeout, br.Err}
+	case rewrite.StatusPanic:
+		return &coneError{rewrite.ErrConePanic, br.Err}
+	default:
+		return errors.New(br.Err)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/extract"
 	"github.com/galoisfield/gfre/internal/gen"
+	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/polytab"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
@@ -567,4 +570,52 @@ func (p *Pool) expiryTick() {
 	p.mu.Lock()
 	p.expireLocked(p.cfg.Clock())
 	p.mu.Unlock()
+}
+
+// TestStrictConeFailureTypedUnderBothSchedulers: on the strict path a
+// budget-failed cone fails the run with the rewrite engine's typed error
+// whichever scheduler ran the cones — never a consensus verdict.
+func TestStrictConeFailureTypedUnderBothSchedulers(t *testing.T) {
+	p, err := polytab.Default(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := gen.Montgomery(16, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := extract.Options{BudgetTerms: 8}
+	_, local := extract.IrreduciblePolynomial(n, opts)
+	_, _, _, sharded := Extract(n, opts, ExtractOptions{Workers: 2})
+	for name, err := range map[string]error{"local": local, "sharded": sharded} {
+		if !errors.Is(err, rewrite.ErrBudgetExceeded) || errors.Is(err, extract.ErrConsensus) {
+			t.Errorf("%s: err = %v, want rewrite.ErrBudgetExceeded and not ErrConsensus", name, err)
+		}
+	}
+}
+
+// TestShardedMismatchLeavesSnapshotIncomplete: the sharded strict path
+// marks its snapshot complete only after the golden model passed.
+func TestShardedMismatchLeavesSnapshotIncomplete(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "trojan8.eqn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	n, err := netlist.ReadEQN(f, "trojan8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	_, _, _, err = Extract(n, extract.Options{Checkpoint: checkpoint.NewManager(dir, 0)}, ExtractOptions{Workers: 2})
+	if !errors.Is(err, extract.ErrMismatch) {
+		t.Fatalf("err = %v, want ErrMismatch", err)
+	}
+	snap, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Complete {
+		t.Fatalf("mismatching sharded run left a complete snapshot with P = %q", snap.P)
+	}
 }
