@@ -258,9 +258,12 @@ func BenchmarkConeSort(b *testing.B) {
 // root level: a chain of variable eliminations against a polynomial sized
 // like a mid-rewrite Montgomery cone frontier (hundreds of live terms).
 // Each iteration rebuilds the chain from a cloned start state so the timed
-// region is substitution work only, not interning warm-up. The companion
-// zero-alloc guard for the XOR-merge path that Substitute drives lives in
-// internal/anf (TestSteadyStateXORMergeZeroAllocs).
+// region is substitution work only, not interning warm-up. It substitutes
+// prebuilt polynomials, so it never sees the cost of building each gate's
+// model, which was most of the rewriting loop's time until gate models
+// became Terms; BenchmarkRewriteCone in internal/rewrite times that real
+// path. The companion zero-alloc guard for the XOR-merge path that
+// Substitute drives lives in internal/anf (TestSteadyStateXORMergeZeroAllocs).
 func BenchmarkSubstitute(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	base := anf.NewPoly()

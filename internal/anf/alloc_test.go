@@ -10,8 +10,10 @@ import (
 // property: once a polynomial's working set is interned (tables sized,
 // occurrence lists built), the XOR-merge path — Toggle and AddInPlace —
 // performs no heap allocation at all. Toggling is pure bit arithmetic and
-// merge translation is an interned-key map hit, so cancellation churn in
-// the rewriting loop generates zero garbage. A regression here shows up as
+// merge translation is an interned-key map hit, so cancellation churn over
+// known monomials generates no garbage. (The rewriting loop as a whole still
+// allocates as its polynomial grows; TestRewriteAllocsPerSubstitution in
+// internal/rewrite bounds that.) A regression here shows up as
 // GC pressure on every large-m extraction before it shows up on any wall
 // clock, which is why it is a test and not just a benchmark number.
 func TestSteadyStateXORMergeZeroAllocs(t *testing.T) {

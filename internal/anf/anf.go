@@ -14,8 +14,11 @@
 // Internally each Poly interns its monomials into dense uint32 IDs (see
 // intern.go) and keeps the term set as a bitset over those IDs, so mod-2
 // cancellation — the step that keeps GF(2^m) rewriting from exploding
-// (lines 7–11 of Algorithm 1) — is a single-word XOR, and the substitution
-// loop runs without per-term heap allocation. The string-based Mono type
+// (lines 7–11 of Algorithm 1) — is a single-word XOR. Toggling and
+// re-interning known monomials allocate nothing; substitution allocates
+// only as the polynomial grows (a first-time monomial, a longer occurrence
+// list, a new product memo entry), and gate models reach it as Terms
+// without a Poly of their own. The string-based Mono type
 // remains the public currency for individual monomials; it doubles as the
 // intern table's key encoding, so converting between the two is free.
 // The previous map-of-strings implementation is preserved unmodified in

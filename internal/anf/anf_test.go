@@ -3,6 +3,7 @@ package anf
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,43 @@ func TestSubstitutePanicsOnSelfReference(t *testing.T) {
 	}()
 	p := FromMonos(NewMono(1))
 	p.Substitute(1, FromMonos(NewMono(1), NewMono(2)))
+}
+
+func TestSubstituteTermsPanics(t *testing.T) {
+	for name, e := range map[string]*Terms{
+		"self-reference":  {Vars: []Var{1, 2}, Masks: []uint32{0b01, 0b10}},
+		"descending vars": {Vars: []Var{3, 2}, Masks: []uint32{0b11}},
+		"repeated var":    {Vars: []Var{2, 2}, Masks: []uint32{0b11}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SubstituteTerms should panic", name)
+				}
+			}()
+			FromMonos(NewMono(1)).SubstituteTerms(1, e)
+		}()
+	}
+}
+
+func TestTermsSetFuncAndPoly(t *testing.T) {
+	// Majority of v2, v5, v7: v2·v5 + v2·v7 + v5·v7, masks over Vars.
+	var e Terms
+	e.SetFunc([]Var{2, 5, 7}, func(row int) bool {
+		return row&1+row>>1&1+row>>2&1 >= 2
+	})
+	if got, want := e.Masks, []uint32{0b011, 0b101, 0b110}; !slices.Equal(got, want) {
+		t.Errorf("majority masks = %b, want %b", got, want)
+	}
+	want := FromMonos(NewMono(2, 5), NewMono(2, 7), NewMono(5, 7))
+	if p := e.Poly(); !p.Equal(want) {
+		t.Errorf("majority = %v, want %v", p, want)
+	}
+	// Refilling the buffer replaces the previous model entirely.
+	e.SetFunc([]Var{4}, func(row int) bool { return row == 0 })
+	if p := e.Poly(); !p.Equal(FromMonos(MonoOne, NewMono(4))) || e.Len() != 2 {
+		t.Errorf("NOT v4 = %v (%d terms), want 1+v4", p, e.Len())
+	}
 }
 
 func TestPaperExample1Iteration(t *testing.T) {

@@ -1,6 +1,7 @@
 package anf_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/galoisfield/gfre/internal/anf"
@@ -12,12 +13,16 @@ import (
 // fails on any observable divergence. Opcodes consume two bytes: the low
 // three bits of the first select the operation, the second parameterizes it
 // (monomial masks over variables 1..8, substitution targets, evaluation
-// assignments). Committed corpus seeds live in testdata/fuzz/FuzzANFPacked;
+// assignments). For substitution, bit 3 of the first byte selects the
+// term-list entry (SubstituteTerms) and bits 4-6 add terms to its
+// expression: a duplicate of the full term, the constant 1 and the lowest
+// variable alone. Committed corpus seeds live in testdata/fuzz/FuzzANFPacked;
 // CI runs this target in the fuzz-smoke job.
 func FuzzANFPacked(f *testing.F) {
 	f.Add([]byte{0x00, 0x07, 0x00, 0x15, 0x01, 0x33, 0x05, 0xff})
 	f.Add([]byte{0x03, 0x81, 0x03, 0x42, 0x02, 0x18, 0x04, 0x3c, 0x05, 0x00})
 	f.Add([]byte{0x00, 0xaa, 0x01, 0x55, 0x02, 0x0f, 0x03, 0xf0, 0x06, 0x11, 0x05, 0x99})
+	f.Add([]byte{0x00, 0xff, 0x0c, 0x1a, 0x3c, 0x2b, 0x7c, 0x3c, 0x5c, 0x09, 0x05, 0x55})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 128 {
 			data = data[:128]
@@ -43,6 +48,13 @@ func FuzzANFPacked(f *testing.F) {
 				}
 			case 4: // substitute v := e when acyclic
 				v := int(arg&7) + 1
+				if data[i]&8 != 0 {
+					e := fuzzTerms(data[i], arg>>3)
+					if !slices.Contains(e.Vars, anf.Var(v)) {
+						pr.substituteTerms(v, e)
+					}
+					break
+				}
 				e := newPair()
 				e.toggle(uint16(arg >> 3))
 				pe, qe := e.p.ContainsVar(anf.Var(v)), e.q.ContainsVar(ref.Var(v))
@@ -69,4 +81,28 @@ func FuzzANFPacked(f *testing.F) {
 			mustMatch(t, "fuzz-step", pr)
 		}
 	})
+}
+
+// fuzzTerms builds the term-list expression of a substitution opcode: the
+// product of the variables in mask (over variables 1..5), plus the extra
+// terms selected by bits 4-6 of op.
+func fuzzTerms(op, mask byte) *anf.Terms {
+	e := &anf.Terms{}
+	for i := 0; i < 5; i++ {
+		if mask&(1<<i) != 0 {
+			e.Vars = append(e.Vars, anf.Var(i+1))
+		}
+	}
+	full := uint32(1)<<len(e.Vars) - 1
+	e.Masks = append(e.Masks, full)
+	if op&0x10 != 0 {
+		e.Masks = append(e.Masks, full) // cancels the full term
+	}
+	if op&0x20 != 0 {
+		e.Masks = append(e.Masks, 0)
+	}
+	if op&0x40 != 0 && len(e.Vars) > 0 {
+		e.Masks = append(e.Masks, 1)
+	}
+	return e
 }

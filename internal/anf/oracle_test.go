@@ -73,6 +73,44 @@ func (pr *pair) substitute(v int, e pair) {
 	pr.q.Substitute(ref.Var(v), e.q)
 }
 
+// substituteTerms eliminates v through the term-list entry on the packed
+// side and through Substitute on the reference side, whose expression is
+// the XOR of the same terms (duplicate masks cancel in pairs there too).
+func (pr *pair) substituteTerms(v int, e *anf.Terms) {
+	var monos []ref.Mono
+	for _, m := range e.Masks {
+		var vs []ref.Var
+		for i, w := range e.Vars {
+			if m&(1<<uint(i)) != 0 {
+				vs = append(vs, ref.Var(w))
+			}
+		}
+		monos = append(monos, ref.NewMono(vs...))
+	}
+	pr.p.SubstituteTerms(anf.Var(v), e)
+	pr.q.Substitute(ref.Var(v), ref.FromMonos(monos...))
+}
+
+// randTerms draws a gate-model-shaped expression over variables 1..maxVar:
+// up to four ascending variables and up to five masks over them, repeats
+// included so that duplicate terms cancel.
+func randTerms(rng *rand.Rand, maxVar int) *anf.Terms {
+	e := &anf.Terms{}
+	for v := 1; v <= maxVar && len(e.Vars) < 4; v++ {
+		if rng.Intn(3) == 0 {
+			e.Vars = append(e.Vars, anf.Var(v))
+		}
+	}
+	for i := rng.Intn(6); i > 0; i-- {
+		m := uint32(rng.Intn(1 << len(e.Vars)))
+		e.Masks = append(e.Masks, m)
+		if rng.Intn(4) == 0 {
+			e.Masks = append(e.Masks, m)
+		}
+	}
+	return e
+}
+
 func (pr *pair) clone() pair {
 	return pair{p: pr.p.Clone(), q: pr.q.Clone()}
 }
@@ -280,6 +318,21 @@ func TestDiffSubstituteChains(t *testing.T) {
 			mustMatch(t, "subst-chain", pr)
 		}
 		mustEvalMatch(t, "subst-chain", pr, rng.Uint32())
+	}
+	// The same chains with gate-model-shaped expressions through the
+	// rewriting loop's term-list entry, next to the Poly entry on the same
+	// terms: both must track the reference step by step.
+	for c := 0; c < 300; c++ {
+		pr := randPair(rng, 10, 16)
+		viaPoly := pair{p: pr.p.Clone(), q: pr.q.Clone()}
+		for v := 10; v >= 3; v-- {
+			e := randTerms(rng, v-1) // over vars 1..v-1 only: acyclic
+			pr.substituteTerms(v, e)
+			mustMatch(t, "subst-terms-chain", pr)
+			viaPoly.p.Substitute(anf.Var(v), e.Poly())
+			mustMatch(t, "subst-terms-poly", pair{p: viaPoly.p, q: pr.q})
+		}
+		mustEvalMatch(t, "subst-terms-chain", pr, rng.Uint32())
 	}
 }
 

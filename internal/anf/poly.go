@@ -326,14 +326,7 @@ func (p Poly) Substitute(v Var, e Poly) {
 		panic(fmt.Sprintf("anf: substitution expression for v%d contains v%d (combinational cycle?)", v, v))
 	}
 	pp := p.p
-	aff := pp.affected[:0]
-	for _, id := range pp.occ[v] {
-		if pp.live(id) {
-			aff = append(aff, id)
-		}
-	}
-	pp.affected = aff
-	if len(aff) == 0 {
+	if !pp.collectAffected(v) {
 		return
 	}
 	// Translate e's terms into p's table once; after that the expansion is
@@ -349,13 +342,33 @@ func (p Poly) Substitute(v Var, e Poly) {
 		}
 	}
 	pp.eIDs = eIDs
-	for _, id := range aff {
-		pp.toggle(id) // all live: removes
+	pp.expand(v)
+}
+
+// collectAffected gathers the live monomials containing v into p.affected
+// and reports whether there are any.
+func (p *poly) collectAffected(v Var) bool {
+	aff := p.affected[:0]
+	for _, id := range p.occ[v] {
+		if p.live(id) {
+			aff = append(aff, id)
+		}
 	}
-	for _, id := range aff {
-		base := pp.tab.without(id, v)
-		for _, t := range eIDs {
-			pp.toggle(pp.tab.mul(base, t))
+	p.affected = aff
+	return len(aff) > 0
+}
+
+// expand is the substitution step shared by Substitute and SubstituteTerms:
+// every affected monomial m·v is replaced by the products m·t over the
+// expression's interned terms p.eIDs, cancelling mod 2 as it goes.
+func (p *poly) expand(v Var) {
+	for _, id := range p.affected {
+		p.toggle(id) // all live: removes
+	}
+	for _, id := range p.affected {
+		base := p.tab.without(id, v)
+		for _, t := range p.eIDs {
+			p.toggle(p.tab.mul(base, t))
 		}
 	}
 }
@@ -441,10 +454,9 @@ func (p Poly) String() string {
 
 // FromTruthTable computes the ANF of an arbitrary k-input Boolean function
 // given its truth table, using the Möbius (binary zeta) transform. Bit i of
-// the table is the function value when input j equals bit j of i. This is
-// how gate algebraic models — including complex AOI/OAI cells and BLIF
-// truth-table nodes — are derived uniformly instead of hand-coding Eq. (1)
-// per gate type.
+// the table is the function value when input j equals bit j of i. Gate
+// models use the same transform through Terms.SetFunc; this entry accepts
+// inputs in any order, with duplicates.
 //
 // inputs lists the variable for each function input; len(table) must be
 // 1<<len(inputs). k up to 20 is supported (beyond that the table itself is
@@ -459,27 +471,13 @@ func FromTruthTable(inputs []Var, table []bool) (Poly, error) {
 	}
 	coeff := make([]bool, len(table))
 	copy(coeff, table)
-	// In-place Möbius transform: coeff[S] = XOR of f(T) over T ⊆ S.
-	for i := 0; i < k; i++ {
-		bit := 1 << uint(i)
-		for s := range coeff {
-			if s&bit != 0 {
-				coeff[s] = coeff[s] != coeff[s^bit]
-			}
-		}
-	}
+	mobius(coeff, k)
 	p := NewPoly()
+	vars := make([]Var, 0, k)
 	for s, c := range coeff {
-		if !c {
-			continue
+		if c {
+			p.Toggle(NewMono(maskVars(vars[:0], inputs, uint32(s))...))
 		}
-		vars := make([]Var, 0, k)
-		for i := 0; i < k; i++ {
-			if s&(1<<uint(i)) != 0 {
-				vars = append(vars, inputs[i])
-			}
-		}
-		p.Toggle(NewMono(vars...))
 	}
 	return p, nil
 }

@@ -107,7 +107,8 @@ type Context struct {
 	N    *netlist.Netlist
 	Opts Options
 
-	// Levels / Depth are netlist.Levels().
+	// Levels / Depth are netlist.Levels(), computed here in the same sweep
+	// as Fanout.
 	Levels []int
 	Depth  int
 	// Reach[id] reports whether gate id lies in some output's fanin cone.
@@ -127,6 +128,10 @@ type Context struct {
 	// predictor (see Sem in semantics.go).
 	semOnce bool
 	sem     *sem.Result
+	// hashed delivers the canonical netlist hash, which Analyze computes
+	// concurrently; contentHash collects it into hash.
+	hashed chan string
+	hash   string
 }
 
 // Options configures an analysis run.
@@ -138,11 +143,6 @@ type Options struct {
 	RequireMultiplier bool
 	// Disabled names rules to skip.
 	Disabled []string
-	// ContentHash is a precomputed digest of the netlist content (source
-	// bytes or canonical form). It keys the semantic sweep's cache and is
-	// echoed in the report; when empty, the canonical netlist hash is
-	// computed on demand.
-	ContentHash string
 }
 
 func (o Options) disabled(name string) bool {
@@ -203,9 +203,8 @@ type Report struct {
 	// Findings holds every rule violation/observation, severity-sorted
 	// (errors first), then rule name, then witness order.
 	Findings []Finding `json:"findings"`
-	// ContentHash is the digest keying the semantic sweep's cache: the
-	// source-byte digest when linted from a file, else the canonical
-	// netlist hash.
+	// ContentHash identifies the linted content: the source-byte digest
+	// when linted from a file, else the canonical netlist hash.
 	ContentHash string `json:"content_hash,omitempty"`
 	// Fingerprint is the architecture classification.
 	Fingerprint Fingerprint `json:"fingerprint"`
@@ -294,14 +293,18 @@ func (r *Report) MaxPredictedPeak() int {
 // constructors enforce those invariants — so lint raw files with
 // AnalyzeSource to get them.
 func Analyze(n *netlist.Netlist, opts Options) *Report {
-	if opts.ContentHash == "" {
-		// Best effort: an unserializable netlist just runs uncached.
-		if h, err := checkpoint.HashNetlist(n); err == nil {
-			opts.ContentHash = h
-		}
-	}
-	rep := &Report{Design: n.Name, ContentHash: opts.ContentHash}
 	ctx := newContext(n, opts)
+	// The canonical netlist hash keys the semantic sweep's cache, so the
+	// netlist is serialized for it beside the structural rules instead of
+	// in front of them; Sem waits for it. Best effort: an unserializable
+	// netlist just runs uncached.
+	hashed := make(chan string, 1)
+	go func() {
+		h, _ := checkpoint.HashNetlist(n)
+		hashed <- h
+	}()
+	ctx.hashed = hashed
+	rep := &Report{Design: n.Name}
 	for _, rule := range registry {
 		if rule.Check == nil || opts.disabled(rule.Name) {
 			continue
@@ -311,19 +314,25 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	rep.Fingerprint = ctx.fingerprint()
 	rep.Algebra = buildAlgebra(ctx)
 	rep.Cones, rep.SuggestedBudgetTerms, rep.SuggestedConeTimeoutMS = predictCones(ctx)
+	rep.ContentHash = ctx.contentHash()
 	sortFindings(rep.Findings)
 	return rep
 }
 
-// newContext computes the shared analysis state once.
+// newContext computes the shared analysis state once: logic levels and
+// fanout counts in one forward sweep, reachability in one backward sweep.
 func newContext(n *netlist.Netlist, opts Options) *Context {
 	ctx := &Context{N: n, Opts: opts}
-	ctx.Levels, ctx.Depth = n.Levels()
+	ctx.Levels = make([]int, n.NumGates())
 	ctx.Fanout = make([]int, n.NumGates())
-	for id := 0; id < n.NumGates(); id++ {
+	for id := range ctx.Levels {
+		l := 0
 		for _, f := range n.Gate(id).Fanin {
+			l = max(l, ctx.Levels[f]+1)
 			ctx.Fanout[f]++
 		}
+		ctx.Levels[id] = l
+		ctx.Depth = max(ctx.Depth, l)
 	}
 	// Reachability: reverse walk from the outputs. Gates are topologically
 	// ordered, so one descending sweep settles the whole DAG.

@@ -2,12 +2,15 @@ package netlint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/gen"
 	"github.com/galoisfield/gfre/internal/gf2poly"
 	"github.com/galoisfield/gfre/internal/netlist"
@@ -282,6 +285,44 @@ func TestAnalyzeSourceCleanEQNRunsDAGRules(t *testing.T) {
 	}
 	if len(rep.Cones) != 4 {
 		t.Errorf("cones = %d, want 4", len(rep.Cones))
+	}
+}
+
+// TestAdmissionAndExecutionLintShareSemanticSweep lints a file as gfred
+// admits it, then the netlist parsed from the same bytes as the extraction
+// preflight does. The second lint must reuse the first one's semantic sweep,
+// whose wall time both reports carry, while the file's report keeps naming
+// the source bytes. The file is not in canonical form (its header names the
+// generator's design, not the submitted name), so its digest differs from
+// the parsed netlist's canonical hash.
+func TestAdmissionAndExecutionLintShareSemanticSweep(t *testing.T) {
+	n, err := gen.Mastrovito(48, gf2poly.MustParse("x^48+x^9+x^7+x^4+1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.WriteEQN(&buf); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{RequireMultiplier: true}
+	admitted := AnalyzeSource(buf.Bytes(), "share-sweep.eqn", "eqn", opts)
+	parsed, err := netlist.ReadEQN(bytes.NewReader(buf.Bytes()), "share-sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := Analyze(parsed, opts)
+	if admitted.HasErrors() || executed.HasErrors() {
+		t.Fatalf("clean design produced errors: %+v / %+v", admitted.Findings, executed.Findings)
+	}
+	if a, e := admitted.Algebra.AnalysisMicros, executed.Algebra.AnalysisMicros; a != e {
+		t.Errorf("semantic sweep ran twice: %d µs at admission, %d µs at execution", a, e)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if want := hex.EncodeToString(sum[:]); admitted.ContentHash != want {
+		t.Errorf("file report content hash = %s, want the source digest %s", admitted.ContentHash, want)
+	}
+	if want, _ := checkpoint.HashNetlist(parsed); executed.ContentHash != want {
+		t.Errorf("netlist report content hash = %s, want the canonical hash %s", executed.ContentHash, want)
 	}
 }
 

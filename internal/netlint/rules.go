@@ -2,7 +2,9 @@ package netlint
 
 import (
 	"fmt"
+	"math/bits"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -208,23 +210,16 @@ func checkConstGates(c *Context) []Finding {
 func checkRedundantGates(c *Context) []Finding {
 	sev := c.severityOf("redundant-gate")
 	var selfCancel, dups, bufs []int
-	// Structural duplicates are detected via an FNV-1a hash of (type,
-	// fanins) verified against the stored gate — string keys allocated per
-	// gate and dominated whole-netlist lint memory. An unverified hash
-	// collision (~2^-64 per pair) only suppresses dup tracking for that
-	// gate; it can never produce a false duplicate.
+	// Structural duplicates are found through an open-addressing table of
+	// gate IDs keyed by an FNV-1a hash of (type, fanins): a probe compares
+	// the hash tag and then the gates themselves, so detection is exact, and
+	// the table is two flat arrays rather than a map entry per gate.
 	sameGate := func(a, b netlist.Gate) bool {
-		if a.Type != b.Type || len(a.Fanin) != len(b.Fanin) {
-			return false
-		}
-		for i := range a.Fanin {
-			if a.Fanin[i] != b.Fanin[i] {
-				return false
-			}
-		}
-		return true
+		return a.Type == b.Type && slices.Equal(a.Fanin, b.Fanin)
 	}
-	seen := make(map[uint64]int, c.N.NumGates())
+	size := 1 << bits.Len(uint(2*c.N.NumGates()))
+	slots := make([]uint64, size) // tag<<32 | gate ID+1; 0 when empty
+	shift := 64 - bits.Len(uint(size-1))
 	for id := 0; id < c.N.NumGates(); id++ {
 		g := c.N.Gate(id)
 		switch g.Type {
@@ -238,17 +233,20 @@ func checkRedundantGates(c *Context) []Finding {
 			selfCancel = append(selfCancel, id)
 		}
 		h := uint64(1469598103934665603)
-		mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
-		mix(uint64(g.Type))
+		h = (h ^ uint64(g.Type)) * 1099511628211
 		for _, f := range g.Fanin {
-			mix(uint64(f) + 1)
+			h = (h ^ (uint64(f) + 1)) * 1099511628211
 		}
-		if prev, ok := seen[h]; ok {
-			if sameGate(c.N.Gate(prev), g) {
+		tag := h << 32
+		i := int((h * 0x9e3779b97f4a7c15) >> shift)
+		for ; slots[i] != 0; i = (i + 1) & (size - 1) {
+			if slots[i]&^(1<<32-1) == tag && sameGate(c.N.Gate(int(uint32(slots[i]))-1), g) {
 				dups = append(dups, id)
+				break
 			}
-		} else {
-			seen[h] = id
+		}
+		if slots[i] == 0 {
+			slots[i] = tag | uint64(id+1)
 		}
 	}
 	var fs []Finding

@@ -40,9 +40,9 @@ func cacheKey(contentHash string, n *netlist.Netlist, opts Options) string {
 }
 
 // AnalyzeCached is Analyze behind a bounded content-addressed cache.
-// contentHash may be empty, in which case the canonical netlist hash is
-// computed here; pass a precomputed hash (submission hash, source digest)
-// to skip that serialization on hot paths.
+// contentHash is the canonical netlist hash (checkpoint.HashNetlist); when
+// empty it is computed here. A different digest, such as one of the source
+// bytes, works but files the same netlist under a second entry.
 func AnalyzeCached(n *netlist.Netlist, contentHash string, opts Options) *Result {
 	if contentHash == "" {
 		h, err := checkpoint.HashNetlist(n)

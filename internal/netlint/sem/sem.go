@@ -34,6 +34,7 @@ package sem
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -157,8 +158,6 @@ type analyzer struct {
 	slotConst []bool  // per fanin slot: value when slotIdx < 0
 	evalIn    []bool
 	suppBuf   []uint64
-	vbuf      []int32
-	proj      [][6]int8
 	memb      []int
 }
 
@@ -375,67 +374,62 @@ func (a *analyzer) transfer(id int) fact {
 // exactCompose tries to settle the gate in the truth-table domain: all
 // remaining fanins must be exact and their combined variable set small.
 func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
+	// The joint variable set: merge the fanins' ascending variable lists,
+	// giving up as soon as it outgrows the exact domain.
 	ttMax := a.opts.ttMaxVars()
-	a.vbuf = a.vbuf[:0]
+	var bufs [2][6]int32 // merge ping-pong: bufs[cur][:nv] is the set so far
+	cur, nv := 0, 0
 	for _, u := range a.uid {
 		uf := &a.facts[u]
 		if uf.ttn < 0 {
 			return fact{}, false
 		}
-		for q := 0; q < int(uf.ttn); q++ {
-			v := uf.ttv[q]
-			pos := 0
-			for pos < len(a.vbuf) && a.vbuf[pos] < v {
-				pos++
+		src, dst := &bufs[cur], &bufs[cur^1]
+		i, j, m, nf := 0, 0, 0, int(uf.ttn)
+		for i < nv || j < nf {
+			var v int32
+			switch {
+			case j == nf || i < nv && src[i] < uf.ttv[j]:
+				v = src[i]
+				i++
+			case i == nv || uf.ttv[j] < src[i]:
+				v = uf.ttv[j]
+				j++
+			default:
+				v = src[i]
+				i++
+				j++
 			}
-			if pos < len(a.vbuf) && a.vbuf[pos] == v {
-				continue
-			}
-			if len(a.vbuf) >= ttMax {
+			if m == ttMax {
 				return fact{}, false
 			}
-			a.vbuf = append(a.vbuf, 0)
-			copy(a.vbuf[pos+1:], a.vbuf[pos:])
-			a.vbuf[pos] = v
+			dst[m] = v
+			m++
 		}
+		cur, nv = cur^1, m
 	}
-	nv := len(a.vbuf)
-
-	// Per-fanin projection: proj[j][q] is the position in vbuf of fanin
-	// j's q-th truth-table variable.
-	if cap(a.proj) < k {
-		a.proj = make([][6]int8, k)
-	}
-	a.proj = a.proj[:k]
-	for j, u := range a.uid {
-		uf := &a.facts[u]
-		pos := 0
-		for q := 0; q < int(uf.ttn); q++ {
-			v := uf.ttv[q]
-			for a.vbuf[pos] != v {
-				pos++
-			}
-			a.proj[j][q] = int8(pos)
-		}
-	}
+	vbuf := bufs[cur][:nv]
 
 	// Word-parallel composition: lift every fanin's table into the joint
-	// 2^nv-row space by duplicating blocks at each joint variable the fanin
-	// does not read, then OR the minterms of the gate-local table T over the
-	// lifted fanin words. Cost is O(k * nv) word operations instead of a
+	// 2^nv-row space by inserting each joint variable the fanin does not
+	// read, then OR the minterms of the gate-local table T over the lifted
+	// fanin words. Cost is O(k * nv) word operations instead of a
 	// bit-at-a-time walk over all 2^nv rows.
 	var ex [6]uint64
 	for j, u := range a.uid {
 		uf := &a.facts[u]
-		e := uf.tt
-		vars := int(uf.ttn)
-		q := 0
-		for p := 0; p < nv; p++ {
-			if q < int(uf.ttn) && int(a.proj[j][q]) == p {
+		if uf.ttn == 1 && uf.tt == 0b10 {
+			// A plain variable lifts to its own row pattern.
+			ex[j] = ^lowMask[slices.Index(vbuf, uf.ttv[0])]
+			continue
+		}
+		e, vars, q := uf.tt, int(uf.ttn), 0
+		for p, v := range vbuf {
+			if q < int(uf.ttn) && uf.ttv[q] == v {
 				q++
 				continue
 			}
-			e = dupAt(e, 1<<uint(vars), p)
+			e = dupAt(e, vars, p)
 			vars++
 		}
 		ex[j] = e
@@ -464,9 +458,9 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 	for i := nv - 1; i >= 0; i-- {
 		if !essential(out, nv, i) {
 			out = dropVar(out, nv, i)
-			copy(a.vbuf[i:], a.vbuf[i+1:])
+			copy(vbuf[i:], vbuf[i+1:])
 			nv--
-			a.vbuf = a.vbuf[:nv]
+			vbuf = vbuf[:nv]
 		}
 	}
 	if nv == 0 {
@@ -478,7 +472,7 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 	}
 
 	f := fact{konst: -1, ttn: int8(nv), tt: out, exact: true}
-	copy(f.ttv[:], a.vbuf)
+	copy(f.ttv[:], vbuf)
 
 	// Exact degrees from the ANF spectrum: bit position m of spec encodes a
 	// monomial's variable set, so per-class degrees are popcounts against
@@ -486,7 +480,7 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 	spec := mobius(out, nv)
 	var mskA, mskB uint64
 	for j := 0; j < nv; j++ {
-		switch a.ports.Class[a.inputPos[a.vbuf[j]]] {
+		switch a.ports.Class[a.inputPos[vbuf[j]]] {
 		case ClassA:
 			mskA |= 1 << uint(j)
 		case ClassB:

@@ -2,6 +2,8 @@ package sem
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/galoisfield/gfre/internal/gen"
@@ -340,5 +342,63 @@ func TestTruthTableHelpers(t *testing.T) {
 	}
 	if !unateIn(and2, 2, 0) || !unateIn(or2, 2, 1) {
 		t.Error("and/or are unate")
+	}
+}
+
+// TestDupAtInsertsIgnoredVariable checks the word-parallel lift row by row:
+// inserting variable p into a table over vars variables gives the table
+// whose row r reads the old table at r with bit p deleted, and dropVar
+// undoes it.
+func TestDupAtInsertsIgnoredVariable(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for vars := 0; vars < 6; vars++ {
+		for p := 0; p <= vars; p++ {
+			for range 20 {
+				tt := rng.Uint64() & rowMask(vars)
+				got := dupAt(tt, vars, p)
+				for r := 0; r < 1<<(vars+1); r++ {
+					old := r&(1<<p-1) | r>>(p+1)<<p
+					if got>>r&1 != tt>>old&1 {
+						t.Fatalf("dupAt(%#x, %d, %d) row %d = %d, want %d", tt, vars, p, r, got>>r&1, tt>>old&1)
+					}
+				}
+				if back := dropVar(got, vars+1, p); back != tt {
+					t.Fatalf("dropVar(dupAt(%#x, %d, %d)) = %#x", tt, vars, p, back)
+				}
+			}
+		}
+	}
+}
+
+// TestSuppPoolInternsThroughGrowth interns more sets than the pool was
+// sized for, so its slot table rehashes several times, and checks that
+// every set keeps one ID and every lookup finds exactly its own set.
+func TestSuppPoolInternsThroughGrowth(t *testing.T) {
+	classes := make([]Class, 130)
+	p := newSuppPool(len(classes), 1<<20, 8, classes)
+	rng := rand.New(rand.NewSource(9))
+	var sets [][]uint64
+	for range 3000 {
+		s := make([]uint64, 3)
+		for i := range s {
+			s[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+		}
+		s[2] &= 3 // 130 inputs: two bits in the last word
+		sets = append(sets, s)
+	}
+	ids := make([]int32, len(sets))
+	for i, s := range sets {
+		ids[i] = p.intern(append([]uint64(nil), s...))
+	}
+	for i, s := range sets {
+		if id := p.intern(append([]uint64(nil), s...)); id != ids[i] {
+			t.Fatalf("set %d re-interned as %d, first as %d", i, id, ids[i])
+		}
+		if id := p.lookup(s); id != ids[i] || !slices.Equal(p.get(id), s) {
+			t.Fatalf("set %d: lookup %d, interned %d", i, id, ids[i])
+		}
+	}
+	if p.widens != 0 {
+		t.Errorf("%d widenings below the cap", p.widens)
 	}
 }

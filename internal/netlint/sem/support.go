@@ -16,11 +16,14 @@ import "math/bits"
 // a widened set contains a key input iff the original did.
 type suppPool struct {
 	nwords int
-	slab   []uint64         // set i occupies slab[i*nwords : (i+1)*nwords]
-	index  map[uint64]int32 // FNV-1a of content -> first candidate ID
-	next   []int32          // set ID -> next candidate with equal hash, -1 ends
-	cap    int              // widen beyond this many distinct sets
-	widens int              // widening events (observability)
+	slab   []uint64 // set i occupies slab[i*nwords : (i+1)*nwords]
+	hashes []uint64 // set ID -> FNV-1a of its content
+	// slots is an open-addressing table over the set IDs, probed linearly
+	// from slot(hash); a slot holds ID+1, 0 when empty. Its size is a power
+	// of two at least twice the set count.
+	slots  []int32
+	cap    int // widen beyond this many distinct sets
+	widens int // widening events (observability)
 
 	classMask [3][]uint64 // full-class masks, indexed by Class
 	scratch   []uint64
@@ -45,8 +48,8 @@ func newSuppPool(nvars, maxSets, sizeHint int, classOf []Class) *suppPool {
 	p := &suppPool{
 		nwords:  nwords,
 		slab:    make([]uint64, 0, sizeHint*nwords),
-		index:   make(map[uint64]int32, sizeHint),
-		next:    make([]int32, 0, sizeHint),
+		hashes:  make([]uint64, 0, sizeHint),
+		slots:   make([]int32, 1<<bits.Len(uint(2*sizeHint))),
 		cap:     maxSets,
 		scratch: make([]uint64, nwords),
 	}
@@ -87,15 +90,12 @@ func eqWords(a, b []uint64) bool {
 // lookupHashed returns the ID of an interned set equal to buf (whose content
 // hash is h), or -1.
 func (p *suppPool) lookupHashed(h uint64, buf []uint64) int32 {
-	id, ok := p.index[h]
-	if !ok {
-		return -1
-	}
-	for id >= 0 {
-		if eqWords(p.get(id), buf) {
+	mask := len(p.slots) - 1
+	for i := p.slot(h); p.slots[i] != 0; i = (i + 1) & mask {
+		id := p.slots[i] - 1
+		if p.hashes[id] == h && eqWords(p.get(id), buf) {
 			return id
 		}
-		id = p.next[id]
 	}
 	return -1
 }
@@ -123,13 +123,31 @@ func (p *suppPool) intern(buf []uint64) int32 {
 	}
 	id := int32(p.count())
 	p.slab = append(p.slab, buf...)
-	prev, ok := p.index[h]
-	if !ok {
-		prev = -1
+	p.hashes = append(p.hashes, h)
+	if 2*len(p.hashes) > len(p.slots) {
+		p.slots = make([]int32, 2*len(p.slots))
+		for id, h := range p.hashes[:id] {
+			p.insertSlot(int32(id), h)
+		}
 	}
-	p.index[h] = id
-	p.next = append(p.next, prev)
+	p.insertSlot(id, h)
 	return id
+}
+
+// slot returns the home slot of hash h: its top bits after a Fibonacci
+// multiply, since FNV-1a's low bits see only the low bits of each word.
+func (p *suppPool) slot(h uint64) int {
+	return int((h * 0x9e3779b97f4a7c15) >> (64 - bits.Len(uint(len(p.slots)-1))))
+}
+
+// insertSlot files set id under its hash h in the first free slot.
+func (p *suppPool) insertSlot(id int32, h uint64) {
+	mask := len(p.slots) - 1
+	i := p.slot(h)
+	for p.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	p.slots[i] = id + 1
 }
 
 // widen rounds buf up to its operand-class closure in place.

@@ -67,23 +67,28 @@ func dropVar(tt uint64, k, i int) uint64 {
 	return out
 }
 
-// dupAt inserts an ignored variable at position p of a table of sBits rows:
-// every block of 2^p rows is duplicated, doubling the table. The inverse of
-// dropVar, used to lift a fanin table into a joint variable space.
-func dupAt(tt uint64, sBits, p int) uint64 {
-	bs := 1 << uint(p)
-	if bs >= sBits {
-		return tt | tt<<uint(sBits)
+// swapMask[i] serves swapping adjacent variables i and i+1: [0] selects the
+// rows that stay, [1] the rows that move up by 2^i (variable i set, i+1
+// clear); the rows moving down are [1] << 2^i.
+var swapMask = [5][2]uint64{
+	{0x9999999999999999, 0x2222222222222222},
+	{0xc3c3c3c3c3c3c3c3, 0x0c0c0c0c0c0c0c0c},
+	{0xf00ff00ff00ff00f, 0x00f000f000f000f0},
+	{0xff0000ffff0000ff, 0x0000ff000000ff00},
+	{0xffff00000000ffff, 0x00000000ffff0000},
+}
+
+// dupAt inserts an ignored variable at position p of a table over vars < 6
+// variables: the table is duplicated into a new top variable, which then
+// sinks to position p by adjacent swaps. The inverse of dropVar, used to
+// lift a fanin table into a joint variable space.
+func dupAt(tt uint64, vars, p int) uint64 {
+	tt |= tt << (uint(1) << uint(vars))
+	for i := vars - 1; i >= p; i-- {
+		s := uint(1) << uint(i)
+		tt = tt&swapMask[i][0] | (tt&swapMask[i][1])<<s | (tt>>s)&swapMask[i][1]
 	}
-	mask := uint64(1)<<uint(bs) - 1
-	var out uint64
-	sh := uint(0)
-	for off := 0; off < sBits; off += bs {
-		blk := (tt >> uint(off)) & mask
-		out |= (blk | blk<<uint(bs)) << sh
-		sh += uint(2 * bs)
-	}
-	return out
+	return tt
 }
 
 // ttConst classifies a k-variable table: (isConst, value).

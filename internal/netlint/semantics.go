@@ -19,9 +19,19 @@ import (
 func (c *Context) Sem() *sem.Result {
 	if !c.semOnce {
 		c.semOnce = true
-		c.sem = sem.AnalyzeCached(c.N, c.Opts.ContentHash, sem.Options{})
+		c.sem = sem.AnalyzeCached(c.N, c.contentHash(), sem.Options{})
 	}
 	return c.sem
+}
+
+// contentHash returns the canonical netlist hash, waiting for Analyze's
+// concurrent computation of it if one is in flight.
+func (c *Context) contentHash() string {
+	if c.hashed != nil {
+		c.hash = <-c.hashed
+		c.hashed = nil
+	}
+	return c.hash
 }
 
 // AlgebraSummary is the report-level digest of the semantic sweep.

@@ -386,13 +386,6 @@ func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 	if format == "" {
 		format = DetectFormat(filename, data)
 	}
-	if opts.ContentHash == "" {
-		// Key the semantic cache on the source bytes: repeated gflint runs
-		// and gfred's admission-then-execution double lint of the same file
-		// share one semantic sweep without re-serializing the netlist.
-		sum := sha256.Sum256(data)
-		opts.ContentHash = hex.EncodeToString(sum[:])
-	}
 	design := strings.TrimSuffix(filepath.Base(filename), filepath.Ext(filename))
 	rep := &Report{Design: design, Source: filename}
 
@@ -446,7 +439,12 @@ func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 		rep.Design = design
 	}
 	rep.Findings = append(rep.Findings, dag.Findings...)
-	rep.ContentHash = dag.ContentHash
+	// The report names the file's bytes, while the semantic sweep is cached
+	// under the canonical netlist hash, so gfred's admission lint of a
+	// submission and the execution lint of the netlist parsed from it
+	// share one sweep.
+	sum := sha256.Sum256(data)
+	rep.ContentHash = hex.EncodeToString(sum[:])
 	rep.Fingerprint = dag.Fingerprint
 	rep.Algebra = dag.Algebra
 	rep.Cones = dag.Cones

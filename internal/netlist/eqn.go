@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -29,9 +30,14 @@ type eqnToken struct {
 	line int
 }
 
+// eqnLexer tokenizes one line at a time as the parser asks for tokens, so
+// parsing holds the current line's tokens instead of the whole file's.
 type eqnLexer struct {
-	toks []eqnToken
-	pos  int
+	sc     *bufio.Scanner
+	lineNo int
+	toks   []eqnToken // tokens of line lineNo; toks[pos:] are unread
+	pos    int
+	err    error // the first lexing or read error; the input ends there
 }
 
 func isIdentRune(r byte) bool {
@@ -39,56 +45,75 @@ func isIdentRune(r byte) bool {
 		r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9'
 }
 
-func lexEQN(r io.Reader) (*eqnLexer, error) {
-	lx := &eqnLexer{}
+func newEQNLexer(r io.Reader) *eqnLexer {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexAny(line, "#"); i >= 0 {
-			line = line[:i]
+	sc.Buffer(nil, 64*1024*1024)
+	return &eqnLexer{sc: sc}
+}
+
+// fill lexes lines until an unread token is available. It reports false at
+// the end of the input and after an error, which it leaves in lx.err.
+func (lx *eqnLexer) fill() bool {
+	for lx.pos >= len(lx.toks) {
+		if lx.err != nil {
+			return false
 		}
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
-		}
-		for i := 0; i < len(line); {
-			c := line[i]
-			switch {
-			case c == ' ' || c == '\t' || c == '\r':
-				i++
-			case strings.IndexByte("=;()!*+^", c) >= 0:
-				lx.toks = append(lx.toks, eqnToken{kind: c, line: lineNo})
-				i++
-			case isIdentRune(c):
-				j := i
-				for j < len(line) && isIdentRune(line[j]) {
-					j++
-				}
-				word := line[i:j]
-				switch word {
-				case "0":
-					lx.toks = append(lx.toks, eqnToken{kind: '0', line: lineNo})
-				case "1":
-					lx.toks = append(lx.toks, eqnToken{kind: '1', line: lineNo})
-				default:
-					lx.toks = append(lx.toks, eqnToken{kind: 'i', text: word, line: lineNo})
-				}
-				i = j
-			default:
-				return nil, fmt.Errorf("eqn: line %d: unexpected character %q", lineNo, c)
+		if !lx.sc.Scan() {
+			if err := lx.sc.Err(); err != nil {
+				lx.err = fmt.Errorf("eqn: %w", err)
 			}
+			return false
+		}
+		lx.lineNo++
+		lx.toks, lx.pos = lx.toks[:0], 0
+		if err := lx.lexLine(lx.sc.Text()); err != nil {
+			lx.err = err
+			return false
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("eqn: %w", err)
+	return true
+}
+
+// lexLine appends the tokens of one line to lx.toks.
+func (lx *eqnLexer) lexLine(line string) error {
+	if i := strings.IndexAny(line, "#"); i >= 0 {
+		line = line[:i]
 	}
-	return lx, nil
+	if i := strings.Index(line, "//"); i >= 0 {
+		line = line[:i]
+	}
+	for i := 0; i < len(line); {
+		c := line[i]
+		switch {
+		case c == ' ' || c == '\t' || c == '\r':
+			i++
+		case strings.IndexByte("=;()!*+^", c) >= 0:
+			lx.toks = append(lx.toks, eqnToken{kind: c, line: lx.lineNo})
+			i++
+		case isIdentRune(c):
+			j := i
+			for j < len(line) && isIdentRune(line[j]) {
+				j++
+			}
+			word := line[i:j]
+			switch word {
+			case "0":
+				lx.toks = append(lx.toks, eqnToken{kind: '0', line: lx.lineNo})
+			case "1":
+				lx.toks = append(lx.toks, eqnToken{kind: '1', line: lx.lineNo})
+			default:
+				lx.toks = append(lx.toks, eqnToken{kind: 'i', text: word, line: lx.lineNo})
+			}
+			i = j
+		default:
+			return fmt.Errorf("eqn: line %d: unexpected character %q", lx.lineNo, c)
+		}
+	}
+	return nil
 }
 
 func (lx *eqnLexer) peek() (eqnToken, bool) {
-	if lx.pos >= len(lx.toks) {
+	if !lx.fill() {
 		return eqnToken{}, false
 	}
 	return lx.toks[lx.pos], true
@@ -150,11 +175,19 @@ func ReadEQN(r io.Reader, name string) (*Netlist, error) {
 }
 
 func readEQN(r io.Reader, name string) (*Netlist, error) {
-	lx, err := lexEQN(r)
-	if err != nil {
-		return nil, err
+	lx := newEQNLexer(r)
+	n, err := (&eqnParser{lx: lx, n: New(name)}).parse()
+	if lx.err != nil {
+		// The input ended at the error, so whatever the parser reported
+		// after it is a consequence.
+		return nil, lx.err
 	}
-	p := &eqnParser{lx: lx, n: New(name)}
+	return n, err
+}
+
+// parse reads the statements up to the end of the input.
+func (p *eqnParser) parse() (*Netlist, error) {
+	lx := p.lx
 	var outOrder []string
 	for {
 		t, ok := lx.next()
@@ -377,88 +410,128 @@ func (n *Netlist) WriteEQN(w io.Writer) error {
 		}
 	}
 
+	// Lines are appended into one reused chunk, each gate's name rendered
+	// once up front (a gate is referenced about three times): this loop is
+	// the whole cost of content hashing (checkpoint.HashNetlist), which
+	// preflight pays per job.
+	names := n.renderNames()
+	var chunk []byte
 	for id, g := range n.gates {
 		if g.Type == Input {
 			continue
 		}
-		// Plain writes, not Fprintf: this loop is the whole cost of content
-		// hashing (checkpoint.HashNetlist), which preflight pays per job.
-		bw.WriteString(n.NameOf(id))
-		bw.WriteString(" = ")
-		bw.WriteString(n.gateExpr(g))
-		bw.WriteString(";\n")
+		chunk = names.append(chunk, id)
+		chunk = append(chunk, " = "...)
+		chunk = names.appendGateExpr(chunk, g)
+		chunk = append(chunk, ";\n"...)
+		if len(chunk) >= 1<<15 {
+			bw.Write(chunk)
+			chunk = chunk[:0]
+		}
 	}
+	bw.Write(chunk)
 	// Deterministic order for alias buffers.
-	names := make([]string, 0, len(aliased))
+	aliases := make([]string, 0, len(aliased))
 	for name := range aliased {
-		names = append(names, name)
+		aliases = append(aliases, name)
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	sort.Strings(aliases)
+	for _, name := range aliases {
 		fmt.Fprintf(bw, "%s = %s;\n", name, n.NameOf(aliased[name]))
 	}
 	return bw.Flush()
 }
 
-// gateExpr renders the RHS expression of a gate in equation syntax.
-func (n *Netlist) gateExpr(g Gate) string {
-	f := func(i int) string { return n.NameOf(g.Fanin[i]) }
-	switch g.Type {
-	case Const0:
-		return "0"
-	case Const1:
-		return "1"
-	case Buf:
-		return f(0)
-	case Not:
-		return "!" + f(0)
-	case And:
-		return f(0) + " * " + f(1)
-	case Or:
-		return f(0) + " + " + f(1)
-	case Xor:
-		return f(0) + " ^ " + f(1)
-	case Xnor:
-		return "!(" + f(0) + " ^ " + f(1) + ")"
-	case Nand:
-		return "!(" + f(0) + " * " + f(1) + ")"
-	case Nor:
-		return "!(" + f(0) + " + " + f(1) + ")"
-	case Aoi21:
-		return "!(" + f(0) + " * " + f(1) + " + " + f(2) + ")"
-	case Oai21:
-		return "!((" + f(0) + " + " + f(1) + ") * " + f(2) + ")"
-	case Aoi22:
-		return "!(" + f(0) + " * " + f(1) + " + " + f(2) + " * " + f(3) + ")"
-	case Oai22:
-		return "!((" + f(0) + " + " + f(1) + ") * (" + f(2) + " + " + f(3) + "))"
-	case Mux:
-		return "!" + f(2) + " * " + f(0) + " + " + f(2) + " * " + f(1)
-	case Lut:
-		return n.lutExpr(g)
-	}
-	panic(fmt.Sprintf("netlist: gateExpr on %v", g.Type))
+// eqnNames holds every gate's NameOf, rendered into one arena: gate id's
+// name is arena[off[id]:off[id+1]].
+type eqnNames struct {
+	arena []byte
+	off   []int32
 }
 
-// lutExpr expands a truth-table gate as a sum of minterms.
-func (n *Netlist) lutExpr(g Gate) string {
-	var minterms []string
+func (n *Netlist) renderNames() eqnNames {
+	e := eqnNames{arena: make([]byte, 0, 8*len(n.gates)), off: make([]int32, 1, len(n.gates)+1)}
+	for id, s := range n.names {
+		if s != "" {
+			e.arena = append(e.arena, s...)
+		} else {
+			e.arena = strconv.AppendInt(append(e.arena, 'n'), int64(id), 10)
+		}
+		e.off = append(e.off, int32(len(e.arena)))
+	}
+	return e
+}
+
+// append appends gate id's name to b.
+func (e eqnNames) append(b []byte, id int) []byte {
+	return append(b, e.arena[e.off[id]:e.off[id+1]]...)
+}
+
+// appendGateExpr appends the RHS expression of a gate in equation syntax.
+func (e eqnNames) appendGateExpr(b []byte, g Gate) []byte {
+	// f appends fanin i's name after the literal text pre.
+	f := func(b []byte, pre string, i int) []byte {
+		return e.append(append(b, pre...), g.Fanin[i])
+	}
+	switch g.Type {
+	case Const0:
+		return append(b, '0')
+	case Const1:
+		return append(b, '1')
+	case Buf:
+		return f(b, "", 0)
+	case Not:
+		return f(b, "!", 0)
+	case And:
+		return f(f(b, "", 0), " * ", 1)
+	case Or:
+		return f(f(b, "", 0), " + ", 1)
+	case Xor:
+		return f(f(b, "", 0), " ^ ", 1)
+	case Xnor:
+		return append(f(f(b, "!(", 0), " ^ ", 1), ')')
+	case Nand:
+		return append(f(f(b, "!(", 0), " * ", 1), ')')
+	case Nor:
+		return append(f(f(b, "!(", 0), " + ", 1), ')')
+	case Aoi21:
+		return append(f(f(f(b, "!(", 0), " * ", 1), " + ", 2), ')')
+	case Oai21:
+		return append(f(f(f(b, "!((", 0), " + ", 1), ") * ", 2), ')')
+	case Aoi22:
+		return append(f(f(f(f(b, "!(", 0), " * ", 1), " + ", 2), " * ", 3), ')')
+	case Oai22:
+		return append(f(f(f(f(b, "!((", 0), " + ", 1), ") * (", 2), " + ", 3), "))"...)
+	case Mux:
+		return f(f(f(f(b, "!", 2), " * ", 0), " + ", 2), " * ", 1)
+	case Lut:
+		return e.appendLutExpr(b, g)
+	}
+	panic(fmt.Sprintf("netlist: appendGateExpr on %v", g.Type))
+}
+
+// appendLutExpr expands a truth-table gate as a sum of minterms.
+func (e eqnNames) appendLutExpr(b []byte, g Gate) []byte {
+	start := len(b)
 	for row, bit := range g.Table {
 		if !bit {
 			continue
 		}
-		lits := make([]string, len(g.Fanin))
-		for i := range g.Fanin {
-			if row&(1<<uint(i)) != 0 {
-				lits[i] = n.NameOf(g.Fanin[i])
-			} else {
-				lits[i] = "!" + n.NameOf(g.Fanin[i])
-			}
+		if len(b) > start {
+			b = append(b, " + "...)
 		}
-		minterms = append(minterms, strings.Join(lits, " * "))
+		for i, f := range g.Fanin {
+			if i > 0 {
+				b = append(b, " * "...)
+			}
+			if row&(1<<uint(i)) == 0 {
+				b = append(b, '!')
+			}
+			b = e.append(b, f)
+		}
 	}
-	if len(minterms) == 0 {
-		return "0"
+	if len(b) == start {
+		return append(b, '0')
 	}
-	return strings.Join(minterms, " + ")
+	return b
 }

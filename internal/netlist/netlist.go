@@ -266,7 +266,7 @@ func (n *Netlist) AddGate(t GateType, fanin ...int) (int, error) {
 // AddLut appends a truth-table gate. table row i holds the output value when
 // fanin j carries bit j of i.
 func (n *Netlist) AddLut(table []bool, fanin ...int) (int, error) {
-	if len(fanin) == 0 || len(fanin) > 16 {
+	if len(fanin) == 0 || len(fanin) > maxLutInputs {
 		return 0, fmt.Errorf("netlist: LUT with %d inputs unsupported", len(fanin))
 	}
 	if len(table) != 1<<uint(len(fanin)) {
@@ -497,61 +497,88 @@ func (n *Netlist) Stats() Stats {
 	return s
 }
 
-// GateANF returns the algebraic model of gate id as a polynomial over the
-// variables assigned to its fanins by varOf — the per-gate expressions of
-// Eq. (1) in the paper, extended to complex cells. All models are derived
-// from the same eval used by simulation (via the Möbius transform for LUTs,
-// hand-expanded for fixed cells), so the algebraic and Boolean semantics
-// coincide by construction.
-func (n *Netlist) GateANF(id int, varOf func(int) anf.Var) (anf.Poly, error) {
-	g := n.gates[id]
-	v := func(i int) anf.Var { return varOf(g.Fanin[i]) }
-	mono := anf.NewMono
-	one := anf.MonoOne
-	switch g.Type {
-	case Input:
-		return anf.Poly{}, fmt.Errorf("netlist: gate %d is a primary input", id)
-	case Const0:
-		return anf.Constant(false), nil
-	case Const1:
-		return anf.Constant(true), nil
-	case Buf:
-		return anf.FromMonos(mono(v(0))), nil
-	case Not:
-		return anf.FromMonos(one, mono(v(0))), nil
-	case And:
-		return anf.FromMonos(mono(v(0), v(1))), nil
-	case Or:
-		return anf.FromMonos(mono(v(0)), mono(v(1)), mono(v(0), v(1))), nil
-	case Xor:
-		return anf.FromMonos(mono(v(0)), mono(v(1))), nil
-	case Xnor:
-		return anf.FromMonos(one, mono(v(0)), mono(v(1))), nil
-	case Nand:
-		return anf.FromMonos(one, mono(v(0), v(1))), nil
-	case Nor:
-		return anf.FromMonos(one, mono(v(0)), mono(v(1)), mono(v(0), v(1))), nil
-	case Lut:
-		vars := make([]anf.Var, len(g.Fanin))
-		for i, f := range g.Fanin {
-			vars[i] = varOf(f)
-		}
-		return anf.FromTruthTable(vars, g.Table)
-	default:
-		// Complex cells: derive from the shared eval via truth table.
-		k := len(g.Fanin)
-		vars := make([]anf.Var, k)
-		for i, f := range g.Fanin {
-			vars[i] = varOf(f)
-		}
-		table := make([]bool, 1<<uint(k))
-		in := make([]bool, k)
-		for row := range table {
-			for i := 0; i < k; i++ {
-				in[i] = row&(1<<uint(i)) != 0
+// maxLutInputs bounds a LUT's fanin count (AddLut) and so the number of
+// distinct variables any gate model can have.
+const maxLutInputs = 16
+
+// cellModels holds, per fixed cell type, the ANF of the cell over distinct
+// fanins as masks (bit i = fanin i), derived once from the shared eval by
+// the Möbius transform.
+var cellModels = func() (models [Lut][]uint32) {
+	var t anf.Terms
+	var in [4]bool
+	for typ := Const0; typ < Lut; typ++ {
+		k := typ.Arity()
+		t.SetFunc([]anf.Var{0, 1, 2, 3}[:k], func(row int) bool {
+			for i := range k {
+				in[i] = row>>uint(i)&1 != 0
 			}
-			table[row] = g.Type.eval(in)
-		}
-		return anf.FromTruthTable(vars, table)
+			return typ.eval(in[:k])
+		})
+		models[typ] = slices.Clone(t.Masks)
 	}
+	return models
+}()
+
+// GateTerms writes the algebraic model of gate id — the per-gate
+// expression of Eq. (1) in the paper, extended to complex cells — into t,
+// over the variables anf.Var(fanin). The model's variables are the gate's
+// distinct fanins, so repeated fanins collapse and the terms are the exact,
+// distinct ANF of the cell: XOR(a,a) has none, AND(a,a) is a. Fixed cells
+// with distinct fanins come from cellModels; LUTs and repeated fanins run
+// the Möbius transform over Gate.Eval. Both derive from the same eval used
+// by simulation, so the algebraic and Boolean semantics coincide by
+// construction. t is the caller's reusable buffer: once its slices have
+// grown, writing a model allocates nothing.
+func (n *Netlist) GateTerms(id int, t *anf.Terms) error {
+	g := n.gates[id]
+	if g.Type == Input {
+		return fmt.Errorf("netlist: gate %d is a primary input", id)
+	}
+	k := len(g.Fanin)
+	if k > maxLutInputs {
+		return fmt.Errorf("netlist: gate %d has %d fanins (max %d)", id, k, maxLutInputs)
+	}
+	// The model's variables are the distinct fanins, ascending; slot[i] is
+	// fanin i's position among them.
+	vars := t.Vars[:0]
+	for _, f := range g.Fanin {
+		vars = append(vars, anf.Var(f))
+	}
+	slices.Sort(vars)
+	vars = slices.Compact(vars)
+	t.Vars = vars
+	var slot [maxLutInputs]uint8
+	for i, f := range g.Fanin {
+		slot[i] = uint8(slices.Index(vars, anf.Var(f)))
+	}
+	if g.Type != Lut && len(vars) == k {
+		t.Masks = t.Masks[:0]
+		for _, m := range cellModels[g.Type] {
+			var r uint32
+			for i := 0; m != 0; i, m = i+1, m>>1 {
+				r |= (m & 1) << slot[i]
+			}
+			t.Masks = append(t.Masks, r)
+		}
+		return nil
+	}
+	var in [maxLutInputs]bool
+	t.SetFunc(vars, func(row int) bool {
+		for i := range k {
+			in[i] = row>>slot[i]&1 != 0
+		}
+		return g.Eval(in[:k])
+	})
+	return nil
+}
+
+// GateANF returns the algebraic model of gate id (GateTerms) as a
+// polynomial.
+func (n *Netlist) GateANF(id int) (anf.Poly, error) {
+	var t anf.Terms
+	if err := n.GateTerms(id, &t); err != nil {
+		return anf.Poly{}, err
+	}
+	return t.Poly(), nil
 }

@@ -185,45 +185,34 @@ func TestNumEquationsCountsNonInputs(t *testing.T) {
 	}
 }
 
-// TestGateANFMatchesSimulation: for every gate type, the algebraic model of
-// Eq. (1) must agree with the Boolean simulation semantics on all input
-// combinations — the inductive step of Theorem 1.
+// TestGateANFMatchesSimulation: for every gate type and every wiring of
+// its fanin slots to inputs — repeated fanins included — the algebraic
+// model of Eq. (1) must agree with the Boolean simulation semantics on all
+// input combinations: the inductive step of Theorem 1.
 func TestGateANFMatchesSimulation(t *testing.T) {
-	types := []GateType{Const0, Const1, Buf, Not, And, Or, Xor, Xnor, Nand,
-		Nor, Aoi21, Oai21, Aoi22, Oai22, Mux}
-	for _, gt := range types {
-		k := gt.Arity()
-		n := New("t")
-		ids := make([]int, k)
-		for i := range ids {
-			ids[i], _ = n.AddInput(string(rune('a' + i)))
-		}
-		gid, err := n.AddGate(gt, ids...)
+	for _, c := range repeatedFaninCases() {
+		n, gid := c.build(t)
+		k := len(c.pick)
+		poly, err := n.GateANF(gid)
 		if err != nil {
-			t.Fatalf("%v: %v", gt, err)
+			t.Fatalf("%v%v: GateANF: %v", c.typ, c.pick, err)
 		}
-		if err := n.MarkOutput("z", gid); err != nil {
+		words := make([]uint64, k)
+		for i := range words {
+			// Input i carries bit i of the row number in lane row.
+			for row := 0; row < 1<<uint(k); row++ {
+				words[i] |= uint64(row>>uint(i)&1) << uint(row)
+			}
+		}
+		vals, err := n.Simulate(words)
+		if err != nil {
 			t.Fatal(err)
 		}
-		poly, err := n.GateANF(gid, func(id int) anf.Var { return anf.Var(id) })
-		if err != nil {
-			t.Fatalf("%v: GateANF: %v", gt, err)
-		}
 		for row := 0; row < 1<<uint(k); row++ {
-			words := make([]uint64, k)
-			for i := 0; i < k; i++ {
-				if row&(1<<uint(i)) != 0 {
-					words[i] = 1
-				}
-			}
-			vals, err := n.Simulate(words)
-			if err != nil {
-				t.Fatal(err)
-			}
-			simBit := vals[gid]&1 == 1
-			anfBit := poly.Eval(func(v anf.Var) bool { return words[int(v)-0]&1 == 1 })
+			simBit := vals[gid]>>uint(row)&1 == 1
+			anfBit := poly.Eval(func(v anf.Var) bool { return row>>uint(v)&1 == 1 })
 			if simBit != anfBit {
-				t.Errorf("%v row %d: sim=%v anf=%v (poly %v)", gt, row, simBit, anfBit, poly)
+				t.Errorf("%v%v row %d: sim=%v anf=%v (poly %v)", c.typ, c.pick, row, simBit, anfBit, poly)
 			}
 		}
 	}
@@ -244,7 +233,7 @@ func TestGateANFLut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poly, err := n.GateANF(id, func(id int) anf.Var { return anf.Var(id) })
+	poly, err := n.GateANF(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +251,7 @@ func TestGateANFLut(t *testing.T) {
 func TestGateANFInputFails(t *testing.T) {
 	n := New("t")
 	a, _ := n.AddInput("a")
-	if _, err := n.GateANF(a, func(id int) anf.Var { return anf.Var(id) }); err == nil {
+	if _, err := n.GateANF(a); err == nil {
 		t.Error("GateANF on a primary input should fail")
 	}
 }

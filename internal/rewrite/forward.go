@@ -32,7 +32,6 @@ func Forward(n *netlist.Netlist) (*Result, error) {
 	exprs := make([]anf.Poly, n.NumGates())
 	have := make([]bool, n.NumGates())
 	resident := 0 // total terms held across ALL gate expressions
-	varOf := func(id int) anf.Var { return anf.Var(id) }
 	for id := 0; id < n.NumGates(); id++ {
 		g := n.Gate(id)
 		if g.Type == netlist.Input {
@@ -42,7 +41,7 @@ func Forward(n *netlist.Netlist) (*Result, error) {
 		}
 		// Gate model over fanin variables, then substitute each fanin
 		// variable by its input-level expression.
-		e, err := n.GateANF(id, varOf)
+		e, err := n.GateANF(id)
 		if err != nil {
 			return nil, err
 		}

@@ -463,7 +463,10 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 
 	f := anf.Variable(anf.Var(root))
 	br.PeakTerms = 1
-	varOf := func(id int) anf.Var { return anf.Var(id) }
+	// One gate-model buffer per cone: GateTerms refills it per substitution
+	// and SubstituteTerms reads it in place, so no polynomial is built per
+	// gate.
+	var e anf.Terms
 	if h != nil {
 		// On every exit path the bit's resident terms leave the working
 		// set — aborted cones must not leak into the live_terms gauge.
@@ -490,12 +493,11 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 			br.Status = st
 			return false, err
 		}
-		e, err := n.GateANF(id, varOf)
-		if err != nil {
+		if err := n.GateTerms(id, &e); err != nil {
 			return false, fmt.Errorf("rewrite: gate %d (%s): %w", id, n.NameOf(id), err)
 		}
 		before := f.Len()
-		f.Substitute(v, e)
+		f.SubstituteTerms(v, &e)
 		after := f.Len()
 		br.Substitutions++
 		// Exact mod-2 accounting: the k occurrences of v expand to k·|e|
@@ -512,7 +514,7 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 				elim = fmt.Sprintf("   [%d terms cancelled mod 2]", cancelled)
 			}
 			fmt.Fprintf(p.trace, "%-6s %s = %-24s F%d = %s%s\n",
-				n.NameOf(id)+":", g.Type, FormatPoly(e, n), br.Substitutions, FormatPoly(f, n), elim)
+				n.NameOf(id)+":", g.Type, formatTerms(&e, n), br.Substitutions, FormatPoly(f, n), elim)
 		}
 		if h != nil {
 			h.subst.Inc()
