@@ -15,6 +15,10 @@
 //	gffuzz -n 10 -overload                 # adversarial multi-tenant queues
 //	gffuzz -n 30 -obfuscate                # logic-locking detection arms race
 //
+// The -diagnose, -resume, -chaos, -overload and -obfuscate modes are
+// exclusive; -inject applies to the default multiplier campaign and to
+// -diagnose only.
+//
 // A campaign is fully determined by (-seed, -n, the sampling flags): case i
 // depends only on the seed and i, never on scheduling, so any failure can be
 // re-run in isolation.
@@ -142,6 +146,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The mode flags select the campaign's one case kind.
+	kind := diffcheck.KindMultiplier
+	for _, mode := range []struct {
+		on   bool
+		kind diffcheck.Kind
+	}{
+		{*diagnose, diffcheck.KindDiagnose}, {*resume, diffcheck.KindResume}, {*chaos, diffcheck.KindChaos},
+		{*overload, diffcheck.KindOverload}, {*obfuscate, diffcheck.KindObfuscate},
+	} {
+		if !mode.on {
+			continue
+		}
+		if kind != diffcheck.KindMultiplier {
+			return fmt.Errorf("-%s and -%s are exclusive campaign modes", kind, mode.kind)
+		}
+		kind = mode.kind
+	}
+	if *inject > 0 && kind != diffcheck.KindMultiplier && kind != diffcheck.KindDiagnose {
+		return fmt.Errorf("-inject does not apply to a -%s campaign", kind)
+	}
 
 	var rec *obs.Recorder
 	if *ndjson != "" {
@@ -155,11 +179,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := diffcheck.Config{
-		N: *n, Seed: *seed, Workers: *workers, Timeout: *timeout,
+		N: *n, Seed: *seed, Workers: *workers, Timeout: *timeout, Kind: kind,
 		MinM: minM, MaxM: maxM, Archs: archList, Formats: formatList,
 		MaxOptPasses: *optPasses, Scramble: *scramble,
-		Adversarial: *adversarial, Inject: *inject, Diagnose: *diagnose,
-		Resume: *resume, Chaos: *chaos, Overload: *overload, Obfuscate: *obfuscate,
+		Adversarial: *adversarial, Inject: *inject,
 		Recorder: rec, ReproDir: *repro,
 	}
 	if *verbose {
@@ -172,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	printSummary(stdout, sum)
-	if *diagnose {
+	if kind == diffcheck.KindDiagnose {
 		// Diagnosis mode: cases pass only if consensus recovered P(x) and
 		// localization covered every planted gate, so plain failure counting
 		// applies; the precision line above is the campaign's deliverable.
@@ -220,25 +243,8 @@ func printSummary(w io.Writer, sum *diffcheck.Summary) {
 		}
 		fmt.Fprintln(w)
 	}
-	if sum.Resumed > 0 {
-		fmt.Fprintf(w, "  resume: %d interrupted runs recovered, %d checkpointed cones reused\n",
-			sum.Resumed, sum.ReusedCones)
-	}
-	if sum.Chaosed > 0 {
-		fmt.Fprintf(w, "  chaos: %d fault-injected runs recovered (%d leases expired, %d zombies fenced, %d leases stolen)\n",
-			sum.Chaosed, sum.ChaosExpired, sum.ChaosFenced, sum.ChaosStolen)
-	}
-	if sum.Overloaded > 0 {
-		fmt.Fprintf(w, "  overload: %d attacked queues stayed fair (%d quota rejects, %d shed rejects, %d deduped, %d deadlines expired, worst well-tenant p99 %dms)\n",
-			sum.Overloaded, sum.QuotaRejects, sum.ShedRejects, sum.Deduped, sum.DeadlinesExpired, sum.WorstWellP99MS)
-	}
-	if sum.Obfuscated > 0 {
-		fmt.Fprintf(w, "  obfuscate: %d locked designs analyzed, %d/%d planted keys detected, %d opaque constants exposed\n",
-			sum.Obfuscated, sum.KeysDetected, sum.KeysPlanted, sum.OpaqueHits)
-	}
-	if sum.Diagnosed > 0 {
-		fmt.Fprintf(w, "  localization: %d/%d cases fully localized (precision %.0f%%), median best-suspect rank %d\n",
-			sum.LocHits, sum.Diagnosed, 100*sum.LocPrecision(), sum.MedianLocRank())
+	if line := sum.Tally.Line(); line != "" {
+		fmt.Fprintf(w, "  %s\n", line)
 	}
 	for i, f := range sum.Failures {
 		fmt.Fprintf(w, "  FAIL case %d [%s] at %s: %s\n", f.Case.Index, f.Case.Label(), f.Stage, f.Err)

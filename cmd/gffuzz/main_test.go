@@ -157,6 +157,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-arch", "booth"}, &out, &errOut); err == nil {
 		t.Error("bad -arch accepted")
 	}
+	// Campaign modes are exclusive, and -inject applies only to multiplier and
+	// diagnose campaigns.
+	for _, args := range [][]string{
+		{"-chaos", "-resume"},
+		{"-diagnose", "-obfuscate"},
+		{"-overload", "-chaos", "-resume"},
+		{"-resume", "-inject", "1"},
+		{"-chaos", "-inject", "1"},
+		{"-overload", "-inject", "1"},
+		{"-obfuscate", "-inject", "1"},
+	} {
+		if err := run(append(args, "-n", "1"), &out, &errOut); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
 }
 
 func TestRunResumeCampaign(t *testing.T) {

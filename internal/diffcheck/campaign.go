@@ -27,6 +27,11 @@ type Config struct {
 	// in exchange for forward progress.
 	Timeout time.Duration
 
+	// Kind is the campaign's case kind (zero value: KindMultiplier; see the
+	// Kind constants). Kinds other than multiplier sample only m, P(x), the
+	// architecture and their own parameters.
+	Kind Kind
+
 	// MinM..MaxM is the field-size range (defaults 3..12).
 	MinM, MaxM int
 	// Archs and Formats restrict sampling (defaults: all).
@@ -41,51 +46,21 @@ type Config struct {
 	// cases (0 = off).
 	Adversarial int
 	// Inject plants a flipped XOR in every multiplier case (see Case.Inject)
-	// to prove the harness catches and minimizes real faults.
+	// to prove the harness catches and minimizes real faults; a diagnose
+	// campaign plants this many trojans per case instead.
 	Inject int
-	// Diagnose routes injected faults through fault-tolerant extraction
-	// instead: every case becomes a KindDiagnose case planting
-	// max(Inject, 1) XOR→OR trojans in distinct cones of a matrix-form
-	// multiplier, and asserts P(x) recovery plus trojan localization.
-	Diagnose bool
-	// Resume turns every multiplier case into a KindResume case: extraction
-	// is hard-cancelled at a random cone boundary and resumed from its
-	// checkpoint, asserting P(x) recovery and exact cone reuse.
-	Resume bool
-	// Chaos turns every multiplier case into a KindChaos case: the
-	// extraction runs through the lease-based shard scheduler while the
-	// harness kills workers, expires leases, and delays, duplicates and
-	// reorders submissions — asserting exact P(x) recovery and zero
-	// double-counted cones.
-	Chaos bool
-	// Overload turns every multiplier case into a KindOverload case: a small
-	// gfred queue is attacked by a greedy batch-flooder and a deadline-abuser
-	// while a well-behaved tenant submits normally — asserting exact P(x)
-	// recovery for the polite tenant at bounded p99, zero quota violations,
-	// and exactly one terminal event per accepted job.
-	Overload bool
-	// Obfuscate turns every multiplier case into a KindObfuscate case: the
-	// clean design is lint-checked for key-finding false positives, locked
-	// with 1-4 key gates in a random style (xor/mux/opaque), proven
-	// functionally intact under the correct key, and the semantic detector
-	// must then recover exactly the planted key set.
-	Obfuscate bool
-
-	// SimTrials is the 64-vector word count per simulation oracle (default 2).
-	SimTrials int
-	// Threads is the per-case rewriting worker count (default 1: the
-	// campaign parallelizes across cases instead).
-	Threads int
 
 	// Recorder streams campaign telemetry (case_start / case_pass /
 	// case_fail events and the campaign span); nil disables it.
 	Recorder *obs.Recorder
-	// ReproDir, when set, receives a minimized .eqn repro per failure.
+	// ReproDir, when set, receives a minimized .eqn repro per failure
+	// (minimization needs a functional deviation to hold onto).
 	ReproDir string
-	// Minimize shrinks failing netlists before writing repros (default on
-	// when ReproDir is set; requires a functional deviation to hold onto).
-	Minimize bool
 }
+
+// campaignSimTrials is the 64-vector word count per simulation oracle in
+// campaign cases: campaigns trade per-case depth for case count.
+const campaignSimTrials = 2
 
 func (cfg *Config) setDefaults() {
 	if cfg.N <= 0 {
@@ -96,6 +71,9 @@ func (cfg *Config) setDefaults() {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
+	}
+	if cfg.Kind == "" {
+		cfg.Kind = KindMultiplier
 	}
 	if cfg.MinM < 2 {
 		cfg.MinM = 3
@@ -112,12 +90,6 @@ func (cfg *Config) setDefaults() {
 	if cfg.MaxOptPasses == 0 {
 		cfg.MaxOptPasses = 2
 	}
-	if cfg.SimTrials <= 0 {
-		cfg.SimTrials = 2
-	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
 }
 
 // NewCase deterministically samples case idx of a campaign.
@@ -126,189 +98,12 @@ func NewCase(idx int, cfg Config) Case {
 	// Per-case generator: mix the index into the seed with a splitmix-style
 	// odd constant so neighboring cases decorrelate.
 	seed := cfg.Seed + int64(idx)*-0x61C8864680B583EB + 1
-	r := rand.New(rand.NewSource(seed))
-	c := Case{
-		Index:     idx,
-		Seed:      seed,
-		Kind:      KindMultiplier,
-		SimTrials: cfg.SimTrials,
-		Threads:   cfg.Threads,
-	}
+	c := Case{Index: idx, Seed: seed, Kind: cfg.Kind, SimTrials: campaignSimTrials}
 	if cfg.Adversarial > 0 && idx%cfg.Adversarial == cfg.Adversarial-1 {
 		c.Kind = KindAdversarial
-		return c
 	}
-	if cfg.Overload {
-		// Overload cases bypass optimization/format/scramble stages: the
-		// oracle under test is the queue's admission plane, not the synthesis
-		// pipeline, and each case submits dozens of jobs — small fields keep
-		// every extraction fast enough that the well-behaved tenant's latency
-		// bound measures scheduling, not rewriting.
-		c.Kind = KindOverload
-		maxM := cfg.MaxM
-		if maxM > 10 {
-			maxM = 10
-		}
-		if maxM < cfg.MinM {
-			maxM = cfg.MinM
-		}
-		c.M = cfg.MinM + r.Intn(maxM-cfg.MinM+1)
-		p, err := gf2poly.RandomIrreducible(r, c.M)
-		if err != nil {
-			p = gf2poly.MustParse("x^8+x^4+x^3+x+1")
-			c.M = 8
-		}
-		c.P = p
-		c.Arch = cfg.Archs[r.Intn(len(cfg.Archs))]
-		if c.Arch == ArchDigitSerial {
-			max := c.M - 1
-			if max > 8 {
-				max = 8
-			}
-			if max < 1 {
-				max = 1
-			}
-			c.Digit = 1 + r.Intn(max)
-		}
-		return c
-	}
-	if cfg.Obfuscate {
-		// Obfuscation cases bypass optimization/format/scramble stages: the
-		// oracle under test is the lock→detect arms race, and the detector
-		// must succeed on raw generated structure before it earns credit on
-		// optimized variants.
-		c.Kind = KindObfuscate
-		c.M = cfg.MinM + r.Intn(cfg.MaxM-cfg.MinM+1)
-		p, err := gf2poly.RandomIrreducible(r, c.M)
-		if err != nil {
-			p = gf2poly.MustParse("x^8+x^4+x^3+x+1")
-			c.M = 8
-		}
-		c.P = p
-		c.Arch = cfg.Archs[r.Intn(len(cfg.Archs))]
-		if c.Arch == ArchDigitSerial {
-			max := c.M - 1
-			if max > 8 {
-				max = 8
-			}
-			if max < 1 {
-				max = 1
-			}
-			c.Digit = 1 + r.Intn(max)
-		}
-		styles := LockStyles()
-		c.Lock = styles[r.Intn(len(styles))]
-		c.Keys = 1 + r.Intn(4)
-		return c
-	}
-	if cfg.Chaos {
-		// Chaos cases bypass optimization/format/scramble stages: the oracle
-		// under test is the lease scheduler's fault recovery, and the raw
-		// generated netlist keeps per-cone work small enough that dozens of
-		// lease expiries fit in one case.
-		c.Kind = KindChaos
-		c.M = cfg.MinM + r.Intn(cfg.MaxM-cfg.MinM+1)
-		p, err := gf2poly.RandomIrreducible(r, c.M)
-		if err != nil {
-			p = gf2poly.MustParse("x^8+x^4+x^3+x+1")
-			c.M = 8
-		}
-		c.P = p
-		c.Arch = cfg.Archs[r.Intn(len(cfg.Archs))]
-		if c.Arch == ArchDigitSerial {
-			max := c.M - 1
-			if max > 8 {
-				max = 8
-			}
-			if max < 1 {
-				max = 1
-			}
-			c.Digit = 1 + r.Intn(max)
-		}
-		return c
-	}
-	if cfg.Resume {
-		// Resume cases bypass optimization/format/scramble stages: the
-		// checkpoint binds to the generated netlist, and the oracle under
-		// test is the interrupt→resume path, not the synthesis pipeline.
-		c.Kind = KindResume
-		c.M = cfg.MinM + r.Intn(cfg.MaxM-cfg.MinM+1)
-		p, err := gf2poly.RandomIrreducible(r, c.M)
-		if err != nil {
-			p = gf2poly.MustParse("x^8+x^4+x^3+x+1")
-			c.M = 8
-		}
-		c.P = p
-		c.Arch = cfg.Archs[r.Intn(len(cfg.Archs))]
-		if c.Arch == ArchDigitSerial {
-			max := c.M - 1
-			if max > 8 {
-				max = 8
-			}
-			if max < 1 {
-				max = 1
-			}
-			c.Digit = 1 + r.Intn(max)
-		}
-		return c
-	}
-	if cfg.Diagnose {
-		// Diagnosis cases are matrix-form only (private per-output cones keep
-		// each trojan confined to one bit) and need enough healthy bits for
-		// consensus: m >= 3k+2 leaves a solid majority at tolerance k.
-		k := cfg.Inject
-		if k <= 0 {
-			k = 1
-		}
-		c.Kind = KindDiagnose
-		c.Inject = k
-		c.Arch = ArchMatrix
-		minM := cfg.MinM
-		if minM < 3*k+2 {
-			minM = 3*k + 2
-		}
-		maxM := cfg.MaxM
-		if maxM < minM {
-			maxM = minM
-		}
-		c.M = minM + r.Intn(maxM-minM+1)
-		p, err := gf2poly.RandomIrreducible(r, c.M)
-		if err != nil {
-			p = gf2poly.MustParse("x^8+x^4+x^3+x+1")
-			c.M = 8
-		}
-		c.P = p
-		return c
-	}
-	c.Inject = cfg.Inject
-	c.M = cfg.MinM + r.Intn(cfg.MaxM-cfg.MinM+1)
-	p, err := gf2poly.RandomIrreducible(r, c.M)
-	if err != nil {
-		// Unreachable for m >= 1; degrade to the standard choice.
-		p = gf2poly.MustParse("x^8+x^4+x^3+x+1")
-		c.M = 8
-	}
-	c.P = p
-	c.Arch = cfg.Archs[r.Intn(len(cfg.Archs))]
-	if c.Arch == ArchDigitSerial {
-		max := c.M - 1
-		if max > 8 {
-			max = 8
-		}
-		if max < 1 {
-			max = 1
-		}
-		c.Digit = 1 + r.Intn(max)
-	}
-	if k := r.Intn(cfg.MaxOptPasses + 1); k > 0 {
-		perm := r.Perm(len(PassNames))
-		for _, pi := range perm[:k] {
-			c.Opt = append(c.Opt, PassNames[pi])
-		}
-	}
-	c.Format = cfg.Formats[r.Intn(len(cfg.Formats))]
-	if cfg.Scramble && r.Intn(4) == 0 && InferenceSafe(c.P) {
-		c.Scramble = true
+	if s, ok := specOf(c.Kind); ok {
+		s.sample(&c, rand.New(rand.NewSource(seed)), cfg)
 	}
 	return c
 }
@@ -345,83 +140,94 @@ type Summary struct {
 	// Repros lists written repro file paths, parallel to Failures where
 	// minimization succeeded ("" where it did not apply).
 	Repros []string
-
-	// Localization aggregates of a diagnosis campaign (Config.Diagnose):
-	// Diagnosed counts KindDiagnose cases, LocHits those whose suspect set
-	// covered every planted gate, and LocRanks collects the best suspect
-	// rank per localized case (0 = top suspect), in case order.
-	Diagnosed int
-	LocHits   int
-	LocRanks  []int
-
-	// Resume aggregates of a resume campaign (Config.Resume): Resumed
-	// counts KindResume cases, ReusedCones the total cones adopted from
-	// checkpoints across them.
-	Resumed     int
-	ReusedCones int
-
-	// Chaos aggregates of a chaos campaign (Config.Chaos): Chaosed counts
-	// KindChaos cases; the totals tally the fault-recovery machinery those
-	// cases exercised (a healthy campaign has all three well above zero).
-	Chaosed      int
-	ChaosExpired int // leases that expired and re-queued
-	ChaosFenced  int // zombie submissions rejected by the epoch fence
-	ChaosStolen  int // straggler leases split by work stealing
-
-	// Overload aggregates of an overload campaign (Config.Overload):
-	// Overloaded counts KindOverload cases; the totals tally the admission
-	// machinery those cases engaged, and WorstWellP99MS is the worst
-	// well-behaved-tenant p99 observed across them.
-	Overloaded       int
-	QuotaRejects     int   // submissions rejected by per-tenant quotas
-	ShedRejects      int   // submissions rejected by the staged load-shedder
-	Deduped          int   // batch submissions collapsed onto dedup leaders
-	DeadlinesExpired int   // jobs that hit their deadline
-	WorstWellP99MS   int64 // max well-tenant p99 across overload cases
-
-	// Obfuscation aggregates of a lock→detect campaign (Config.Obfuscate):
-	// Obfuscated counts KindObfuscate cases; KeysPlanted / KeysDetected tally
-	// planted and recovered key inputs (a passing campaign has them equal,
-	// since every case asserts exact set equality); OpaqueHits counts cases
-	// where the opaque-constant rule additionally fired.
-	Obfuscated   int
-	KeysPlanted  int
-	KeysDetected int
-	OpaqueHits   int
+	// Tally aggregates the verdicts of the campaign kind's cases.
+	Tally Tally
 }
 
-// LocPrecision is LocHits / Diagnosed, the fraction of diagnosis cases
-// whose localization covered every planted trojan (NaN-free: 0 when no
-// diagnosis case ran).
-func (s *Summary) LocPrecision() float64 {
-	if s.Diagnosed == 0 {
+// Tally aggregates the Result.Verdict payloads of one kind's cases.
+type Tally struct {
+	Kind     Kind
+	Cases    int // cases of Kind (adversarial mix-ins are not tallied)
+	Verdicts int // of those, the cases that reached their kind's verdict
+	// Values lists each payload key's values in case order.
+	Values map[string][]int64
+}
+
+func (t *Tally) add(res Result) {
+	t.Cases++
+	if res.Verdict == nil {
+		return
+	}
+	t.Verdicts++
+	for k, v := range res.Verdict {
+		t.Values[k] = append(t.Values[k], v)
+	}
+}
+
+// Sum totals a payload key over the tallied verdicts.
+func (t Tally) Sum(key string) int64 {
+	var s int64
+	for _, v := range t.Values[key] {
+		s += v
+	}
+	return s
+}
+
+// Max is a payload key's maximum over the tallied verdicts (0 when none).
+func (t Tally) Max(key string) int64 {
+	var m int64
+	for _, v := range t.Values[key] {
+		m = max(m, v)
+	}
+	return m
+}
+
+// LocPrecision is the fraction of a diagnosis campaign's cases whose
+// localization covered every planted trojan (0 when none ran).
+func (t Tally) LocPrecision() float64 {
+	if t.Cases == 0 {
 		return 0
 	}
-	return float64(s.LocHits) / float64(s.Diagnosed)
+	return float64(t.Sum("loc_hit")) / float64(t.Cases)
 }
 
 // MedianLocRank is the median best-suspect rank across localized cases
 // (-1 when none).
-func (s *Summary) MedianLocRank() int {
-	if len(s.LocRanks) == 0 {
+func (t Tally) MedianLocRank() int {
+	var ranks []int
+	for _, r := range t.Values["loc_rank"] {
+		if r >= 0 {
+			ranks = append(ranks, int(r))
+		}
+	}
+	if len(ranks) == 0 {
 		return -1
 	}
-	ranks := append([]int(nil), s.LocRanks...)
 	sort.Ints(ranks)
 	return ranks[len(ranks)/2]
 }
 
+// Line renders the kind's one-line campaign report ("" when it has none).
+func (t Tally) Line() string {
+	if s, _ := specOf(t.Kind); s.summary != nil {
+		return s.summary(t)
+	}
+	return ""
+}
+
 // RunCampaign executes cfg.N deterministic cases on a worker pool and
 // aggregates the outcomes. The error return reports campaign-infrastructure
-// problems only (e.g. an unwritable repro directory); case failures are
-// reported through the summary.
+// problems only (e.g. an unknown kind or an unwritable repro directory);
+// case failures are reported through the summary.
 func RunCampaign(cfg Config) (*Summary, error) {
 	cfg.setDefaults()
+	if _, ok := specOf(cfg.Kind); !ok {
+		return nil, fmt.Errorf("diffcheck: unknown campaign kind %q", cfg.Kind)
+	}
 	if cfg.ReproDir != "" {
 		if err := os.MkdirAll(cfg.ReproDir, 0o755); err != nil {
 			return nil, err
 		}
-		cfg.Minimize = true
 	}
 	rec := cfg.Recorder
 	span := rec.StartSpan("diffcheck.campaign", map[string]int64{
@@ -451,7 +257,7 @@ func RunCampaign(cfg Config) (*Summary, error) {
 		close(results)
 	}()
 
-	sum := &Summary{ByArch: map[string]int{}, ByFormat: map[string]int{}}
+	sum := &Summary{ByArch: map[string]int{}, ByFormat: map[string]int{}, Tally: Tally{Kind: cfg.Kind, Values: map[string][]int64{}}}
 	start := time.Now()
 	collected := make([]Result, 0, cfg.N)
 	for res := range results {
@@ -464,38 +270,8 @@ func RunCampaign(cfg Config) (*Summary, error) {
 			"case": int64(res.Case.Index), "m": int64(res.Case.M),
 			"gates": int64(res.Gates), "dur_ns": int64(res.Dur),
 		}
-		if res.Diagnosed {
-			var hit int64
-			if res.LocHit {
-				hit = 1
-			}
-			v["loc_hit"] = hit
-			v["loc_rank"] = int64(res.LocRank)
-		}
-		if res.Resumed {
-			v["reused"] = int64(res.Reused)
-		}
-		if res.Chaosed {
-			v["kills"] = int64(res.Kills)
-			v["expired"] = int64(res.Expired)
-			v["fenced"] = int64(res.Fenced)
-			v["stolen"] = int64(res.Stolen)
-		}
-		if res.Overloaded {
-			v["quota_rejects"] = int64(res.QuotaRejects)
-			v["shed_rejects"] = int64(res.ShedRejects)
-			v["deduped"] = int64(res.Deduped)
-			v["deadline_expired"] = int64(res.DeadlineExpired)
-			v["well_p99_ms"] = res.WellP99MS
-		}
-		if res.Obfuscated {
-			v["keys_planted"] = int64(res.KeysPlanted)
-			v["keys_detected"] = int64(res.KeysDetected)
-			var opq int64
-			if res.OpaqueHit {
-				opq = 1
-			}
-			v["opaque_hit"] = opq
+		for k, x := range res.Verdict {
+			v[k] = x
 		}
 		rec.Emit(ev, res.Case.Label(), v)
 		rec.Metrics().Counter("diffcheck_" + string(res.Status)).Inc()
@@ -505,59 +281,14 @@ func RunCampaign(cfg Config) (*Summary, error) {
 
 	for _, res := range collected {
 		sum.Cases++
-		key := string(res.Case.Arch)
-		switch res.Case.Kind {
-		case KindAdversarial:
-			key = "adversarial"
-		case KindDiagnose:
-			key = "diagnose"
-			sum.Diagnosed++
-			if res.LocHit {
-				sum.LocHits++
-			}
-			if res.LocRank >= 0 {
-				sum.LocRanks = append(sum.LocRanks, res.LocRank)
-			}
-		case KindResume:
-			key = "resume"
-			if res.Resumed {
-				sum.Resumed++
-				sum.ReusedCones += res.Reused
-			}
-		case KindChaos:
-			key = "chaos"
-			if res.Chaosed {
-				sum.Chaosed++
-				sum.ChaosExpired += res.Expired
-				sum.ChaosFenced += res.Fenced
-				sum.ChaosStolen += res.Stolen
-			}
-		case KindOverload:
-			key = "overload"
-			if res.Overloaded {
-				sum.Overloaded++
-				sum.QuotaRejects += res.QuotaRejects
-				sum.ShedRejects += res.ShedRejects
-				sum.Deduped += res.Deduped
-				sum.DeadlinesExpired += res.DeadlineExpired
-				if res.WellP99MS > sum.WorstWellP99MS {
-					sum.WorstWellP99MS = res.WellP99MS
-				}
-			}
-		case KindObfuscate:
-			key = "obfuscate"
-			if res.Obfuscated {
-				sum.Obfuscated++
-				sum.KeysPlanted += res.KeysPlanted
-				sum.KeysDetected += res.KeysDetected
-				if res.OpaqueHit {
-					sum.OpaqueHits++
-				}
-			}
-		}
-		sum.ByArch[key]++
 		if res.Case.Kind == KindMultiplier {
+			sum.ByArch[string(res.Case.Arch)]++
 			sum.ByFormat[string(res.Case.Format)]++
+		} else {
+			sum.ByArch[string(res.Case.Kind)]++
+		}
+		if res.Case.Kind == cfg.Kind {
+			sum.Tally.add(res)
 		}
 		if res.Status == Pass {
 			sum.Passed++
@@ -571,7 +302,7 @@ func RunCampaign(cfg Config) (*Summary, error) {
 			sum.Timeouts++
 		}
 		repro := ""
-		if cfg.Minimize && cfg.ReproDir != "" && res.Netlist != nil {
+		if cfg.ReproDir != "" && res.Netlist != nil {
 			if path, err := writeRepro(cfg.ReproDir, res); err == nil {
 				repro = path
 			}

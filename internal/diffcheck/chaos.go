@@ -101,11 +101,10 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	}
 
 	stats := pool.Stats()
-	res.Chaosed = true
-	res.Kills = int(ch.kills)
-	res.Expired = stats.Expired
-	res.Fenced = stats.Fenced
-	res.Stolen = stats.Stolen
+	res.Verdict = map[string]int64{
+		"kills": ch.kills, "expired": int64(stats.Expired),
+		"fenced": int64(stats.Fenced), "stolen": int64(stats.Stolen),
+	}
 
 	// The fence invariant: no cone accepted under two epochs, ever.
 	*stage = "fence"

@@ -12,7 +12,7 @@ func TestChaosCaseRecoversPlantedP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos cases take seconds each")
 	}
-	cfg := Config{Seed: 11, Chaos: true, MinM: 4, MaxM: 8}
+	cfg := Config{Seed: 11, Kind: KindChaos, MinM: 4, MaxM: 8}
 	for idx := 0; idx < 4; idx++ {
 		c := NewCase(idx, cfg)
 		if c.Kind != KindChaos {
@@ -22,7 +22,7 @@ func TestChaosCaseRecoversPlantedP(t *testing.T) {
 		if res.Status != Pass {
 			t.Fatalf("case %d [%s] failed at %s: %s", idx, c.Label(), res.Stage, res.Err)
 		}
-		if !res.Chaosed {
+		if res.Verdict == nil {
 			t.Fatalf("case %d did not run the chaos pipeline", idx)
 		}
 	}
@@ -37,7 +37,7 @@ func TestChaosCampaignAggregates(t *testing.T) {
 		t.Skip("chaos campaigns take seconds")
 	}
 	sum, err := RunCampaign(Config{
-		N: 6, Seed: 3, Chaos: true, MinM: 4, MaxM: 7,
+		N: 6, Seed: 3, Kind: KindChaos, MinM: 4, MaxM: 7,
 		Workers: 2, Timeout: 2 * time.Minute,
 	})
 	if err != nil {
@@ -49,10 +49,10 @@ func TestChaosCampaignAggregates(t *testing.T) {
 		}
 		t.Fatalf("%d of %d chaos cases failed", sum.Failed, sum.Cases)
 	}
-	if sum.Chaosed != 6 {
-		t.Fatalf("Chaosed = %d, want 6", sum.Chaosed)
+	if sum.Tally.Verdicts != 6 {
+		t.Fatalf("Chaosed = %d, want 6", sum.Tally.Verdicts)
 	}
-	if sum.ChaosExpired == 0 {
+	if sum.Tally.Sum("expired") == 0 {
 		t.Fatal("no lease ever expired across the campaign: fault injection is not firing")
 	}
 	if sum.ByArch["chaos"] != 6 {

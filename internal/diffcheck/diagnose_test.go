@@ -53,33 +53,33 @@ func TestDiagnoseCaseRecoversAndLocalizes(t *testing.T) {
 	if res.Status != Pass {
 		t.Fatalf("%s at %s: %s", res.Status, res.Stage, res.Err)
 	}
-	if !res.Diagnosed || !res.LocHit {
+	if res.Verdict == nil || res.Verdict["loc_hit"] != 1 {
 		t.Fatalf("result = %+v, want diagnosed with localization hit", res)
 	}
-	if res.LocRank < 0 {
-		t.Errorf("LocRank = %d, want a real suspect rank", res.LocRank)
+	if res.Verdict["loc_rank"] < 0 {
+		t.Errorf("LocRank = %d, want a real suspect rank", res.Verdict["loc_rank"])
 	}
 }
 
 func TestDiagnoseCampaignLocalizationPrecision(t *testing.T) {
 	sum, err := RunCampaign(Config{
 		N: 4, Seed: 11, Workers: 2,
-		Diagnose: true, Inject: 1, MinM: 5, MaxM: 8,
+		Kind: KindDiagnose, Inject: 1, MinM: 5, MaxM: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Diagnosed != 4 {
-		t.Fatalf("Diagnosed = %d, want 4 (summary %+v)", sum.Diagnosed, sum)
+	if sum.Tally.Cases != 4 {
+		t.Fatalf("Diagnosed = %d, want 4 (summary %+v)", sum.Tally.Cases, sum)
 	}
 	if sum.Failed != 0 {
 		t.Fatalf("diagnosis campaign failed %d cases: %+v", sum.Failed, sum.Failures)
 	}
-	if got := sum.LocPrecision(); got != 1.0 {
+	if got := sum.Tally.LocPrecision(); got != 1.0 {
 		t.Errorf("localization precision = %v, want 1.0", got)
 	}
-	if sum.MedianLocRank() < 0 {
-		t.Errorf("median rank = %d, want >= 0", sum.MedianLocRank())
+	if sum.Tally.MedianLocRank() < 0 {
+		t.Errorf("median rank = %d, want >= 0", sum.Tally.MedianLocRank())
 	}
 }
 
@@ -99,7 +99,7 @@ func TestDiagnoseTwoTrojansGF64(t *testing.T) {
 	if res.Status != Pass {
 		t.Fatalf("%s at %s: %s", res.Status, res.Stage, res.Err)
 	}
-	if !res.LocHit {
+	if res.Verdict["loc_hit"] != 1 {
 		t.Fatal("localization missed a planted trojan")
 	}
 }

@@ -87,46 +87,6 @@ var Passes = map[string]func(*netlist.Netlist) (*netlist.Netlist, error){
 // PassNames is the deterministic sampling order of Passes.
 var PassNames = []string{"simplify", "balance", "techmap-fuse", "techmap-nand", "aoi", "synth"}
 
-// Kind separates planted-multiplier cases from adversarial random DAGs.
-type Kind string
-
-// Case kinds.
-const (
-	KindMultiplier  Kind = "multiplier"
-	KindAdversarial Kind = "adversarial"
-	// KindDiagnose plants Inject trojans in distinct output cones of a
-	// matrix-form multiplier and asserts that fault-tolerant extraction
-	// recovers P(x) AND localizes every planted gate (suspect inside its
-	// fanout cone).
-	KindDiagnose Kind = "diagnose"
-	// KindResume hard-cancels an extraction at a random cone boundary, then
-	// resumes it from the on-disk checkpoint and asserts both the recovered
-	// P(x) and the cone-reuse count match the snapshot (the crash-safety
-	// oracle of package checkpoint).
-	KindResume Kind = "resume"
-	// KindChaos runs the extraction through the lease-based shard scheduler
-	// under injected faults — killed workers, expired leases, delayed,
-	// duplicated and reordered submissions — and asserts the planted P(x) is
-	// still recovered exactly, with zero double-counted cones (the
-	// distributed-robustness oracle of package shard).
-	KindChaos Kind = "chaos"
-	// KindObfuscate locks a generated multiplier with planted key gates
-	// (XOR lock, MUX lock, or opaque AND-tree — gen.Obfuscate) and asserts
-	// the semantic detector's arms-race oracle: the locked design under the
-	// correct (all-zero) key is simulation-equivalent to the clean one, the
-	// clean design produces zero key findings (no false positives), and the
-	// locked design's detected gated-key set equals the planted set exactly
-	// (100% detection, nothing fabricated).
-	KindObfuscate Kind = "obfuscate"
-	// KindOverload attacks a small gfred queue with adversarial tenants — a
-	// greedy batch-flooder and a deadline-abuser — while one well-behaved
-	// tenant slow-drips jobs, and asserts the admission plane isolated them:
-	// exact P(x) for the polite tenant at bounded p99, zero quota violations,
-	// dedup and deadline expiry observed, one terminal event per accepted job
-	// (the multi-tenant-resilience oracle of package server).
-	KindOverload Kind = "overload"
-)
-
 // Case is one deterministic differential test: everything Run does is a
 // function of the case alone.
 type Case struct {
@@ -162,24 +122,13 @@ type Case struct {
 
 // Label renders a compact human-readable case descriptor.
 func (c Case) Label() string {
-	if c.Kind == KindAdversarial {
-		return fmt.Sprintf("adversarial/seed=%d", c.Seed)
+	if s, ok := specOf(c.Kind); ok {
+		return s.label(c)
 	}
-	if c.Kind == KindDiagnose {
-		return fmt.Sprintf("diagnose/%s/m=%d/k=%d", c.Arch, c.M, c.Inject)
-	}
-	if c.Kind == KindResume {
-		return fmt.Sprintf("resume/%s/m=%d", c.Arch, c.M)
-	}
-	if c.Kind == KindChaos {
-		return fmt.Sprintf("chaos/%s/m=%d", c.Arch, c.M)
-	}
-	if c.Kind == KindOverload {
-		return fmt.Sprintf("overload/%s/m=%d", c.Arch, c.M)
-	}
-	if c.Kind == KindObfuscate {
-		return fmt.Sprintf("obfuscate/%s/%s/m=%d/k=%d", c.Lock, c.Arch, c.M, c.Keys)
-	}
+	return string(c.Kind)
+}
+
+func multiplierLabel(c Case) string {
 	parts := []string{string(c.Arch), fmt.Sprintf("m=%d", c.M)}
 	if c.Arch == ArchDigitSerial {
 		parts = append(parts, fmt.Sprintf("d=%d", c.Digit))
@@ -237,35 +186,20 @@ type Result struct {
 	Netlist *netlist.Netlist
 	Binding Binding
 
-	// Diagnosis-case outcome (KindDiagnose only).
-	Diagnosed bool // the case ran the fault-tolerant diagnosis pipeline
-	LocHit    bool // every planted gate had a suspect in its fanout cone
-	LocRank   int  // best (lowest) suspect rank hitting a planted cone; -1 when none
-
-	// Resume-case outcome (KindResume only).
-	Resumed bool // the case ran the interrupt→resume pipeline
-	Reused  int  // cones the resumed run adopted from the checkpoint
-
-	// Chaos-case outcome (KindChaos only).
-	Chaosed bool // the case ran the fault-injected shard scheduler
-	Kills   int  // workers killed mid-lease by the harness
-	Expired int  // leases that missed their heartbeat and re-queued
-	Fenced  int  // zombie submissions rejected by the epoch fence
-	Stolen  int  // straggler leases split by work stealing
-
-	// Obfuscation-case outcome (KindObfuscate only).
-	Obfuscated   bool // the case ran the lock→detect arms-race oracle
-	KeysPlanted  int  // key inputs planted by the lock transform
-	KeysDetected int  // key inputs the semantic detector reported as gating
-	OpaqueHit    bool // an opaque-constant finding fired (opaque style only)
-
-	// Overload-case outcome (KindOverload only).
-	Overloaded      bool  // the case ran the adversarial-tenant queue attack
-	QuotaRejects    int   // submissions rejected by per-tenant quotas
-	ShedRejects     int   // submissions rejected by the staged load-shedder
-	Deduped         int   // batch submissions collapsed onto a leader
-	DeadlineExpired int   // jobs whose deadline expired before/while running
-	WellP99MS       int64 // well-behaved tenant's p99 latency, milliseconds
+	// Verdict is the kind's outcome payload, set once a case reaches its
+	// kind's verdict (nil for multiplier and adversarial cases): the
+	// case_pass event carries its keys and Summary.Tally aggregates them:
+	//
+	//	diagnose   loc_hit (1: every planted gate had a suspect in its fanout
+	//	           cone), loc_rank (best such suspect rank; -1 when masked)
+	//	resume     reused (cones adopted from the checkpoint)
+	//	chaos      kills, expired, fenced, stolen (workers killed, leases
+	//	           expired, zombie submissions fenced, leases split)
+	//	overload   quota_rejects, shed_rejects, deduped, deadline_expired,
+	//	           well_p99_ms (the well-behaved tenant's p99 latency)
+	//	obfuscate  keys_planted, keys_detected, opaque_hit (1: an
+	//	           opaque-constant finding fired)
+	Verdict map[string]int64
 }
 
 // Binding names the multiplier ports of a netlist: operand input names (LSB
@@ -354,25 +288,16 @@ func Run(c Case) (res Result) {
 		return res
 	}
 
-	if c.Kind == KindAdversarial {
-		return runAdversarial(c, &stage, fail)
+	s, ok := specOf(c.Kind)
+	if !ok {
+		return fail(fmt.Errorf("diffcheck: unknown case kind %q", c.Kind))
 	}
-	if c.Kind == KindDiagnose {
-		return runDiagnose(c, &stage, fail)
-	}
-	if c.Kind == KindResume {
-		return runResume(c, &stage, fail)
-	}
-	if c.Kind == KindChaos {
-		return runChaos(c, &stage, fail)
-	}
-	if c.Kind == KindOverload {
-		return runOverload(c, &stage, fail)
-	}
-	if c.Kind == KindObfuscate {
-		return runObfuscate(c, &stage, fail)
+	if s.run != nil {
+		return s.run(c, &stage, fail)
 	}
 
+	// The planted-multiplier pipeline records its failure context on res
+	// directly, so a failing or panicking case keeps it for minimization.
 	stage = "gen"
 	n, err := c.Generate()
 	if err != nil {
@@ -567,7 +492,7 @@ func runDiagnose(c Case, stage *string, fail func(error) Result) Result {
 		return fail(err)
 	}
 
-	res := Result{Case: c, Status: Pass, Gates: bad.NumGates(), Diagnosed: true, LocRank: -1}
+	res := Result{Case: c, Status: Pass, Gates: bad.NumGates()}
 	*stage = "diagnose"
 	ext, diag, err := extract.Diagnose(bad, extract.Options{Threads: c.Threads, Tolerate: k})
 	if err != nil {
@@ -579,10 +504,10 @@ func runDiagnose(c Case, stage *string, fail func(error) Result) Result {
 	*stage = "localize"
 	if diag.Faults == 0 {
 		// The trojans were functionally masked; nothing to localize.
-		res.LocHit = true
+		res.Verdict = map[string]int64{"loc_hit": 1, "loc_rank": -1}
 		return res
 	}
-	hits := 0
+	hits, best := 0, -1
 	for _, g := range planted {
 		fan := map[int]bool{}
 		for _, id := range bad.FanoutCone(g) {
@@ -591,18 +516,18 @@ func runDiagnose(c Case, stage *string, fail func(error) Result) Result {
 		for rank, s := range diag.Suspects {
 			if fan[s.Gate] {
 				hits++
-				if res.LocRank < 0 || rank < res.LocRank {
-					res.LocRank = rank
+				if best < 0 || rank < best {
+					best = rank
 				}
 				break
 			}
 		}
 	}
-	res.LocHit = hits == len(planted)
-	if !res.LocHit {
+	if hits != len(planted) {
 		return fail(fmt.Errorf("diffcheck: localization missed %d of %d planted gates (suspects %d, tampered bits %v)",
 			len(planted)-hits, len(planted), len(diag.Suspects), diag.Tampered))
 	}
+	res.Verdict = map[string]int64{"loc_hit": 1, "loc_rank": int64(best)}
 	return res
 }
 

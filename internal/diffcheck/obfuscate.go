@@ -89,7 +89,7 @@ func runObfuscate(c Case, stage *string, fail func(error) Result) Result {
 	if err != nil {
 		return fail(err)
 	}
-	res := Result{Case: c, Status: Pass, Gates: obf.NumGates(), Obfuscated: true, KeysPlanted: len(info.KeyInputs)}
+	res := Result{Case: c, Status: Pass, Gates: obf.NumGates()}
 
 	// Correct-key equivalence: the transform must not have changed the
 	// function it claims to hide.
@@ -113,7 +113,6 @@ func runObfuscate(c Case, stage *string, fail func(error) Result) Result {
 	planted := append([]string(nil), info.KeyNames...)
 	sort.Strings(detected)
 	sort.Strings(planted)
-	res.KeysDetected = len(detected)
 	if !equalStrings(detected, planted) {
 		return fail(fmt.Errorf("diffcheck: detector found gated keys %v, planted %v (style %s)", detected, planted, c.Lock))
 	}
@@ -129,11 +128,16 @@ func runObfuscate(c Case, stage *string, fail func(error) Result) Result {
 	if keyGates == 0 {
 		return fail(fmt.Errorf("diffcheck: %d keys planted but no key-gate finding", len(planted)))
 	}
+	var opaqueHit int64
 	if style == gen.ObfOpaque {
 		if opaques == 0 {
 			return fail(fmt.Errorf("diffcheck: opaque lock planted but no opaque-constant finding"))
 		}
-		res.OpaqueHit = true
+		opaqueHit = 1
+	}
+	res.Verdict = map[string]int64{
+		"keys_planted": int64(len(info.KeyInputs)), "keys_detected": int64(len(detected)),
+		"opaque_hit": opaqueHit,
 	}
 	return res
 }

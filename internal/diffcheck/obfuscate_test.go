@@ -23,12 +23,12 @@ func TestObfuscateCaseEveryStyle(t *testing.T) {
 		if res.Status != Pass {
 			t.Fatalf("[%s] failed at %s: %s", c.Label(), res.Stage, res.Err)
 		}
-		if !res.Obfuscated || res.KeysPlanted != 3 || res.KeysDetected != 3 {
+		if res.Verdict == nil || res.Verdict["keys_planted"] != 3 || res.Verdict["keys_detected"] != 3 {
 			t.Fatalf("[%s] planted/detected = %d/%d (obfuscated=%v), want 3/3",
-				c.Label(), res.KeysPlanted, res.KeysDetected, res.Obfuscated)
+				c.Label(), res.Verdict["keys_planted"], res.Verdict["keys_detected"], res.Verdict != nil)
 		}
-		if (lock == "opaque") != res.OpaqueHit {
-			t.Fatalf("[%s] OpaqueHit = %v", c.Label(), res.OpaqueHit)
+		if (lock == "opaque") != (res.Verdict["opaque_hit"] == 1) {
+			t.Fatalf("[%s] OpaqueHit = %v", c.Label(), res.Verdict["opaque_hit"] == 1)
 		}
 	}
 }
@@ -37,7 +37,7 @@ func TestObfuscateCaseEveryStyle(t *testing.T) {
 // case passes, and the summary's planted/detected tallies balance (the
 // per-case exact-set oracle makes any imbalance a failed case first).
 func TestObfuscateCampaignAggregates(t *testing.T) {
-	sum, err := RunCampaign(Config{N: 10, Seed: 17, Obfuscate: true, MinM: 4, MaxM: 10, Workers: 2})
+	sum, err := RunCampaign(Config{N: 10, Seed: 17, Kind: KindObfuscate, MinM: 4, MaxM: 10, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +47,12 @@ func TestObfuscateCampaignAggregates(t *testing.T) {
 		}
 		t.Fatalf("%d of %d obfuscation cases failed", sum.Failed, sum.Cases)
 	}
-	if sum.Obfuscated != 10 {
-		t.Fatalf("Obfuscated = %d, want 10", sum.Obfuscated)
+	if sum.Tally.Verdicts != 10 {
+		t.Fatalf("Obfuscated = %d, want 10", sum.Tally.Verdicts)
 	}
-	if sum.KeysPlanted == 0 || sum.KeysDetected != sum.KeysPlanted {
+	if sum.Tally.Sum("keys_planted") == 0 || sum.Tally.Sum("keys_detected") != sum.Tally.Sum("keys_planted") {
 		t.Fatalf("keys detected/planted = %d/%d, want equal and nonzero",
-			sum.KeysDetected, sum.KeysPlanted)
+			sum.Tally.Sum("keys_detected"), sum.Tally.Sum("keys_planted"))
 	}
 	if sum.ByArch["obfuscate"] != 10 {
 		t.Fatalf("ByArch = %v", sum.ByArch)

@@ -288,20 +288,22 @@ func runOverload(c Case, stage *string, fail func(error) Result) Result {
 		ids = append(ids, probe...)
 	}
 
-	res.Overloaded = true
-	res.QuotaRejects = int(metrics.Counter("jobs_quota_rejected").Value())
-	res.ShedRejects = int(metrics.Counter("jobs_shed").Value())
-	res.Deduped = int(metrics.Counter("jobs_deduped").Value())
-	res.DeadlineExpired = int(metrics.Counter("jobs_deadline_expired").Value())
+	v := map[string]int64{
+		"quota_rejects":    metrics.Counter("jobs_quota_rejected").Value(),
+		"shed_rejects":     metrics.Counter("jobs_shed").Value(),
+		"deduped":          metrics.Counter("jobs_deduped").Value(),
+		"deadline_expired": metrics.Counter("jobs_deadline_expired").Value(),
+	}
+	res.Verdict = v
 
 	*stage = "assert"
-	if res.QuotaRejects == 0 {
+	if v["quota_rejects"] == 0 {
 		return fail(fmt.Errorf("overload: the flood was never quota-rejected — admission control did not engage"))
 	}
-	if res.Deduped == 0 {
+	if v["deduped"] == 0 {
 		return fail(fmt.Errorf("overload: identical batch items were never deduplicated"))
 	}
-	if res.DeadlineExpired == 0 {
+	if v["deadline_expired"] == 0 {
 		return fail(fmt.Errorf("overload: no 1ms-deadline job ever expired, even behind %d blockers", 4+8+12))
 	}
 	if wellDone != overloadWellJobs {
@@ -309,7 +311,7 @@ func runOverload(c Case, stage *string, fail func(error) Result) Result {
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	p99 := latencies[len(latencies)*99/100]
-	res.WellP99MS = p99.Milliseconds()
+	v["well_p99_ms"] = p99.Milliseconds()
 	if p99 > overloadWellP99Budget {
 		return fail(fmt.Errorf("overload: well-behaved p99 %v exceeds %v — the flood starved the polite tenant", p99, overloadWellP99Budget))
 	}

@@ -14,7 +14,7 @@ func TestOverloadCaseIsolatesTenants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload cases take seconds each")
 	}
-	cfg := Config{Seed: 17, Overload: true, MinM: 4, MaxM: 8}
+	cfg := Config{Seed: 17, Kind: KindOverload, MinM: 4, MaxM: 8}
 	for idx := 0; idx < 2; idx++ {
 		c := NewCase(idx, cfg)
 		if c.Kind != KindOverload {
@@ -24,10 +24,10 @@ func TestOverloadCaseIsolatesTenants(t *testing.T) {
 		if res.Status != Pass {
 			t.Fatalf("case %d [%s] failed at %s: %s", idx, c.Label(), res.Stage, res.Err)
 		}
-		if !res.Overloaded {
+		if res.Verdict == nil {
 			t.Fatalf("case %d did not run the overload pipeline", idx)
 		}
-		if res.QuotaRejects == 0 || res.Deduped == 0 || res.DeadlineExpired == 0 {
+		if res.Verdict["quota_rejects"] == 0 || res.Verdict["deduped"] == 0 || res.Verdict["deadline_expired"] == 0 {
 			t.Fatalf("case %d engaged no admission machinery: %+v", idx, res)
 		}
 	}
@@ -42,7 +42,7 @@ func TestOverloadCampaignAggregates(t *testing.T) {
 		t.Skip("overload campaigns take seconds")
 	}
 	sum, err := RunCampaign(Config{
-		N: 2, Seed: 5, Overload: true, MinM: 4, MaxM: 7,
+		N: 2, Seed: 5, Kind: KindOverload, MinM: 4, MaxM: 7,
 		Workers: 1, Timeout: 2 * time.Minute,
 	})
 	if err != nil {
@@ -54,10 +54,10 @@ func TestOverloadCampaignAggregates(t *testing.T) {
 		}
 		t.Fatalf("%d of %d overload cases failed", sum.Failed, sum.Cases)
 	}
-	if sum.Overloaded != 2 {
-		t.Fatalf("Overloaded = %d, want 2", sum.Overloaded)
+	if sum.Tally.Verdicts != 2 {
+		t.Fatalf("Overloaded = %d, want 2", sum.Tally.Verdicts)
 	}
-	if sum.QuotaRejects == 0 || sum.Deduped == 0 || sum.DeadlinesExpired == 0 {
+	if sum.Tally.Sum("quota_rejects") == 0 || sum.Tally.Sum("deduped") == 0 || sum.Tally.Sum("deadline_expired") == 0 {
 		t.Fatalf("campaign engaged no admission machinery: %+v", sum)
 	}
 	if sum.ByArch["overload"] != 2 {

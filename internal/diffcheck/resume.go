@@ -97,7 +97,6 @@ func runResume(c Case, stage *string, fail func(error) Result) Result {
 		return fail(fmt.Errorf("diffcheck: resume reused %d cones, snapshot held %d",
 			ext.Rewrite.Reused, doneAtCancel))
 	}
-	res.Resumed = true
-	res.Reused = ext.Rewrite.Reused
+	res.Verdict = map[string]int64{"reused": int64(ext.Rewrite.Reused)}
 	return res
 }

@@ -17,11 +17,11 @@ func TestRunResumeCase(t *testing.T) {
 	if res.Status != Pass {
 		t.Fatalf("resume case failed at %s: %s", res.Stage, res.Err)
 	}
-	if !res.Resumed {
+	if res.Verdict == nil {
 		t.Fatal("passing resume case did not mark Resumed")
 	}
-	if res.Reused < 1 || res.Reused > c.M {
-		t.Fatalf("reused %d cones, want 1..%d", res.Reused, c.M)
+	if res.Verdict["reused"] < 1 || res.Verdict["reused"] > int64(c.M) {
+		t.Fatalf("reused %d cones, want 1..%d", res.Verdict["reused"], c.M)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestRunResumeCaseAcrossArchs(t *testing.T) {
 }
 
 func TestResumeCampaignSampling(t *testing.T) {
-	cfg := Config{N: 10, Seed: 7, Resume: true, MinM: 4, MaxM: 10}
+	cfg := Config{N: 10, Seed: 7, Kind: KindResume, MinM: 4, MaxM: 10}
 	for i := 0; i < cfg.N; i++ {
 		c := NewCase(i, cfg)
 		if c.Kind != KindResume {
@@ -58,7 +58,7 @@ func TestResumeCampaignSampling(t *testing.T) {
 }
 
 func TestResumeCampaignEndToEnd(t *testing.T) {
-	sum, err := RunCampaign(Config{N: 6, Seed: 11, Resume: true, MinM: 4, MaxM: 8, Workers: 2})
+	sum, err := RunCampaign(Config{N: 6, Seed: 11, Kind: KindResume, MinM: 4, MaxM: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestResumeCampaignEndToEnd(t *testing.T) {
 		}
 		t.Fatalf("%d of %d resume cases failed", sum.Failed, sum.Cases)
 	}
-	if sum.Resumed != 6 {
-		t.Fatalf("Resumed=%d, want 6", sum.Resumed)
+	if sum.Tally.Verdicts != 6 {
+		t.Fatalf("Resumed=%d, want 6", sum.Tally.Verdicts)
 	}
-	if sum.ReusedCones < 6 {
-		t.Fatalf("ReusedCones=%d, want at least one per case", sum.ReusedCones)
+	if sum.Tally.Sum("reused") < 6 {
+		t.Fatalf("ReusedCones=%d, want at least one per case", sum.Tally.Sum("reused"))
 	}
 	if sum.ByArch["resume"] != 6 {
 		t.Fatalf("ByArch: %v", sum.ByArch)

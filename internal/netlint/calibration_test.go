@@ -1,12 +1,16 @@
 package netlint
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/galoisfield/gfre/internal/gen"
+	"github.com/galoisfield/gfre/internal/gf2poly"
 	"github.com/galoisfield/gfre/internal/netlist"
+	"github.com/galoisfield/gfre/internal/opt"
 	"github.com/galoisfield/gfre/internal/polytab"
+	"github.com/galoisfield/gfre/internal/randnet"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
@@ -94,4 +98,83 @@ func TestConeCostCalibration(t *testing.T) {
 		}
 		run(t, n, true)
 	})
+}
+
+// TestConeCostBothBoundsWin is why predictCones takes the smaller of two
+// bounds: over a generated corpus (m = 4..40, raw and synthesized, plus
+// random DAGs) each bound is strictly tighter on part of it. The
+// syntactic term bound wins every Mastrovito, Karatsuba and matrix cone;
+// the semantic degree bound wins most Montgomery cones, whose carry chain
+// explodes the term bound, and many random-DAG cones.
+func TestConeCostBothBoundsWin(t *testing.T) {
+	type wins struct{ term, degree, cones int }
+	tally := map[string]*wins{}
+	count := func(family string, n *netlist.Netlist) {
+		w := tally[family]
+		if w == nil {
+			w = &wins{}
+			tally[family] = w
+		}
+		bounds := termBound(n)
+		sems := newContext(n, Options{}).Sem()
+		for i, id := range n.Outputs() {
+			of := sems.Outputs[i]
+			tb, db := bounds[id], degreeBound(of.SupportSize, of.DegTot)
+			w.cones++
+			if tb < db {
+				w.term++
+			} else if db < tb {
+				w.degree++
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	archs := []struct {
+		name string
+		gen  func(int, gf2poly.Poly) (*netlist.Netlist, error)
+	}{
+		{"mastrovito", gen.Mastrovito}, {"karatsuba", gen.Karatsuba},
+		{"matrix", gen.MastrovitoMatrix}, {"montgomery", gen.Montgomery},
+	}
+	for m := 4; m <= 40; m += 6 {
+		p, err := gf2poly.RandomIrreducible(r, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range archs {
+			n, err := a.gen(m, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count(a.name, n)
+			if n, err = opt.Synthesize(n); err != nil {
+				t.Fatal(err)
+			}
+			count(a.name, n)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		n, err := randnet.New(r, randnet.Config{
+			Inputs: 2 + r.Intn(10), Gates: 1 + r.Intn(150), Outputs: 1 + r.Intn(6),
+			Luts: r.Intn(2) == 0, Constants: r.Intn(3) == 0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count("random", n)
+	}
+	for family, w := range tally {
+		t.Logf("%-10s term-bound wins %d, degree wins %d of %d cones", family, w.term, w.degree, w.cones)
+	}
+	for _, family := range []string{"mastrovito", "karatsuba", "matrix"} {
+		if w := tally[family]; w.term != w.cones {
+			t.Errorf("%s: term bound strictly tighter on %d of %d cones, want all", family, w.term, w.cones)
+		}
+	}
+	if w := tally["montgomery"]; 2*w.degree <= w.cones {
+		t.Errorf("montgomery: degree bound strictly tighter on %d of %d cones, want most", w.degree, w.cones)
+	}
+	if w := tally["random"]; w.degree == 0 {
+		t.Errorf("random DAGs: degree bound never strictly tighter (%d cones)", w.cones)
+	}
 }

@@ -452,9 +452,12 @@ type eqnNames struct {
 func (n *Netlist) renderNames() eqnNames {
 	e := eqnNames{arena: make([]byte, 0, 8*len(n.gates)), off: make([]int32, 1, len(n.gates)+1)}
 	for id, s := range n.names {
-		if s != "" {
+		switch {
+		case s != "":
 			e.arena = append(e.arena, s...)
-		} else {
+		case n.isShadowed(id):
+			e.arena = append(e.arena, n.NameOf(id)...)
+		default:
 			e.arena = strconv.AppendInt(append(e.arena, 'n'), int64(id), 10)
 		}
 		e.off = append(e.off, int32(len(e.arena)))

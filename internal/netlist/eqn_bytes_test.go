@@ -23,7 +23,7 @@ import (
 // snapshots written by an older build would stop matching their netlists.
 var writeEQNDigests = map[string]string{
 	"deadgate8.eqn":           "f2cf4bb1c553e4325d14b0b390ff51d80a8e69b3e029dd484dd38c3c13585d4b",
-	"digitserial8_mapped.eqn": "73e844d9ddf79c382cc8fca96564a104df5195e83dd656c21acc4a2660d4f4f9",
+	"digitserial8_mapped.eqn": "c78b8651c855c6b38c449cab15de468b83fbcdb64593cde7b6baca73f8151c16",
 	"keyopaque8.eqn":          "82e2029a539d71530ff0fd03584eaaf235a75ba087c7de81753352d0769e6e11",
 	"keyxor8.eqn":             "4af8917fdb24e45c74dded0e411201cc53eb9509132d88adcd03e3eed52353a4",
 	"mastrovito-m16-aoi":      "973b7ea04a7ba1b5b1e1538c3b4c0ab94c54199e1a3eafb60e6c9bf459f9fe4c",

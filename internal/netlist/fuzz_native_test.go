@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -148,4 +150,50 @@ func FuzzVerilog(f *testing.F) {
 			func(n *Netlist, b *bytes.Buffer) error { return n.WriteVerilog(b) },
 			func(b *bytes.Buffer) (*Netlist, error) { return ReadVerilog(b) })
 	})
+}
+
+// TestSynthesizedNameCollisionRoundTrips pins the FuzzEqn seed
+// seed-synthesized-name-collision: anonymous gate 4 would be written as
+// "n4", the name another gate carries, so every writer must pick a free
+// name for it instead. Re-reading a written technology-mapped design hits
+// the same clash wherever an expanded cell's anonymous sub-gates shift the
+// gate IDs.
+func TestSynthesizedNameCollisionRoundTrips(t *testing.T) {
+	n, err := ReadEQN(strings.NewReader("INORDER=a;OUTORDER=a;A0=0;A00=0;n4=0*0;"), "collide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := n.Lookup("n4")
+	if other == 4 || n.names[4] != "" {
+		t.Fatalf("test premise: gate 4 must be anonymous and n4 another gate (n4 = gate %d)", other)
+	}
+	if nm := n.NameOf(4); nm == "n4" {
+		t.Fatalf("anonymous gate 4 is written as %q, the name of gate %d", nm, other)
+	}
+	src, err := os.Open("../../testdata/digitserial8_mapped.eqn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := ReadEQN(src, "mapped")
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name  string
+		write func(*Netlist, *bytes.Buffer) error
+		read  func(*bytes.Buffer) (*Netlist, error)
+	}{
+		{"eqn", func(n *Netlist, b *bytes.Buffer) error { return n.WriteEQN(b) },
+			func(b *bytes.Buffer) (*Netlist, error) { return ReadEQN(b, "collide") }},
+		{"blif", func(n *Netlist, b *bytes.Buffer) error { return n.WriteBLIF(b) },
+			func(b *bytes.Buffer) (*Netlist, error) { return ReadBLIF(b) }},
+		{"verilog", func(n *Netlist, b *bytes.Buffer) error { return n.WriteVerilog(b) },
+			func(b *bytes.Buffer) (*Netlist, error) { return ReadVerilog(b) }},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			roundTrip(t, n, f.write, f.read)
+			roundTrip(t, mapped, f.write, f.read)
+		})
+	}
 }

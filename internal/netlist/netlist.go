@@ -160,6 +160,12 @@ type Netlist struct {
 	gates  []Gate
 	names  []string // signal name per gate ("" if anonymous)
 	byName map[string]int
+	// shadowed is a bitset over gate IDs: bit id is set once another gate
+	// or an output port carries "n<id>", the name NameOf synthesizes for an
+	// anonymous gate id. Such a name registered before gate id exists waits
+	// in shadowLater until the gate is added.
+	shadowed    []uint64
+	shadowLater map[int]bool
 
 	inputs      []int // gate IDs of primary inputs, in port order
 	outputs     []int // gate IDs driving primary outputs, in port order
@@ -196,13 +202,54 @@ func (n *Netlist) NumEquations() int {
 // Gate returns the gate with the given ID.
 func (n *Netlist) Gate(id int) Gate { return n.gates[id] }
 
-// NameOf returns the signal name of gate id, or a synthesized "n<id>" if the
-// gate is anonymous.
+// NameOf returns the signal name of gate id. An anonymous gate gets the
+// synthesized name "n<id>" or, when another gate or an output port already
+// carries that, "n<id>_<j>" with the smallest free j >= 1, so written
+// netlists never define a name twice.
 func (n *Netlist) NameOf(id int) string {
 	if s := n.names[id]; s != "" {
 		return s
 	}
-	return "n" + strconv.Itoa(id)
+	s := "n" + strconv.Itoa(id)
+	if !n.isShadowed(id) {
+		return s
+	}
+	for j := 1; ; j++ {
+		alt := s + "_" + strconv.Itoa(j)
+		if _, taken := n.byName[alt]; !taken {
+			return alt
+		}
+	}
+}
+
+// synthesizedID reports whether name is "n<id>", the name NameOf
+// synthesizes for an anonymous gate id.
+func synthesizedID(name string) (int, bool) {
+	if len(name) < 2 || name[0] != 'n' || name[1] < '0' || name[1] > '9' || name[1] == '0' && len(name) > 2 {
+		return 0, false
+	}
+	id, err := strconv.Atoi(name[1:])
+	return id, err == nil
+}
+
+// shadow records that the synthesized name of gate id is taken.
+func (n *Netlist) shadow(id int) {
+	if id >= len(n.gates) {
+		if n.shadowLater == nil {
+			n.shadowLater = map[int]bool{}
+		}
+		n.shadowLater[id] = true
+		return
+	}
+	for id>>6 >= len(n.shadowed) {
+		n.shadowed = append(n.shadowed, 0)
+	}
+	n.shadowed[id>>6] |= 1 << uint(id&63)
+}
+
+func (n *Netlist) isShadowed(id int) bool {
+	w := id >> 6
+	return w < len(n.shadowed) && n.shadowed[w]>>uint(id&63)&1 == 1
 }
 
 // Lookup resolves a signal name to its gate ID.
@@ -229,21 +276,21 @@ func (n *Netlist) setName(id int, name string) error {
 	}
 	n.byName[name] = id
 	n.names[id] = name
+	if k, ok := synthesizedID(name); ok && k != id {
+		n.shadow(k)
+	}
 	return nil
 }
 
 // AddInput appends a primary input with the given name and returns its ID.
 func (n *Netlist) AddInput(name string) (int, error) {
-	id := len(n.gates)
-	n.gates = append(n.gates, Gate{Type: Input})
-	n.names = append(n.names, "")
+	id := n.appendGate(Gate{Type: Input})
 	if err := n.setName(id, name); err != nil {
 		n.gates = n.gates[:id]
 		n.names = n.names[:id]
 		return 0, err
 	}
 	n.inputs = append(n.inputs, id)
-	n.coneSizes = nil
 	return id, nil
 }
 
@@ -286,10 +333,20 @@ func (n *Netlist) addChecked(g Gate) (int, error) {
 			return 0, fmt.Errorf("netlist: gate %d fanin %d out of range (forward reference or negative)", id, f)
 		}
 	}
+	return n.appendGate(g), nil
+}
+
+// appendGate adds g as an anonymous gate and returns its ID.
+func (n *Netlist) appendGate(g Gate) int {
+	id := len(n.gates)
 	n.gates = append(n.gates, g)
 	n.names = append(n.names, "")
 	n.coneSizes = nil
-	return id, nil
+	if len(n.shadowLater) > 0 && n.shadowLater[id] {
+		delete(n.shadowLater, id)
+		n.shadow(id)
+	}
+	return id
 }
 
 // SetSignalName attaches a name to an existing gate.
@@ -305,6 +362,9 @@ func (n *Netlist) SetSignalName(id int, name string) error {
 func (n *Netlist) MarkOutput(name string, id int) error {
 	if id < 0 || id >= len(n.gates) {
 		return fmt.Errorf("netlist: no gate %d", id)
+	}
+	if k, ok := synthesizedID(name); ok && k != id {
+		n.shadow(k)
 	}
 	n.outputs = append(n.outputs, id)
 	n.outputNames = append(n.outputNames, name)
