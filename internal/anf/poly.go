@@ -242,6 +242,28 @@ func (p Poly) Monos() []Mono {
 	return out
 }
 
+// Terms calls yield with the ascending variable list of each monomial of p
+// (empty for the constant 1), stopping early when yield returns false. The
+// lists alias p's intern arena: they are read-only and valid only until p is
+// next modified. The order is the table's, not Monos' sorted order; in
+// exchange the walk allocates nothing, which is what the per-bit
+// golden-model check and port inference need on expressions of tens of
+// thousands of terms.
+func (p Poly) Terms(yield func(vars []Var) bool) {
+	if p.p == nil {
+		return
+	}
+	for w, word := range p.p.words {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			if !yield(p.p.tab.vars(uint32(w<<6 + b))) {
+				return
+			}
+		}
+	}
+}
+
 // Equal reports whether p and q have identical term sets. Because ANF is
 // canonical, this decides functional equivalence of the represented Boolean
 // functions.

@@ -47,7 +47,8 @@ type Config struct {
 	Adversarial int
 	// Inject plants a flipped XOR in every multiplier case (see Case.Inject)
 	// to prove the harness catches and minimizes real faults; a diagnose
-	// campaign plants this many trojans per case instead.
+	// campaign plants this many trojans per case instead, and an obfuscate
+	// campaign flips the XOR in each locked design.
 	Inject int
 
 	// Recorder streams campaign telemetry (case_start / case_pass /

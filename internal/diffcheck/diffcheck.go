@@ -105,7 +105,8 @@ type Case struct {
 
 	// Inject, when positive, flips XOR gate #((Inject-1) mod CountXor) to OR
 	// right after generation — a deliberate fault the harness must catch
-	// (the self-check mode of gffuzz).
+	// (the self-check mode of gffuzz). KindObfuscate flips it in the locked
+	// design instead.
 	Inject int
 
 	// Obfuscation-case parameters (KindObfuscate): key-gating style name

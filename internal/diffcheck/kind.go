@@ -133,6 +133,7 @@ var kinds = map[Kind]kindSpec{
 	},
 	KindObfuscate: {
 		sample: func(c *Case, r *rand.Rand, cfg Config) {
+			c.Inject = cfg.Inject
 			drawField(c, r, cfg.MinM, cfg.MaxM, cfg.Archs)
 			styles := LockStyles()
 			c.Lock = styles[r.Intn(len(styles))]

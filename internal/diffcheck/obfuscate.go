@@ -48,6 +48,7 @@ var keyFindingRules = map[string]bool{
 //
 //	lint-clean   zero key/opaque/nonlinear findings on the clean design
 //	obfuscate    plant Keys key gates in Lock style
+//	inject       (Inject > 0 only) flip one XOR of the locked design to OR
 //	sim-locked   locked design ∘ (key = 0) ≡ clean design on random vectors
 //	detect       detected gated keys == planted keys, exactly; locked
 //	             designs still pass preflight (warn, never error)
@@ -89,14 +90,27 @@ func runObfuscate(c Case, stage *string, fail func(error) Result) Result {
 	if err != nil {
 		return fail(err)
 	}
+	if c.Inject > 0 {
+		// A deliberate fault in the locked design, which the correct-key
+		// equivalence below must catch (and a campaign must write a repro
+		// for).
+		*stage = "inject"
+		if nx := CountXor(obf); nx > 0 {
+			if obf, err = FlipXor(obf, (c.Inject-1)%nx); err != nil {
+				return fail(err)
+			}
+		}
+	}
 	res := Result{Case: c, Status: Pass, Gates: obf.NumGates()}
 
 	// Correct-key equivalence: the transform must not have changed the
-	// function it claims to hide.
+	// function it claims to hide. The failure carries the locked netlist,
+	// so a campaign's -repro writes it.
 	*stage = "sim-locked"
 	if err := lockedEquiv(n, obf, len(info.KeyInputs), c.SimTrials, c.Seed+11); err != nil {
-		res.Netlist, res.Binding = obf, CanonicalBinding(c.M)
-		return fail(err)
+		failed := fail(err)
+		failed.Netlist, failed.Binding = obf, CanonicalBinding(c.M)
+		return failed
 	}
 
 	*stage = "detect"

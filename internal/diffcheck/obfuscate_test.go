@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"os"
 	"testing"
 
 	"github.com/galoisfield/gfre/internal/gen"
@@ -139,5 +140,29 @@ func TestLockedDesignPreflightWarns(t *testing.T) {
 	}
 	if got := len(rep.Algebra.GatedKeyInputs); got != len(info.KeyNames) {
 		t.Fatalf("GatedKeyInputs = %v, planted %v", rep.Algebra.GatedKeyInputs, info.KeyNames)
+	}
+}
+
+// TestObfuscateSimLockedFailureWritesRepro forces a sim-locked failure (a
+// flipped XOR in the locked design) and checks that the failing result
+// carries the locked netlist, so the campaign writes a repro for it.
+func TestObfuscateSimLockedFailureWritesRepro(t *testing.T) {
+	dir := t.TempDir()
+	sum, err := RunCampaign(Config{N: 1, Seed: 17, Kind: KindObfuscate, MinM: 4, MaxM: 6, Workers: 1, Inject: 1, ReproDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Failed != 1 || sum.Failures[0].Stage != "sim-locked" {
+		t.Fatalf("want one sim-locked failure, got %d failures %+v", sum.Failed, sum.Failures)
+	}
+	if sum.Failures[0].Netlist == nil {
+		t.Fatal("sim-locked failure carries no netlist")
+	}
+	path := sum.Repros[0]
+	if path == "" {
+		t.Fatal("no repro written for the sim-locked failure")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("repro %s: %v", path, err)
 	}
 }

@@ -115,10 +115,9 @@ var (
 // tables. The paper's Table II stops at 409 (mem-out); Montgomery rewriting
 // is the most expensive experiment, so callers may trim the list.
 var (
-	TableISizes    = []int{64, 96, 163, 233, 283, 409, 571}
-	TableIISizes   = []int{64, 96, 163, 233, 283, 409}
-	TableIIISizes  = []int{64, 163, 233, 409}
-	Figure4Default = 233
+	TableISizes   = []int{64, 96, 163, 233, 283, 409, 571}
+	TableIISizes  = []int{64, 96, 163, 233, 283, 409}
+	TableIIISizes = []int{64, 163, 233, 409}
 )
 
 // RunOption adjusts how an experiment drives the extraction pipeline.

@@ -12,7 +12,8 @@
 //
 // Localization exploits the same canonicity. The diff Expr_i + spec_i is
 // the exact error function of bit i over the primary inputs; evaluating it
-// bit-parallel yields the test vectors on which bit i misbehaves, and a
+// bit-parallel (as the XOR of the two evaluations, the spec's read off the
+// reduction table) yields the test vectors on which bit i misbehaves, and a
 // suspect gate is one whose forced complement on exactly those vectors
 // repairs the output (sensitization). Fanin-cone intersection over the
 // deviating bits supplies the structural prior.
@@ -186,6 +187,7 @@ func bitDiagnoses(rw *rewrite.Result) []BitDiagnosis {
 func consensusP(rw *rewrite.Result, a, b []int, tol int) (gf2poly.Poly, []int, int, error) {
 	m := len(rw.Bits)
 	pm := outFieldProducts(a, b)
+	ports := newOperandIndex(a, b)
 	failed := rw.Failed
 	if len(failed) > tol {
 		return gf2poly.Poly{}, nil, 0, fmt.Errorf("%w: %d cones failed, tolerate %d", ErrConsensus, len(failed), tol)
@@ -210,7 +212,7 @@ func consensusP(rw *rewrite.Result, a, b []int, tol int) (gf2poly.Poly, []int, i
 	for _, i := range coords {
 		inCoords[i] = true
 	}
-	for _, i := range anomalousBits(rw, a, b) {
+	for _, i := range anomalousBits(rw, ports) {
 		if len(coords) >= maxFlipCoords {
 			break
 		}
@@ -248,7 +250,7 @@ func consensusP(rw *rewrite.Result, a, b []int, tol int) (gf2poly.Poly, []int, i
 			if p.Coeff(0) != 1 || !p.Irreducible() {
 				return
 			}
-			dev, ok := deviations(rw, a, b, p, allowance)
+			dev, ok := deviations(rw, newGoldenModel(p, ports), allowance)
 			if !ok {
 				return
 			}
@@ -291,17 +293,18 @@ func forEachSubset(n, k int, fn func(pick []int)) {
 	rec(0, 0)
 }
 
-// deviations compares every completed bit with the golden model for p,
-// giving up once more than allowance bits deviate. The abort makes wrong
-// candidates cheap: an incorrect P(x) rewrites the whole reduction network,
-// so nearly every bit deviates and the scan stops after allowance+1 specs.
-func deviations(rw *rewrite.Result, a, b []int, p gf2poly.Poly, allowance int) ([]int, bool) {
+// deviations compares every completed bit with the candidate's golden
+// model, giving up once more than allowance bits deviate. The abort makes
+// wrong candidates cheap: an incorrect P(x) rewrites the whole reduction
+// network, so nearly every bit deviates and the scan stops after
+// allowance+1 bits.
+func deviations(rw *rewrite.Result, g *goldenModel, allowance int) ([]int, bool) {
 	var dev []int
 	for i, br := range rw.Bits {
 		if br.Status.Failed() {
 			continue
 		}
-		if !br.Expr.Equal(SpecificationANF(p, a, b, i)) {
+		if !g.matches(i, br.Expr) {
 			dev = append(dev, i)
 			if len(dev) > allowance {
 				return nil, false
@@ -325,16 +328,8 @@ func deviations(rw *rewrite.Result, a, b []int, p gf2poly.Poly, allowance int) (
 // single out-field product from a bit flips its Algorithm 2 vote while
 // keeping every monomial bilinear, but leaves s_m partially present.
 // Bits are returned most-violating first.
-func anomalousBits(rw *rewrite.Result, a, b []int) []int {
-	m := len(a)
-	idxA := make(map[anf.Var]int, len(a))
-	idxB := make(map[anf.Var]int, len(b))
-	for i, id := range a {
-		idxA[anf.Var(id)] = i
-	}
-	for j, id := range b {
-		idxB[anf.Var(id)] = j
-	}
+func anomalousBits(rw *rewrite.Result, ports operandIndex) []int {
+	m := ports.m
 	type anomaly struct{ bit, viol int }
 	var anomalies []anomaly
 	// have[k] counts the products of s_k present in the bit: one pass over
@@ -346,26 +341,16 @@ func anomalousBits(rw *rewrite.Result, a, b []int) []int {
 		}
 		clear(have)
 		viol := 0
-		for _, mo := range br.Expr.Monos() {
-			if vars := mo.Vars(); len(vars) == 2 {
-				u, v := vars[0], vars[1]
-				if _, ok := idxA[u]; !ok {
-					u, v = v, u
-				}
-				x, okA := idxA[u]
-				y, okB := idxB[v]
-				if okA && okB {
-					have[x+y]++
-					continue
-				}
+		br.Expr.Terms(func(vars []anf.Var) bool {
+			if x, y, ok := ports.product(vars); ok {
+				have[x+y]++
+			} else {
+				viol++
 			}
-			viol++
-		}
+			return true
+		})
 		for k, h := range have {
-			total := k + 1 // |{(i,j) : i+j = k, 0 ≤ i,j < m}|
-			if k >= m {
-				total = 2*m - 1 - k
-			}
+			total := productCount(k, m)
 			switch {
 			case h != 0 && h != total:
 				viol++
@@ -440,22 +425,29 @@ func localize(n *netlist.Netlist, ext *Extraction, diag *Diagnosis) []Suspect {
 	corrected := map[int]int{}
 	attempted := map[int]int{}
 	ins := n.Inputs()
+	g := newGoldenModel(ext.P, newOperandIndex(ext.AInputs, ext.BInputs))
+	wordOf := make([]uint64, n.NumGates()) // gate ID -> the input's lanes
+	aw, bw := make([]uint64, ext.M), make([]uint64, ext.M)
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < localizeTrials; trial++ {
 		words := make([]uint64, len(ins))
-		wordOf := make(map[anf.Var]uint64, len(ins))
 		for i, id := range ins {
 			words[i] = r.Uint64()
-			wordOf[anf.Var(id)] = words[i]
+			wordOf[id] = words[i]
 		}
 		vals, err := n.Simulate(words)
 		if err != nil {
 			break
 		}
+		for i := range aw {
+			aw[i], bw[i] = wordOf[ext.AInputs[i]], wordOf[ext.BInputs[i]]
+		}
+		sums := g.sums(aw, bw)
 		for _, bit := range diag.Tampered {
-			br := ext.Rewrite.Bits[bit]
-			diff := br.Expr.Add(SpecificationANF(ext.P, ext.AInputs, ext.BInputs, bit))
-			mask := evalMask(diff, wordOf)
+			// Evaluation is linear over XOR, so the error function
+			// Expr + spec deviates exactly on the lanes where the two
+			// evaluations differ.
+			mask := evalMask(ext.Rewrite.Bits[bit].Expr, wordOf) ^ g.specMask(bit, sums)
 			if mask == 0 {
 				continue // no deviating vector in this round
 			}
@@ -551,16 +543,17 @@ func blockMask(list []int, base int) uint64 {
 }
 
 // evalMask evaluates an ANF over primary inputs bit-parallel: each input
-// variable carries 64 test vectors, the result word holds the polynomial's
-// value on every lane.
-func evalMask(p anf.Poly, wordOf map[anf.Var]uint64) uint64 {
+// variable carries 64 test vectors (wordOf, indexed by gate ID), the result
+// word holds the polynomial's value on every lane.
+func evalMask(p anf.Poly, wordOf []uint64) uint64 {
 	var acc uint64
-	for _, mo := range p.Monos() {
+	p.Terms(func(vars []anf.Var) bool {
 		w := ^uint64(0)
-		for _, v := range mo.Vars() {
+		for _, v := range vars {
 			w &= wordOf[v]
 		}
 		acc ^= w
-	}
+		return true
+	})
 	return acc
 }

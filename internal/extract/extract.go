@@ -11,12 +11,13 @@
 // collide (a_i·b_j lives only in s_{i+j}), so the membership test is exact
 // regardless of how higher s_k fold in.
 //
-// Verification builds the specification ANF of every output bit directly
-// from the recovered P(x) — the "golden implementation constructed using the
-// extracted irreducible polynomial" of the paper — and compares it with the
-// extracted ANF. ANF is canonical, so this comparison is a complete
-// equivalence check, not a sampling test; a random-simulation cross-check is
-// available separately for defense in depth.
+// Verification checks every output bit's extracted ANF against the
+// specification the recovered P(x) dictates — the "golden implementation
+// constructed using the extracted irreducible polynomial" of the paper —
+// read off the reduction table (see golden.go). ANF is canonical, so this
+// comparison is a complete equivalence check, not a sampling test; a
+// random-simulation cross-check is available separately for defense in
+// depth.
 package extract
 
 import (
@@ -243,6 +244,9 @@ func factorString(p gf2poly.Poly) string {
 // SpecificationANF returns the golden ANF of output bit c of a GF(2^m)
 // multiplier with polynomial p over the given operand input IDs:
 // Σ_k [x^k mod p has coefficient c] · s_k, with s_k = Σ_{i+j=k} a_i·b_j.
+// The pipeline never builds it (verification reads the reduction table,
+// see golden.go); it is the independent reference that table is tested
+// against.
 func SpecificationANF(p gf2poly.Poly, a, b []int, c int) anf.Poly {
 	m := p.Deg()
 	spec := anf.NewPoly()
@@ -270,20 +274,18 @@ func Verify(n *netlist.Netlist, ext *Extraction) error {
 	return verifyObserved(n, ext, nil)
 }
 
-// verifyObserved is Verify with the golden-model build and the canonical
-// comparison bracketed in separate phase spans.
+// verifyObserved is Verify with the golden-model build (the reduction
+// table for ext.P) and the term-by-term comparison bracketed in separate
+// phase spans.
 func verifyObserved(n *netlist.Netlist, ext *Extraction, rec *obs.Recorder) error {
 	span := rec.StartSpan("golden-model", map[string]int64{"bits": int64(len(ext.Rewrite.Bits))})
-	specs := make([]anf.Poly, len(ext.Rewrite.Bits))
-	for c := range ext.Rewrite.Bits {
-		specs[c] = SpecificationANF(ext.P, ext.AInputs, ext.BInputs, c)
-	}
+	g := newGoldenModel(ext.P, newOperandIndex(ext.AInputs, ext.BInputs))
 	span.End()
 
 	span = rec.StartSpan("verify", nil)
 	var bad []int
 	for c, br := range ext.Rewrite.Bits {
-		if !br.Expr.Equal(specs[c]) {
+		if !g.matches(c, br.Expr) {
 			bad = append(bad, c)
 		}
 	}

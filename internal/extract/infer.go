@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/galoisfield/gfre/internal/anf"
@@ -49,6 +50,10 @@ type InferredPorts struct {
 }
 
 // InferPorts recovers the port mapping from rewritten output expressions.
+// It walks each expression once, tallying every product x_u·x_v of input
+// positions u, v in an L×L table (L = number of inputs): how many outputs
+// contain it, and the first that does. The monomial graph's adjacency, the
+// bit-order counts and the output order are all read off that table.
 func InferPorts(n *netlist.Netlist, rw *rewrite.Result) (*InferredPorts, error) {
 	m := len(rw.Bits)
 	ins := n.Inputs()
@@ -57,77 +62,114 @@ func InferPorts(n *netlist.Netlist, rw *rewrite.Result) (*InferredPorts, error) 
 	if len(ins) < 2*m {
 		return nil, fmt.Errorf("%w: %d inputs for %d outputs (need at least 2m)", ErrBadPorts, len(ins), m)
 	}
+	nIn := len(ins)
+	posOf := make([]int32, n.NumGates()) // gate ID -> input position, -1 otherwise
+	for i := range posOf {
+		posOf[i] = -1
+	}
+	for i, id := range ins {
+		posOf[id] = int32(i)
+	}
+	inputPos := func(v anf.Var) int {
+		if int(v) >= len(posOf) {
+			return -1
+		}
+		return int(posOf[v])
+	}
 
-	// occ[mono] = set of output positions whose expression contains mono.
-	occ := map[anf.Mono]map[int]struct{}{}
-	partners := map[anf.Var]map[anf.Var]struct{}{}
+	// count[u*nIn+v] (symmetric) = number of outputs whose expression
+	// contains x_u·x_v; first[...] = the first such output.
+	count := make([]int32, nIn*nIn)
+	first := make([]int32, nIn*nIn)
+	foreign, foreignOut := anf.Var(0), -1
 	for pos, br := range rw.Bits {
-		for _, mono := range br.Expr.Monos() {
-			vars := mono.Vars()
+		badDeg := -1 // lowest degree among this output's non-product monomials
+		br.Expr.Terms(func(vars []anf.Var) bool {
 			if len(vars) != 2 {
-				return nil, fmt.Errorf("%w: output %d has a degree-%d monomial; multiplier ANF monomials are a_i·b_j",
-					ErrNotMultiplier, pos, len(vars))
+				if badDeg < 0 || len(vars) < badDeg {
+					badDeg = len(vars)
+				}
+				return true
 			}
-			set := occ[mono]
-			if set == nil {
-				set = map[int]struct{}{}
-				occ[mono] = set
+			u, v := inputPos(vars[0]), inputPos(vars[1])
+			if u < 0 || v < 0 {
+				if foreignOut < 0 {
+					foreign, foreignOut = vars[0], pos
+					if u >= 0 {
+						foreign = vars[1]
+					}
+				}
+				return true
 			}
-			set[pos] = struct{}{}
-			u, v := vars[0], vars[1]
-			if partners[u] == nil {
-				partners[u] = map[anf.Var]struct{}{}
+			uv, vu := u*nIn+v, v*nIn+u
+			if count[uv] == 0 {
+				first[uv], first[vu] = int32(pos), int32(pos)
 			}
-			if partners[v] == nil {
-				partners[v] = map[anf.Var]struct{}{}
-			}
-			partners[u][v] = struct{}{}
-			partners[v][u] = struct{}{}
+			count[uv]++
+			count[vu]++
+			return true
+		})
+		if badDeg >= 0 {
+			return nil, fmt.Errorf("%w: output %d has a degree-%d monomial; multiplier ANF monomials are a_i·b_j",
+				ErrNotMultiplier, pos, badDeg)
 		}
 	}
-	if len(partners) != 2*m {
+	if foreignOut >= 0 {
+		return nil, fmt.Errorf("%w: output %d has a monomial over signal %d, which is not a primary input",
+			ErrNotMultiplier, foreignOut, foreign)
+	}
+	row := func(u int) []int32 { return count[u*nIn : (u+1)*nIn] }
+
+	// The inputs sharing a monomial with some other input participate; the
+	// two-coloring starts from the first (the first input port may be
+	// dangling).
+	participating, start := 0, -1
+	for u := 0; u < nIn; u++ {
+		if slices.ContainsFunc(row(u), func(c int32) bool { return c > 0 }) {
+			participating++
+			if start < 0 {
+				start = u
+			}
+		}
+	}
+	if participating != 2*m {
 		return nil, fmt.Errorf("%w: %d inputs appear in the output expressions, want exactly %d",
-			ErrNotMultiplier, len(partners), 2*m)
+			ErrNotMultiplier, participating, 2*m)
 	}
 
-	// Two-color the monomial graph to split the operands, starting from any
-	// participating input (the first input port may be dangling).
-	color := map[anf.Var]int{}
-	var queue []anf.Var
-	var start anf.Var
-	for _, id := range ins {
-		if _, ok := partners[anf.Var(id)]; ok {
-			start = anf.Var(id)
-			break
-		}
-	}
-	color[start] = 0
-	queue = append(queue, start)
+	// Two-color the monomial graph to split the operands.
+	color := make([]int8, nIn) // 0 uncolored, else side 1 or 2
+	color[start] = 1
+	queue := []int{start}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for v := range partners[u] {
-			if c, ok := color[v]; ok {
-				if c == color[u] {
+		for v, c := range row(u) {
+			if c == 0 {
+				continue
+			}
+			if color[v] != 0 {
+				if color[v] == color[u] {
 					return nil, fmt.Errorf("%w: monomial graph is not bipartite", ErrNotMultiplier)
 				}
 				continue
 			}
-			color[v] = 1 - color[u]
+			color[v] = 3 - color[u]
 			queue = append(queue, v)
 		}
 	}
-	if len(color) != 2*m {
-		return nil, fmt.Errorf("%w: monomial graph is disconnected (%d of %d inputs reached)",
-			ErrNotMultiplier, len(color), 2*m)
-	}
-	var sideA, sideB []anf.Var
-	for v, c := range color {
-		if c == 0 {
-			sideA = append(sideA, v)
-		} else {
-			sideB = append(sideB, v)
+	var sideA, sideB []int
+	for u, c := range color {
+		switch c {
+		case 1:
+			sideA = append(sideA, u)
+		case 2:
+			sideB = append(sideB, u)
 		}
+	}
+	if reached := len(sideA) + len(sideB); reached != 2*m {
+		return nil, fmt.Errorf("%w: monomial graph is disconnected (%d of %d inputs reached)",
+			ErrNotMultiplier, reached, 2*m)
 	}
 	if len(sideA) != m || len(sideB) != m {
 		return nil, fmt.Errorf("%w: operand split is %d/%d, want %d/%d",
@@ -136,29 +178,22 @@ func InferPorts(n *netlist.Netlist, rw *rewrite.Result) (*InferredPorts, error) 
 
 	// Bit order: index of u = number of pair-products whose occurrence set
 	// is not a singleton.
-	orderSide := func(side []anf.Var) ([]anf.Var, error) {
-		type scored struct {
-			v     anf.Var
-			multi int
-		}
-		scoredVars := make([]scored, 0, len(side))
+	orderSide := func(side []int) ([]int, error) {
+		multi := make([]int, nIn)
 		for _, u := range side {
-			multi := 0
-			for v := range partners[u] {
-				if len(occ[anf.NewMono(u, v)]) > 1 {
-					multi++
+			for _, c := range row(u) {
+				if c > 1 {
+					multi[u]++
 				}
 			}
-			scoredVars = append(scoredVars, scored{u, multi})
 		}
-		sort.Slice(scoredVars, func(i, j int) bool { return scoredVars[i].multi < scoredVars[j].multi })
-		out := make([]anf.Var, len(scoredVars))
-		for i, s := range scoredVars {
-			if s.multi != i {
+		out := append([]int(nil), side...)
+		sort.Slice(out, func(i, j int) bool { return multi[out[i]] < multi[out[j]] })
+		for i, u := range out {
+			if multi[u] != i {
 				return nil, fmt.Errorf("%w: ambiguous bit order (multi-count %d at rank %d; is P(x) of unusually low order?)",
-					ErrBadPorts, s.multi, i)
+					ErrBadPorts, multi[u], i)
 			}
-			out[i] = s.v
 		}
 		return out, nil
 	}
@@ -173,16 +208,13 @@ func InferPorts(n *netlist.Netlist, rw *rewrite.Result) (*InferredPorts, error) 
 
 	// Output order: z_k is the unique output containing a_0·b_k.
 	outputOrder := make([]int, m)
-	seen := map[int]bool{}
-	for k := 0; k < m; k++ {
-		set := occ[anf.NewMono(orderedA[0], orderedB[k])]
-		if len(set) != 1 {
-			return nil, fmt.Errorf("%w: a_0·b_%d appears in %d outputs, want 1", ErrBadPorts, k, len(set))
+	seen := make([]bool, m)
+	for k, v := range orderedB {
+		c := orderedA[0]*nIn + v
+		if count[c] != 1 {
+			return nil, fmt.Errorf("%w: a_0·b_%d appears in %d outputs, want 1", ErrBadPorts, k, count[c])
 		}
-		var pos int
-		for p := range set {
-			pos = p
-		}
+		pos := int(first[c])
 		if seen[pos] {
 			return nil, fmt.Errorf("%w: output %d claimed by two bit positions", ErrBadPorts, pos)
 		}
@@ -191,11 +223,11 @@ func InferPorts(n *netlist.Netlist, rw *rewrite.Result) (*InferredPorts, error) 
 	}
 
 	ip := &InferredPorts{OutputOrder: outputOrder}
-	for _, v := range orderedA {
-		ip.A = append(ip.A, int(v))
+	for _, u := range orderedA {
+		ip.A = append(ip.A, ins[u])
 	}
-	for _, v := range orderedB {
-		ip.B = append(ip.B, int(v))
+	for _, u := range orderedB {
+		ip.B = append(ip.B, ins[u])
 	}
 	return ip, nil
 }

@@ -33,9 +33,14 @@ type Fingerprint struct {
 }
 
 // fingerprint computes the classification from the gate mix.
-func (c *Context) fingerprint() Fingerprint {
-	fp := Fingerprint{Class: "unknown"}
-	isInput := func(id int) bool { return c.N.Gate(id).Type == netlist.Input }
+func (c *Context) fingerprint() (fp Fingerprint) {
+	// Memoized: the fingerprint rule and the report both need it.
+	if c.fp != nil {
+		return *c.fp
+	}
+	defer func() { c.fp = &fp }()
+	fp = Fingerprint{Class: "unknown"}
+	isInput := func(id int) bool { return c.types[id] == netlist.Input }
 	for id := 0; id < c.N.NumGates(); id++ {
 		g := c.N.Gate(id)
 		switch g.Type {

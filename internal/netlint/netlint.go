@@ -116,6 +116,9 @@ type Context struct {
 	// Fanout[id] is the number of readers of gate id (output markings count
 	// as one reader each).
 	Fanout []int
+	// types[id] is gate id's type: one byte per gate, so rules that ask
+	// about their fanins' types stay in cache.
+	types []netlist.GateType
 
 	// Memoized cone-cost prediction: predictCones is needed both by the
 	// cone-cost rule and for the report's suggestions.
@@ -123,15 +126,13 @@ type Context struct {
 	cones         []ConeCost
 	coneBudget    int
 	coneDeadlines int64
+	// Memoized architecture fingerprint (see fingerprint).
+	fp *Fingerprint
 
-	// Memoized semantic sweep, shared by the semantic rules and the cost
-	// predictor (see Sem in semantics.go).
-	semOnce bool
-	sem     *sem.Result
-	// hashed delivers the canonical netlist hash, which Analyze computes
-	// concurrently; contentHash collects it into hash.
-	hashed chan string
-	hash   string
+	// swept delivers the semantic sweep, shared by the semantic rules and
+	// the cost predictor, which Analyze runs concurrently; Sem collects it.
+	swept chan *sem.Result
+	sem   *sem.Result
 }
 
 // Options configures an analysis run.
@@ -293,18 +294,17 @@ func (r *Report) MaxPredictedPeak() int {
 // constructors enforce those invariants — so lint raw files with
 // AnalyzeSource to get them.
 func Analyze(n *netlist.Netlist, opts Options) *Report {
+	// The semantic sweep is the longest pass and needs nothing the rules
+	// compute (its cache is keyed by its own digest), so it runs beside
+	// them; Sem waits for it. The canonical netlist hash, the next longest,
+	// runs meanwhile on this goroutine. Best effort: an unserializable
+	// netlist gets no content hash.
+	swept := make(chan *sem.Result, 1)
+	go func() { swept <- sem.AnalyzeCached(n, sem.Options{}) }()
 	ctx := newContext(n, opts)
-	// The canonical netlist hash keys the semantic sweep's cache, so the
-	// netlist is serialized for it beside the structural rules instead of
-	// in front of them; Sem waits for it. Best effort: an unserializable
-	// netlist just runs uncached.
-	hashed := make(chan string, 1)
-	go func() {
-		h, _ := checkpoint.HashNetlist(n)
-		hashed <- h
-	}()
-	ctx.hashed = hashed
+	ctx.swept = swept
 	rep := &Report{Design: n.Name}
+	rep.ContentHash, _ = checkpoint.HashNetlist(n)
 	for _, rule := range registry {
 		if rule.Check == nil || opts.disabled(rule.Name) {
 			continue
@@ -314,23 +314,26 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	rep.Fingerprint = ctx.fingerprint()
 	rep.Algebra = buildAlgebra(ctx)
 	rep.Cones, rep.SuggestedBudgetTerms, rep.SuggestedConeTimeoutMS = predictCones(ctx)
-	rep.ContentHash = ctx.contentHash()
 	sortFindings(rep.Findings)
 	return rep
 }
 
-// newContext computes the shared analysis state once: logic levels and
-// fanout counts in one forward sweep, reachability in one backward sweep.
+// newContext computes the shared analysis state once: gate types, logic
+// levels and fanout counts in one forward sweep, reachability in one
+// backward sweep.
 func newContext(n *netlist.Netlist, opts Options) *Context {
 	ctx := &Context{N: n, Opts: opts}
 	ctx.Levels = make([]int, n.NumGates())
 	ctx.Fanout = make([]int, n.NumGates())
+	ctx.types = make([]netlist.GateType, n.NumGates())
 	for id := range ctx.Levels {
+		g := n.Gate(id)
 		l := 0
-		for _, f := range n.Gate(id).Fanin {
+		for _, f := range g.Fanin {
 			l = max(l, ctx.Levels[f]+1)
 			ctx.Fanout[f]++
 		}
+		ctx.types[id] = g.Type
 		ctx.Levels[id] = l
 		ctx.Depth = max(ctx.Depth, l)
 	}

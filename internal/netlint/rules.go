@@ -162,7 +162,7 @@ func checkUnusedInputs(c *Context) []Finding {
 func checkConstGates(c *Context) []Finding {
 	sev := c.severityOf("const-gate")
 	isConst := func(id int) (bool, bool) { // (is-constant, value)
-		switch c.N.Gate(id).Type {
+		switch c.types[id] {
 		case netlist.Const0:
 			return true, false
 		case netlist.Const1:

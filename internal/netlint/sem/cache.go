@@ -1,10 +1,12 @@
 package sem
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sync"
 
-	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/netlist"
 )
 
@@ -14,10 +16,11 @@ import (
 // generated designs repeatedly. The sweep is cheap but not free, and the
 // Result is immutable — so identical (netlist, options) pairs share one.
 //
-// The key reuses the checkpoint package's canonical netlist hashing (the
-// same content binding that makes resume refuse a mismatched snapshot), so
-// any two construction paths that produce the same canonical EQN text hit
-// the same entry.
+// The key is a digest of exactly what a sweep reads (see structureHash), so
+// two netlists parsed from the same text — gfred's admission and execution
+// copies of one submission — hit the same entry. It formats nothing, so
+// computing it costs a small fraction of the sweep, where the canonical EQN
+// hash (checkpoint.HashNetlist) costs about half of one.
 
 const cacheCap = 64
 
@@ -27,31 +30,75 @@ var cache = struct {
 	order []string // insertion order, oldest first
 }{m: make(map[string]*Result)}
 
-// cacheKey binds the content hash to every option that shapes the result —
-// plus the gate and input counts, because canonical text alone is not
-// structural identity: WriteEQN synthesizes alias-buffer lines for renamed
-// outputs, so a netlist and its EQN round-trip (which has real Buf gates
-// for those lines) serialize identically while owning different gate ID
-// spaces. Facts are indexed by gate ID; handing one netlist the other's
-// Result would be out-of-bounds or, worse, silently wrong.
-func cacheKey(contentHash string, n *netlist.Netlist, opts Options) string {
-	return fmt.Sprintf("sem1|%s|g%d|i%d|tt%d|s%d",
-		contentHash, n.NumGates(), len(n.Inputs()), opts.ttMaxVars(), opts.maxSets())
+// cacheKey binds the netlist's digest to every option that shapes the
+// result.
+func cacheKey(n *netlist.Netlist, opts Options) string {
+	return fmt.Sprintf("sem2|%s|tt%d|s%d", structureHash(n), opts.ttMaxVars(), opts.maxSets())
+}
+
+// structureHash digests everything Analyze reads of n: every gate's type,
+// fanins and LUT table, the input names that classify the operands, and the
+// outputs with their names. Equal digests therefore mean equal Results:
+// unlike canonical EQN text, which a netlist and its round-trip share even
+// when their gate ID spaces differ, the digest covers the gate array facts
+// are indexed by. The model name is digested too, as in the canonical hash:
+// renaming a netlist files it under a new entry.
+func structureHash(n *netlist.Netlist) string {
+	h := sha256.New()
+	buf := make([]byte, 0, 1<<13)
+	flush := func() {
+		h.Write(buf) //nolint:errcheck — sha256 never errors
+		buf = buf[:0]
+	}
+	str := func(s string) {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+		if len(buf) >= 1<<12 {
+			flush()
+		}
+	}
+	str(n.Name)
+	buf = binary.AppendUvarint(buf, uint64(n.NumGates()))
+	for id := 0; id < n.NumGates(); id++ {
+		g := n.Gate(id)
+		buf = append(buf, byte(g.Type))
+		buf = binary.AppendUvarint(buf, uint64(len(g.Fanin)))
+		buf = binary.AppendUvarint(buf, uint64(len(g.Table)))
+		for _, f := range g.Fanin {
+			buf = binary.AppendUvarint(buf, uint64(id-f)) // fanins precede the gate
+		}
+		for i := 0; i < len(g.Table); i += 8 {
+			var b byte
+			for j := i; j < min(i+8, len(g.Table)); j++ {
+				if g.Table[j] {
+					b |= 1 << uint(j-i)
+				}
+			}
+			buf = append(buf, b)
+		}
+		if len(buf) >= 1<<12 {
+			flush()
+		}
+	}
+	ins := n.Inputs()
+	buf = binary.AppendUvarint(buf, uint64(len(ins)))
+	for _, id := range ins {
+		buf = binary.AppendUvarint(buf, uint64(id))
+		str(n.NameOf(id))
+	}
+	names := n.OutputNames()
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for i, id := range n.Outputs() {
+		buf = binary.AppendUvarint(buf, uint64(id))
+		str(names[i])
+	}
+	flush()
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // AnalyzeCached is Analyze behind a bounded content-addressed cache.
-// contentHash is the canonical netlist hash (checkpoint.HashNetlist); when
-// empty it is computed here. A different digest, such as one of the source
-// bytes, works but files the same netlist under a second entry.
-func AnalyzeCached(n *netlist.Netlist, contentHash string, opts Options) *Result {
-	if contentHash == "" {
-		h, err := checkpoint.HashNetlist(n)
-		if err != nil {
-			return Analyze(n, opts)
-		}
-		contentHash = h
-	}
-	key := cacheKey(contentHash, n, opts)
+func AnalyzeCached(n *netlist.Netlist, opts Options) *Result {
+	key := cacheKey(n, opts)
 
 	cache.Lock()
 	if r, ok := cache.m[key]; ok {
@@ -76,11 +123,4 @@ func AnalyzeCached(n *netlist.Netlist, contentHash string, opts Options) *Result
 	}
 	cache.Unlock()
 	return r
-}
-
-// CacheSize reports the number of cached results (for tests and metrics).
-func CacheSize() int {
-	cache.Lock()
-	defer cache.Unlock()
-	return len(cache.m)
 }

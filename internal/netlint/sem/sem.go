@@ -193,7 +193,7 @@ func Analyze(n *netlist.Netlist, opts Options) *Result {
 		a.suppBuf = make([]uint64, 1)
 	}
 	for id := 0; id < n.NumGates(); id++ {
-		a.facts[id] = a.transfer(id)
+		a.transfer(id, &a.facts[id])
 	}
 
 	r := &Result{
@@ -232,8 +232,9 @@ func Analyze(n *netlist.Netlist, opts Options) *Result {
 	return r
 }
 
-// transfer computes the lattice value of gate id from its fanins' values.
-func (a *analyzer) transfer(id int) fact {
+// transfer computes the lattice value of gate id from its fanins' values
+// into f, the gate's own slot.
+func (a *analyzer) transfer(id int, f *fact) {
 	g := a.n.Gate(id)
 	switch g.Type {
 	case netlist.Input:
@@ -241,7 +242,7 @@ func (a *analyzer) transfer(id int) fact {
 		// Exact facts carry their support explicitly in ttv[:ttn]; supp = -1
 		// defers bitset interning until an abstract consumer needs it, which
 		// keeps the pool out of the (dominant) exact-domain path entirely.
-		f := fact{supp: -1, konst: -1, ttn: 1, tt: 0b10, degTot: 1, unate: true, exact: true}
+		*f = fact{supp: -1, konst: -1, ttn: 1, tt: 0b10, degTot: 1, unate: true, exact: true}
 		f.ttv[0] = int32(id)
 		switch a.ports.Class[pos] {
 		case ClassA:
@@ -251,11 +252,13 @@ func (a *analyzer) transfer(id int) fact {
 		default:
 			f.degK = 1
 		}
-		return f
+		return
 	case netlist.Const0:
-		return fact{konst: 0, syn: true, unate: true, exact: true}
+		*f = fact{konst: 0, syn: true, unate: true, exact: true}
+		return
 	case netlist.Const1:
-		return fact{konst: 1, syn: true, unate: true, exact: true}
+		*f = fact{konst: 1, syn: true, unate: true, exact: true}
+		return
 	}
 
 	// Partition fanin slots into constants and distinct variable signals;
@@ -291,7 +294,8 @@ func (a *analyzer) transfer(id int) fact {
 	k := len(a.uid)
 
 	if k > 6 {
-		return a.coarse()
+		*f = a.coarse()
+		return
 	}
 
 	// Plain 1- and 2-input cells on distinct non-constant fanins — the bulk
@@ -361,29 +365,40 @@ func (a *analyzer) transfer(id int) fact {
 			// Constant with no essential variables left: syntactic when a
 			// constant fanin forced it, algebraic when distinct live signals
 			// cancelled (XOR(x,x), MUX with equal branches, ...).
-			return fact{konst: v, syn: hadConstFanin, unate: true, exact: true}
+			*f = fact{konst: v, syn: hadConstFanin, unate: true, exact: true}
+			return
 		}
 	}
 
-	if f, ok := a.exactCompose(T, k); ok {
-		return f
+	cell := netlist.Input // no plain 2-input cell
+	if fast && k == 2 {
+		cell = g.Type
 	}
-	return a.abstract(T, k)
+	if !a.exactCompose(f, T, k, cell) {
+		*f = a.abstract(T, k)
+	}
 }
 
 // exactCompose tries to settle the gate in the truth-table domain: all
 // remaining fanins must be exact and their combined variable set small.
-func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
+// cell is the gate's type when it is a plain 2-input cell on two distinct
+// non-constant fanins, netlist.Input otherwise. On success the fact is
+// written to f.
+func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType) bool {
+	if cell != netlist.Input && a.plainProduct(f, T, cell) {
+		return true
+	}
 	// The joint variable set: merge the fanins' ascending variable lists,
 	// giving up as soon as it outgrows the exact domain.
 	ttMax := a.opts.ttMaxVars()
 	var bufs [2][6]int32 // merge ping-pong: bufs[cur][:nv] is the set so far
-	cur, nv := 0, 0
+	cur, nv, listed := 0, 0, 0
 	for _, u := range a.uid {
 		uf := &a.facts[u]
 		if uf.ttn < 0 {
-			return fact{}, false
+			return false
 		}
+		listed += int(uf.ttn)
 		src, dst := &bufs[cur], &bufs[cur^1]
 		i, j, m, nf := 0, 0, 0, int(uf.ttn)
 		for i < nv || j < nf {
@@ -401,7 +416,7 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 				j++
 			}
 			if m == ttMax {
-				return fact{}, false
+				return false
 			}
 			dst[m] = v
 			m++
@@ -454,6 +469,16 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 		out |= term
 	}
 
+	// Two fanins over disjoint variables through a plain 2-input cell — the
+	// bulk of a multiplier's XOR trees: every joint variable stays
+	// essential, and degrees and unateness compose without the spectrum.
+	if cell != netlist.Input && nv == listed {
+		*f = fact{supp: -1, konst: -1, ttn: int8(nv), tt: out, exact: true}
+		copy(f.ttv[:], vbuf)
+		a.composeDisjoint(f, cell)
+		return true
+	}
+
 	// Composition can cancel variables (reconvergence); compact them away.
 	for i := nv - 1; i >= 0; i-- {
 		if !essential(out, nv, i) {
@@ -468,10 +493,11 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 		if out&1 == 1 {
 			v = 1
 		}
-		return fact{konst: v, unate: true, exact: true}, true
+		*f = fact{konst: v, unate: true, exact: true}
+		return true
 	}
 
-	f := fact{konst: -1, ttn: int8(nv), tt: out, exact: true}
+	*f = fact{konst: -1, ttn: int8(nv), tt: out, exact: true}
 	copy(f.ttv[:], vbuf)
 
 	// Exact degrees from the ANF spectrum: bit position m of spec encodes a
@@ -504,7 +530,41 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 			f.unate = false
 		}
 	}
-	return f, true
+	return true
+}
+
+// plainProduct settles a plain 2-input cell over two distinct primary
+// input variables — every partial product of a multiplier — directly: the
+// six plain 2-input cells are symmetric, so T is already the table over the
+// ascending pair.
+func (a *analyzer) plainProduct(f *fact, T uint64, cell netlist.GateType) bool {
+	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
+	if u.ttn != 1 || u.tt != 0b10 || w.ttn != 1 || w.tt != 0b10 || u.ttv[0] == w.ttv[0] || a.opts.ttMaxVars() < 2 {
+		return false // a buffered copy of the same input is not a second variable
+	}
+	*f = fact{supp: -1, konst: -1, ttn: 2, tt: T, exact: true}
+	f.ttv[0], f.ttv[1] = min(u.ttv[0], w.ttv[0]), max(u.ttv[0], w.ttv[0])
+	a.composeDisjoint(f, cell)
+	return true
+}
+
+// composeDisjoint sets the degrees and unateness of a plain 2-input cell
+// whose two exact fanins read disjoint variables. Each fanin is
+// non-constant with every variable essential, so the facts compose
+// algebraically: a product (AND, OR = f+g+fg, and their complements) adds
+// the fanins' per-class degrees and is unate iff both fanins are, while a
+// sum (XOR, XNOR) keeps the larger degrees and, over disjoint supports, is
+// never unate.
+func (a *analyzer) composeDisjoint(f *fact, cell netlist.GateType) {
+	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
+	if cell == netlist.Xor || cell == netlist.Xnor {
+		f.degA, f.degB = maxDeg(u.degA, w.degA), maxDeg(u.degB, w.degB)
+		f.degK, f.degTot = maxDeg(u.degK, w.degK), maxDeg(u.degTot, w.degTot)
+		return
+	}
+	f.degA, f.degB = u.degA+w.degA, u.degB+w.degB
+	f.degK, f.degTot = u.degK+w.degK, u.degTot+w.degTot
+	f.unate = u.unate && w.unate
 }
 
 // abstract settles the gate in the abstract domain: monomial-wise degree

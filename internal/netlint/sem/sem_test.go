@@ -2,6 +2,7 @@ package sem
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -240,7 +241,7 @@ func TestUnpartitionedPorts(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCached checks the content-hash cache shares results.
+// TestAnalyzeCached checks the content-addressed cache shares results.
 func TestAnalyzeCached(t *testing.T) {
 	p, err := polytab.Default(8)
 	if err != nil {
@@ -250,15 +251,10 @@ func TestAnalyzeCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := AnalyzeCached(n, "", Options{})
-	r2 := AnalyzeCached(n, "", Options{})
+	r1 := AnalyzeCached(n, Options{})
+	r2 := AnalyzeCached(n, Options{})
 	if r1 != r2 {
 		t.Error("identical netlists did not share a cached result")
-	}
-	r3 := AnalyzeCached(n, "explicit-hash", Options{})
-	r4 := AnalyzeCached(n, "explicit-hash", Options{})
-	if r3 != r4 {
-		t.Error("explicit-hash results not shared")
 	}
 }
 
@@ -400,5 +396,103 @@ func TestSuppPoolInternsThroughGrowth(t *testing.T) {
 	}
 	if p.widens != 0 {
 		t.Errorf("%d widenings below the cap", p.widens)
+	}
+}
+
+// TestExactFactsMatchBruteForce checks every exact fact against the wire's
+// full truth table: on random DAGs of plain cells over six named operand
+// bits (and over six unpartitioned inputs), each wire is simulated on all
+// 64 input rows, and its constness, support, per-class ANF degrees and
+// unateness are recomputed from that table. Partial products, disjoint
+// compositions and reconvergent ones all occur, so every route through
+// the exact domain is held to the same oracle.
+func TestExactFactsMatchBruteForce(t *testing.T) {
+	cells := []netlist.GateType{netlist.And, netlist.Or, netlist.Xor, netlist.Xnor, netlist.Nand, netlist.Nor, netlist.Not, netlist.Buf}
+	r := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 300; iter++ {
+		names := []string{"a0", "a1", "a2", "b0", "b1", "b2"}
+		if iter%3 == 2 {
+			names = []string{"x0", "x1", "x2", "x3", "x4", "x5"}
+		}
+		n := netlist.New(fmt.Sprintf("brute%d", iter))
+		for _, name := range names {
+			if _, err := n.AddInput(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g := 0; g < 40; g++ {
+			typ := cells[r.Intn(len(cells))]
+			fanin := []int{r.Intn(n.NumGates())}
+			if typ != netlist.Not && typ != netlist.Buf {
+				fanin = append(fanin, r.Intn(n.NumGates()))
+			}
+			if _, err := n.AddGate(typ, fanin...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.MarkOutput("z0", n.NumGates()-1); err != nil {
+			t.Fatal(err)
+		}
+		res := Analyze(n, Options{})
+
+		// Input i's word holds bit i of every row index 0..63.
+		words := make([]uint64, len(names))
+		for i := range words {
+			words[i] = ^lowMask[i]
+		}
+		vals, err := n.Simulate(words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, tt := range vals {
+			if !res.Exact(id) {
+				t.Fatalf("iter %d gate %d: six-input wire left the exact domain", iter, id)
+			}
+			var supp []int
+			for i := range names {
+				if essential(tt, 6, i) {
+					supp = append(supp, n.Inputs()[i])
+				}
+			}
+			if v, ok := res.Const(id); ok != (len(supp) == 0) || ok && v != (tt&1 == 1) {
+				t.Fatalf("iter %d gate %d: const = %v/%v for table %#x", iter, id, v, ok, tt)
+			}
+			if got := res.SupportInputs(id); !slices.Equal(got, supp) {
+				t.Fatalf("iter %d gate %d: support %v, want %v", iter, id, got, supp)
+			}
+			var wantA, wantB, wantK, wantTot int
+			for s := mobius(tt, 6) &^ 1; s != 0; s &= s - 1 {
+				m := bits.TrailingZeros64(s)
+				var da, db, dk int
+				for i := range names {
+					if m>>uint(i)&1 == 0 {
+						continue
+					}
+					switch res.Ports.Class[i] {
+					case ClassA:
+						da++
+					case ClassB:
+						db++
+					default:
+						dk++
+					}
+				}
+				wantA, wantB, wantK = max(wantA, da), max(wantB, db), max(wantK, dk)
+				wantTot = max(wantTot, da+db+dk)
+			}
+			if da, db, dk, dt := res.Degrees(id); da != wantA || db != wantB || dk != wantK || dt != wantTot {
+				t.Fatalf("iter %d gate %d (%v): degrees %d/%d/%d/%d, want %d/%d/%d/%d",
+					iter, id, n.Gate(id).Type, da, db, dk, dt, wantA, wantB, wantK, wantTot)
+			}
+			unate := true
+			for i := range names {
+				if !unateIn(tt, 6, i) {
+					unate = false
+				}
+			}
+			if res.Unate(id) != unate {
+				t.Fatalf("iter %d gate %d (%v): unate = %v, want %v", iter, id, n.Gate(id).Type, res.Unate(id), unate)
+			}
+		}
 	}
 }

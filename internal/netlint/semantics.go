@@ -13,25 +13,20 @@ import (
 // four rules plus the degree-driven cost predictor. Syntactic rules see gate
 // shapes; these see what the gates compute.
 
-// Sem returns the semantic sweep for the netlist under analysis, running it
-// on first use. The result is shared by every semantic rule and the cost
-// predictor, and cached across Analyze calls by content hash.
+// Sem returns the semantic sweep for the netlist under analysis, waiting for
+// Analyze's concurrent run of it (or running it on first use outside
+// Analyze). The result is shared by every semantic rule and the cost
+// predictor, and cached across Analyze calls by content (see
+// sem.AnalyzeCached).
 func (c *Context) Sem() *sem.Result {
-	if !c.semOnce {
-		c.semOnce = true
-		c.sem = sem.AnalyzeCached(c.N, c.contentHash(), sem.Options{})
+	if c.swept != nil {
+		c.sem = <-c.swept
+		c.swept = nil
+	}
+	if c.sem == nil {
+		c.sem = sem.AnalyzeCached(c.N, sem.Options{})
 	}
 	return c.sem
-}
-
-// contentHash returns the canonical netlist hash, waiting for Analyze's
-// concurrent computation of it if one is in flight.
-func (c *Context) contentHash() string {
-	if c.hashed != nil {
-		c.hash = <-c.hashed
-		c.hashed = nil
-	}
-	return c.hash
 }
 
 // AlgebraSummary is the report-level digest of the semantic sweep.

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -452,14 +451,4 @@ func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 	rep.SuggestedConeTimeoutMS = dag.SuggestedConeTimeoutMS
 	sortFindings(rep.Findings)
 	return rep
-}
-
-// LintFile reads and lints one netlist file. The error covers I/O only;
-// netlist problems come back as findings.
-func LintFile(path string, opts Options) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("netlint: %w", err)
-	}
-	return AnalyzeSource(data, path, "", opts), nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -451,6 +450,9 @@ type eqnNames struct {
 
 func (n *Netlist) renderNames() eqnNames {
 	e := eqnNames{arena: make([]byte, 0, 8*len(n.gates)), off: make([]int32, 1, len(n.gates)+1)}
+	// dec holds id in decimal, counted up once per gate: cheaper than
+	// formatting every synthesized name from scratch.
+	dec := []byte{'0'}
 	for id, s := range n.names {
 		switch {
 		case s != "":
@@ -458,11 +460,24 @@ func (n *Netlist) renderNames() eqnNames {
 		case n.isShadowed(id):
 			e.arena = append(e.arena, n.NameOf(id)...)
 		default:
-			e.arena = strconv.AppendInt(append(e.arena, 'n'), int64(id), 10)
+			e.arena = append(append(e.arena, 'n'), dec...)
 		}
 		e.off = append(e.off, int32(len(e.arena)))
+		dec = incDecimal(dec)
 	}
 	return e
+}
+
+// incDecimal adds one to the decimal number in d.
+func incDecimal(d []byte) []byte {
+	for i := len(d) - 1; i >= 0; i-- {
+		if d[i] < '9' {
+			d[i]++
+			return d
+		}
+		d[i] = '0'
+	}
+	return append([]byte{'1'}, d...)
 }
 
 // append appends gate id's name to b.
