@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -30,42 +31,48 @@ type eqnToken struct {
 }
 
 // eqnLexer tokenizes one line at a time as the parser asks for tokens, so
-// parsing holds the current line's tokens instead of the whole file's.
+// parsing holds the current line's tokens instead of the whole file's. It
+// lexes in place: every identifier is a substring of the input.
 type eqnLexer struct {
-	sc     *bufio.Scanner
+	src    string // the whole input; src[off:] is not lexed yet
+	off    int
 	lineNo int
 	toks   []eqnToken // tokens of line lineNo; toks[pos:] are unread
 	pos    int
-	err    error // the first lexing or read error; the input ends there
+	err    error // the first lexing error; the input ends there
 }
 
-func isIdentRune(r byte) bool {
-	return r == '_' || r == '[' || r == ']' || r == '.' ||
-		r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9'
-}
-
-func newEQNLexer(r io.Reader) *eqnLexer {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 64*1024*1024)
-	return &eqnLexer{sc: sc}
-}
+// eqnClass classifies input bytes for the lexer.
+var eqnClass = func() (c [256]byte) {
+	for _, b := range []byte(" \t\r") {
+		c[b] = ' '
+	}
+	for _, b := range []byte("=;()!*+^") {
+		c[b] = '='
+	}
+	for _, b := range []byte("_[].abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789") {
+		c[b] = 'i'
+	}
+	return c
+}()
 
 // fill lexes lines until an unread token is available. It reports false at
 // the end of the input and after an error, which it leaves in lx.err.
 func (lx *eqnLexer) fill() bool {
 	for lx.pos >= len(lx.toks) {
-		if lx.err != nil {
+		if lx.err != nil || lx.off == len(lx.src) {
 			return false
 		}
-		if !lx.sc.Scan() {
-			if err := lx.sc.Err(); err != nil {
-				lx.err = fmt.Errorf("eqn: %w", err)
-			}
-			return false
+		line := lx.src[lx.off:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+			lx.off += i + 1
+		} else {
+			lx.off = len(lx.src)
 		}
 		lx.lineNo++
 		lx.toks, lx.pos = lx.toks[:0], 0
-		if err := lx.lexLine(lx.sc.Text()); err != nil {
+		if err := lx.lexLine(line); err != nil {
 			lx.err = err
 			return false
 		}
@@ -75,7 +82,7 @@ func (lx *eqnLexer) fill() bool {
 
 // lexLine appends the tokens of one line to lx.toks.
 func (lx *eqnLexer) lexLine(line string) error {
-	if i := strings.IndexAny(line, "#"); i >= 0 {
+	if i := strings.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]
 	}
 	if i := strings.Index(line, "//"); i >= 0 {
@@ -83,15 +90,15 @@ func (lx *eqnLexer) lexLine(line string) error {
 	}
 	for i := 0; i < len(line); {
 		c := line[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r':
+		switch eqnClass[c] {
+		case ' ':
 			i++
-		case strings.IndexByte("=;()!*+^", c) >= 0:
+		case '=':
 			lx.toks = append(lx.toks, eqnToken{kind: c, line: lx.lineNo})
 			i++
-		case isIdentRune(c):
-			j := i
-			for j < len(line) && isIdentRune(line[j]) {
+		case 'i':
+			j := i + 1
+			for j < len(line) && eqnClass[line[j]] == 'i' {
 				j++
 			}
 			word := line[i:j]
@@ -147,6 +154,9 @@ func tokenDesc(t eqnToken) string {
 type eqnParser struct {
 	lx *eqnLexer
 	n  *Netlist
+	// stmts is the input's statement count, by which the netlist is
+	// presized at the first assignment, once the inputs are in.
+	stmts int
 }
 
 // EQNName extracts the netlist name recorded in a serialized EQN body's
@@ -164,7 +174,9 @@ func EQNName(eqn, fallback string) string {
 }
 
 // ReadEQN parses an equation-format netlist. All syntax and structure
-// failures are wrapped in ErrParse.
+// failures, and read errors, are wrapped in ErrParse. It reads the whole
+// input first, into one string that the netlist's signal names are
+// substrings of, and sizes the netlist from its statement count.
 func ReadEQN(r io.Reader, name string) (*Netlist, error) {
 	n, err := readEQN(r, name)
 	if err != nil {
@@ -174,14 +186,34 @@ func ReadEQN(r io.Reader, name string) (*Netlist, error) {
 }
 
 func readEQN(r io.Reader, name string) (*Netlist, error) {
-	lx := newEQNLexer(r)
-	n, err := (&eqnParser{lx: lx, n: New(name)}).parse()
+	src, err := readInput(r)
+	if err != nil {
+		return nil, fmt.Errorf("eqn: %w", err)
+	}
+	lx := &eqnLexer{src: src}
+	n, err := (&eqnParser{lx: lx, n: New(name), stmts: strings.Count(src, ";")}).parse()
 	if lx.err != nil {
 		// The input ended at the error, so whatever the parser reported
 		// after it is a consequence.
 		return nil, lx.err
 	}
 	return n, err
+}
+
+// readInput reads r to its end into one string, in one allocation when r
+// reports its size (files, and bytes and strings readers).
+func readInput(r io.Reader) (string, error) {
+	var b strings.Builder
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		b.Grow(s.Len())
+	case *os.File:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			b.Grow(int(fi.Size()))
+		}
+	}
+	_, err := io.Copy(&b, r)
+	return b.String(), err
 }
 
 // parse reads the statements up to the end of the input.
@@ -234,6 +266,10 @@ func (p *eqnParser) parse() (*Netlist, error) {
 				outOrder = append(outOrder, t2.text)
 			}
 		default:
+			if p.stmts > 0 {
+				p.n.reserve(p.stmts)
+				p.stmts = 0
+			}
 			if _, err := lx.expect('='); err != nil {
 				return nil, err
 			}

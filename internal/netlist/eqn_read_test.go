@@ -3,13 +3,16 @@ package netlist_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/galoisfield/gfre/internal/gen"
 	"github.com/galoisfield/gfre/internal/gf2poly"
 	"github.com/galoisfield/gfre/internal/netlist"
+	"github.com/galoisfield/gfre/internal/polytab"
 )
 
 // TestReadEQNStatementsSpanLines checks that the line-by-line lexer still
@@ -42,6 +45,21 @@ func TestReadEQNReportsLexErrorOverItsConsequence(t *testing.T) {
 	}
 }
 
+// TestReadEQNReadErrorIsParseError checks that a source failing mid-stream
+// fails the read as an ErrParse-wrapped eqn error that keeps the cause,
+// even when the part read before the failure parses.
+func TestReadEQNReadErrorIsParseError(t *testing.T) {
+	cause := errors.New("disk on fire")
+	src := io.MultiReader(strings.NewReader("INORDER = a;\nOUTORDER = z;\nz = !a;\n"), iotest.ErrReader(cause))
+	_, err := netlist.ReadEQN(src, "broken")
+	if !errors.Is(err, netlist.ErrParse) || !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want ErrParse wrapping the read error", err)
+	}
+	if !strings.Contains(err.Error(), "eqn: disk on fire") {
+		t.Errorf("err = %q, want an eqn: read error", err)
+	}
+}
+
 // TestReadEQNAllocationBound guards the reader's memory: it tokenizes one
 // line at a time, so parsing allocates little beyond the netlist it builds
 // (21 bytes per input byte for this design). A reader that tokenizes the
@@ -65,5 +83,44 @@ func TestReadEQNAllocationBound(t *testing.T) {
 	t.Logf("ReadEQN allocated %.1f bytes per input byte", perByte)
 	if perByte > 40 {
 		t.Errorf("ReadEQN allocated %.1f bytes per input byte, want at most 40", perByte)
+	}
+}
+
+// TestReadEQNAllocationCount pins the reader's cost shape: it reads the
+// input into one string, lexes in place and presizes the netlist, name
+// index and fanin arena from the statement count, so the number of
+// allocations does not grow with the design. m=163 has 6.5 times m=64's
+// gates; a reader that allocates per line, per name or per gate makes tens
+// of thousands of allocations at m=64 alone.
+func TestReadEQNAllocationCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	allocs := map[int]float64{}
+	for _, m := range []int{64, 163} {
+		p, err := polytab.Default(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := gen.Mastrovito(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := n.WriteEQN(&buf); err != nil {
+			t.Fatal(err)
+		}
+		allocs[m] = testing.AllocsPerRun(3, func() {
+			if _, err := netlist.ReadEQN(bytes.NewReader(buf.Bytes()), "alloc"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("m=%d: ReadEQN made %.0f allocations for %d gates", m, allocs[m], n.NumGates())
+	}
+	if allocs[64] > 200 {
+		t.Errorf("ReadEQN of m=64 Mastrovito made %.0f allocations, want at most 200", allocs[64])
+	}
+	if allocs[163] > 2*allocs[64] {
+		t.Errorf("ReadEQN made %.0f allocations at m=163 against %.0f at m=64, want at most twice as many", allocs[163], allocs[64])
 	}
 }

@@ -19,9 +19,11 @@ package netlist
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"github.com/galoisfield/gfre/internal/anf"
@@ -157,9 +159,13 @@ func (g Gate) Eval(in []bool) bool {
 type Netlist struct {
 	Name string
 
-	gates  []Gate
-	names  []string // signal name per gate ("" if anonymous)
-	byName map[string]int
+	gates []Gate
+	names []string // signal name per gate ("" if anonymous)
+	index nameIndex
+	// fanins is the arena Gate.Fanin lists are carved from: the chunk in
+	// use, each list a capacity-capped slice of it. A full chunk is left to
+	// the gates that point into it and a new one started.
+	fanins []int
 	// shadowed is a bitset over gate IDs: bit id is set once another gate
 	// or an output port carries "n<id>", the name NameOf synthesizes for an
 	// anonymous gate id. Such a name registered before gate id exists waits
@@ -170,6 +176,11 @@ type Netlist struct {
 	inputs      []int // gate IDs of primary inputs, in port order
 	outputs     []int // gate IDs driving primary outputs, in port order
 	outputNames []string
+	// portText holds the bytes of every port name: the inputs' names and
+	// outputNames. Port names outlive the netlist, in results, event
+	// journals, checkpoints and the semantic-analysis cache, and one that
+	// is a substring of a parsed input would keep all of it alive there.
+	portText strings.Builder
 
 	// coneSizes memoizes ConeSizes; every mutator resets it. The mutex lets
 	// concurrent readers (rewrite workers, shard leases) share one build.
@@ -179,7 +190,35 @@ type Netlist struct {
 
 // New returns an empty netlist with the given model name.
 func New(name string) *Netlist {
-	return &Netlist{Name: name, byName: make(map[string]int)}
+	return &Netlist{Name: name}
+}
+
+// minFaninChunk is the smallest fanin arena chunk.
+const minFaninChunk = 1024
+
+// reserve presizes the netlist for gates more gates, each named and with
+// two fanins on average.
+func (n *Netlist) reserve(gates int) {
+	n.gates = slices.Grow(n.gates, gates)
+	n.names = slices.Grow(n.names, gates)
+	n.index.reserve(gates)
+	if need := 2 * gates; cap(n.fanins)-len(n.fanins) < need {
+		n.fanins = make([]int, 0, max(need, minFaninChunk))
+	}
+}
+
+// copyFanin copies a fanin list into the arena. Chunks grow with the
+// netlist, so their count is logarithmic in its size.
+func (n *Netlist) copyFanin(fanin []int) []int {
+	if len(fanin) == 0 {
+		return nil
+	}
+	if cap(n.fanins)-len(n.fanins) < len(fanin) {
+		n.fanins = make([]int, 0, max(len(fanin), len(n.gates), minFaninChunk))
+	}
+	i := len(n.fanins)
+	n.fanins = append(n.fanins, fanin...)
+	return n.fanins[i:len(n.fanins):len(n.fanins)]
 }
 
 // NumGates returns the total number of nodes including primary inputs and
@@ -216,20 +255,28 @@ func (n *Netlist) NameOf(id int) string {
 	}
 	for j := 1; ; j++ {
 		alt := s + "_" + strconv.Itoa(j)
-		if _, taken := n.byName[alt]; !taken {
+		if _, taken := n.Lookup(alt); !taken {
 			return alt
 		}
 	}
 }
 
 // synthesizedID reports whether name is "n<id>", the name NameOf
-// synthesizes for an anonymous gate id.
+// synthesizes for an anonymous gate id. Unlike strconv.Atoi, which builds
+// an error for every name it rejects, it never allocates.
 func synthesizedID(name string) (int, bool) {
-	if len(name) < 2 || name[0] != 'n' || name[1] < '0' || name[1] > '9' || name[1] == '0' && len(name) > 2 {
+	if len(name) < 2 || name[0] != 'n' || name[1] == '0' && len(name) > 2 {
 		return 0, false
 	}
-	id, err := strconv.Atoi(name[1:])
-	return id, err == nil
+	id := 0
+	for _, c := range []byte(name[1:]) {
+		d := int(c - '0')
+		if c < '0' || c > '9' || id > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		id = id*10 + d
+	}
+	return id, true
 }
 
 // shadow records that the synthesized name of gate id is taken.
@@ -254,8 +301,7 @@ func (n *Netlist) isShadowed(id int) bool {
 
 // Lookup resolves a signal name to its gate ID.
 func (n *Netlist) Lookup(name string) (int, bool) {
-	id, ok := n.byName[name]
-	return id, ok
+	return n.index.lookup(name, n.names)
 }
 
 // Inputs returns the primary input gate IDs in port order.
@@ -271,10 +317,9 @@ func (n *Netlist) setName(id int, name string) error {
 	if name == "" {
 		return nil
 	}
-	if old, ok := n.byName[name]; ok && old != id {
+	if !n.index.set(name, id, n.names) {
 		return fmt.Errorf("netlist: duplicate signal name %q", name)
 	}
-	n.byName[name] = id
 	n.names[id] = name
 	if k, ok := synthesizedID(name); ok && k != id {
 		n.shadow(k)
@@ -282,10 +327,17 @@ func (n *Netlist) setName(id int, name string) error {
 	return nil
 }
 
+// portName returns a copy of name in portText.
+func (n *Netlist) portName(name string) string {
+	i := n.portText.Len()
+	n.portText.WriteString(name)
+	return n.portText.String()[i:]
+}
+
 // AddInput appends a primary input with the given name and returns its ID.
 func (n *Netlist) AddInput(name string) (int, error) {
 	id := n.appendGate(Gate{Type: Input})
-	if err := n.setName(id, name); err != nil {
+	if err := n.setName(id, n.portName(name)); err != nil {
 		n.gates = n.gates[:id]
 		n.names = n.names[:id]
 		return 0, err
@@ -307,7 +359,7 @@ func (n *Netlist) AddGate(t GateType, fanin ...int) (int, error) {
 	if a := t.Arity(); len(fanin) != a {
 		return 0, fmt.Errorf("netlist: %v needs %d fanins, got %d", t, a, len(fanin))
 	}
-	return n.addChecked(Gate{Type: t, Fanin: append([]int(nil), fanin...)})
+	return n.addChecked(t, fanin, nil)
 }
 
 // AddLut appends a truth-table gate. table row i holds the output value when
@@ -319,21 +371,19 @@ func (n *Netlist) AddLut(table []bool, fanin ...int) (int, error) {
 	if len(table) != 1<<uint(len(fanin)) {
 		return 0, fmt.Errorf("netlist: LUT table has %d rows for %d inputs", len(table), len(fanin))
 	}
-	return n.addChecked(Gate{
-		Type:  Lut,
-		Fanin: append([]int(nil), fanin...),
-		Table: append([]bool(nil), table...),
-	})
+	return n.addChecked(Lut, fanin, append([]bool(nil), table...))
 }
 
-func (n *Netlist) addChecked(g Gate) (int, error) {
+// addChecked appends a gate after checking its fanins, copying them into
+// the arena.
+func (n *Netlist) addChecked(t GateType, fanin []int, table []bool) (int, error) {
 	id := len(n.gates)
-	for _, f := range g.Fanin {
+	for _, f := range fanin {
 		if f < 0 || f >= id {
 			return 0, fmt.Errorf("netlist: gate %d fanin %d out of range (forward reference or negative)", id, f)
 		}
 	}
-	return n.appendGate(g), nil
+	return n.appendGate(Gate{Type: t, Fanin: n.copyFanin(fanin), Table: table}), nil
 }
 
 // appendGate adds g as an anonymous gate and returns its ID.
@@ -367,7 +417,7 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 		n.shadow(k)
 	}
 	n.outputs = append(n.outputs, id)
-	n.outputNames = append(n.outputNames, name)
+	n.outputNames = append(n.outputNames, n.portName(name))
 	n.coneSizes = nil
 	return nil
 }

@@ -8,18 +8,28 @@ import (
 	"time"
 
 	"github.com/galoisfield/gfre/internal/gen"
+	"github.com/galoisfield/gfre/internal/gf2poly"
+	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/polytab"
 )
 
 // montgomeryText renders a Montgomery multiplier as EQN text — the slow
 // workload (deep recombination cones) for deadline and overload tests.
-func montgomeryText(t *testing.T, m int) string {
+func montgomeryText(t *testing.T, m int) string { return multiplierText(t, gen.Montgomery, m) }
+
+// karatsubaText renders a Karatsuba multiplier as EQN text: the slowest to
+// rewrite for its size, since its shared subproducts make every cone deep.
+func karatsubaText(t *testing.T, m int) string { return multiplierText(t, gen.Karatsuba, m) }
+
+// multiplierText renders build's m-bit multiplier for the default P(x) as
+// EQN text.
+func multiplierText(t *testing.T, build func(int, gf2poly.Poly) (*netlist.Netlist, error), m int) string {
 	t.Helper()
 	p, err := polytab.Default(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := gen.Montgomery(m, p)
+	n, err := build(m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,12 +418,20 @@ func TestDeadlineCancelsMidExtraction(t *testing.T) {
 	}
 	defer q.Drain(5 * time.Second)
 
-	// A sharded extraction big enough to outlive its 150ms deadline (a
-	// Montgomery multiplier's deep cones take seconds at this width): the
-	// deadline context must cancel the governor cone work AND release the
-	// pool's leases (pool.Close on the extract return path) within one TTL.
+	// A sharded extraction that outlives its 150ms deadline by far: the
+	// deadline counts from admission, which lints before it starts, and an
+	// m=256 Karatsuba multiplier parses and re-lints in tens of
+	// milliseconds but takes about two seconds of rewriting on two cores,
+	// its shared subproducts making every cone deep. The deadline context
+	// must cancel the governor cone work AND release the pool's leases
+	// (pool.Close on the extract return path) within one TTL. The race
+	// detector slows every phase about fivefold, the deadline with them.
+	deadlineMS := int64(150)
+	if raceEnabled {
+		deadlineMS = 1000
+	}
 	st0, err := q.Submit(&JobSpec{
-		Netlist: montgomeryText(t, 96), Shard: 2, DeadlineMS: 150, Name: "deadline-shard",
+		Netlist: karatsubaText(t, 256), Shard: 2, DeadlineMS: deadlineMS, Name: "deadline-shard",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -431,6 +449,11 @@ func TestDeadlineCancelsMidExtraction(t *testing.T) {
 	// Terminal within deadline + one lease TTL + scheduling slack.
 	if elapsed > 5*time.Second {
 		t.Fatalf("deadline job took %v to settle, want prompt cancellation", elapsed)
+	}
+	// Rewriting had started: the deadline cancelled leased cone work, not
+	// parsing or run-time lint.
+	if n := q.counter("leases_granted").Value(); n < 1 {
+		t.Fatalf("leases_granted = %d, want >= 1 (deadline fired before rewriting)", n)
 	}
 	// Every lease the pool granted was released when the pool closed.
 	if active := q.gauge("leases_active").Value(); active != 0 {
