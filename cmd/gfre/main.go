@@ -42,6 +42,7 @@ import (
 
 	gfre "github.com/galoisfield/gfre"
 	"github.com/galoisfield/gfre/internal/extract"
+	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/shard"
 )
 
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("gfre", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		format    = fs.String("format", "auto", "netlist format: eqn, blif, verilog or auto (by file extension)")
+		format    = fs.String("format", "auto", "netlist format: eqn, blif, verilog or auto (by file extension, then content)")
 		threads   = fs.Int("threads", 0, "rewriting worker threads; 0 = auto (GOMAXPROCS). The paper's experiments use 16")
 		prefixA   = fs.String("a", "a", "input-name prefix of operand A")
 		prefixB   = fs.String("b", "b", "input-name prefix of operand B")
@@ -209,29 +210,8 @@ exit codes:
 	}
 	defer f.Close()
 
-	kind := *format
-	if kind == "auto" {
-		switch strings.ToLower(filepath.Ext(path)) {
-		case ".blif":
-			kind = "blif"
-		case ".v", ".sv", ".vg":
-			kind = "verilog"
-		default:
-			kind = "eqn"
-		}
-	}
 	parseSpan := rec.StartSpan("parse", nil)
-	var n *gfre.Netlist
-	switch kind {
-	case "eqn":
-		n, err = gfre.ReadEQN(f, filepath.Base(path))
-	case "blif":
-		n, err = gfre.ReadBLIF(f)
-	case "verilog":
-		n, err = gfre.ReadVerilog(f)
-	default:
-		err = fmt.Errorf("%w: unknown format %q", errUsage, kind)
-	}
+	n, err := netlist.Read(f, *format, filepath.Base(path))
 	parseSpan.End()
 	if err != nil {
 		return err

@@ -2,7 +2,6 @@ package diffcheck
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -16,12 +15,12 @@ import (
 )
 
 // runChaos is the chaos-injection oracle for lease-based sharded extraction
-// (package shard): it plants a known P(x), then executes the extraction
-// through a pack of deliberately unreliable workers — workers are killed
-// mid-lease, heartbeats are swallowed so leases expire under their owners,
-// live leases are force-expired ("network partition"), submissions are
-// delayed past the deadline, duplicated and submitted out of order. The
-// oracle then demands that none of it mattered:
+// (package shard): it plants a known P(x), then runs the production worker
+// loop (shard.RunWorkers) against a fault-injecting Source around the pool
+// — workers are killed mid-lease, heartbeats are swallowed so leases expire
+// under their owners, submissions are delayed past the deadline, split and
+// reordered, and duplicated — while a partitioner force-expires live leases.
+// The oracle then demands that none of it mattered:
 //
 //   - the assembled extraction recovers exactly the planted P(x) and passes
 //     golden-model verification;
@@ -61,18 +60,14 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	ctx, cancel := context.WithTimeout(context.Background(), chaosCaseBudget)
 	defer cancel()
 
-	ch := &chaosWorkers{
-		pool: pool,
-		rng:  rand.New(rand.NewSource(c.Seed ^ 0x5ca1ab1e)),
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < chaosWorkerCount; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ch.loop(ctx, n, w)
-		}(w)
-	}
+	src := newChaosSource(ctx, pool, c.Seed^0x5ca1ab1e)
+	workersDone := make(chan struct{})
+	go func() {
+		defer close(workersDone)
+		shard.RunWorkers(ctx, src, n, shard.WorkerConfig{
+			ID: "chaos", Workers: chaosWorkerCount, IdleSleep: time.Millisecond,
+		})
+	}()
 	// The partitioner force-expires a random live lease now and then — the
 	// scheduler-side view of a worker SIGKILL or network partition.
 	partDone := make(chan struct{})
@@ -82,10 +77,10 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(time.Duration(10+ch.intn(30)) * time.Millisecond):
+			case <-time.After(time.Duration(10+src.intn(30)) * time.Millisecond):
 			}
-			if id := ch.randomLease(); id != "" && pool.ExpireLease(id) {
-				ch.count(&ch.forcedExpiries)
+			if id := src.randomLease(); id != "" {
+				pool.ExpireLease(id)
 			}
 		}
 	}()
@@ -93,7 +88,7 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	*stage = "chaos-run"
 	waitErr := pool.Wait(ctx)
 	cancel()
-	wg.Wait()
+	<-workersDone
 	<-partDone
 	if waitErr != nil {
 		return fail(fmt.Errorf("chaos extraction did not terminate within %v: %w (stats %+v)",
@@ -102,7 +97,7 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 
 	stats := pool.Stats()
 	res.Verdict = map[string]int64{
-		"kills": ch.kills, "expired": int64(stats.Expired),
+		"kills": src.kills, "expired": int64(stats.Expired),
 		"fenced": int64(stats.Fenced), "stolen": int64(stats.Stolen),
 	}
 
@@ -142,159 +137,161 @@ const (
 	chaosCaseBudget  = 60 * time.Second
 )
 
-// chaosWorkers drives unreliable workers against one pool and tallies the
-// faults it injected.
-type chaosWorkers struct {
+// leaseFate is what happens to a lease's worker, drawn when it is granted.
+type leaseFate int
+
+const (
+	fateHonest  leaseFate = iota
+	fateKilled            // the worker dies mid-lease
+	fateStarved           // its heartbeats are lost on the way
+)
+
+// chaosSource is a shard.Source around a pool that mistreats the lease
+// protocol the way unreliable workers and networks do; shard.RunWorkers
+// drives it, so every fault lands on the production worker loop. Each
+// lease draws its fate when it is granted:
+//
+//   - killed (1 in 5): renewals report ErrLeaseExpired to the worker, so it
+//     stops computing; the pool is not told and the submission is
+//     swallowed, so the lease expires and its cones re-queue elsewhere;
+//   - starved (1 in 5): renewals report a success that never reaches the
+//     pool, so the lease expires under a worker that keeps computing and
+//     its late submission must be fenced or deduplicated;
+//   - honest: renewals reach the pool.
+//
+// Every submission that is sent is delayed by 30–70 ms, mostly past the
+// lease TTL (1 in 4), split and sent tail first (1 in 3), and re-sent
+// whole (1 in 3).
+type chaosSource struct {
 	pool *shard.Pool
+	// sleep waits d for a delayed submission and reports false when the
+	// case ended first. Tests swap in a fake clock's Advance.
+	sleep func(d time.Duration) bool
 
 	mu     sync.Mutex
 	rng    *rand.Rand
-	leases []string // recently seen lease IDs, for the partitioner to shoot at
+	fates  map[string]leaseFate
+	recent []string // recently granted lease IDs, for the partitioner to shoot at
 
-	kills          int64 // workers killed mid-lease (cones abandoned)
-	swallowedHB    int64 // heartbeats dropped so the lease expires under its owner
+	kills          int64 // leases whose worker was killed mid-lease
+	swallowedHB    int64 // leases whose heartbeats never reached the pool
+	delayedSubmits int64 // submissions delayed past the lease TTL
+	splitSubmits   int64 // envelopes split and submitted tail first
 	dupSubmits     int64 // envelopes submitted twice
-	splitSubmits   int64 // envelopes split and submitted tail-first
-	delayedSubmits int64 // submissions delayed past the lease deadline
-	forcedExpiries int64 // leases force-expired by the partitioner
 }
 
-func (ch *chaosWorkers) intn(n int) int {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.rng.Intn(n)
-}
-
-func (ch *chaosWorkers) count(p *int64) {
-	ch.mu.Lock()
-	*p++
-	ch.mu.Unlock()
-}
-
-func (ch *chaosWorkers) recordLease(id string) {
-	ch.mu.Lock()
-	ch.leases = append(ch.leases, id)
-	if len(ch.leases) > 32 {
-		ch.leases = ch.leases[len(ch.leases)-32:]
-	}
-	ch.mu.Unlock()
-}
-
-func (ch *chaosWorkers) randomLease() string {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if len(ch.leases) == 0 {
-		return ""
-	}
-	return ch.leases[ch.rng.Intn(len(ch.leases))]
-}
-
-// loop is one unreliable worker: it leases, computes, and mistreats the
-// lease protocol in every way a real distributed worker could.
-func (ch *chaosWorkers) loop(ctx context.Context, n *netlist.Netlist, w int) {
-	name := fmt.Sprintf("chaos-%d", w)
-	for ctx.Err() == nil {
-		g, err := ch.pool.Lease(name, 0)
-		switch {
-		case errors.Is(err, shard.ErrDone):
-			return
-		case err != nil:
+func newChaosSource(ctx context.Context, pool *shard.Pool, seed int64) *chaosSource {
+	return &chaosSource{
+		pool: pool,
+		sleep: func(d time.Duration) bool {
+			t := time.NewTimer(d)
+			defer t.Stop()
 			select {
 			case <-ctx.Done():
-				return
-			case <-time.After(time.Duration(1+ch.intn(4)) * time.Millisecond):
+				return false
+			case <-t.C:
+				return true
 			}
-			continue
-		}
-		ch.recordLease(g.Lease)
-		ch.execute(ctx, n, g)
+		},
+		rng:   rand.New(rand.NewSource(seed)),
+		fates: map[string]leaseFate{},
 	}
 }
 
-// execute computes the cones of one grant under a chaos regime drawn per
-// lease: killed mid-lease, heartbeat-starved, or merely abused on submit.
-func (ch *chaosWorkers) execute(ctx context.Context, n *netlist.Netlist, g *shard.Grant) {
-	regime := ch.intn(10)
+func (s *chaosSource) intn(n int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rng.Intn(n)
+}
 
-	// Regimes 0-1: SIGKILL mid-lease — maybe compute a cone, submit
-	// nothing. The lease expires and every cone re-queues elsewhere.
-	if regime < 2 {
-		ch.count(&ch.kills)
-		if len(g.Cones) > 0 && ch.intn(2) == 0 {
-			rewrite.RewriteCone(n, g.Cones[0], rewrite.Options{Ctx: ctx})
-		}
-		return
+func (s *chaosSource) randomLease() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.recent) == 0 {
+		return ""
 	}
+	return s.recent[s.rng.Intn(len(s.recent))]
+}
 
-	// Regimes 2-3 starve the heartbeat: the lease expires under its owner
-	// while it keeps computing, so the eventual submission must be fenced
-	// (or deduped), never double-counted. Other regimes renew properly.
-	starve := regime < 4
-	if starve {
-		ch.count(&ch.swallowedHB)
-	}
-	hbCtx, hbCancel := context.WithCancel(ctx)
-	defer hbCancel()
-	var hbWG sync.WaitGroup
-	if !starve {
-		hbWG.Add(1)
-		go func() {
-			defer hbWG.Done()
-			t := time.NewTicker(10 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-hbCtx.Done():
-					return
-				case <-t.C:
-					if _, err := ch.pool.Renew(g.Lease, g.Epoch); err != nil {
-						return
-					}
-				}
-			}
-		}()
-	}
+func (s *chaosSource) fate(leaseID string) leaseFate {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fates[leaseID]
+}
 
-	var cones []checkpoint.Cone
-	for _, bit := range g.Cones {
-		if ctx.Err() != nil {
-			break
-		}
-		br, _ := rewrite.RewriteCone(n, bit, rewrite.Options{Ctx: ctx})
-		if br.Status == rewrite.StatusCancelled {
-			continue
-		}
-		cones = append(cones, checkpoint.FromBitResult(br))
+// Lease grants from the pool and draws the lease's fate.
+func (s *chaosSource) Lease(worker string, max int) (*shard.Grant, error) {
+	g, err := s.pool.Lease(worker, max)
+	if err != nil {
+		return g, err
 	}
-	hbCancel()
-	hbWG.Wait()
-	if len(cones) == 0 {
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch r := s.rng.Intn(10); {
+	case r < 2:
+		s.fates[g.Lease] = fateKilled
+		s.kills++
+	case r < 4:
+		s.fates[g.Lease] = fateStarved
+		s.swallowedHB++
 	}
+	s.recent = append(s.recent, g.Lease)
+	if len(s.recent) > 32 {
+		s.recent = s.recent[len(s.recent)-32:]
+	}
+	return g, nil
+}
 
-	// Delay some submissions past the lease TTL — the scheduler must fence
-	// or dedup them.
-	if ch.intn(4) == 0 {
-		ch.count(&ch.delayedSubmits)
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(time.Duration(30+ch.intn(40)) * time.Millisecond):
-		}
+// Renew heartbeats honest leases only.
+func (s *chaosSource) Renew(leaseID string, epoch uint64) (time.Time, error) {
+	switch s.fate(leaseID) {
+	case fateKilled:
+		return time.Time{}, shard.ErrLeaseExpired
+	case fateStarved:
+		return time.Time{}, nil
 	}
-	// Reorder: split the envelope and submit the tail first; otherwise one
-	// envelope. Errors (fenced leases) are the scheduler's business.
-	if len(cones) > 1 && ch.intn(3) == 0 {
-		ch.count(&ch.splitSubmits)
-		half := len(cones) / 2
-		ch.pool.Submit(g.Lease, g.Epoch, cones[half:])
-		ch.pool.Submit(g.Lease, g.Epoch, cones[:half])
+	return s.pool.Renew(leaseID, epoch)
+}
+
+// Submit swallows a killed worker's results and abuses the rest.
+func (s *chaosSource) Submit(leaseID string, epoch uint64, results []rewrite.BitResult) (shard.SubmitReply, error) {
+	if s.fate(leaseID) == fateKilled {
+		return shard.SubmitReply{}, nil
+	}
+	s.mu.Lock()
+	var delay time.Duration
+	if s.rng.Intn(4) == 0 {
+		delay = time.Duration(30+s.rng.Intn(40)) * time.Millisecond
+		s.delayedSubmits++
+	}
+	split := len(results) > 1 && s.rng.Intn(3) == 0
+	if split {
+		s.splitSubmits++
+	}
+	dup := s.rng.Intn(3) == 0
+	if dup {
+		s.dupSubmits++
+	}
+	s.mu.Unlock()
+
+	if delay > 0 && !s.sleep(delay) {
+		return shard.SubmitReply{}, context.Canceled
+	}
+	// Only the last submission's verdict goes back to the worker; the pool
+	// classifies the others (often fenced or duplicate) on its own.
+	var (
+		reply shard.SubmitReply
+		err   error
+	)
+	if split {
+		half := len(results) / 2
+		s.pool.Submit(leaseID, epoch, results[half:])
+		reply, err = s.pool.Submit(leaseID, epoch, results[:half])
 	} else {
-		ch.pool.Submit(g.Lease, g.Epoch, cones)
+		reply, err = s.pool.Submit(leaseID, epoch, results)
 	}
-	// Duplicate: re-send the whole envelope (idempotency probe).
-	if ch.intn(3) == 0 {
-		ch.count(&ch.dupSubmits)
-		ch.pool.Submit(g.Lease, g.Epoch, cones)
+	if dup {
+		s.pool.Submit(leaseID, epoch, results)
 	}
+	return reply, err
 }

@@ -370,15 +370,7 @@ func Run(c Case) (res Result) {
 			return fail(err)
 		}
 		stage = "parse"
-		switch c.Format {
-		case FormatEQN:
-			n, err = netlist.ReadEQN(&buf, n.Name)
-		case FormatBLIF:
-			n, err = netlist.ReadBLIF(&buf)
-		case FormatVerilog:
-			n, err = netlist.ReadVerilog(&buf)
-		}
-		if err != nil {
+		if n, err = netlist.Read(&buf, string(c.Format), n.Name); err != nil {
 			return fail(err)
 		}
 	}
@@ -625,18 +617,11 @@ func runAdversarial(c Case, stage *string, fail func(error) Result) Result {
 	type rt struct {
 		name  string
 		write func(*netlist.Netlist, *bytes.Buffer) error
-		read  func(*bytes.Buffer) (*netlist.Netlist, error)
 	}
 	formats := []rt{
-		{"eqn",
-			func(n *netlist.Netlist, b *bytes.Buffer) error { return n.WriteEQN(b) },
-			func(b *bytes.Buffer) (*netlist.Netlist, error) { return netlist.ReadEQN(b, "rt") }},
-		{"blif",
-			func(n *netlist.Netlist, b *bytes.Buffer) error { return n.WriteBLIF(b) },
-			func(b *bytes.Buffer) (*netlist.Netlist, error) { return netlist.ReadBLIF(b) }},
-		{"verilog",
-			func(n *netlist.Netlist, b *bytes.Buffer) error { return n.WriteVerilog(b) },
-			func(b *bytes.Buffer) (*netlist.Netlist, error) { return netlist.ReadVerilog(b) }},
+		{"eqn", func(n *netlist.Netlist, b *bytes.Buffer) error { return n.WriteEQN(b) }},
+		{"blif", func(n *netlist.Netlist, b *bytes.Buffer) error { return n.WriteBLIF(b) }},
+		{"verilog", func(n *netlist.Netlist, b *bytes.Buffer) error { return n.WriteVerilog(b) }},
 	}
 	for _, f := range formats {
 		*stage = "adv-roundtrip-" + f.name
@@ -644,7 +629,7 @@ func runAdversarial(c Case, stage *string, fail func(error) Result) Result {
 		if err := f.write(n, &buf); err != nil {
 			return fail(err)
 		}
-		back, err := f.read(&buf)
+		back, err := netlist.Read(&buf, f.name, "rt")
 		if err != nil {
 			return fail(err)
 		}

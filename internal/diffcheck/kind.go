@@ -109,8 +109,8 @@ var kinds = map[Kind]kindSpec{
 			if t.Verdicts == 0 {
 				return ""
 			}
-			return fmt.Sprintf("chaos: %d fault-injected runs recovered (%d leases expired, %d zombies fenced, %d leases stolen)",
-				t.Verdicts, t.Sum("expired"), t.Sum("fenced"), t.Sum("stolen"))
+			return fmt.Sprintf("chaos: %d fault-injected runs recovered (%d workers killed, %d leases expired, %d zombies fenced, %d leases stolen)",
+				t.Verdicts, t.Sum("kills"), t.Sum("expired"), t.Sum("fenced"), t.Sum("stolen"))
 		},
 	},
 	KindOverload: {

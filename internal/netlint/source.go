@@ -35,31 +35,6 @@ type rawDesign struct {
 	stmts   []rawStmt
 }
 
-// DetectFormat guesses the netlist format from a filename and its content:
-// extension first, then content sniffing (".model"/".names" => BLIF,
-// "module" => Verilog, otherwise EQN).
-func DetectFormat(filename string, data []byte) string {
-	switch strings.ToLower(filepath.Ext(filename)) {
-	case ".eqn", ".eq":
-		return "eqn"
-	case ".blif":
-		return "blif"
-	case ".v", ".sv", ".vh":
-		return "verilog"
-	}
-	head := data
-	if len(head) > 4096 {
-		head = head[:4096]
-	}
-	switch {
-	case bytes.Contains(head, []byte(".model")) || bytes.Contains(head, []byte(".names")):
-		return "blif"
-	case bytes.Contains(head, []byte("module ")) || bytes.Contains(head, []byte("endmodule")):
-		return "verilog"
-	}
-	return "eqn"
-}
-
 // scanEQN tokenizes equation text into raw statements without building
 // gates. It is deliberately lenient — unknown characters are separators —
 // because its job is dependency extraction, not validation; the real parser
@@ -383,7 +358,7 @@ func sortStrings(s []string) {
 // It never returns a nil report; unreadable input yields parse findings.
 func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 	if format == "" {
-		format = DetectFormat(filename, data)
+		format = netlist.DetectFormat(filename, data)
 	}
 	design := strings.TrimSuffix(filepath.Base(filename), filepath.Ext(filename))
 	rep := &Report{Design: design, Source: filename}
@@ -407,20 +382,7 @@ func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 		return rep
 	}
 
-	var (
-		n   *netlist.Netlist
-		err error
-	)
-	switch format {
-	case "eqn":
-		n, err = netlist.ReadEQN(bytes.NewReader(data), design)
-	case "blif":
-		n, err = netlist.ReadBLIF(bytes.NewReader(data))
-	case "verilog":
-		n, err = netlist.ReadVerilog(bytes.NewReader(data))
-	default:
-		err = fmt.Errorf("unknown netlist format %q", format)
-	}
+	n, err := netlist.Read(bytes.NewReader(data), format, design)
 	if err != nil {
 		if !opts.disabled("parse") {
 			rep.Findings = append(rep.Findings, Finding{

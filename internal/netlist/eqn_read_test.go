@@ -62,7 +62,7 @@ func TestReadEQNReadErrorIsParseError(t *testing.T) {
 
 // TestReadEQNAllocationBound guards the reader's memory: it tokenizes one
 // line at a time, so parsing allocates little beyond the netlist it builds
-// (21 bytes per input byte for this design). A reader that tokenizes the
+// (7.2 bytes per input byte for this design). A reader that tokenizes the
 // whole file before parsing allocates 78 and fails the bound.
 func TestReadEQNAllocationBound(t *testing.T) {
 	n, err := gen.Mastrovito(64, gf2poly.MustParse("x^64+x^4+x^3+x+1"))

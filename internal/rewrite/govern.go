@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/galoisfield/gfre/internal/netlist"
@@ -77,6 +78,86 @@ const (
 // working.
 func (s Status) Failed() bool { return s != "" && s != StatusOK }
 
+// FailurePolicy is the rule every scheduler applies to a run's terminal
+// cones: without KeepPartial the first failure ends the run with that
+// cone's error; under KeepPartial one failure beyond MaxFailures (when
+// positive) ends it with ErrTooManyFailures. Cancelled cones never count —
+// they are collateral of another failure or of the caller's context. It is
+// safe for concurrent use.
+type FailurePolicy struct {
+	keepPartial bool
+	maxFailures int
+
+	mu       sync.Mutex
+	failures int
+	err      error
+}
+
+// NewFailurePolicy returns the failure rule of opts' KeepPartial and
+// MaxFailures.
+func NewFailurePolicy(opts Options) *FailurePolicy {
+	return &FailurePolicy{keepPartial: opts.KeepPartial, maxFailures: opts.MaxFailures}
+}
+
+// Record counts the terminal cone br and returns the run's fatal error the
+// one time the rule trips, nil otherwise. err is the cone's error when the
+// caller holds it; nil rebuilds it from br's Status and Err, the form a
+// result keeps after crossing the wire.
+func (f *FailurePolicy) Record(br BitResult, err error) error {
+	if !br.Status.Failed() || br.Status == StatusCancelled {
+		return nil
+	}
+	if err == nil {
+		err = coneErr(br)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failures++
+	switch {
+	case f.err != nil:
+		return nil
+	case !f.keepPartial:
+		f.err = err
+	case f.maxFailures > 0 && f.failures > f.maxFailures:
+		f.err = fmt.Errorf("%w: %d cones failed (tolerate %d), last: %w",
+			ErrTooManyFailures, f.failures, f.maxFailures, err)
+	default:
+		return nil
+	}
+	return f.err
+}
+
+// Err returns the run's fatal error once the rule has tripped.
+func (f *FailurePolicy) Err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+// coneError is a failed cone's error rebuilt from its Status and message:
+// the message is the worker's own, and errors.Is classifies it under the
+// sentinel the worker's error carried.
+type coneError struct {
+	kind error
+	msg  string
+}
+
+func (e *coneError) Error() string { return e.msg }
+func (e *coneError) Unwrap() error { return e.kind }
+
+func coneErr(br BitResult) error {
+	switch br.Status {
+	case StatusBudget:
+		return &coneError{ErrBudgetExceeded, br.Err}
+	case StatusTimeout:
+		return &coneError{ErrConeTimeout, br.Err}
+	case StatusPanic:
+		return &coneError{ErrConePanic, br.Err}
+	default:
+		return errors.New(br.Err)
+	}
+}
+
 // governor enforces the per-cone resource policy inside the substitution
 // loop. A nil governor disables every check.
 type governor struct {
@@ -139,7 +220,7 @@ func rewriteGoverned(n *netlist.Netlist, root int, h *hooks, opts Options, ctx c
 		gov.deadline = time.Now().Add(opts.ConeDeadline)
 	}
 	br, err := rewriteSafe(n, root, pass{h: h, gov: gov})
-	if err == nil || opts.NoRetry || !errors.Is(err, ErrBudgetExceeded) {
+	if err == nil || !errors.Is(err, ErrBudgetExceeded) {
 		return br, err, false
 	}
 	// Budget abort: substitution order changes which products meet which,

@@ -107,17 +107,6 @@ func TestBudgetExceeded(t *testing.T) {
 	}
 }
 
-func TestBudgetRetryDisabled(t *testing.T) {
-	n := explodingNetlist(t, 14)
-	res, err := Outputs(n, Options{Threads: 1, BudgetTerms: 512, NoRetry: true})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if res.Retries != 0 {
-		t.Errorf("Retries = %d, want 0 with NoRetry", res.Retries)
-	}
-}
-
 func TestConeTimeout(t *testing.T) {
 	n := explodingNetlist(t, 18)
 	res, err := Outputs(n, Options{Threads: 1, ConeDeadline: time.Microsecond})

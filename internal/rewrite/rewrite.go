@@ -18,7 +18,6 @@ package rewrite
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -53,9 +52,6 @@ type Options struct {
 	// polynomial; exceeding it aborts the cone with a *BudgetError
 	// (errors.Is ErrBudgetExceeded). 0 disables the budget.
 	BudgetTerms int
-	// NoRetry disables the retry ladder: budget-aborted cones are not
-	// re-attempted under the alternative substitution order.
-	NoRetry bool
 	// KeepPartial makes Outputs survive individual cone failures: failed
 	// bits carry a Status and empty Expr, healthy bits complete normally,
 	// and the Result comes back with a nil error as long as the failure
@@ -245,9 +241,6 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 	if base == nil {
 		base = context.Background()
 	}
-	// The internal cancel context lets the first fatal cone stop its
-	// siblings at their next substitution instead of burning cores on a run
-	// that is already lost.
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 
@@ -283,19 +276,8 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 		rec.Metrics().Counter("bits_reused").Add(int64(res.Reused))
 	}
 
-	var (
-		failures  atomic.Int64
-		retries   atomic.Int64
-		fatalOnce sync.Once
-		fatalErr  error
-	)
-	fatal := func(err error) {
-		fatalOnce.Do(func() {
-			fatalErr = err
-			cancel()
-		})
-	}
-
+	var retries atomic.Int64
+	policy := NewFailurePolicy(opts)
 	start := time.Now()
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -311,77 +293,35 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 					}
 					continue
 				}
-				rec.BitStart(bit, names[bit])
 				// Per-cone child span under the rewrite phase: concurrent
 				// siblings in the trace tree, one per output bit. Child is
 				// nil-safe and the attrs ride on EndWith, so the nil-recorder
 				// path stays allocation-free.
 				coneSpan := span.Child(names[bit], nil)
-				h.busyAdd(1)
-				br, err, retried := rewriteGoverned(n, outs[bit], h, opts, ctx)
-				h.busyAdd(-1)
+				br, err, retried := runCone(ctx, n, bit, outs[bit], names[bit], sizes[bit], opts, h)
 				if retried {
 					retries.Add(1)
 				}
-				br.Bit = bit
-				br.Name = names[bit]
-				br.ConeGates = sizes[bit]
 				if coneSpan != nil {
 					retriedV := int64(0)
 					if retried {
 						retriedV = 1
 					}
-					if br.Status != "" {
-						coneSpan.SetStatus(string(br.Status))
-					} else if err == nil {
-						coneSpan.SetStatus(string(StatusOK))
-					} else {
-						coneSpan.SetStatus(string(StatusError))
-					}
+					coneSpan.SetStatus(string(br.Status))
 					coneSpan.EndWith(map[string]int64{
 						"bit": int64(bit), "cone_gates": int64(br.ConeGates),
 						"subst": int64(br.Substitutions), "peak_terms": int64(br.PeakTerms),
 						"cancelled": int64(br.Cancelled), "retries": retriedV,
 					})
 				}
-				if err == nil {
-					br.Status = StatusOK
-					res.Bits[bit] = br
-					if opts.OnBitDone != nil {
-						opts.OnBitDone(br)
-					}
-					rec.BitFinish(obs.BitStats{
-						Bit: br.Bit, Name: br.Name, ConeGates: br.ConeGates,
-						Substitutions: br.Substitutions, PeakTerms: br.PeakTerms,
-						FinalTerms: br.FinalTerms, Cancelled: br.Cancelled,
-						Duration: br.Runtime,
-					})
-					continue
-				}
-				if be := (*BudgetError)(nil); errors.As(err, &be) {
-					be.Bit, be.Name = bit, names[bit]
-				}
-				if br.Status == "" || br.Status == StatusOK {
-					br.Status = StatusError
-				}
-				br.Err = err.Error()
 				res.Bits[bit] = br
 				if opts.OnBitDone != nil {
 					opts.OnBitDone(br)
 				}
-				h.countAbort(br)
-				if br.Status == StatusCancelled {
-					// Collateral of someone else's failure (or the
-					// caller's context): not this cone's fault and not a
-					// tolerated-failure slot.
-					continue
-				}
-				n := failures.Add(1)
-				if !opts.KeepPartial {
-					fatal(err)
-				} else if opts.MaxFailures > 0 && n > int64(opts.MaxFailures) {
-					fatal(fmt.Errorf("%w: %d cones failed (tolerate %d), last: %w",
-						ErrTooManyFailures, n, opts.MaxFailures, err))
+				if policy.Record(br, err) != nil {
+					// The first fatal cone stops its siblings at their next
+					// substitution instead of burning cores on a lost run.
+					cancel()
 				}
 			}
 		}()
@@ -418,8 +358,8 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 	}
 	res.Runtime = time.Since(start)
 	span.End()
-	if fatalErr != nil {
-		return res, fatalErr
+	if err := policy.Err(); err != nil {
+		return res, err
 	}
 	if err := base.Err(); err != nil {
 		return res, err

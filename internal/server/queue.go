@@ -982,17 +982,11 @@ func parseNetlist(spec *JobSpec, name string) (*netlist.Netlist, error) {
 	if spec.Name != "" {
 		name = spec.Name
 	}
-	r := strings.NewReader(spec.Netlist)
-	switch spec.Format {
-	case "", "eqn":
-		return netlist.ReadEQN(r, name)
-	case "blif":
-		return netlist.ReadBLIF(r)
-	case "verilog":
-		return netlist.ReadVerilog(r)
-	default:
-		return nil, fmt.Errorf("unknown netlist format %q", spec.Format)
+	format := spec.Format
+	if format == "" {
+		format = "eqn"
 	}
+	return netlist.Read(strings.NewReader(spec.Netlist), format, name)
 }
 
 // permanentError classifies failures no retry can fix: the input itself is

@@ -382,14 +382,20 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	env, err := shard.DecodeResultEnvelope(body)
+	epoch, results, err := shard.DecodeResultEnvelope(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "result envelope: %v", err)
 		return
 	}
-	reply, err := hub.Submit(r.PathValue("id"), env.Epoch, env.Cones)
-	if err != nil {
+	reply, err := hub.Submit(r.PathValue("id"), epoch, results)
+	switch {
+	case errors.Is(err, shard.ErrLeaseExpired):
 		httpError(w, http.StatusGone, "%v", err)
+		return
+	case err != nil:
+		// The pool rejected the envelope as a whole (a bit out of range):
+		// the lease is still live, so this is not the fence.
+		httpError(w, http.StatusBadRequest, "result envelope: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, reply)

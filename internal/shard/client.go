@@ -124,12 +124,12 @@ func (c *Client) Renew(leaseID string, epoch uint64) (time.Time, error) {
 	return time.Unix(0, reply.DeadlineUnixNS), nil
 }
 
-// Submit pushes a result envelope; transport faults and 5xx retry with
-// capped backoff (idempotent server-side), 410 maps to ErrLeaseExpired.
-func (c *Client) Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (SubmitReply, error) {
-	body, _ := json.Marshal(ResultEnvelope{Epoch: epoch, Cones: cones})
+// Submit packs the results into a wire envelope and pushes it; transport
+// faults and 5xx retry with capped backoff (idempotent server-side), 410
+// maps to ErrLeaseExpired.
+func (c *Client) Submit(leaseID string, epoch uint64, results []rewrite.BitResult) (SubmitReply, error) {
 	var reply SubmitReply
-	err := c.postRetry("/shards/"+leaseID+"/result", body, &reply)
+	err := c.postRetry("/shards/"+leaseID+"/result", encodeResultEnvelope(epoch, results), &reply)
 	return reply, err
 }
 

@@ -59,12 +59,12 @@ func newShardMux(hub *Hub) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		env, err := DecodeResultEnvelope(data)
+		epoch, results, err := DecodeResultEnvelope(data)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		reply, err := hub.Submit(r.PathValue("id"), env.Epoch, env.Cones)
+		reply, err := hub.Submit(r.PathValue("id"), epoch, results)
 		if err != nil {
 			w.WriteHeader(http.StatusGone)
 			return
@@ -181,9 +181,9 @@ func TestClientRetriesTransientServerFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var brs []checkpoint.Cone
+	var brs []rewrite.BitResult
 	for _, bit := range g.Cones {
-		brs = append(brs, checkpoint.FromBitResult(okResult(bit)))
+		brs = append(brs, okResult(bit))
 	}
 	reply, err := cl.Submit(g.Lease, g.Epoch, brs)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestClientMapsGoneToLeaseExpired(t *testing.T) {
 	if _, err := cl.Renew("0123456789abcdef", 1); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("renew of unknown lease: %v, want ErrLeaseExpired", err)
 	}
-	env := []checkpoint.Cone{checkpoint.FromBitResult(okResult(0))}
+	env := []rewrite.BitResult{okResult(0)}
 	if _, err := cl.Submit("0123456789abcdef", 1, env); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("submit to unknown lease: %v, want ErrLeaseExpired", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"github.com/galoisfield/gfre/internal/checkpoint"
+	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
 // Envelope size bounds: a result envelope is at most one lease's cones and
@@ -41,47 +42,67 @@ type RenewReply struct {
 	DeadlineUnixNS int64 `json:"deadline_unix_ns"`
 }
 
-// ResultEnvelope is the body of POST /shards/{id}/result: the packed cone
+// resultEnvelope is the body of POST /shards/{id}/result: the packed cone
 // results of one lease, submitted under its epoch.
-type ResultEnvelope struct {
-	Epoch  uint64            `json:"epoch"`
-	Worker string            `json:"worker,omitempty"`
-	Cones  []checkpoint.Cone `json:"cones"`
+type resultEnvelope struct {
+	Epoch uint64            `json:"epoch"`
+	Cones []checkpoint.Cone `json:"cones"`
 }
 
-// DecodeResultEnvelope parses and validates a result envelope. Cones must
-// be in range of no particular netlist here (the pool re-checks against its
-// own bit count), but each completed cone's packed expression must decode —
-// a truncated or bit-flipped body fails here, before any scheduling state
-// is touched.
-func DecodeResultEnvelope(data []byte) (*ResultEnvelope, error) {
-	if len(data) > maxEnvelopeBytes {
-		return nil, fmt.Errorf("shard: result envelope of %d bytes exceeds limit", len(data))
+// encodeResultEnvelope packs the results of one lease into its wire form.
+func encodeResultEnvelope(epoch uint64, results []rewrite.BitResult) []byte {
+	env := resultEnvelope{Epoch: epoch, Cones: make([]checkpoint.Cone, len(results))}
+	for i, br := range results {
+		env.Cones[i] = checkpoint.FromBitResult(br)
 	}
-	var env ResultEnvelope
+	data, _ := json.Marshal(env) // plain structs: cannot fail
+	return data
+}
+
+// DecodeResultEnvelope parses and validates a result envelope and unpacks
+// its cones. Cones must be in range of no particular netlist here (the
+// pool checks against its own bit count), but each must carry a terminal
+// status other than cancelled, and each completed cone's packed expression
+// must decode — a truncated or bit-flipped body fails here,
+// before any scheduling state is touched. This is the only place a remote
+// result is unpacked.
+func DecodeResultEnvelope(data []byte) (epoch uint64, results []rewrite.BitResult, err error) {
+	if len(data) > maxEnvelopeBytes {
+		return 0, nil, fmt.Errorf("shard: result envelope of %d bytes exceeds limit", len(data))
+	}
+	var env resultEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("shard: bad result envelope: %w", err)
+		return 0, nil, fmt.Errorf("shard: bad result envelope: %w", err)
 	}
 	if env.Epoch == 0 {
-		return nil, fmt.Errorf("shard: result envelope missing epoch")
+		return 0, nil, fmt.Errorf("shard: result envelope missing epoch")
 	}
 	if len(env.Cones) == 0 || len(env.Cones) > maxEnvelopeCones {
-		return nil, fmt.Errorf("shard: result envelope holds %d cones (want 1..%d)", len(env.Cones), maxEnvelopeCones)
+		return 0, nil, fmt.Errorf("shard: result envelope holds %d cones (want 1..%d)", len(env.Cones), maxEnvelopeCones)
 	}
 	seen := map[int]bool{}
+	results = make([]rewrite.BitResult, len(env.Cones))
 	for i, c := range env.Cones {
 		if c.Bit < 0 {
-			return nil, fmt.Errorf("shard: cone %d has negative bit %d", i, c.Bit)
+			return 0, nil, fmt.Errorf("shard: cone %d has negative bit %d", i, c.Bit)
 		}
 		if seen[c.Bit] {
-			return nil, fmt.Errorf("shard: bit %d appears twice in one envelope", c.Bit)
+			return 0, nil, fmt.Errorf("shard: bit %d appears twice in one envelope", c.Bit)
 		}
 		seen[c.Bit] = true
-		if _, err := c.BitResult(); err != nil {
-			return nil, fmt.Errorf("shard: cone %d (bit %d): %w", i, c.Bit, err)
+		switch rewrite.Status(c.Status) {
+		case rewrite.StatusOK, rewrite.StatusBudget, rewrite.StatusTimeout, rewrite.StatusPanic, rewrite.StatusError:
+		default:
+			// Workers submit only terminal verdicts; anything else would
+			// count as a governor failure here and end up a "completed"
+			// bit without an expression.
+			return 0, nil, fmt.Errorf("shard: cone %d (bit %d) has no terminal status (%q)", i, c.Bit, c.Status)
+		}
+		if results[i], err = c.BitResult(); err != nil {
+			return 0, nil, fmt.Errorf("shard: cone %d (bit %d): %w", i, c.Bit, err)
 		}
 	}
-	return &env, nil
+	return env.Epoch, results, nil
 }
 
 // DecodeGrant parses and validates a lease grant as received by a peer.

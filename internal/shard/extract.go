@@ -6,9 +6,6 @@ package shard
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"github.com/galoisfield/gfre/internal/checkpoint"
@@ -56,10 +53,11 @@ func Extract(n *netlist.Netlist, eopts extract.Options, sopts ExtractOptions) (*
 // Rewriter returns the lease-scheduled rewriting stage of extract.Run. The
 // rewrite options map onto the pool: Prior seeds completed cones, OnBitDone
 // observes every newly terminal cone, and BudgetTerms/ConeDeadline ride on
-// every grant. The error contract is rewrite.Outputs': without KeepPartial
-// the first permanently failed cone stops the run with its typed error,
-// under KeepPartial one failure beyond MaxFailures does, and a run cut
-// short by the caller's context returns the context's error. The pool's
+// every grant. Permanently failed cones go through rewrite.Outputs' own
+// rewrite.FailurePolicy, so the error contract is the same: without
+// KeepPartial the first one stops the run with its typed error, under
+// KeepPartial one failure beyond MaxFailures does, and a run cut short by
+// the caller's context returns the context's error. The pool's
 // robustness counters land in *stats when stats is non-nil.
 func Rewriter(sopts ExtractOptions, stats *Stats) extract.Rewriter {
 	return func(n *netlist.Netlist, ro rewrite.Options) (*rewrite.Result, error) {
@@ -76,32 +74,14 @@ func Rewriter(sopts ExtractOptions, stats *Stats) extract.Rewriter {
 		// instead of leasing out cones whose results no longer matter.
 		ctx, cancel := context.WithCancel(base)
 		defer cancel()
-		var (
-			mu       sync.Mutex
-			failures int
-			fatal    error
-		)
+		policy := rewrite.NewFailurePolicy(ro)
 		onResult := func(br rewrite.BitResult) {
 			if ro.OnBitDone != nil {
 				ro.OnBitDone(br)
 			}
-			if !br.Status.Failed() || br.Status == rewrite.StatusCancelled {
-				return
+			if policy.Record(br, nil) != nil {
+				cancel()
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			failures++
-			switch {
-			case fatal != nil:
-			case !ro.KeepPartial:
-				fatal = coneErr(br)
-			case ro.MaxFailures > 0 && failures > ro.MaxFailures:
-				fatal = fmt.Errorf("%w: %d cones failed (tolerate %d), last: %w",
-					rewrite.ErrTooManyFailures, failures, ro.MaxFailures, coneErr(br))
-			default:
-				return
-			}
-			cancel()
 		}
 
 		rec := ro.Recorder
@@ -150,35 +130,9 @@ func Rewriter(sopts ExtractOptions, stats *Stats) extract.Rewriter {
 		if stats != nil {
 			*stats = pool.Stats()
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if fatal != nil {
-			return rw, fatal
+		if err := policy.Err(); err != nil {
+			return rw, err
 		}
 		return rw, waitErr
-	}
-}
-
-// coneError is a failed cone's error rebuilt from its wire form (status and
-// message): the message is the worker's own, and errors.Is classifies it
-// under the same sentinel rewrite.Outputs would have returned.
-type coneError struct {
-	kind error
-	msg  string
-}
-
-func (e *coneError) Error() string { return e.msg }
-func (e *coneError) Unwrap() error { return e.kind }
-
-func coneErr(br rewrite.BitResult) error {
-	switch br.Status {
-	case rewrite.StatusBudget:
-		return &coneError{rewrite.ErrBudgetExceeded, br.Err}
-	case rewrite.StatusTimeout:
-		return &coneError{rewrite.ErrConeTimeout, br.Err}
-	case rewrite.StatusPanic:
-		return &coneError{rewrite.ErrConePanic, br.Err}
-	default:
-		return errors.New(br.Err)
 	}
 }

@@ -5,21 +5,13 @@ import (
 	"testing"
 
 	"github.com/galoisfield/gfre/internal/checkpoint"
+	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
 // validEnvelopeJSON builds a well-formed result envelope for seeding.
 func validEnvelopeJSON(tb testing.TB) []byte {
 	tb.Helper()
-	env := ResultEnvelope{
-		Epoch:  3,
-		Worker: "w-0",
-		Cones:  pack(okResult(0), okResult(5), failResult(2)),
-	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
+	return encodeResultEnvelope(3, pack(okResult(0), okResult(5), failResult(2)))
 }
 
 func FuzzResultEnvelope(f *testing.F) {
@@ -29,28 +21,34 @@ func FuzzResultEnvelope(f *testing.F) {
 	f.Add([]byte(`{"epoch":1,"cones":[{"bit":-1}]}`))
 	f.Add([]byte(`{"epoch":1,"cones":[{"bit":2,"status":"ok","expr":"garbage","final_terms":9}]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"epoch":1,"cones":[{"bit":0,"status":""}]}`))
+	f.Add([]byte(`{"epoch":1,"cones":[{"bit":0,"status":"cancelled","err":"x"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeResultEnvelope(data)
+		epoch, results, err := DecodeResultEnvelope(data)
 		if err != nil {
 			return
 		}
 		// Whatever the decoder accepts must uphold the envelope invariants
 		// the pool relies on: a live epoch, a bounded batch, distinct
-		// non-negative bits, and per-cone expressions that unpack.
-		if env.Epoch == 0 {
+		// non-negative bits with terminal statuses, and completed cones
+		// whose unpacked expression has the recorded term count.
+		if epoch == 0 {
 			t.Fatal("accepted envelope with epoch 0")
 		}
-		if len(env.Cones) == 0 || len(env.Cones) > maxEnvelopeCones {
-			t.Fatalf("accepted envelope with %d cones", len(env.Cones))
+		if len(results) == 0 || len(results) > maxEnvelopeCones {
+			t.Fatalf("accepted envelope with %d cones", len(results))
 		}
 		seen := map[int]bool{}
-		for _, c := range env.Cones {
-			if c.Bit < 0 || seen[c.Bit] {
-				t.Fatalf("accepted bad bit %d", c.Bit)
+		for _, br := range results {
+			if br.Bit < 0 || seen[br.Bit] {
+				t.Fatalf("accepted bad bit %d", br.Bit)
 			}
-			seen[c.Bit] = true
-			if _, err := c.BitResult(); err != nil {
-				t.Fatalf("accepted cone whose result does not decode: %v", err)
+			seen[br.Bit] = true
+			if br.Status == "" || br.Status == rewrite.StatusCancelled {
+				t.Fatalf("bit %d: accepted non-terminal status %q", br.Bit, br.Status)
+			}
+			if br.Status == rewrite.StatusOK && br.Expr.Len() != br.FinalTerms {
+				t.Fatalf("bit %d: expression has %d terms, recorded %d", br.Bit, br.Expr.Len(), br.FinalTerms)
 			}
 		}
 	})
@@ -95,27 +93,19 @@ func FuzzGrant(f *testing.F) {
 // bit-identical results.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	data := validEnvelopeJSON(t)
-	env, err := DecodeResultEnvelope(data)
+	epoch, results, err := DecodeResultEnvelope(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Epoch != 3 || len(env.Cones) != 3 {
-		t.Fatalf("decoded %+v", env)
+	if epoch != 3 || len(results) != 3 {
+		t.Fatalf("decoded epoch %d with %d results", epoch, len(results))
 	}
-	br, err := env.Cones[0].BitResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := okResult(0)
+	br, want := results[0], okResult(0)
 	if br.Bit != want.Bit || br.Status != want.Status || br.Expr.String() != want.Expr.String() {
 		t.Fatalf("round trip drifted: %+v vs %+v", br, want)
 	}
 	// Re-encode and decode again: stable.
-	again, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeResultEnvelope(again); err != nil {
+	if _, _, err := DecodeResultEnvelope(encodeResultEnvelope(epoch, results)); err != nil {
 		t.Fatal(err)
 	}
 	var c checkpoint.Cone

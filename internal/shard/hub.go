@@ -11,9 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/obs"
+	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
 // ErrPeerSuspended means the requesting peer's circuit breaker is open: its
@@ -290,12 +290,12 @@ func (h *Hub) Renew(leaseID string, epoch uint64) (time.Time, error) {
 // Submit routes a result envelope to the lease's pool. An accepted submit
 // counts as peer health (closing its breaker); a fenced one counts as a
 // failure.
-func (h *Hub) Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (SubmitReply, error) {
+func (h *Hub) Submit(leaseID string, epoch uint64, results []rewrite.BitResult) (SubmitReply, error) {
 	p, worker := h.routeOf(leaseID)
 	if p == nil {
-		return SubmitReply{Fenced: len(cones)}, ErrLeaseExpired
+		return SubmitReply{Fenced: len(results)}, ErrLeaseExpired
 	}
-	reply, err := p.Submit(leaseID, epoch, cones)
+	reply, err := p.Submit(leaseID, epoch, results)
 	switch {
 	case errors.Is(err, ErrLeaseExpired):
 		h.settleDead(leaseID, time.Now())

@@ -6,8 +6,10 @@
 // its checkpoint content hash). Workers — local goroutines or remote gfred
 // peers speaking the /shards HTTP endpoints — pull leases (a batch of cone
 // IDs plus a deadline and an epoch), heartbeat them with Renew, compute the
-// cones with rewrite.RewriteCone, and push the packed results back with
-// Submit. Robustness invariants:
+// cones with rewrite.RewriteCone, and push the results back with Submit.
+// Local workers hand over the in-process results; only the HTTP boundary
+// (Client, DecodeResultEnvelope) packs and unpacks them. Robustness
+// invariants:
 //
 //   - a lease that misses its heartbeat expires: its unfinished cones are
 //     re-queued with capped-exponential backoff and the pool's epoch fence
@@ -41,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/obs"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
@@ -538,16 +539,22 @@ func (p *Pool) Renew(leaseID string, epoch uint64) (time.Time, error) {
 	return l.deadline, nil
 }
 
-// Submit records a batch of packed cone results for a lease. Every cone is
+// Submit records a batch of cone results for a lease. Every cone is
 // classified independently (accepted / duplicate / fenced / failed); the
-// call errors only when the envelope itself is unusable or the whole lease
-// is fenced. Submissions are idempotent: re-sending an accepted envelope
-// yields duplicates, never double counts.
-func (p *Pool) Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (SubmitReply, error) {
+// call errors only when the envelope itself is unusable — then no cone of
+// it is applied — or the whole lease is fenced. Submissions are
+// idempotent: re-sending an accepted envelope yields duplicates, never
+// double counts.
+func (p *Pool) Submit(leaseID string, epoch uint64, results []rewrite.BitResult) (SubmitReply, error) {
 	var (
 		reply    SubmitReply
 		finished []rewrite.BitResult
 	)
+	for _, br := range results {
+		if br.Bit < 0 || br.Bit >= p.cfg.Bits {
+			return reply, fmt.Errorf("shard: result bit %d out of range [0,%d)", br.Bit, p.cfg.Bits)
+		}
+	}
 	p.mu.Lock()
 	now := p.cfg.Clock()
 	p.expireLocked(now)
@@ -558,12 +565,8 @@ func (p *Pool) Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (Su
 	// A retired lease (fully submitted or expired) keeps its epoch in the
 	// fence map, so re-sent envelopes classify as duplicates, not zombies.
 	knownEpoch := live || p.fence[leaseID] == epoch
-	for _, c := range cones {
-		if c.Bit < 0 || c.Bit >= p.cfg.Bits {
-			p.mu.Unlock()
-			return reply, fmt.Errorf("shard: result bit %d out of range [0,%d)", c.Bit, p.cfg.Bits)
-		}
-		cs := &p.cones[c.Bit]
+	for _, br := range results {
+		cs := &p.cones[br.Bit]
 		switch {
 		case cs.state == coneDone || cs.state == coneFailed:
 			// Already terminal: duplicate when the same epoch re-sends its
@@ -589,18 +592,13 @@ func (p *Pool) Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (Su
 				p.met.fenced.Inc()
 			}
 		default:
-			br, err := c.BitResult()
-			if err != nil {
-				p.mu.Unlock()
-				return reply, fmt.Errorf("shard: bit %d: %w", c.Bit, err)
-			}
-			l.cones = removeCone(l.cones, c.Bit)
+			l.cones = removeCone(l.cones, br.Bit)
 			if br.Status == rewrite.StatusOK {
 				if cs.state == coneDone {
 					p.stats.DoubleAccepts++ // unreachable; chaos asserts 0
 				}
-				p.finishLocked(c.Bit, br, epoch)
-				p.cfg.Store.Put(p.cfg.Hash, c.Bit, br)
+				p.finishLocked(br.Bit, br, epoch)
+				p.cfg.Store.Put(p.cfg.Hash, br.Bit, br)
 				reply.Accepted++
 				p.stats.Accepted++
 				if p.met != nil {
@@ -613,10 +611,10 @@ func (p *Pool) Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (Su
 				reply.Failed++
 				cs.failures++
 				if cs.failures >= p.cfg.MaxAttempts {
-					p.failLocked(c.Bit, br, epoch)
+					p.failLocked(br.Bit, br, epoch)
 					finished = append(finished, br)
 				} else {
-					p.requeueLocked(c.Bit, now)
+					p.requeueLocked(br.Bit, now)
 				}
 			}
 		}
@@ -638,7 +636,7 @@ func (p *Pool) Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (Su
 			p.cfg.OnResult(br)
 		}
 	}
-	if !live && reply.Accepted == 0 && reply.Duplicate == 0 && len(cones) > 0 {
+	if !live && reply.Accepted == 0 && reply.Duplicate == 0 && len(results) > 0 {
 		return reply, ErrLeaseExpired
 	}
 	return reply, nil

@@ -61,13 +61,7 @@ func failResult(bit int) rewrite.BitResult {
 	}
 }
 
-func pack(brs ...rewrite.BitResult) []checkpoint.Cone {
-	cones := make([]checkpoint.Cone, len(brs))
-	for i, br := range brs {
-		cones[i] = checkpoint.FromBitResult(br)
-	}
-	return cones
-}
+func pack(brs ...rewrite.BitResult) []rewrite.BitResult { return brs }
 
 func newTestPool(t *testing.T, bits int, clk *fakeClock, mut func(*Config)) *Pool {
 	t.Helper()
@@ -138,6 +132,38 @@ func TestResubmitSameEnvelopeIsDuplicate(t *testing.T) {
 	st := p.Stats()
 	if st.Accepted != 2 || st.DoubleAccepts != 0 {
 		t.Fatalf("stats %+v: want Accepted=2 DoubleAccepts=0", st)
+	}
+}
+
+// TestSubmitRejectsWholeEnvelopeWithBadBit: one out-of-range bit makes the
+// pool reject the envelope before any cone of it is applied, so nothing is
+// accepted, stored or reported, and the lease stays live for a good
+// resubmission.
+func TestSubmitRejectsWholeEnvelopeWithBadBit(t *testing.T) {
+	var seen []int
+	p := newTestPool(t, 2, nil, func(c *Config) {
+		c.OnResult = func(br rewrite.BitResult) { seen = append(seen, br.Bit) }
+	})
+	g, err := p.Lease("w1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := p.Submit(g.Lease, g.Epoch, pack(okResult(0), okResult(7)))
+	if err == nil || errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("envelope with bit 7 on a 2-bit pool: err = %v, want an out-of-range error", err)
+	}
+	if reply != (SubmitReply{}) || p.Stats().Accepted != 0 || len(seen) != 0 {
+		t.Fatalf("half-applied envelope: reply %+v, stats %+v, OnResult saw %v", reply, p.Stats(), seen)
+	}
+	if _, ok := p.cfg.Store.Get(testHash, 0); ok {
+		t.Fatal("a rejected envelope stored bit 0")
+	}
+	if !p.LeaseLive(g.Lease) {
+		t.Fatal("a rejected envelope must leave the lease live")
+	}
+	reply, err = p.Submit(g.Lease, g.Epoch, pack(okResult(0), okResult(1)))
+	if err != nil || reply.Accepted != 2 || len(seen) != 2 || !p.Finished() {
+		t.Fatalf("resubmission: reply %+v, err %v, OnResult saw %v", reply, err, seen)
 	}
 }
 
@@ -560,8 +586,8 @@ func (s hubSource) Lease(worker string, max int) (*Grant, error) {
 	return s.h.Lease(worker, max, nil)
 }
 func (s hubSource) Renew(id string, epoch uint64) (time.Time, error) { return s.h.Renew(id, epoch) }
-func (s hubSource) Submit(id string, epoch uint64, cones []checkpoint.Cone) (SubmitReply, error) {
-	return s.h.Submit(id, epoch, cones)
+func (s hubSource) Submit(id string, epoch uint64, results []rewrite.BitResult) (SubmitReply, error) {
+	return s.h.Submit(id, epoch, results)
 }
 
 // expiryTick forces one on-demand expiry scan (tests drive the fake clock,

@@ -1,9 +1,10 @@
 // Worker side of the lease protocol: pull a grant, heartbeat it, compute
-// the cones with the governed single-cone rewriter, submit the packed
-// results. The same loop drives local goroutines (Source = *Pool) and
-// remote peers (Source = *Client); the chaos harness wraps a Source to
-// inject delays, duplicates and reordering between the worker and the
-// scheduler.
+// the cones with the governed single-cone rewriter, submit the results.
+// The same loop drives local goroutines (Source = *Pool), remote peers
+// (Source = *Client, which packs results for the wire) and the chaos
+// harness, which runs it against a fault-injecting Source around a Pool:
+// killed workers, starved heartbeats and delayed, reordered and duplicated
+// submissions all hit this code.
 package shard
 
 import (
@@ -11,7 +12,6 @@ import (
 	"errors"
 	"time"
 
-	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
@@ -21,7 +21,7 @@ import (
 type Source interface {
 	Lease(worker string, max int) (*Grant, error)
 	Renew(leaseID string, epoch uint64) (time.Time, error)
-	Submit(leaseID string, epoch uint64, cones []checkpoint.Cone) (SubmitReply, error)
+	Submit(leaseID string, epoch uint64, results []rewrite.BitResult) (SubmitReply, error)
 }
 
 // WorkerConfig tunes RunWorkers.
@@ -161,7 +161,7 @@ func ExecuteLease(ctx context.Context, src Source, n *netlist.Netlist, g *Grant,
 		ropts.ConeDeadline = time.Duration(g.ConeDeadlineMS) * time.Millisecond
 	}
 
-	var cones []checkpoint.Cone
+	var results []rewrite.BitResult
 	for _, bit := range g.Cones {
 		if lctx.Err() != nil {
 			break
@@ -170,13 +170,13 @@ func ExecuteLease(ctx context.Context, src Source, n *netlist.Netlist, g *Grant,
 		if br.Status == rewrite.StatusCancelled {
 			continue // lease fenced or worker dying: the cone re-queues
 		}
-		cones = append(cones, checkpoint.FromBitResult(br))
+		results = append(results, br)
 	}
 	hb.Stop()
 	cancel()
 	<-hbDone
-	if len(cones) == 0 {
+	if len(results) == 0 {
 		return SubmitReply{}, ctx.Err()
 	}
-	return src.Submit(g.Lease, g.Epoch, cones)
+	return src.Submit(g.Lease, g.Epoch, results)
 }
