@@ -10,8 +10,9 @@ import (
 // property: once a polynomial's working set is interned (tables sized,
 // occurrence lists built), the XOR-merge path — Toggle and AddInPlace —
 // performs no heap allocation at all. Toggling is pure bit arithmetic and
-// merge translation is an interned-key map hit, so cancellation churn over
-// known monomials generates no garbage. (The rewriting loop as a whole still
+// merge translation is a probe of the flat intern table that hashes the
+// monomial's variable list in place, so cancellation churn over known
+// monomials generates no garbage. (The rewriting loop as a whole still
 // allocates as its polynomial grows; TestRewriteAllocsPerSubstitution in
 // internal/rewrite bounds that.) A regression here shows up as
 // GC pressure on every large-m extraction before it shows up on any wall

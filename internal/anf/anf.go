@@ -14,13 +14,15 @@
 // Internally each Poly interns its monomials into dense uint32 IDs (see
 // intern.go) and keeps the term set as a bitset over those IDs, so mod-2
 // cancellation — the step that keeps GF(2^m) rewriting from exploding
-// (lines 7–11 of Algorithm 1) — is a single-word XOR. Toggling and
-// re-interning known monomials allocate nothing; substitution allocates
-// only as the polynomial grows (a first-time monomial, a longer occurrence
-// list, a new product memo entry), and gate models reach it as Terms
-// without a Poly of their own. The string-based Mono type
-// remains the public currency for individual monomials; it doubles as the
-// intern table's key encoding, so converting between the two is free.
+// (lines 7–11 of Algorithm 1) — is a single-word XOR. The intern table, the
+// product memo and the occurrence index are flat open-addressing tables
+// over variable lists and IDs: no per-monomial string and no Go map.
+// Toggling and re-interning known monomials allocate nothing; substitution
+// allocates only when a table doubles, and gate models reach it as Terms
+// without a Poly of their own. The string-based Mono type remains the
+// public currency for individual monomials; a Poly keeps none, and builds
+// them on demand in Monos and String, while Contains and Toggle hash a
+// Mono's encoding in place.
 // The previous map-of-strings implementation is preserved unmodified in
 // internal/anf/reference as a differential testing oracle.
 package anf
@@ -37,9 +39,9 @@ type Var uint32
 
 // Mono is a monomial: a product of distinct variables, encoded as the
 // concatenation of the 4-byte big-endian representations of its variables in
-// ascending order. The empty string is the constant 1. The encoding keeps
-// monomials directly usable as intern-table keys with no hashing
-// indirection.
+// ascending order. The empty string is the constant 1. The encoding orders
+// monomials of one degree by their variables, which is the canonical order
+// of Monos and String.
 type Mono string
 
 // MonoOne is the constant-1 monomial.

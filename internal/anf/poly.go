@@ -30,10 +30,10 @@ type poly struct {
 	tab   *monoTab
 	words []uint64 // live bitset over tab IDs
 	n     int      // live term count
-	// occ[v] lists every ID that ever contained v and was live at least
-	// once; entries are never removed (the live bit is the truth), and
-	// listed[id] guards the one-time append.
-	occ    map[Var][]uint32
+	// occ lists, per variable, every ID that ever contained it and was live
+	// at least once; entries are never removed (the live bit is the truth),
+	// and listed[id] guards the one-time append.
+	occ    occIndex
 	listed []bool
 	// Reusable scratch for Substitute; kept on the poly so the steady-state
 	// substitution path does not allocate.
@@ -42,11 +42,16 @@ type poly struct {
 }
 
 // NewPoly returns the zero polynomial.
-func NewPoly() Poly {
-	return Poly{p: &poly{
-		tab: newMonoTab(),
-		occ: make(map[Var][]uint32),
-	}}
+func NewPoly() Poly { return Poly{p: newPolyState(0, 0, 0)} }
+
+// newPolyState returns an empty polynomial with room for about hint
+// monomials over arena variable occurrences, hashing under seed (0 draws a
+// fresh one).
+func newPolyState(hint, arena int, seed uint64) *poly {
+	tab := newMonoTab(hint, arena, seed)
+	p := &poly{tab: tab}
+	p.occ.init(arena, tab.seed)
+	return p
 }
 
 // FromMonos builds a polynomial as the XOR of the given monomials
@@ -97,7 +102,7 @@ func (p *poly) toggle(id uint32) {
 	if !p.listed[id] {
 		p.listed[id] = true
 		for _, v := range p.tab.vars(id) {
-			p.occ[v] = append(p.occ[v], id)
+			p.occ.add(v, id)
 		}
 	}
 }
@@ -108,17 +113,13 @@ func (p Poly) Clone() Poly {
 		return NewPoly()
 	}
 	src := p.p
-	q := &poly{
+	return Poly{p: &poly{
 		tab:    src.tab.clone(),
 		words:  append([]uint64(nil), src.words...),
 		n:      src.n,
-		occ:    make(map[Var][]uint32, len(src.occ)),
+		occ:    src.occ.clone(),
 		listed: append([]bool(nil), src.listed...),
-	}
-	for v, list := range src.occ {
-		q.occ[v] = append([]uint32(nil), list...)
-	}
-	return Poly{p: q}
+	}}
 }
 
 // Len returns the number of monomials.
@@ -142,7 +143,7 @@ func (p Poly) Contains(m Mono) bool {
 	if p.p == nil {
 		return false
 	}
-	id, ok := p.p.tab.index[string(m)]
+	id, ok := p.p.tab.lookupKey(string(m))
 	return ok && p.p.live(id)
 }
 
@@ -181,8 +182,7 @@ func (p Poly) AddInPlace(q Poly) {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			id := uint32(w<<6 + b)
-			p.p.toggle(p.p.tab.internKey(qp.tab.keys[id]))
+			p.p.toggle(p.p.tab.internVars(qp.tab.vars(uint32(w<<6 + b))))
 		}
 	}
 }
@@ -208,14 +208,14 @@ func (p Poly) Mul(q Poly) Poly {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			qIDs = append(qIDs, rp.tab.internKey(q.p.tab.keys[uint32(w<<6+b)]))
+			qIDs = append(qIDs, rp.tab.internVars(q.p.tab.vars(uint32(w<<6+b))))
 		}
 	}
 	for w, word := range p.p.words {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			a := rp.tab.internKey(p.p.tab.keys[uint32(w<<6+b)])
+			a := rp.tab.internVars(p.p.tab.vars(uint32(w<<6 + b)))
 			for _, t := range qIDs {
 				rp.toggle(rp.tab.mul(a, t))
 			}
@@ -225,18 +225,33 @@ func (p Poly) Mul(q Poly) Poly {
 }
 
 // Monos returns the monomials of p in a deterministic (lexicographic by
-// encoding, which is ascending-variable) order.
+// encoding, which is ascending-variable) order. The Mono strings are built
+// here, on demand: the polynomial itself keeps none.
 func (p Poly) Monos() []Mono {
 	if p.p == nil {
 		return nil
 	}
-	out := make([]Mono, 0, p.p.n)
+	tab := p.p.tab
+	// One backing buffer for every encoding, carved into the Monos.
+	size := 0
+	p.Terms(func(vs []Var) bool { size += len(vs) * varBytes; return true })
+	buf := make([]byte, 0, size)
+	offs := make([]int, 0, p.p.n+1)
 	for w, word := range p.p.words {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			out = append(out, Mono(p.p.tab.keys[uint32(w<<6+b)]))
+			offs = append(offs, len(buf))
+			for _, v := range tab.vars(uint32(w<<6 + b)) {
+				buf = append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+			}
 		}
+	}
+	offs = append(offs, len(buf))
+	all := string(buf)
+	out := make([]Mono, 0, p.p.n)
+	for i := 0; i+1 < len(offs); i++ {
+		out = append(out, Mono(all[offs[i]:offs[i+1]]))
 	}
 	sort.Slice(out, func(i, j int) bool { return monoLess(string(out[i]), string(out[j])) })
 	return out
@@ -279,7 +294,7 @@ func (p Poly) Equal(q Poly) bool {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			id, ok := qp.tab.index[p.p.tab.keys[uint32(w<<6+b)]]
+			id, ok := qp.tab.lookupVars(p.p.tab.vars(uint32(w<<6 + b)))
 			if !ok || !qp.live(id) {
 				return false
 			}
@@ -293,10 +308,11 @@ func (p Poly) SupportVars() []Var {
 	if p.p == nil {
 		return nil
 	}
-	out := make([]Var, 0, len(p.p.occ))
-	for v, list := range p.p.occ {
-		for _, id := range list {
-			if p.p.live(id) {
+	occ := &p.p.occ
+	out := make([]Var, 0, len(occ.vars))
+	for k, v := range occ.vars {
+		for e := occ.head[k]; e != 0; e = occ.ent[e].next {
+			if p.p.live(occ.ent[e].id) {
 				out = append(out, v)
 				break
 			}
@@ -311,8 +327,9 @@ func (p Poly) ContainsVar(v Var) bool {
 	if p.p == nil {
 		return false
 	}
-	for _, id := range p.p.occ[v] {
-		if p.p.live(id) {
+	occ := &p.p.occ
+	for e := occ.first(v); e != 0; e = occ.ent[e].next {
+		if p.p.live(occ.ent[e].id) {
 			return true
 		}
 	}
@@ -329,8 +346,9 @@ func (p Poly) VarOccurrences(v Var) int {
 		return 0
 	}
 	n := 0
-	for _, id := range p.p.occ[v] {
-		if p.p.live(id) {
+	occ := &p.p.occ
+	for e := occ.first(v); e != 0; e = occ.ent[e].next {
+		if p.p.live(occ.ent[e].id) {
 			n++
 		}
 	}
@@ -359,7 +377,7 @@ func (p Poly) Substitute(v Var, e Poly) {
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
-				eIDs = append(eIDs, pp.tab.internKey(e.p.tab.keys[uint32(w<<6+b)]))
+				eIDs = append(eIDs, pp.tab.internVars(e.p.tab.vars(uint32(w<<6+b))))
 			}
 		}
 	}
@@ -371,8 +389,8 @@ func (p Poly) Substitute(v Var, e Poly) {
 // and reports whether there are any.
 func (p *poly) collectAffected(v Var) bool {
 	aff := p.affected[:0]
-	for _, id := range p.occ[v] {
-		if p.live(id) {
+	for e := p.occ.first(v); e != 0; e = p.occ.ent[e].next {
+		if id := p.occ.ent[e].id; p.live(id) {
 			aff = append(aff, id)
 		}
 	}
@@ -395,26 +413,45 @@ func (p *poly) expand(v Var) {
 	}
 }
 
-// Compact returns an equal polynomial rebuilt into a fresh intern table
-// containing exactly the live terms. A heavily rewritten Poly retains every
-// monomial its history ever interned plus the product memo; for a finished
+// Compact returns an equal polynomial copied into fresh tables sized for
+// exactly the live terms. A heavily rewritten Poly retains every monomial
+// its history ever interned plus the product memo; for a finished
 // expression that churn is pure dead weight. Rewriting engines call Compact
-// once per finished cone so long-lived results (checkpoint snapshots,
-// per-bit expressions of a GF(2^571) run) hold only their final terms.
+// once per finished cone, so long-lived results (checkpoint snapshots,
+// per-bit expressions of a GF(2^571) run) hold only their final terms. The
+// copy keeps p's seed, so each monomial keeps its hash tag and is filed
+// without being hashed or compared again.
 func (p Poly) Compact() Poly {
-	q := NewPoly()
 	if p.p == nil {
-		return q
+		return NewPoly()
 	}
-	qp := q.p
-	for w, word := range p.p.words {
+	src := p.p
+	arena := 0
+	p.Terms(func(vs []Var) bool { arena += len(vs); return true })
+	qp := newPolyState(src.n+1, arena, src.tab.seed)
+	qp.words = make([]uint64, 0, (src.n+1+63)/64)
+	qp.listed = make([]bool, 0, src.n+1)
+	for w, word := range src.words {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			qp.toggle(qp.tab.internKey(p.p.tab.keys[uint32(w<<6+b)]))
+			id := uint32(w<<6 + b)
+			if id == idOne {
+				qp.toggle(idOne)
+				continue
+			}
+			// Live monomials are distinct, so each goes straight into the
+			// first free slot of its home chain.
+			tg := src.tab.tags[id]
+			mask := len(qp.tab.slots) - 1
+			i := int(tg >> qp.tab.shift)
+			for qp.tab.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			qp.toggle(qp.tab.insert(i, src.tab.vars(id), tg))
 		}
 	}
-	return q
+	return Poly{p: qp}
 }
 
 // Eval evaluates p under an assignment of its variables.

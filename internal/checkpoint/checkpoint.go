@@ -126,19 +126,15 @@ func (s *Snapshot) DoneCones() int {
 // (never attempted, failed, or cancelled).
 func (s *Snapshot) PendingCones() int { return s.M - s.DoneCones() }
 
-// HashNetlist computes the content hash binding snapshots to netlists: the
-// hex SHA-256 of the canonical EQN serialization. Any structural change —
-// a different gate, name, or port order — changes the hash. The name is
-// deliberately part of the hash (field snapshots depend on it staying
-// stable); consumers that re-read a serialized netlist and need the hash to
-// reproduce must restore the name from the EQN header first, as
-// netlist.EQNName does.
+// HashNetlist returns the content hash binding snapshots to netlists: the
+// hex SHA-256 of the canonical EQN serialization (netlist.Digest, memoized
+// on the netlist). Any structural change — a different gate, name, or port
+// order — changes the hash. The name is deliberately part of the hash
+// (field snapshots depend on it staying stable); consumers that re-read a
+// serialized netlist and need the hash to reproduce must restore the name
+// from the EQN header first, as netlist.EQNName does.
 func HashNetlist(n *netlist.Netlist) (string, error) {
-	h := sha256.New()
-	if err := n.WriteEQN(h); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return n.Digest()
 }
 
 // HashSubmission computes the content-hash key the server's dedup layer

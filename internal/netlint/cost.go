@@ -117,62 +117,77 @@ func degreeBound(supp, deg int) int {
 // terms its function expands to over the primary inputs, assuming no
 // cancellation. XOR adds term counts, AND multiplies them, OR/complex cells
 // combine both (x+y = x ^ y ^ xy). The bound is monotone in the fanin
-// bounds, so one forward topological sweep settles the DAG.
+// bounds, so one forward topological sweep settles the DAG; Analyze takes
+// it from newContext's sweep (gateScan.bounds).
 func termBound(n *netlist.Netlist) []int {
-	t := make([]int, n.NumGates())
-	for id := 0; id < n.NumGates(); id++ {
-		g := n.Gate(id)
-		f := func(i int) int { return t[g.Fanin[i]] }
-		switch g.Type {
-		case netlist.Input, netlist.Const0, netlist.Const1:
-			t[id] = 1
-		case netlist.Buf:
-			t[id] = f(0)
-		case netlist.Not:
-			t[id] = satAdd(f(0), 1)
-		case netlist.And:
-			t[id] = satMul(f(0), f(1))
-		case netlist.Xor:
-			t[id] = satAdd(f(0), f(1))
-		case netlist.Xnor:
-			t[id] = satAdd(satAdd(f(0), f(1)), 1)
-		case netlist.Or:
-			t[id] = satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1)))
-		case netlist.Nand:
-			t[id] = satAdd(satMul(f(0), f(1)), 1)
-		case netlist.Nor:
-			t[id] = satAdd(satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1))), 1)
-		case netlist.Aoi21: // !(f0·f1 + f2)
-			or := satAdd(satMul(f(0), f(1)), satAdd(f(2), satMul(satMul(f(0), f(1)), f(2))))
-			t[id] = satAdd(or, 1)
-		case netlist.Oai21: // !((f0+f1)·f2)
-			or := satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1)))
-			t[id] = satAdd(satMul(or, f(2)), 1)
-		case netlist.Aoi22: // !(f0·f1 + f2·f3)
-			p, q := satMul(f(0), f(1)), satMul(f(2), f(3))
-			t[id] = satAdd(satAdd(satAdd(p, q), satMul(p, q)), 1)
-		case netlist.Oai22: // !((f0+f1)·(f2+f3))
-			p := satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1)))
-			q := satAdd(satAdd(f(2), f(3)), satMul(f(2), f(3)))
-			t[id] = satAdd(satMul(p, q), 1)
-		case netlist.Mux: // f2 ? f1 : f0  =  f2·f1 ^ f2·f0 ^ f0
-			t[id] = satAdd(satAdd(satMul(f(2), f(1)), satMul(f(2), f(0))), f(0))
-		case netlist.Lut:
-			// Worst case: every minterm survives — product of (fanin bound
-			// + 1) monomial choices, capped.
-			b := 1
-			for i := range g.Fanin {
-				b = satMul(b, satAdd(f(i), 1))
-			}
-			t[id] = b
-		default:
-			t[id] = costCap
-		}
-		if t[id] < 1 {
-			t[id] = 1
-		}
+	t := make([]int32, n.NumGates())
+	out := make([]int, len(t))
+	for id := range t {
+		t[id] = gateBound(n.Gate(id), t)
+		out[id] = int(t[id])
 	}
-	return t
+	return out
+}
+
+// gateBound is termBound's step: the bound of gate g from t, the bounds of
+// the gates before it. Bounds saturate at costCap, so 32 bits hold them.
+func gateBound(g netlist.Gate, t []int32) int32 {
+	// The cells of a multiplier first, without the general case's closure.
+	switch g.Type {
+	case netlist.Input, netlist.Const0, netlist.Const1:
+		return 1
+	case netlist.And:
+		return int32(max(satMul(int(t[g.Fanin[0]]), int(t[g.Fanin[1]])), 1))
+	case netlist.Xor:
+		return int32(max(satAdd(int(t[g.Fanin[0]]), int(t[g.Fanin[1]])), 1))
+	}
+	f := func(i int) int { return int(t[g.Fanin[i]]) }
+	var b int
+	switch g.Type {
+	case netlist.Input, netlist.Const0, netlist.Const1:
+		b = 1
+	case netlist.Buf:
+		b = f(0)
+	case netlist.Not:
+		b = satAdd(f(0), 1)
+	case netlist.And:
+		b = satMul(f(0), f(1))
+	case netlist.Xor:
+		b = satAdd(f(0), f(1))
+	case netlist.Xnor:
+		b = satAdd(satAdd(f(0), f(1)), 1)
+	case netlist.Or:
+		b = satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1)))
+	case netlist.Nand:
+		b = satAdd(satMul(f(0), f(1)), 1)
+	case netlist.Nor:
+		b = satAdd(satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1))), 1)
+	case netlist.Aoi21: // !(f0·f1 + f2)
+		or := satAdd(satMul(f(0), f(1)), satAdd(f(2), satMul(satMul(f(0), f(1)), f(2))))
+		b = satAdd(or, 1)
+	case netlist.Oai21: // !((f0+f1)·f2)
+		or := satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1)))
+		b = satAdd(satMul(or, f(2)), 1)
+	case netlist.Aoi22: // !(f0·f1 + f2·f3)
+		p, q := satMul(f(0), f(1)), satMul(f(2), f(3))
+		b = satAdd(satAdd(satAdd(p, q), satMul(p, q)), 1)
+	case netlist.Oai22: // !((f0+f1)·(f2+f3))
+		p := satAdd(satAdd(f(0), f(1)), satMul(f(0), f(1)))
+		q := satAdd(satAdd(f(2), f(3)), satMul(f(2), f(3)))
+		b = satAdd(satMul(p, q), 1)
+	case netlist.Mux: // f2 ? f1 : f0  =  f2·f1 ^ f2·f0 ^ f0
+		b = satAdd(satAdd(satMul(f(2), f(1)), satMul(f(2), f(0))), f(0))
+	case netlist.Lut:
+		// Worst case: every minterm survives — product of (fanin bound
+		// + 1) monomial choices, capped.
+		b = 1
+		for i := range g.Fanin {
+			b = satMul(b, satAdd(f(i), 1))
+		}
+	default:
+		b = costCap
+	}
+	return int32(max(b, 1))
 }
 
 // predictCones computes the per-output cost table plus suggested governor
@@ -190,7 +205,7 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 	if len(outs) == 0 {
 		return nil, 0, 0
 	}
-	bounds := termBound(c.N)
+	bounds := c.scan.bounds
 	sizes := c.N.ConeSizes() // the netlist's cone index, shared with rewrite
 	names := c.N.OutputNames()
 	sems := c.Sem()
@@ -198,10 +213,10 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 	for i, id := range outs {
 		depth := 0
 		if id < len(c.Levels) {
-			depth = c.Levels[id]
+			depth = int(c.Levels[id])
 		}
 		of := sems.Outputs[i]
-		peak, method := bounds[id], "term-bound"
+		peak, method := int(bounds[id]), "term-bound"
 		if db := degreeBound(of.SupportSize, of.DegTot); db < peak {
 			peak, method = db, "degree"
 		}

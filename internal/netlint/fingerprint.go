@@ -1,10 +1,6 @@
 package netlint
 
-import (
-	"fmt"
-
-	"github.com/galoisfield/gfre/internal/netlist"
-)
+import "fmt"
 
 // Fingerprint is the XOR/AND composition classification of a netlist.
 //
@@ -32,35 +28,19 @@ type Fingerprint struct {
 	Combinational int `json:"combinational"` // total non-input, non-const gates
 }
 
-// fingerprint computes the classification from the gate mix.
+// fingerprint computes the classification from the gate mix counted by
+// newContext's sweep.
 func (c *Context) fingerprint() (fp Fingerprint) {
 	// Memoized: the fingerprint rule and the report both need it.
 	if c.fp != nil {
 		return *c.fp
 	}
 	defer func() { c.fp = &fp }()
-	fp = Fingerprint{Class: "unknown"}
-	isInput := func(id int) bool { return c.types[id] == netlist.Input }
-	for id := 0; id < c.N.NumGates(); id++ {
-		g := c.N.Gate(id)
-		switch g.Type {
-		case netlist.Input, netlist.Const0, netlist.Const1:
-			continue
-		case netlist.Xor:
-			fp.Xors++
-		case netlist.And:
-			fp.Ands++
-			if len(g.Fanin) == 2 && isInput(g.Fanin[0]) && isInput(g.Fanin[1]) {
-				fp.PartialAnds++
-			} else {
-				fp.InternalAnds++
-			}
-		case netlist.Buf:
-			// Neutral: buffers say nothing about architecture.
-		default:
-			fp.ComplexCells++
-		}
-		fp.Combinational++
+	sc := &c.scan
+	fp = Fingerprint{
+		Class: "unknown",
+		Xors:  sc.xors, Ands: sc.ands, PartialAnds: sc.partialAnds, InternalAnds: sc.internalAnds,
+		ComplexCells: sc.complexCells, Combinational: sc.combinational,
 	}
 	if fp.Combinational == 0 {
 		fp.Evidence = "no combinational gates"

@@ -107,18 +107,19 @@ type Context struct {
 	N    *netlist.Netlist
 	Opts Options
 
-	// Levels / Depth are netlist.Levels(), computed here in the same sweep
-	// as Fanout.
-	Levels []int
+	// Levels / Depth are netlist.Levels(), computed here in the context
+	// sweep.
+	Levels []int32
 	Depth  int
 	// Reach[id] reports whether gate id lies in some output's fanin cone.
 	Reach []bool
-	// Fanout[id] is the number of readers of gate id (output markings count
-	// as one reader each).
-	Fanout []int
 	// types[id] is gate id's type: one byte per gate, so rules that ask
 	// about their fanins' types stay in cache.
 	types []netlist.GateType
+
+	// Facts the structural rules read, gathered by newContext's one forward
+	// pass over the gates (see gateScan).
+	scan gateScan
 
 	// Memoized cone-cost prediction: predictCones is needed both by the
 	// cone-cost rule and for the report's suggestions.
@@ -129,9 +130,9 @@ type Context struct {
 	// Memoized architecture fingerprint (see fingerprint).
 	fp *Fingerprint
 
-	// swept delivers the semantic sweep, shared by the semantic rules and
-	// the cost predictor, which Analyze runs concurrently; Sem collects it.
-	swept chan *sem.Result
+	// sweep is the semantic sweep, shared by the semantic rules and the
+	// cost predictor, which Analyze runs concurrently; Sem collects it.
+	sweep *sem.Sweep
 	sem   *sem.Result
 }
 
@@ -295,16 +296,29 @@ func (r *Report) MaxPredictedPeak() int {
 // AnalyzeSource to get them.
 func Analyze(n *netlist.Netlist, opts Options) *Report {
 	// The semantic sweep is the longest pass and needs nothing the rules
-	// compute (its cache is keyed by its own digest), so it runs beside
-	// them; Sem waits for it. The canonical netlist hash, the next longest,
-	// runs meanwhile on this goroutine. Best effort: an unserializable
-	// netlist gets no content hash.
-	swept := make(chan *sem.Result, 1)
-	go func() { swept <- sem.AnalyzeCached(n, sem.Options{}) }()
+	// compute, so it starts at once on a goroutine of its own, which then
+	// builds the cone index; Sem waits for the sweep, and the cost
+	// predictor for the index (through the netlist's memo, which waits for
+	// a build in progress). The context sweep and the canonical netlist
+	// hash run meanwhile on this goroutine, and the hash is the sweep's
+	// cache key: a cached sweep stops as soon as the hash finds it. Best
+	// effort: an unserializable netlist gets no content hash, and its sweep
+	// is not cached.
+	sweep := sem.NewSweep(n, sem.Options{})
+	indexed := make(chan struct{})
+	go func() {
+		sweep.Run()
+		n.ConeSizes()
+		close(indexed)
+	}()
+	defer func() { <-indexed }()
 	ctx := newContext(n, opts)
-	ctx.swept = swept
+	ctx.sweep = sweep
 	rep := &Report{Design: n.Name}
-	rep.ContentHash, _ = checkpoint.HashNetlist(n)
+	var err error
+	if rep.ContentHash, err = checkpoint.HashNetlist(n); err == nil {
+		sweep.Consult(rep.ContentHash, ctx.types)
+	}
 	for _, rule := range registry {
 		if rule.Check == nil || opts.disabled(rule.Name) {
 			continue
@@ -318,31 +332,36 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	return rep
 }
 
-// newContext computes the shared analysis state once: gate types, logic
-// levels and fanout counts in one forward sweep, reachability in one
-// backward sweep.
+// newContext computes the shared analysis state once: in one forward sweep
+// over the gates, their types and logic levels plus everything the
+// structural rules and the cost predictor read of a gate (gateScan);
+// reachability in one backward sweep. The arrays are as narrow as their
+// values allow: on a large netlist, fresh memory costs more than the sweep
+// that fills it.
 func newContext(n *netlist.Netlist, opts Options) *Context {
 	ctx := &Context{N: n, Opts: opts}
-	ctx.Levels = make([]int, n.NumGates())
-	ctx.Fanout = make([]int, n.NumGates())
-	ctx.types = make([]netlist.GateType, n.NumGates())
+	ng := n.NumGates()
+	ctx.Levels = make([]int32, ng)
+	ctx.types = make([]netlist.GateType, ng)
+	sc := &ctx.scan
+	sc.bounds = make([]int32, ng)
+	sc.dupTags = make([]uint32, ng)
 	for id := range ctx.Levels {
 		g := n.Gate(id)
-		l := 0
+		var l int32
 		for _, f := range g.Fanin {
 			l = max(l, ctx.Levels[f]+1)
-			ctx.Fanout[f]++
 		}
 		ctx.types[id] = g.Type
 		ctx.Levels[id] = l
-		ctx.Depth = max(ctx.Depth, l)
+		ctx.Depth = max(ctx.Depth, int(l))
+		sc.gate(id, g, ctx.types)
 	}
 	// Reachability: reverse walk from the outputs. Gates are topologically
 	// ordered, so one descending sweep settles the whole DAG.
 	ctx.Reach = make([]bool, n.NumGates())
 	for _, out := range n.Outputs() {
 		ctx.Reach[out] = true
-		ctx.Fanout[out]++
 	}
 	for id := n.NumGates() - 1; id >= 0; id-- {
 		if !ctx.Reach[id] {

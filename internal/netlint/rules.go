@@ -2,9 +2,7 @@ package netlint
 
 import (
 	"fmt"
-	"math/bits"
 	"regexp"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -122,8 +120,8 @@ func checkIONaming(c *Context) []Finding {
 // obfuscation payload, and it inflates cost predictions.
 func checkDeadGates(c *Context) []Finding {
 	var dead []int
-	for id := 0; id < c.N.NumGates(); id++ {
-		if !c.Reach[id] && c.N.Gate(id).Type != netlist.Input {
+	for id, t := range c.types {
+		if !c.Reach[id] && t != netlist.Input {
 			dead = append(dead, id)
 		}
 	}
@@ -161,29 +159,15 @@ func checkUnusedInputs(c *Context) []Finding {
 // presence signals synthesis leftovers, tie-offs, or deliberate padding.
 func checkConstGates(c *Context) []Finding {
 	sev := c.severityOf("const-gate")
-	isConst := func(id int) (bool, bool) { // (is-constant, value)
-		switch c.types[id] {
-		case netlist.Const0:
-			return true, false
-		case netlist.Const1:
-			return true, true
-		}
-		return false, false
-	}
 	var consts, foldable []int
-	for id := 0; id < c.N.NumGates(); id++ {
-		g := c.N.Gate(id)
-		if ok, _ := isConst(id); ok {
-			if c.Reach[id] {
-				consts = append(consts, id)
-			}
-			continue
+	for _, id := range c.scan.consts {
+		if c.Reach[id] {
+			consts = append(consts, id)
 		}
-		for _, f := range g.Fanin {
-			if ok, _ := isConst(f); ok && c.Reach[id] {
-				foldable = append(foldable, id)
-				break
-			}
+	}
+	for _, id := range c.scan.folds {
+		if c.Reach[id] {
+			foldable = append(foldable, id)
 		}
 	}
 	var fs []Finding
@@ -209,46 +193,7 @@ func checkConstGates(c *Context) []Finding {
 // inflate cone statistics.
 func checkRedundantGates(c *Context) []Finding {
 	sev := c.severityOf("redundant-gate")
-	var selfCancel, dups, bufs []int
-	// Structural duplicates are found through an open-addressing table of
-	// gate IDs keyed by an FNV-1a hash of (type, fanins): a probe compares
-	// the hash tag and then the gates themselves, so detection is exact, and
-	// the table is two flat arrays rather than a map entry per gate.
-	sameGate := func(a, b netlist.Gate) bool {
-		return a.Type == b.Type && slices.Equal(a.Fanin, b.Fanin)
-	}
-	size := 1 << bits.Len(uint(2*c.N.NumGates()))
-	slots := make([]uint64, size) // tag<<32 | gate ID+1; 0 when empty
-	shift := 64 - bits.Len(uint(size-1))
-	for id := 0; id < c.N.NumGates(); id++ {
-		g := c.N.Gate(id)
-		switch g.Type {
-		case netlist.Input, netlist.Const0, netlist.Const1, netlist.Lut:
-			continue
-		case netlist.Buf:
-			bufs = append(bufs, id)
-		}
-		if len(g.Fanin) == 2 && g.Fanin[0] == g.Fanin[1] {
-			// x^x = 0, x·x = x, x+x = x, etc.: degenerate either way.
-			selfCancel = append(selfCancel, id)
-		}
-		h := uint64(1469598103934665603)
-		h = (h ^ uint64(g.Type)) * 1099511628211
-		for _, f := range g.Fanin {
-			h = (h ^ (uint64(f) + 1)) * 1099511628211
-		}
-		tag := h << 32
-		i := int((h * 0x9e3779b97f4a7c15) >> shift)
-		for ; slots[i] != 0; i = (i + 1) & (size - 1) {
-			if slots[i]&^(1<<32-1) == tag && sameGate(c.N.Gate(int(uint32(slots[i]))-1), g) {
-				dups = append(dups, id)
-				break
-			}
-		}
-		if slots[i] == 0 {
-			slots[i] = tag | uint64(id+1)
-		}
-	}
+	selfCancel, dups, bufs := c.scan.selfCancel, c.scan.duplicates(c.N), c.scan.bufs
 	var fs []Finding
 	if len(selfCancel) > 0 {
 		fs = append(fs, Finding{

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/galoisfield/gfre/internal/netlist"
 )
@@ -16,11 +18,12 @@ import (
 // generated designs repeatedly. The sweep is cheap but not free, and the
 // Result is immutable — so identical (netlist, options) pairs share one.
 //
-// The key is a digest of exactly what a sweep reads (see structureHash), so
-// two netlists parsed from the same text — gfred's admission and execution
-// copies of one submission — hit the same entry. It formats nothing, so
-// computing it costs a small fraction of the sweep, where the canonical EQN
-// hash (checkpoint.HashNetlist) costs about half of one.
+// The key is built on the netlist's canonical digest (netlist.Digest),
+// which its caller computes anyway, so the cache costs no serialization of
+// its own; see cacheKey for what it adds. The digest takes a while, so a
+// sweep does not wait for it: the sweep runs at once on a goroutine of its
+// own while its caller computes the digest and then consults the cache,
+// and a hit stops the sweep.
 
 const cacheCap = 64
 
@@ -30,97 +33,123 @@ var cache = struct {
 	order []string // insertion order, oldest first
 }{m: make(map[string]*Result)}
 
-// cacheKey binds the netlist's digest to every option that shapes the
-// result.
-func cacheKey(n *netlist.Netlist, opts Options) string {
-	return fmt.Sprintf("sem2|%s|tt%d|s%d", structureHash(n), opts.ttMaxVars(), opts.maxSets())
-}
-
-// structureHash digests everything Analyze reads of n: every gate's type,
-// fanins and LUT table, the input names that classify the operands, and the
-// outputs with their names. Equal digests therefore mean equal Results:
-// unlike canonical EQN text, which a netlist and its round-trip share even
-// when their gate ID spaces differ, the digest covers the gate array facts
-// are indexed by. The model name is digested too, as in the canonical hash:
-// renaming a netlist files it under a new entry.
-func structureHash(n *netlist.Netlist) string {
+// cacheKey binds the netlist's canonical digest to what the canonical
+// text leaves open of what a sweep reads, and to every option that shapes
+// the result. The text names every gate's fanins and renders its function,
+// but it does not pin the gate array facts are indexed by: a netlist and
+// its round-trip share it even when inputs sit at other IDs or output
+// aliases are buffer gates in one and port names in the other, and a LUT
+// renders like the plain cell it computes. So the key adds the gate count,
+// every gate's type, the input and output gate IDs, and the fanins of the
+// all-zero LUTs, the one cell whose text ("0") omits them. Equal keys
+// therefore mean equal Results.
+func cacheKey(n *netlist.Netlist, digest string, types []netlist.GateType, opts Options) string {
 	h := sha256.New()
-	buf := make([]byte, 0, 1<<13)
+	fmt.Fprintf(h, "sem3|%s|tt%d|s%d|", digest, opts.ttMaxVars(), opts.maxSets())
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 1<<12), uint32(len(types)))
 	flush := func() {
-		h.Write(buf) //nolint:errcheck — sha256 never errors
-		buf = buf[:0]
+		if len(buf) >= 1<<12-16 {
+			h.Write(buf) //nolint:errcheck — sha256 never errors
+			buf = buf[:0]
+		}
 	}
-	str := func(s string) {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-		if len(buf) >= 1<<12 {
+	var zeroLuts []int
+	for id, t := range types {
+		buf = append(buf, byte(t))
+		flush()
+		if t == netlist.Lut && !slices.Contains(n.Gate(id).Table, true) {
+			zeroLuts = append(zeroLuts, id)
+		}
+	}
+	for _, ids := range [][]int{n.Inputs(), n.Outputs(), zeroLuts} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+		for _, id := range ids {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 			flush()
 		}
 	}
-	str(n.Name)
-	buf = binary.AppendUvarint(buf, uint64(n.NumGates()))
-	for id := 0; id < n.NumGates(); id++ {
-		g := n.Gate(id)
-		buf = append(buf, byte(g.Type))
-		buf = binary.AppendUvarint(buf, uint64(len(g.Fanin)))
-		buf = binary.AppendUvarint(buf, uint64(len(g.Table)))
-		for _, f := range g.Fanin {
-			buf = binary.AppendUvarint(buf, uint64(id-f)) // fanins precede the gate
-		}
-		for i := 0; i < len(g.Table); i += 8 {
-			var b byte
-			for j := i; j < min(i+8, len(g.Table)); j++ {
-				if g.Table[j] {
-					b |= 1 << uint(j-i)
-				}
-			}
-			buf = append(buf, b)
-		}
-		if len(buf) >= 1<<12 {
+	for _, id := range zeroLuts {
+		for _, f := range n.Gate(id).Fanin {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(f))
 			flush()
 		}
 	}
-	ins := n.Inputs()
-	buf = binary.AppendUvarint(buf, uint64(len(ins)))
-	for _, id := range ins {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		str(n.NameOf(id))
-	}
-	names := n.OutputNames()
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for i, id := range n.Outputs() {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		str(names[i])
-	}
-	flush()
+	h.Write(buf) //nolint:errcheck
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// AnalyzeCached is Analyze behind a bounded content-addressed cache.
-func AnalyzeCached(n *netlist.Netlist, opts Options) *Result {
-	key := cacheKey(n, opts)
+// Sweep is a semantic sweep run beside its caller: one goroutine calls
+// Run while another calls Consult and then Wait.
+type Sweep struct {
+	n      *netlist.Netlist
+	opts   Options
+	stop   atomic.Bool
+	done   chan *Result
+	key    string  // cache key, once consulted; "" files nothing
+	cached *Result // a cache hit, which made the sweep stop
+}
 
+// NewSweep prepares the semantic sweep of n.
+func NewSweep(n *netlist.Netlist, opts Options) *Sweep {
+	return &Sweep{n: n, opts: opts, done: make(chan *Result, 1)}
+}
+
+// Run performs the sweep, unless a cache hit stops it first.
+func (s *Sweep) Run() { s.done <- analyze(s.n, s.opts, &s.stop) }
+
+// Consult looks the netlist up in the cache under its canonical digest
+// (netlist.Digest); types lists every gate's type, in ID order. A hit
+// stops the sweep, whose result is then never used; a miss has Wait file
+// the sweep's result under the key.
+func (s *Sweep) Consult(digest string, types []netlist.GateType) {
+	s.key = cacheKey(s.n, digest, types, s.opts)
 	cache.Lock()
-	if r, ok := cache.m[key]; ok {
-		cache.Unlock()
+	r := cache.m[s.key]
+	cache.Unlock()
+	if r != nil {
+		s.cached = r
+		s.stop.Store(true)
+	}
+}
+
+// Wait returns the sweep's result: the cached one after a hit, otherwise
+// the sweep's own, filed in the cache if Consult ran. It waits for Run
+// either way, so no sweep outlives the call.
+func (s *Sweep) Wait() *Result {
+	r := <-s.done
+	if s.cached != nil {
+		return s.cached
+	}
+	if s.key == "" {
 		return r
 	}
-	cache.Unlock()
-
-	r := Analyze(n, opts)
-
 	cache.Lock()
-	if prev, ok := cache.m[key]; ok {
+	defer cache.Unlock()
+	if prev, ok := cache.m[s.key]; ok {
 		// A concurrent analysis won the race; share its result.
-		cache.Unlock()
 		return prev
 	}
-	cache.m[key] = r
-	cache.order = append(cache.order, key)
+	cache.m[s.key] = r
+	cache.order = append(cache.order, s.key)
 	for len(cache.order) > cacheCap {
 		delete(cache.m, cache.order[0])
 		cache.order = cache.order[1:]
 	}
-	cache.Unlock()
 	return r
+}
+
+// AnalyzeCached is Analyze behind a bounded content-addressed cache. It
+// computes the netlist's digest (memoized on the netlist) beside the
+// sweep; a netlist that cannot be digested is analyzed uncached.
+func AnalyzeCached(n *netlist.Netlist, opts Options) *Result {
+	s := NewSweep(n, opts)
+	go s.Run()
+	if digest, err := n.Digest(); err == nil {
+		types := make([]netlist.GateType, n.NumGates())
+		for id := range types {
+			types[id] = n.Gate(id).Type
+		}
+		s.Consult(digest, types)
+	}
+	return s.Wait()
 }

@@ -36,6 +36,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"github.com/galoisfield/gfre/internal/netlist"
@@ -74,20 +75,87 @@ func (o Options) maxSets() int {
 	return o.MaxSets
 }
 
-// fact is the per-wire lattice value.
+// fact is the per-wire lattice value, packed into 40 bytes: the sweep keeps
+// one per gate, and on a large netlist fresh memory for them costs more
+// than the sweep that fills them. Exact facts (ttn >= 0: degrees, support
+// and unateness are exact, in the truth-table domain) and abstract ones
+// (ttn < 0) share the variable array. An exact fact lists its variables
+// there, carries its support implicitly in them, and keeps its degrees,
+// at most six, in edeg; an abstract fact keeps its interned support set
+// and its saturating degree bounds there instead.
 type fact struct {
-	supp int32 // interned support set (over input positions)
+	tt  uint64   // exact: truth table over ttv[:ttn]
+	ttv [6]int32 // exact: variables as input positions, ascending; abstract: see absSupp..absDegTot
 
-	degA, degB, degK, degTot int32 // saturating ANF degree upper bounds
+	edeg  [4]int8 // exact: ANF degrees in a, b, key inputs and total
+	konst int8    // -1 unknown, else the constant value
+	ttn   int8    // exact truth-table variable count; -1 when abstract
+	flags uint8   // factSyn, factUnate
+}
 
-	konst int8 // -1 unknown, else the constant value
-	syn   bool // constant reached by propagation only (foldable, not algebraic)
-	unate bool // monotone/anti-monotone in every support input
-	exact bool // degrees/support/unateness are exact (truth-table domain)
+// Slots of an abstract fact's ttv.
+const (
+	absSupp = iota // interned support set (over input positions)
+	absDegA
+	absDegB
+	absDegK
+	absDegTot
+)
 
-	ttn int8     // exact truth-table variable count; -1 when abstract
-	tt  uint64   // truth table over ttv[:ttn]
-	ttv [6]int32 // variable gate IDs (primary inputs), ascending
+const (
+	factSyn   = 1 << iota // constant reached by propagation only (foldable, not algebraic)
+	factUnate             // monotone/anti-monotone in every support input
+)
+
+func (f *fact) exact() bool { return f.ttn >= 0 }
+func (f *fact) syn() bool   { return f.flags&factSyn != 0 }
+func (f *fact) unate() bool { return f.flags&factUnate != 0 }
+
+func (f *fact) setUnate(u bool) {
+	if u {
+		f.flags |= factUnate
+	} else {
+		f.flags &^= factUnate
+	}
+}
+
+// supp returns an abstract fact's interned support set, -1 for an exact
+// fact, whose support is ttv[:ttn].
+func (f *fact) supp() int32 {
+	if f.exact() {
+		return -1
+	}
+	return f.ttv[absSupp]
+}
+
+// degs returns the degree bounds in a, b, key inputs and total.
+func (f *fact) degs() (a, b, k, t int32) {
+	if f.exact() {
+		return int32(f.edeg[0]), int32(f.edeg[1]), int32(f.edeg[2]), int32(f.edeg[3])
+	}
+	return f.ttv[absDegA], f.ttv[absDegB], f.ttv[absDegK], f.ttv[absDegTot]
+}
+
+// setDegs sets the degree bounds; an exact fact's are at most six.
+func (f *fact) setDegs(a, b, k, t int32) {
+	if f.exact() {
+		f.edeg = [4]int8{int8(a), int8(b), int8(k), int8(t)}
+		return
+	}
+	f.ttv[absDegA], f.ttv[absDegB], f.ttv[absDegK], f.ttv[absDegTot] = a, b, k, t
+}
+
+// exactFact returns an exact fact over ttn variables with truth table tt.
+func exactFact(ttn int, tt uint64) fact { return fact{konst: -1, ttn: int8(ttn), tt: tt} }
+
+// constFact returns the constant v; syn marks a constant reached by
+// propagation only.
+func constFact(v int8, syn bool) fact {
+	f := fact{konst: v, flags: factUnate}
+	if syn {
+		f.flags |= factSyn
+	}
+	return f
 }
 
 func satDeg(v int32) int32 {
@@ -141,7 +209,7 @@ type Result struct {
 	facts    []fact
 	pool     *suppPool
 	inputs   []int
-	inputPos []int32 // gate ID -> input position, -1 otherwise
+	algConst []int // AlgebraicConsts
 }
 
 // analyzer carries the sweep's scratch state.
@@ -151,7 +219,7 @@ type analyzer struct {
 	ports    Ports
 	pool     *suppPool
 	facts    []fact
-	inputPos []int32
+	algConst []int
 
 	uid       []int32 // distinct non-const fanins of the current gate
 	slotIdx   []int8  // per fanin slot: index into uid, or -1 (constant)
@@ -163,6 +231,16 @@ type analyzer struct {
 
 // Analyze runs the semantic sweep over a constructed netlist.
 func Analyze(n *netlist.Netlist, opts Options) *Result {
+	return analyze(n, opts, nil)
+}
+
+// stopEvery is how many gates the sweep settles between looks at its stop
+// flag.
+const stopEvery = 1 << 12
+
+// analyze is Analyze, abandoned with a nil result once stop (if not nil) is
+// set.
+func analyze(n *netlist.Netlist, opts Options, stop *atomic.Bool) *Result {
 	start := time.Now()
 	inputs := n.Inputs()
 	names := make([]string, len(inputs))
@@ -171,29 +249,47 @@ func Analyze(n *netlist.Netlist, opts Options) *Result {
 	}
 	ports := classify(inputs, names)
 
-	inputPos := make([]int32, n.NumGates())
-	for i := range inputPos {
-		inputPos[i] = -1
-	}
-	for pos, id := range inputs {
-		inputPos[id] = int32(pos)
-	}
-
 	a := &analyzer{
-		n:        n,
-		opts:     opts,
-		ports:    ports,
-		pool:     newSuppPool(len(inputs), opts.maxSets(), n.NumGates()/2+16, ports.Class),
-		facts:    make([]fact, n.NumGates()),
-		inputPos: inputPos,
-		evalIn:   make([]bool, 0, 32),
-		suppBuf:  make([]uint64, (len(inputs)+63)/64),
+		n:       n,
+		opts:    opts,
+		ports:   ports,
+		pool:    newSuppPool(len(inputs), opts.maxSets(), n.NumGates()/4+16, ports.Class),
+		facts:   make([]fact, n.NumGates()),
+		evalIn:  make([]bool, 0, 32),
+		suppBuf: make([]uint64, (len(inputs)+63)/64),
+	}
+	// Primary inputs are settled up front, where their positions are at
+	// hand: an exact fact names its variables by input position, which is
+	// what the operand classes and support bitsets are indexed by.
+	// Exact facts carry their support explicitly in ttv[:ttn] and defer
+	// bitset interning until an abstract consumer needs it, which keeps the
+	// pool out of the (dominant) exact-domain path entirely.
+	for pos, id := range inputs {
+		f := &a.facts[id]
+		*f = exactFact(1, 0b10)
+		f.flags = factUnate
+		f.ttv[0] = int32(pos)
+		switch ports.Class[pos] {
+		case ClassA:
+			f.setDegs(1, 0, 0, 1)
+		case ClassB:
+			f.setDegs(0, 1, 0, 1)
+		default:
+			f.setDegs(0, 0, 1, 1)
+		}
 	}
 	if len(a.suppBuf) == 0 {
 		a.suppBuf = make([]uint64, 1)
 	}
 	for id := 0; id < n.NumGates(); id++ {
-		a.transfer(id, &a.facts[id])
+		if id%stopEvery == 0 && stop != nil && stop.Load() {
+			return nil
+		}
+		f := &a.facts[id]
+		a.transfer(id, f)
+		if f.konst >= 0 && !f.syn() {
+			a.algConst = append(a.algConst, id)
+		}
 	}
 
 	r := &Result{
@@ -205,7 +301,7 @@ func Analyze(n *netlist.Netlist, opts Options) *Result {
 		facts:        a.facts,
 		pool:         a.pool,
 		inputs:       inputs,
-		inputPos:     inputPos,
+		algConst:     a.algConst,
 	}
 	outs := n.Outputs()
 	outNames := n.OutputNames()
@@ -213,12 +309,8 @@ func Analyze(n *netlist.Netlist, opts Options) *Result {
 		f := &a.facts[id]
 		of := OutputFact{
 			Bit: i, Gate: id,
-			Const:  f.konst,
-			DegA:   int(f.degA),
-			DegB:   int(f.degB),
-			DegKey: int(f.degK),
-			DegTot: int(f.degTot),
-			Exact:  f.exact,
+			Const: f.konst,
+			Exact: f.exact(),
 
 			SupportSize: r.SupportSize(id),
 			KeyInputs:   r.KeySupport(id),
@@ -226,6 +318,8 @@ func Analyze(n *netlist.Netlist, opts Options) *Result {
 		if i < len(outNames) {
 			of.Name = outNames[i]
 		}
+		da, db, dk, dt := f.degs()
+		of.DegA, of.DegB, of.DegKey, of.DegTot = int(da), int(db), int(dk), int(dt)
 		r.Outputs = append(r.Outputs, of)
 	}
 	r.Elapsed = time.Since(start)
@@ -238,27 +332,28 @@ func (a *analyzer) transfer(id int, f *fact) {
 	g := a.n.Gate(id)
 	switch g.Type {
 	case netlist.Input:
-		pos := a.inputPos[id]
-		// Exact facts carry their support explicitly in ttv[:ttn]; supp = -1
-		// defers bitset interning until an abstract consumer needs it, which
-		// keeps the pool out of the (dominant) exact-domain path entirely.
-		*f = fact{supp: -1, konst: -1, ttn: 1, tt: 0b10, degTot: 1, unate: true, exact: true}
-		f.ttv[0] = int32(id)
-		switch a.ports.Class[pos] {
-		case ClassA:
-			f.degA = 1
-		case ClassB:
-			f.degB = 1
-		default:
-			f.degK = 1
-		}
-		return
+		return // settled before the sweep
 	case netlist.Const0:
-		*f = fact{konst: 0, syn: true, unate: true, exact: true}
+		*f = constFact(0, true)
 		return
 	case netlist.Const1:
-		*f = fact{konst: 1, syn: true, unate: true, exact: true}
+		*f = constFact(1, true)
 		return
+	}
+
+	// Plain 2-input cells on two distinct non-constant fanins — the bulk of
+	// any multiplier — take their local table straight from plainTables:
+	// both variables are essential, so the partition below, the
+	// restriction, Eval sweep and essentiality drop are all skipped.
+	if len(g.Fanin) == 2 && int(g.Type) < len(plainTables) && plainTables[g.Type] != 0 {
+		f0, f1 := g.Fanin[0], g.Fanin[1]
+		if f0 != f1 && a.facts[f0].konst < 0 && a.facts[f1].konst < 0 {
+			a.uid = append(a.uid[:0], int32(f0), int32(f1))
+			if !a.exactCompose(f, plainTables[g.Type], 2, g.Type) {
+				a.abstractPlain(f, g.Type)
+			}
+			return
+		}
 	}
 
 	// Partition fanin slots into constants and distinct variable signals;
@@ -298,35 +393,18 @@ func (a *analyzer) transfer(id int, f *fact) {
 		return
 	}
 
-	// Plain 1- and 2-input cells on distinct non-constant fanins — the bulk
-	// of any synthesized netlist — get their local table from a lookup; both
-	// variables are always essential for these types, so the restriction,
-	// Eval sweep and essentiality drop below are all skipped.
+	// Buffers and inverters on a non-constant fanin get their local table
+	// from a lookup (plain 2-input cells took the path above); the variable
+	// is essential, so the restriction, Eval sweep and essentiality drop
+	// below are all skipped.
 	var T uint64
 	fast := false
-	if k == len(g.Fanin) {
-		if k == 2 {
-			switch g.Type {
-			case netlist.And:
-				T, fast = 0b1000, true
-			case netlist.Or:
-				T, fast = 0b1110, true
-			case netlist.Xor:
-				T, fast = 0b0110, true
-			case netlist.Xnor:
-				T, fast = 0b1001, true
-			case netlist.Nand:
-				T, fast = 0b0111, true
-			case netlist.Nor:
-				T, fast = 0b0001, true
-			}
-		} else if k == 1 {
-			switch g.Type {
-			case netlist.Buf:
-				T, fast = 0b10, true
-			case netlist.Not:
-				T, fast = 0b01, true
-			}
+	if k == 1 && len(g.Fanin) == 1 {
+		switch g.Type {
+		case netlist.Buf:
+			T, fast = 0b10, true
+		case netlist.Not:
+			T, fast = 0b01, true
 		}
 	}
 	if !fast {
@@ -365,18 +443,25 @@ func (a *analyzer) transfer(id int, f *fact) {
 			// Constant with no essential variables left: syntactic when a
 			// constant fanin forced it, algebraic when distinct live signals
 			// cancelled (XOR(x,x), MUX with equal branches, ...).
-			*f = fact{konst: v, syn: hadConstFanin, unate: true, exact: true}
+			*f = constFact(v, hadConstFanin)
 			return
 		}
 	}
 
-	cell := netlist.Input // no plain 2-input cell
-	if fast && k == 2 {
-		cell = g.Type
-	}
-	if !a.exactCompose(f, T, k, cell) {
+	if !a.exactCompose(f, T, k, netlist.Input) {
 		*f = a.abstract(T, k)
 	}
+}
+
+// plainTables holds the truth tables of the plain 2-input cells over their
+// two fanins, 0 for every other type.
+var plainTables = [...]uint64{
+	netlist.And:  0b1000,
+	netlist.Or:   0b1110,
+	netlist.Xor:  0b0110,
+	netlist.Xnor: 0b1001,
+	netlist.Nand: 0b0111,
+	netlist.Nor:  0b0001,
 }
 
 // exactCompose tries to settle the gate in the truth-table domain: all
@@ -385,20 +470,34 @@ func (a *analyzer) transfer(id int, f *fact) {
 // non-constant fanins, netlist.Input otherwise. On success the fact is
 // written to f.
 func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType) bool {
-	if cell != netlist.Input && a.plainProduct(f, T, cell) {
+	if cell != netlist.Input && a.plainDisjoint(f, cell) {
 		return true
 	}
 	// The joint variable set: merge the fanins' ascending variable lists,
-	// giving up as soon as it outgrows the exact domain.
+	// giving up as soon as it outgrows the exact domain. A signature with
+	// bit v&63 per variable rejects most oversized sets before the merge:
+	// its population bounds the joint set's size from below.
 	ttMax := a.opts.ttMaxVars()
-	var bufs [2][6]int32 // merge ping-pong: bufs[cur][:nv] is the set so far
-	cur, nv, listed := 0, 0, 0
+	var sig uint64
 	for _, u := range a.uid {
 		uf := &a.facts[u]
 		if uf.ttn < 0 {
 			return false
 		}
-		listed += int(uf.ttn)
+		for _, v := range uf.ttv[:uf.ttn] {
+			sig |= 1 << (uint32(v) & 63)
+		}
+	}
+	if bits.OnesCount64(sig) > ttMax {
+		return false
+	}
+	var bufs [2][6]int32 // merge ping-pong: bufs[cur][:nv] is the set so far
+	cur, nv := 0, 0
+	for _, u := range a.uid {
+		uf := &a.facts[u]
+		if uf.ttn < 0 {
+			return false
+		}
 		src, dst := &bufs[cur], &bufs[cur^1]
 		i, j, m, nf := 0, 0, 0, int(uf.ttn)
 		for i < nv || j < nf {
@@ -454,29 +553,23 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 		full = 1<<uint(1<<uint(nv)) - 1
 	}
 	var out uint64
-	for frow := 0; frow < 1<<uint(k); frow++ {
-		if T>>uint(frow)&1 == 0 {
-			continue
-		}
-		term := full
-		for j := 0; j < k; j++ {
-			if frow>>uint(j)&1 == 1 {
-				term &= ex[j]
-			} else {
-				term &^= ex[j]
+	if cell != netlist.Input {
+		out = combine(cell, ex[0], ex[1]) & full
+	} else {
+		for frow := 0; frow < 1<<uint(k); frow++ {
+			if T>>uint(frow)&1 == 0 {
+				continue
 			}
+			term := full
+			for j := 0; j < k; j++ {
+				if frow>>uint(j)&1 == 1 {
+					term &= ex[j]
+				} else {
+					term &^= ex[j]
+				}
+			}
+			out |= term
 		}
-		out |= term
-	}
-
-	// Two fanins over disjoint variables through a plain 2-input cell — the
-	// bulk of a multiplier's XOR trees: every joint variable stays
-	// essential, and degrees and unateness compose without the spectrum.
-	if cell != netlist.Input && nv == listed {
-		*f = fact{supp: -1, konst: -1, ttn: int8(nv), tt: out, exact: true}
-		copy(f.ttv[:], vbuf)
-		a.composeDisjoint(f, cell)
-		return true
 	}
 
 	// Composition can cancel variables (reconvergence); compact them away.
@@ -493,11 +586,11 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 		if out&1 == 1 {
 			v = 1
 		}
-		*f = fact{konst: v, unate: true, exact: true}
+		*f = constFact(v, false)
 		return true
 	}
 
-	*f = fact{konst: -1, ttn: int8(nv), tt: out, exact: true}
+	*f = exactFact(nv, out)
 	copy(f.ttv[:], vbuf)
 
 	// Exact degrees from the ANF spectrum: bit position m of spec encodes a
@@ -506,46 +599,105 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 	spec := mobius(out, nv)
 	var mskA, mskB uint64
 	for j := 0; j < nv; j++ {
-		switch a.ports.Class[a.inputPos[vbuf[j]]] {
+		switch a.ports.Class[vbuf[j]] {
 		case ClassA:
 			mskA |= 1 << uint(j)
 		case ClassB:
 			mskB |= 1 << uint(j)
 		}
 	}
+	var fa, fb, fk, ft int32
 	for s := spec &^ 1; s != 0; s &= s - 1 {
 		m := uint64(bits.TrailingZeros64(s))
 		da := int32(bits.OnesCount64(m & mskA))
 		db := int32(bits.OnesCount64(m & mskB))
 		dt := int32(bits.OnesCount64(m))
-		f.degA, f.degB = maxDeg(f.degA, da), maxDeg(f.degB, db)
-		f.degK, f.degTot = maxDeg(f.degK, dt-da-db), maxDeg(f.degTot, dt)
+		fa, fb = maxDeg(fa, da), maxDeg(fb, db)
+		fk, ft = maxDeg(fk, dt-da-db), maxDeg(ft, dt)
 	}
+	f.setDegs(fa, fb, fk, ft)
 
-	// Exact unateness; support stays implicit in ttv (supp = -1).
-	f.supp = -1
-	f.unate = true
+	// Exact unateness; support stays implicit in ttv.
+	unate := true
 	for j := 0; j < nv; j++ {
 		if !unateIn(out, nv, j) {
-			f.unate = false
+			unate = false
 		}
 	}
+	f.setUnate(unate)
 	return true
 }
 
-// plainProduct settles a plain 2-input cell over two distinct primary
-// input variables — every partial product of a multiplier — directly: the
-// six plain 2-input cells are symmetric, so T is already the table over the
-// ascending pair.
-func (a *analyzer) plainProduct(f *fact, T uint64, cell netlist.GateType) bool {
+// plainDisjoint settles a plain 2-input cell over two exact fanins that
+// read disjoint variables — every partial product of a multiplier and the
+// first levels of its XOR trees — without the general merge: the joint
+// variable list interleaves the two, each fanin's table is lifted over the
+// other's variables, and the cell combines the lifted tables word-wide.
+// Every joint variable stays essential, so degrees and unateness compose
+// without the spectrum (composeDisjoint). It reports false, changing
+// nothing, when the fanins share a variable or outgrow the exact domain.
+func (a *analyzer) plainDisjoint(f *fact, cell netlist.GateType) bool {
 	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
-	if u.ttn != 1 || u.tt != 0b10 || w.ttn != 1 || w.tt != 0b10 || u.ttv[0] == w.ttv[0] || a.opts.ttMaxVars() < 2 {
-		return false // a buffered copy of the same input is not a second variable
+	nu, nw := int(u.ttn), int(w.ttn)
+	if nu < 0 || nw < 0 || nu+nw > a.opts.ttMaxVars() {
+		return false
 	}
-	*f = fact{supp: -1, konst: -1, ttn: 2, tt: T, exact: true}
-	f.ttv[0], f.ttv[1] = min(u.ttv[0], w.ttv[0]), max(u.ttv[0], w.ttv[0])
+	if nu == 1 && nw == 1 && u.tt == 0b10 && w.tt == 0b10 && u.ttv[0] != w.ttv[0] {
+		// Two distinct plain variables — a partial product: the six plain
+		// cells are symmetric, so the cell's own table is the joint one.
+		*f = exactFact(2, plainTables[cell])
+		f.ttv[0], f.ttv[1] = min(u.ttv[0], w.ttv[0]), max(u.ttv[0], w.ttv[0])
+		a.composeDisjoint(f, cell)
+		return true
+	}
+	nv := nu + nw
+	var vars [6]int32
+	var fromU uint // bit p: joint variable p is u's
+	for p, i, j := 0, 0, 0; p < nv; p++ {
+		switch {
+		case j == nw || i < nu && u.ttv[i] < w.ttv[j]:
+			vars[p] = u.ttv[i]
+			fromU |= 1 << uint(p)
+			i++
+		case i == nu || w.ttv[j] < u.ttv[i]:
+			vars[p] = w.ttv[j]
+			j++
+		default:
+			return false // a shared variable
+		}
+	}
+	eu, ew := u.tt, w.tt
+	for p, ku, kw := 0, nu, nw; p < nv; p++ {
+		if fromU>>uint(p)&1 == 1 {
+			ew = dupAt(ew, kw, p)
+			kw++
+		} else {
+			eu = dupAt(eu, ku, p)
+			ku++
+		}
+	}
+	*f = exactFact(nv, combine(cell, eu, ew)&rowMask(nv))
+	copy(f.ttv[:], vars[:nv])
 	a.composeDisjoint(f, cell)
 	return true
+}
+
+// combine applies plain 2-input cell to two tables over the same
+// variables, row by row.
+func combine(cell netlist.GateType, x, y uint64) uint64 {
+	switch cell {
+	case netlist.And:
+		return x & y
+	case netlist.Or:
+		return x | y
+	case netlist.Xor:
+		return x ^ y
+	case netlist.Xnor:
+		return ^(x ^ y)
+	case netlist.Nand:
+		return ^(x & y)
+	}
+	return ^(x | y) // netlist.Nor
 }
 
 // composeDisjoint sets the degrees and unateness of a plain 2-input cell
@@ -557,20 +709,21 @@ func (a *analyzer) plainProduct(f *fact, T uint64, cell netlist.GateType) bool {
 // never unate.
 func (a *analyzer) composeDisjoint(f *fact, cell netlist.GateType) {
 	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
+	ua, ub, uk, ut := u.degs()
+	wa, wb, wk, wt := w.degs()
 	if cell == netlist.Xor || cell == netlist.Xnor {
-		f.degA, f.degB = maxDeg(u.degA, w.degA), maxDeg(u.degB, w.degB)
-		f.degK, f.degTot = maxDeg(u.degK, w.degK), maxDeg(u.degTot, w.degTot)
+		f.setDegs(maxDeg(ua, wa), maxDeg(ub, wb), maxDeg(uk, wk), maxDeg(ut, wt))
 		return
 	}
-	f.degA, f.degB = u.degA+w.degA, u.degB+w.degB
-	f.degK, f.degTot = u.degK+w.degK, u.degTot+w.degTot
-	f.unate = u.unate && w.unate
+	f.setDegs(ua+wa, ub+wb, uk+wk, ut+wt)
+	f.setUnate(u.unate() && w.unate())
 }
 
 // abstract settles the gate in the abstract domain: monomial-wise degree
 // bounds from the gate-local ANF, support union, compositional unateness.
 func (a *analyzer) abstract(T uint64, k int) fact {
 	f := fact{konst: -1, ttn: -1}
+	var fa, fb, fk, ft int32
 	spec := mobius(T, k)
 	for m := 1; m < 1<<uint(k); m++ {
 		if spec>>uint(m)&1 == 0 {
@@ -581,13 +734,14 @@ func (a *analyzer) abstract(T uint64, k int) fact {
 			if m>>uint(j)&1 == 0 {
 				continue
 			}
-			uf := &a.facts[a.uid[j]]
-			da, db = satDeg(da+uf.degA), satDeg(db+uf.degB)
-			dk, dt = satDeg(dk+uf.degK), satDeg(dt+uf.degTot)
+			ua, ub, uk, ut := a.facts[a.uid[j]].degs()
+			da, db = satDeg(da+ua), satDeg(db+ub)
+			dk, dt = satDeg(dk+uk), satDeg(dt+ut)
 		}
-		f.degA, f.degB = maxDeg(f.degA, da), maxDeg(f.degB, db)
-		f.degK, f.degTot = maxDeg(f.degK, dk), maxDeg(f.degTot, dt)
+		fa, fb = maxDeg(fa, da), maxDeg(fb, db)
+		fk, ft = maxDeg(fk, dk), maxDeg(ft, dt)
 	}
+	f.setDegs(fa, fb, fk, ft)
 
 	for i := range a.suppBuf {
 		a.suppBuf[i] = 0
@@ -597,24 +751,50 @@ func (a *analyzer) abstract(T uint64, k int) fact {
 	for _, u := range a.uid {
 		uf := &a.facts[u]
 		sum += a.orSupp(uf)
-		if !uf.unate {
+		if !uf.unate() {
 			allUnate = false
 		}
 	}
-	f.supp = a.pool.intern(a.suppBuf)
+	f.ttv[absSupp] = a.pool.intern(a.suppBuf)
 	// Compositional unateness is sound only when fanin cones do not share
 	// inputs (no path can flip polarity against another); with disjoint
 	// supports, gate-local unateness in every variable lifts to the wire.
-	if allUnate && sum == a.pool.size(f.supp) {
-		f.unate = true
+	if allUnate && sum == a.pool.size(f.supp()) {
+		unate := true
 		for j := 0; j < k; j++ {
 			if !unateIn(T, k, j) {
-				f.unate = false
+				unate = false
 				break
 			}
 		}
+		f.setUnate(unate)
 	}
 	return f
+}
+
+// abstractPlain is abstract for a plain 2-input cell on the two fanins in
+// uid, whose local ANF needs no spectrum: XOR and XNOR sum their fanins,
+// so their degrees are the fanins' larger ones and they are unate in
+// neither; the other four multiply them (x+y = x ^ y ^ xy), so degrees add
+// and they are unate in both.
+func (a *analyzer) abstractPlain(f *fact, cell netlist.GateType) {
+	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
+	ua, ub, uk, ut := u.degs()
+	wa, wb, wk, wt := w.degs()
+	*f = fact{konst: -1, ttn: -1}
+	sum := cell != netlist.Xor && cell != netlist.Xnor
+	if sum {
+		f.setDegs(satDeg(ua+wa), satDeg(ub+wb), satDeg(uk+wk), satDeg(ut+wt))
+	} else {
+		f.setDegs(maxDeg(ua, wa), maxDeg(ub, wb), maxDeg(uk, wk), maxDeg(ut, wt))
+	}
+	clear(a.suppBuf)
+	size := a.orSupp(u) + a.orSupp(w)
+	f.ttv[absSupp] = a.pool.intern(a.suppBuf)
+	// As in abstract: unateness lifts only over disjoint supports.
+	if sum && u.unate() && w.unate() && size == a.pool.size(f.supp()) {
+		f.setUnate(true)
+	}
 }
 
 // coarse handles gates with more than six distinct live fanins (wide LUTs):
@@ -624,13 +804,16 @@ func (a *analyzer) coarse() fact {
 	for i := range a.suppBuf {
 		a.suppBuf[i] = 0
 	}
+	var fa, fb, fk, ft int32
 	for _, u := range a.uid {
 		uf := &a.facts[u]
-		f.degA, f.degB = satDeg(f.degA+uf.degA), satDeg(f.degB+uf.degB)
-		f.degK, f.degTot = satDeg(f.degK+uf.degK), satDeg(f.degTot+uf.degTot)
+		ua, ub, uk, ut := uf.degs()
+		fa, fb = satDeg(fa+ua), satDeg(fb+ub)
+		fk, ft = satDeg(fk+uk), satDeg(ft+ut)
 		a.orSupp(uf)
 	}
-	f.supp = a.pool.intern(a.suppBuf)
+	f.setDegs(fa, fb, fk, ft)
+	f.ttv[absSupp] = a.pool.intern(a.suppBuf)
 	return f
 }
 
@@ -638,15 +821,15 @@ func (a *analyzer) coarse() fact {
 // exact facts (supp < 0) contribute their ttv variables directly without
 // touching the pool.
 func (a *analyzer) orSupp(uf *fact) int {
-	if uf.supp < 0 {
+	if uf.exact() {
 		for q := 0; q < int(uf.ttn); q++ {
-			pos := a.inputPos[uf.ttv[q]]
+			pos := uf.ttv[q]
 			a.suppBuf[pos/64] |= 1 << uint(pos%64)
 		}
 		return int(uf.ttn)
 	}
-	a.pool.unionInto(a.suppBuf, uf.supp)
-	return a.pool.size(uf.supp)
+	a.pool.unionInto(a.suppBuf, uf.supp())
+	return a.pool.size(uf.supp())
 }
 
 // Const reports whether gate id is provably constant, and its value.
@@ -655,51 +838,54 @@ func (r *Result) Const(id int) (value bool, ok bool) {
 	return f.konst == 1, f.konst >= 0
 }
 
+// AlgebraicConsts lists, ascending, the gates AlgebraicConst holds for;
+// the sweep collects them as it settles them.
+func (r *Result) AlgebraicConsts() []int { return r.algConst }
+
 // AlgebraicConst reports whether gate id is provably constant for algebraic
 // reasons — cancellation across distinct signals — rather than by constant
 // propagation a syntactic linter already sees.
 func (r *Result) AlgebraicConst(id int) bool {
 	f := &r.facts[id]
-	return f.konst >= 0 && !f.syn
+	return f.konst >= 0 && !f.syn()
 }
 
 // Degrees returns gate id's ANF degree upper bounds (exact for wires in the
 // truth-table domain): degree in operand a, in operand b, in key inputs,
 // and total.
 func (r *Result) Degrees(id int) (degA, degB, degKey, degTot int) {
-	f := &r.facts[id]
-	return int(f.degA), int(f.degB), int(f.degK), int(f.degTot)
+	a, b, k, t := r.facts[id].degs()
+	return int(a), int(b), int(k), int(t)
 }
 
 // Exact reports whether gate id was settled in the exact truth-table domain.
-func (r *Result) Exact(id int) bool { return r.facts[id].exact }
+func (r *Result) Exact(id int) bool { return r.facts[id].exact() }
 
 // Unate reports whether gate id is monotone/anti-monotone in every support
 // input (exact in the truth-table domain, conservative elsewhere).
-func (r *Result) Unate(id int) bool { return r.facts[id].unate }
+func (r *Result) Unate(id int) bool { return r.facts[id].unate() }
 
 // SupportSize counts the primary inputs that can influence gate id.
 func (r *Result) SupportSize(id int) int {
 	f := &r.facts[id]
-	if f.supp < 0 {
+	if f.exact() {
 		return int(f.ttn)
 	}
-	return r.pool.size(f.supp)
+	return r.pool.size(f.supp())
 }
 
 // suppPositions returns gate id's support as ascending input positions;
 // exact facts read it off ttv, abstract facts off the interned set.
 func (r *Result) suppPositions(id int) []int {
 	f := &r.facts[id]
-	if f.supp < 0 {
+	if f.exact() {
 		out := make([]int, 0, int(f.ttn))
 		for q := 0; q < int(f.ttn); q++ {
-			out = append(out, int(r.inputPos[f.ttv[q]]))
+			out = append(out, int(f.ttv[q]))
 		}
-		sort.Ints(out)
 		return out
 	}
-	return r.pool.members(f.supp, nil)
+	return r.pool.members(f.supp(), nil)
 }
 
 // SupportInputs returns the gate IDs of primary inputs in gate id's support.
@@ -738,18 +924,18 @@ func (r *Result) KeyOnly(id int) bool {
 	if f.konst >= 0 {
 		return false
 	}
-	if f.supp < 0 {
+	if f.exact() {
 		if f.ttn == 0 {
 			return false
 		}
 		for q := 0; q < int(f.ttn); q++ {
-			if r.Ports.Class[r.inputPos[f.ttv[q]]] != ClassKey {
+			if r.Ports.Class[f.ttv[q]] != ClassKey {
 				return false
 			}
 		}
 		return true
 	}
-	return f.supp != emptySet && r.pool.subsetOfClass(f.supp, ClassKey)
+	return f.supp() != emptySet && r.pool.subsetOfClass(f.supp(), ClassKey)
 }
 
 // GatedKeyInputs returns the union, over all outputs, of key inputs in the

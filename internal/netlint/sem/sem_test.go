@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -494,5 +495,53 @@ func TestExactFactsMatchBruteForce(t *testing.T) {
 				t.Fatalf("iter %d gate %d (%v): unate = %v, want %v", iter, id, n.Gate(id).Type, res.Unate(id), unate)
 			}
 		}
+	}
+}
+
+// TestCacheKeyPinsGateArray checks what the cache key adds to the canonical
+// hash: a netlist and its EQN round-trip share their canonical text, but
+// the round-trip turns an output alias into a buffer gate and so indexes
+// its facts differently. The two must not share a cached Result, while a
+// second parse of the same text must.
+func TestCacheKeyPinsGateArray(t *testing.T) {
+	n := netlist.New("alias")
+	a, _ := n.AddInput("a0")
+	b, _ := n.AddInput("b0")
+	x, _ := n.AddGate(netlist.And, a, b)
+	if err := n.SetSignalName(x, "p"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.MarkOutput("z0", x); err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := n.WriteEQN(&text); err != nil {
+		t.Fatal(err)
+	}
+	parse := func() *netlist.Netlist {
+		p, err := netlist.ReadEQN(bytes.NewReader(text.Bytes()), "alias")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rt := parse()
+	if rt.NumGates() == n.NumGates() {
+		t.Fatalf("round-trip kept %d gates: the case does not exercise the key", rt.NumGates())
+	}
+	dn, _ := n.Digest()
+	drt, _ := rt.Digest()
+	if dn != drt {
+		t.Fatalf("round-trip changed the canonical hash: the case does not exercise the key")
+	}
+	orig, round := AnalyzeCached(n, Options{}), AnalyzeCached(rt, Options{})
+	if orig == round {
+		t.Fatal("a netlist and its round-trip share one cached Result despite different gate arrays")
+	}
+	if g := round.Outputs[0].Gate; rt.Gate(g).Type != netlist.Buf {
+		t.Errorf("round-trip output fact is on gate %d (%v), want its buffer", g, rt.Gate(g).Type)
+	}
+	if again := AnalyzeCached(parse(), Options{}); again != round {
+		t.Error("two parses of the same text did not share a cached Result")
 	}
 }

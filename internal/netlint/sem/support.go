@@ -17,13 +17,17 @@ import "math/bits"
 type suppPool struct {
 	nwords int
 	slab   []uint64 // set i occupies slab[i*nwords : (i+1)*nwords]
-	hashes []uint64 // set ID -> FNV-1a of its content
+	tags   []uint32 // set ID -> 32-bit hash tag of its content
 	// slots is an open-addressing table over the set IDs, probed linearly
-	// from slot(hash); a slot holds ID+1, 0 when empty. Its size is a power
-	// of two at least twice the set count.
-	slots  []int32
-	cap    int // widen beyond this many distinct sets
-	widens int // widening events (observability)
+	// from a set's home slot: a slot holds ID+1, 0 when empty, and a probe
+	// compares tags before it touches the slab. A tag's top bits are its
+	// home slot, so growing re-homes slots without hashing a set again. The
+	// table starts small and doubles past half load: a sweep that interns
+	// few sets keeps it in cache.
+	slots  []uint32
+	shift  uint // 32 - log2(len(slots))
+	cap    int  // widen beyond this many distinct sets
+	widens int  // widening events (observability)
 
 	classMask [3][]uint64 // full-class masks, indexed by Class
 	scratch   []uint64
@@ -31,9 +35,9 @@ type suppPool struct {
 
 const emptySet int32 = 0
 
-// newSuppPool sizes the intern structures for an expected number of distinct
-// sets (sizeHint, capped by maxSets) so a large sweep does not pay for
-// incremental map growth and slab reallocation.
+// newSuppPool sizes the slab for an expected number of distinct sets
+// (sizeHint, capped by maxSets) so a large sweep does not pay for slab
+// reallocation.
 func newSuppPool(nvars, maxSets, sizeHint int, classOf []Class) *suppPool {
 	nwords := (nvars + 63) / 64
 	if nwords == 0 {
@@ -48,11 +52,11 @@ func newSuppPool(nvars, maxSets, sizeHint int, classOf []Class) *suppPool {
 	p := &suppPool{
 		nwords:  nwords,
 		slab:    make([]uint64, 0, sizeHint*nwords),
-		hashes:  make([]uint64, 0, sizeHint),
-		slots:   make([]int32, 1<<bits.Len(uint(2*sizeHint))),
+		tags:    make([]uint32, 0, sizeHint),
 		cap:     maxSets,
 		scratch: make([]uint64, nwords),
 	}
+	p.sizeSlots(1 << 10)
 	for c := range p.classMask {
 		p.classMask[c] = make([]uint64, nwords)
 	}
@@ -70,12 +74,15 @@ func (p *suppPool) get(id int32) []uint64 {
 
 func (p *suppPool) count() int { return len(p.slab) / p.nwords }
 
-func hashWords(w []uint64) uint64 {
+// hashWords returns the 32-bit tag of a set: FNV-1a over its words, whose
+// high bits are then spread by a Fibonacci multiply, since FNV-1a's low
+// bits see only the low bits of each word.
+func hashWords(w []uint64) uint32 {
 	h := uint64(1469598103934665603)
 	for _, v := range w {
 		h = (h ^ v) * 1099511628211
 	}
-	return h
+	return uint32((h * 0x9e3779b97f4a7c15) >> 32)
 }
 
 func eqWords(a, b []uint64) bool {
@@ -87,13 +94,12 @@ func eqWords(a, b []uint64) bool {
 	return true
 }
 
-// lookupHashed returns the ID of an interned set equal to buf (whose content
-// hash is h), or -1.
-func (p *suppPool) lookupHashed(h uint64, buf []uint64) int32 {
+// lookupHashed returns the ID of an interned set equal to buf (whose tag is
+// tag), or -1.
+func (p *suppPool) lookupHashed(tag uint32, buf []uint64) int32 {
 	mask := len(p.slots) - 1
-	for i := p.slot(h); p.slots[i] != 0; i = (i + 1) & mask {
-		id := p.slots[i] - 1
-		if p.hashes[id] == h && eqWords(p.get(id), buf) {
+	for i := int(tag >> p.shift); p.slots[i] != 0; i = (i + 1) & mask {
+		if id := int32(p.slots[i]) - 1; p.tags[id] == tag && eqWords(p.get(id), buf) {
 			return id
 		}
 	}
@@ -123,31 +129,31 @@ func (p *suppPool) intern(buf []uint64) int32 {
 	}
 	id := int32(p.count())
 	p.slab = append(p.slab, buf...)
-	p.hashes = append(p.hashes, h)
-	if 2*len(p.hashes) > len(p.slots) {
-		p.slots = make([]int32, 2*len(p.slots))
-		for id, h := range p.hashes[:id] {
-			p.insertSlot(int32(id), h)
+	p.tags = append(p.tags, h)
+	if 2*p.count() > len(p.slots) {
+		p.sizeSlots(2 * len(p.slots))
+		for id := range p.tags[:len(p.tags)-1] {
+			p.insertSlot(int32(id))
 		}
 	}
-	p.insertSlot(id, h)
+	p.insertSlot(id)
 	return id
 }
 
-// slot returns the home slot of hash h: its top bits after a Fibonacci
-// multiply, since FNV-1a's low bits see only the low bits of each word.
-func (p *suppPool) slot(h uint64) int {
-	return int((h * 0x9e3779b97f4a7c15) >> (64 - bits.Len(uint(len(p.slots)-1))))
+// sizeSlots allocates an empty slot table of size entries (a power of two).
+func (p *suppPool) sizeSlots(size int) {
+	p.slots = make([]uint32, size)
+	p.shift = uint(32 - bits.TrailingZeros(uint(size)))
 }
 
-// insertSlot files set id under its hash h in the first free slot.
-func (p *suppPool) insertSlot(id int32, h uint64) {
+// insertSlot files set id in the first free slot from its home.
+func (p *suppPool) insertSlot(id int32) {
 	mask := len(p.slots) - 1
-	i := p.slot(h)
+	i := int(p.tags[id] >> p.shift)
 	for p.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	p.slots[i] = id + 1
+	p.slots[i] = uint32(id) + 1
 }
 
 // widen rounds buf up to its operand-class closure in place.

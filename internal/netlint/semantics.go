@@ -16,12 +16,11 @@ import (
 // Sem returns the semantic sweep for the netlist under analysis, waiting for
 // Analyze's concurrent run of it (or running it on first use outside
 // Analyze). The result is shared by every semantic rule and the cost
-// predictor, and cached across Analyze calls by content (see
-// sem.AnalyzeCached).
+// predictor, and cached across Analyze calls by content (see sem.Sweep).
 func (c *Context) Sem() *sem.Result {
-	if c.swept != nil {
-		c.sem = <-c.swept
-		c.swept = nil
+	if c.sweep != nil {
+		c.sem = c.sweep.Wait()
+		c.sweep = nil
 	}
 	if c.sem == nil {
 		c.sem = sem.AnalyzeCached(c.N, sem.Options{})
@@ -234,8 +233,8 @@ func checkOpaqueConstant(c *Context) []Finding {
 func checkDeadByAlgebra(c *Context) []Finding {
 	r := c.Sem()
 	var ids []int
-	for id := 0; id < c.N.NumGates(); id++ {
-		if !c.Reach[id] || !r.AlgebraicConst(id) {
+	for _, id := range r.AlgebraicConsts() {
+		if !c.Reach[id] {
 			continue
 		}
 		// Same-signal self-cancellation (XOR(x,x) as one gate) is already

@@ -2,9 +2,11 @@ package netlist
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -424,47 +426,49 @@ func (p *eqnParser) parsePrimary() (int, error) {
 // expanded into their Boolean expressions.
 func (n *Netlist) WriteEQN(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", n.Name)
-	fmt.Fprint(bw, "INORDER =")
-	for _, id := range n.inputs {
-		fmt.Fprintf(bw, " %s", n.NameOf(id))
-	}
-	fmt.Fprintln(bw, ";")
-	fmt.Fprint(bw, "OUTORDER =")
-	for _, name := range n.outputNames {
-		fmt.Fprintf(bw, " %s", name)
-	}
-	fmt.Fprintln(bw, ";")
-
-	// Output ports that alias an internal signal of a different name (or an
-	// input) need explicit buffer assignments.
-	aliased := map[string]int{}
-	for i, id := range n.outputs {
-		if n.NameOf(id) != n.outputNames[i] {
-			aliased[n.outputNames[i]] = id
-		}
-	}
-
 	// Lines are appended into one reused chunk, each gate's name rendered
 	// once up front (a gate is referenced about three times): this loop is
-	// the whole cost of content hashing (checkpoint.HashNetlist), which
-	// preflight pays per job.
+	// the whole cost of content hashing (Digest), which preflight pays per
+	// job.
 	names := n.renderNames()
-	var chunk []byte
-	for id, g := range n.gates {
-		if g.Type == Input {
-			continue
-		}
-		chunk = names.append(chunk, id)
-		chunk = append(chunk, " = "...)
-		chunk = names.appendGateExpr(chunk, g)
-		chunk = append(chunk, ";\n"...)
-		if len(chunk) >= 1<<15 {
+	chunk := make([]byte, 0, eqnChunk+eqnSlack)
+	flush := func() {
+		if len(chunk) >= eqnChunk {
 			bw.Write(chunk)
 			chunk = chunk[:0]
 		}
 	}
-	bw.Write(chunk)
+	chunk = append(append(append(chunk, "# "...), n.Name...), "\nINORDER ="...)
+	for _, id := range n.inputs {
+		chunk = names.append(append(chunk, ' '), id)
+		flush()
+	}
+	chunk = append(chunk, ";\nOUTORDER ="...)
+	for _, name := range n.outputNames {
+		chunk = append(append(chunk, ' '), name...)
+		flush()
+	}
+	chunk = append(chunk, ";\n"...)
+
+	// Output ports that alias an internal signal of a different name (or an
+	// input) need explicit buffer assignments.
+	var aliased map[string]int
+	for i, id := range n.outputs {
+		if n.NameOf(id) != n.outputNames[i] {
+			if aliased == nil {
+				aliased = map[string]int{}
+			}
+			aliased[n.outputNames[i]] = id
+		}
+	}
+
+	for id, g := range n.gates {
+		if g.Type == Input {
+			continue
+		}
+		chunk = names.appendLine(chunk, id, g)
+		flush()
+	}
 	// Deterministic order for alias buffers.
 	aliases := make([]string, 0, len(aliased))
 	for name := range aliased {
@@ -472,53 +476,140 @@ func (n *Netlist) WriteEQN(w io.Writer) error {
 	}
 	sort.Strings(aliases)
 	for _, name := range aliases {
-		fmt.Fprintf(bw, "%s = %s;\n", name, n.NameOf(aliased[name]))
+		chunk = append(append(append(append(chunk, name...), " = "...), n.NameOf(aliased[name])...), ";\n"...)
+		flush()
 	}
+	bw.Write(chunk)
 	return bw.Flush()
 }
 
-// eqnNames holds every gate's NameOf, rendered into one arena: gate id's
-// name is arena[off[id]:off[id+1]].
+// eqnChunk is the size at which WriteEQN hands its rendered lines on;
+// eqnSlack keeps room past it for a line or two.
+const (
+	eqnChunk = 1 << 15
+	eqnSlack = 256
+)
+
+// eqnNames holds every gate's NameOf in a 16-byte slot of its own: a name
+// of up to 15 bytes zero-padded, then its length, so fetching any name
+// touches one cache line and moves as two words. A longer name is marked
+// by length 0xff and kept in long.
 type eqnNames struct {
-	arena []byte
-	off   []int32
+	slots []byte
+	long  map[int]string
 }
 
 func (n *Netlist) renderNames() eqnNames {
-	e := eqnNames{arena: make([]byte, 0, 8*len(n.gates)), off: make([]int32, 1, len(n.gates)+1)}
-	// dec holds id in decimal, counted up once per gate: cheaper than
-	// formatting every synthesized name from scratch.
-	dec := []byte{'0'}
+	e := eqnNames{slots: make([]byte, 16*len(n.gates))}
+	// syn is the slot of "n<id>", the synthesized name, counted up in
+	// decimal once per gate: cheaper than formatting every one from scratch.
+	syn := [16]byte{'n', '0', 15: 2}
 	for id, s := range n.names {
+		slot := (*[16]byte)(e.slots[16*id : 16*id+16])
 		switch {
-		case s != "":
-			e.arena = append(e.arena, s...)
-		case n.isShadowed(id):
-			e.arena = append(e.arena, n.NameOf(id)...)
+		case s == "" && !n.isShadowed(id) && syn[15] < 16:
+			*slot = syn
 		default:
-			e.arena = append(append(e.arena, 'n'), dec...)
+			if s == "" {
+				s = n.NameOf(id)
+			}
+			if len(s) < 16 {
+				copy(slot[:], s)
+				slot[15] = byte(len(s))
+			} else {
+				if e.long == nil {
+					e.long = map[int]string{}
+				}
+				e.long[id] = s
+				slot[15] = 0xff
+			}
 		}
-		e.off = append(e.off, int32(len(e.arena)))
-		dec = incDecimal(dec)
+		incName(&syn)
 	}
 	return e
 }
 
-// incDecimal adds one to the decimal number in d.
-func incDecimal(d []byte) []byte {
-	for i := len(d) - 1; i >= 0; i-- {
-		if d[i] < '9' {
-			d[i]++
-			return d
-		}
-		d[i] = '0'
+// incName adds one to the number in the synthesized name slot syn. A slot
+// whose name has outgrown it reads length 16, which renderNames does not
+// copy.
+func incName(syn *[16]byte) {
+	l := int(syn[15])
+	if l >= 16 {
+		return
 	}
-	return append([]byte{'1'}, d...)
+	for i := l - 1; i >= 1; i-- {
+		if syn[i] < '9' {
+			syn[i]++
+			return
+		}
+		syn[i] = '0'
+	}
+	if l < 15 {
+		syn[1] = '1'
+		syn[l] = '0'
+	}
+	syn[15]++
 }
 
 // append appends gate id's name to b.
 func (e eqnNames) append(b []byte, id int) []byte {
-	return append(b, e.arena[e.off[id]:e.off[id+1]]...)
+	slot := e.slots[16*id : 16*id+16]
+	if l := slot[15]; l != 0xff {
+		return append(b, slot[:l]...)
+	}
+	return append(b, e.long[id]...)
+}
+
+// size returns the length of gate id's name.
+func (e eqnNames) size(id int) int {
+	if l := e.slots[16*id+15]; l != 0xff {
+		return int(l)
+	}
+	return len(e.long[id])
+}
+
+// put stores gate id's name at b[i:] and returns the index past it. A name
+// that fits its slot moves as two words, with no call to memmove; the
+// caller guarantees 16 bytes of room at b[i:].
+func (e eqnNames) put(b []byte, i, id int) int {
+	slot := e.slots[16*id : 16*id+16]
+	l := slot[15]
+	if l == 0xff {
+		return i + copy(b[i:], e.long[id])
+	}
+	binary.LittleEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(slot))
+	binary.LittleEndian.PutUint64(b[i+8:], binary.LittleEndian.Uint64(slot[8:]))
+	return i + int(l)
+}
+
+// binops holds the operator text of the plain two-input cells, padded to
+// four bytes.
+var binops = [...]uint32{
+	And: ' ' | '*'<<8 | ' '<<16,
+	Or:  ' ' | '+'<<8 | ' '<<16,
+	Xor: ' ' | '^'<<8 | ' '<<16,
+}
+
+// appendLine appends gate id's assignment line, "name = expr;\n". The
+// plain two-input cells that make up nearly every multiplier are written
+// with word-wide stores into room reserved up front; every other cell goes
+// through appendGateExpr.
+func (e eqnNames) appendLine(b []byte, id int, g Gate) []byte {
+	if (g.Type == And || g.Type == Or || g.Type == Xor) && len(g.Fanin) == 2 {
+		b = slices.Grow(b, e.size(id)+e.size(g.Fanin[0])+e.size(g.Fanin[1])+3*16)
+		buf := b[:cap(b)]
+		i := e.put(buf, len(b), id)
+		binary.LittleEndian.PutUint32(buf[i:], ' '|'='<<8|' '<<16)
+		i = e.put(buf, i+3, g.Fanin[0])
+		binary.LittleEndian.PutUint32(buf[i:], binops[g.Type])
+		i = e.put(buf, i+3, g.Fanin[1])
+		binary.LittleEndian.PutUint16(buf[i:], ';'|'\n'<<8)
+		return b[:i+2]
+	}
+	b = e.append(b, id)
+	b = append(b, " = "...)
+	b = e.appendGateExpr(b, g)
+	return append(b, ";\n"...)
 }
 
 // appendGateExpr appends the RHS expression of a gate in equation syntax.

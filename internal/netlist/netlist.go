@@ -18,6 +18,8 @@
 package netlist
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/bits"
@@ -25,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/galoisfield/gfre/internal/anf"
 )
@@ -186,6 +189,12 @@ type Netlist struct {
 	// concurrent readers (rewrite workers, shard leases) share one build.
 	coneMu    sync.Mutex
 	coneSizes []int
+
+	// digest memoizes Digest for the model name digestName it was computed
+	// under: every mutator resets it, and a renamed netlist recomputes it.
+	digestMu   sync.Mutex
+	digest     string
+	digestName string
 }
 
 // New returns an empty netlist with the given model name.
@@ -321,6 +330,7 @@ func (n *Netlist) setName(id int, name string) error {
 		return fmt.Errorf("netlist: duplicate signal name %q", name)
 	}
 	n.names[id] = name
+	n.digest = ""
 	if k, ok := synthesizedID(name); ok && k != id {
 		n.shadow(k)
 	}
@@ -392,6 +402,7 @@ func (n *Netlist) appendGate(g Gate) int {
 	n.gates = append(n.gates, g)
 	n.names = append(n.names, "")
 	n.coneSizes = nil
+	n.digest = ""
 	if len(n.shadowLater) > 0 && n.shadowLater[id] {
 		delete(n.shadowLater, id)
 		n.shadow(id)
@@ -419,6 +430,7 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 	n.outputs = append(n.outputs, id)
 	n.outputNames = append(n.outputNames, n.portName(name))
 	n.coneSizes = nil
+	n.digest = ""
 	return nil
 }
 
@@ -499,6 +511,35 @@ func (n *Netlist) walkCone(root int, visit func(id int) (expand bool, err error)
 	return seen, nil
 }
 
+// Digest returns the netlist's canonical content hash: the hex SHA-256 of
+// its EQN serialization (WriteEQN). Any structural change — a different
+// gate, name, or port order — changes it, and so does the model name. It is
+// computed once and memoized on the netlist until the next mutation or a
+// change of Name, so preflight, checkpointing and the shard scheduler of
+// one extraction share one computation; concurrent callers wait for it.
+func (n *Netlist) Digest() (string, error) {
+	n.digestMu.Lock()
+	defer n.digestMu.Unlock()
+	if n.digest != "" && n.digestName == n.Name {
+		return n.digest, nil
+	}
+	h := sha256.New()
+	if err := n.WriteEQN(h); err != nil {
+		return "", err
+	}
+	digests.Add(1)
+	n.digest, n.digestName = hex.EncodeToString(h.Sum(nil)), n.Name
+	return n.digest, nil
+}
+
+// digests counts Digest computations, memo hits excluded.
+var digests atomic.Int64
+
+// DigestsComputed reports how many canonical digests this process has
+// computed; memoized Digest calls do not count. It lets tests pin one
+// digest per extraction.
+func DigestsComputed() int64 { return digests.Load() }
+
 // ConeSizes returns, per primary output in port order, the number of gates
 // in its transitive fanin (root included) — len(n.Cone(root)) for every
 // output at once, from one cone index instead of one sweep per output. The
@@ -513,15 +554,31 @@ func (n *Netlist) ConeSizes() []int {
 	return slices.Clone(n.coneSizes)
 }
 
-// countCones computes ConeSizes as column counts of the membership rows.
-// The counts are kept bit-sliced — planes[k] holds bit k of all 64 columns'
-// running counts — so adding a row is a ripple-carry increment of at most
-// log2(gates) word operations (two on average) instead of 64 per-bit adds.
+// countCones computes ConeSizes as column counts of the membership rows
+// (see ConeMembership), counting each row as soon as the sweep has made it
+// final rather than in a second pass. The counts are kept bit-sliced —
+// planes[k] holds bit k of all 64 columns' running counts — so adding a row
+// is a ripple-carry increment of at most log2(gates) word operations (two
+// on average) instead of 64 per-bit adds.
 func (n *Netlist) countCones() []int {
 	sizes := make([]int, len(n.outputs))
-	n.ConeMembership(func(base int, rows []uint64) {
+	rows := make([]uint64, len(n.gates))
+	for base := 0; base < len(n.outputs); base += 64 {
+		clear(rows)
+		top := 0
+		for j, root := range n.outputs[base:min(base+64, len(n.outputs))] {
+			rows[root] |= 1 << uint(j)
+			top = max(top, root)
+		}
 		var planes [64]uint64
-		for _, r := range rows {
+		for id := top; id >= 0; id-- {
+			r := rows[id]
+			if r == 0 {
+				continue
+			}
+			for _, f := range n.gates[id].Fanin {
+				rows[f] |= r
+			}
 			for k := 0; r != 0; k++ {
 				planes[k], r = planes[k]^r, planes[k]&r
 			}
@@ -531,7 +588,7 @@ func (n *Netlist) countCones() []int {
 				sizes[j] += int(p>>uint(j-base)&1) << uint(k)
 			}
 		}
-	})
+	}
 	return sizes
 }
 

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -290,4 +292,51 @@ func TestGateTypeString(t *testing.T) {
 	if GateType(200).String() == "" {
 		t.Error("unknown GateType should still render")
 	}
+}
+
+// TestDigestMemo pins the memoized canonical digest to the netlist's
+// content: a rename of the model, a renamed signal and a new gate each
+// yield the digest a fresh computation gives, and an unchanged netlist
+// reuses the memo.
+func TestDigestMemo(t *testing.T) {
+	fresh := func(n *Netlist) string {
+		h := sha256.New()
+		if err := n.WriteEQN(h); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	n := New("memo")
+	a, _ := n.AddInput("a")
+	b, _ := n.AddInput("b")
+	x, _ := n.AddGate(Xor, a, b)
+	if err := n.MarkOutput("z", x); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		got, err := n.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh(n); got != want {
+			t.Errorf("%s: digest %s, want %s", what, got, want)
+		}
+	}
+	check("built")
+	before := DigestsComputed()
+	check("unchanged")
+	if d := DigestsComputed() - before; d != 0 {
+		t.Errorf("an unchanged netlist computed %d more digests, want 0", d)
+	}
+	n.Name = "renamed"
+	check("model renamed")
+	if err := n.SetSignalName(x, "x"); err != nil {
+		t.Fatal(err)
+	}
+	check("signal renamed")
+	if _, err := n.AddGate(And, a, b); err != nil {
+		t.Fatal(err)
+	}
+	check("gate added")
 }

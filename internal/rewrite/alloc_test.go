@@ -12,11 +12,11 @@ import (
 
 // maxAllocsPerSubstitution bounds the heap allocations one iteration of
 // Algorithm 1 may make, amortized over a whole run. Gate models are written
-// into one reused term buffer per cone and interned without allocating on a
-// hit, so what remains is the growth of the cone's polynomial itself: new
-// monomials, occurrence lists and product memo entries (about 4 per
-// substitution on the designs below).
-const maxAllocsPerSubstitution = 6
+// into one reused term buffer per cone, and the cone's polynomial keeps its
+// monomials, product memo and occurrence lists in flat tables that grow by
+// doubling, so what remains is that growth plus each cone's own tables and
+// compacted result (0.3–0.4 per substitution on the designs below).
+const maxAllocsPerSubstitution = 1
 
 // TestRewriteAllocsPerSubstitution pins the allocation rate of the rewriting
 // loop on single-threaded runs, where MemStats.Mallocs counts exactly the

@@ -153,12 +153,13 @@ func (r *Result) PeakTerms() int {
 // resident-set sizes of the C++ tool; ours are model estimates — shapes are
 // comparable, absolute values are not).
 func (r *Result) EstimatedMemBytes() int64 {
-	// Measured on the packed intern-table core by holding the compacted
-	// expressions of a GF(2^64) Montgomery run and reading the GC-settled
-	// HeapAlloc delta: ~183 B per term (key string + index entry + arena
-	// variables + occurrence list entry + bitset share), rounded up to
-	// cover per-poly fixed overhead at small term counts.
-	const bytesPerTerm = 192
+	// Measured on the flat-table core by holding the compacted expressions
+	// of a GF(2^64) Montgomery run and reading the GC-settled HeapAlloc
+	// delta: ~73 B per term (arena variables, offset, hash tag, signature
+	// mask and index slots; occurrence entries; bitset and listed-flag
+	// share), 79 B at m=163, rounded up to cover per-poly fixed overhead at
+	// small term counts.
+	const bytesPerTerm = 80
 	var total int64
 	for _, b := range r.Bits {
 		total += int64(b.PeakTerms) * bytesPerTerm
@@ -326,26 +327,12 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 			}
 		}()
 	}
-	// Straggler-aware handoff: feed predicted-expensive cones first. With
-	// per-bit costs spanning two orders of magnitude (the Montgomery z20/z28
-	// class vs their ~ms siblings), feeding in bit order can land a fat cone
-	// on the last free worker and serialize the tail of the run behind it;
-	// starting the deep cones first bounds the tail by the cheap ones
-	// instead. Root logic depth is the predictor — it is computed in one
-	// O(gates) sweep and correlates with both cone size and substitution
-	// cost on every architecture we generate (see EXPERIMENTS.md).
-	levels, _ := n.Levels()
-	order := make([]int, 0, len(outs))
-	for bit := range outs {
+	// Straggler-aware handoff: feed predicted-expensive cones first (see
+	// ConeOrder).
+	for _, bit := range ConeOrder(n) {
 		if !reused[bit] {
-			order = append(order, bit)
+			jobs <- bit
 		}
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return levels[outs[order[i]]] > levels[outs[order[j]]]
-	})
-	for _, bit := range order {
-		jobs <- bit
 	}
 	close(jobs)
 	wg.Wait()
@@ -365,6 +352,30 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 		return res, err
 	}
 	return res, nil
+}
+
+// ConeOrder returns every output bit of n, deepest cone first: descending
+// logic level of the bit's root, ties in bit order. Both schedulers hand
+// out cones in this order (Outputs to its workers, the shard pool in its
+// leases). With per-bit costs spanning two orders of magnitude (the
+// Montgomery z20/z28 class vs their ~ms siblings), feeding in bit order can
+// land a fat cone on the last free worker and serialize the tail of the
+// run behind it; starting the deep cones first bounds the tail by the
+// cheap ones instead. Root logic depth is the predictor — it is computed
+// in one O(gates) sweep and correlates with both cone size and
+// substitution cost on every architecture we generate (see
+// EXPERIMENTS.md).
+func ConeOrder(n *netlist.Netlist) []int {
+	levels, _ := n.Levels()
+	outs := n.Outputs()
+	order := make([]int, len(outs))
+	for bit := range order {
+		order[bit] = bit
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return levels[outs[order[i]]] > levels[outs[order[j]]]
+	})
+	return order
 }
 
 func (h *hooks) busyAdd(delta int64) {

@@ -75,6 +75,10 @@ type Config struct {
 	Hash string
 	// Bits is the number of output cones (bit IDs 0..Bits-1). Required.
 	Bits int
+	// Order is the order pending cones are leased in, a permutation of the
+	// bit IDs: rewrite.ConeOrder, deepest cone first, as rewrite.Outputs
+	// feeds its workers. nil leases in bit order.
+	Order []int
 
 	// LeaseTTL is the heartbeat deadline: a lease not renewed within it
 	// expires and its cones re-queue. 0 selects DefaultLeaseTTL.
@@ -279,6 +283,23 @@ func NewPool(cfg Config) (*Pool, error) {
 	if seed == 0 {
 		seed = 1
 	}
+	if cfg.Order == nil {
+		cfg.Order = make([]int, cfg.Bits)
+		for bit := range cfg.Order {
+			cfg.Order[bit] = bit
+		}
+	} else {
+		seen := make([]bool, cfg.Bits)
+		for _, bit := range cfg.Order {
+			if bit < 0 || bit >= cfg.Bits || seen[bit] {
+				return nil, fmt.Errorf("shard: Config.Order is not a permutation of the %d bits", cfg.Bits)
+			}
+			seen[bit] = true
+		}
+		if len(cfg.Order) != cfg.Bits {
+			return nil, fmt.Errorf("shard: Config.Order is not a permutation of the %d bits", cfg.Bits)
+		}
+	}
 	p := &Pool{
 		cfg:     cfg,
 		cones:   make([]coneState, cfg.Bits),
@@ -419,7 +440,10 @@ func (p *Pool) Lease(worker string, max int) (*Grant, error) {
 	p.expireLocked(now)
 
 	var batch []int
-	for bit := 0; bit < p.cfg.Bits && len(batch) < max; bit++ {
+	for _, bit := range p.cfg.Order {
+		if len(batch) == max {
+			break
+		}
 		cs := &p.cones[bit]
 		if cs.state == conePending && !now.Before(cs.notBefore) {
 			batch = append(batch, bit)

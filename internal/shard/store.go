@@ -10,9 +10,9 @@ import (
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
-// DefaultStoreEntries bounds an unconfigured store; at ~192 bytes per
-// resident term the default keeps worst-case memory in the low hundreds of
-// MB for in-range fields.
+// DefaultStoreEntries bounds an unconfigured store; at ~80 bytes per
+// resident term (see rewrite.Result.EstimatedMemBytes) the default keeps
+// worst-case memory under the low hundreds of MB for in-range fields.
 const DefaultStoreEntries = 1 << 16
 
 type storeKey struct {
