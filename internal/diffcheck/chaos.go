@@ -44,7 +44,7 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	// times within one case, so every recovery path actually runs.
 	*stage = "pool"
 	pool, err := shard.NewPool(shard.Config{
-		Hash: hash, Bits: c.M, Order: rewrite.ConeOrder(n),
+		Hash: hash, Order: rewrite.ConeOrder(n),
 		LeaseTTL:         40 * time.Millisecond,
 		MaxConesPerLease: 4,
 		BackoffBase:      time.Millisecond,

@@ -96,8 +96,12 @@ func (c *chaosClock) Advance(d time.Duration) {
 func TestChaosSourceFiresEveryFault(t *testing.T) {
 	const bits, ttl = 48, 40 * time.Millisecond
 	clk := &chaosClock{now: time.Unix(1000, 0)}
+	order := make([]int, bits)
+	for bit := range order {
+		order[bit] = bit
+	}
 	pool, err := shard.NewPool(shard.Config{
-		Hash: "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef", Bits: bits,
+		Hash: "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef", Order: order,
 		LeaseTTL: ttl, MaxConesPerLease: 2, BackoffBase: time.Millisecond, BackoffCap: time.Millisecond,
 		Seed: 5, Clock: clk.Now,
 	})

@@ -20,18 +20,15 @@ func preflight(n *netlist.Netlist, opts *Options) (*netlint.Report, error) {
 	span := opts.Recorder.StartSpan("preflight", map[string]int64{
 		"gates": int64(n.NumGates()),
 	})
-	// Build the cone index under its own span, beside the analysis: the
-	// cost predictor reads the cone sizes from it (waiting on the netlist's
-	// memo if it gets there first), and rewriting reuses the memoized sizes.
-	idx := opts.Recorder.StartSpan("cone-index", nil)
-	indexed := make(chan struct{})
-	go func() {
-		n.ConeSizes()
-		idx.End()
-		close(indexed)
-	}()
-	rep := netlint.Analyze(n, netlint.Options{RequireMultiplier: true})
-	<-indexed
+	// Analyze builds the cone index beside its rules; it gets a span of its
+	// own here, and rewriting reuses the memoized sizes.
+	rep := netlint.Analyze(n, netlint.Options{
+		RequireMultiplier: true,
+		TraceConeIndex: func() func() {
+			idx := opts.Recorder.StartSpan("cone-index", nil)
+			return func() { idx.End() }
+		},
+	})
 	span.End()
 	if err := rep.Err(); err != nil {
 		return rep, err

@@ -115,11 +115,11 @@ func TestConeCostBothBoundsWin(t *testing.T) {
 			w = &wins{}
 			tally[family] = w
 		}
-		bounds := termBound(n)
-		sems := newContext(n, Options{}).Sem()
+		ctx := newContext(n, Options{})
+		sems := ctx.Sem()
 		for i, id := range n.Outputs() {
 			of := sems.Outputs[i]
-			tb, db := bounds[id], degreeBound(of.SupportSize, of.DegTot)
+			tb, db := int(ctx.scan.bounds[id]), degreeBound(of.SupportSize, of.DegTot)
 			w.cones++
 			if tb < db {
 				w.term++

@@ -113,24 +113,12 @@ func degreeBound(supp, deg int) int {
 	return satMul(total, mixSlack)
 }
 
-// termBound computes, for every gate, an upper bound on the number of ANF
-// terms its function expands to over the primary inputs, assuming no
-// cancellation. XOR adds term counts, AND multiplies them, OR/complex cells
-// combine both (x+y = x ^ y ^ xy). The bound is monotone in the fanin
-// bounds, so one forward topological sweep settles the DAG; Analyze takes
-// it from newContext's sweep (gateScan.bounds).
-func termBound(n *netlist.Netlist) []int {
-	t := make([]int32, n.NumGates())
-	out := make([]int, len(t))
-	for id := range t {
-		t[id] = gateBound(n.Gate(id), t)
-		out[id] = int(t[id])
-	}
-	return out
-}
-
-// gateBound is termBound's step: the bound of gate g from t, the bounds of
-// the gates before it. Bounds saturate at costCap, so 32 bits hold them.
+// gateBound is an upper bound on the number of ANF terms gate g expands
+// to over the primary inputs, assuming no cancellation, from t, the bounds
+// of the gates before it. XOR adds term counts, AND multiplies them,
+// OR/complex cells combine both (x+y = x ^ y ^ xy). The bound is monotone
+// in the fanin bounds, so newContext's one forward sweep settles the DAG
+// (gateScan.bounds). Bounds saturate at costCap, so 32 bits hold them.
 func gateBound(g netlist.Gate, t []int32) int32 {
 	// The cells of a multiplier first, without the general case's closure.
 	switch g.Type {
@@ -144,16 +132,10 @@ func gateBound(g netlist.Gate, t []int32) int32 {
 	f := func(i int) int { return int(t[g.Fanin[i]]) }
 	var b int
 	switch g.Type {
-	case netlist.Input, netlist.Const0, netlist.Const1:
-		b = 1
 	case netlist.Buf:
 		b = f(0)
 	case netlist.Not:
 		b = satAdd(f(0), 1)
-	case netlist.And:
-		b = satMul(f(0), f(1))
-	case netlist.Xor:
-		b = satAdd(f(0), f(1))
 	case netlist.Xnor:
 		b = satAdd(satAdd(f(0), f(1)), 1)
 	case netlist.Or:
@@ -206,6 +188,7 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 		return nil, 0, 0
 	}
 	bounds := c.scan.bounds
+	c.indexCones()
 	sizes := c.N.ConeSizes() // the netlist's cone index, shared with rewrite
 	names := c.N.OutputNames()
 	sems := c.Sem()

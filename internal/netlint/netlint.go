@@ -32,8 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
-	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/netlint/sem"
 	"github.com/galoisfield/gfre/internal/netlist"
 )
@@ -111,8 +111,15 @@ type Context struct {
 	// sweep.
 	Levels []int32
 	Depth  int
-	// Reach[id] reports whether gate id lies in some output's fanin cone.
-	Reach []bool
+	// reach is the netlist's Reachable bitset, fetched on first use (see
+	// reached): it comes with the cone index, which indexCones builds once.
+	reach    []uint64
+	coneOnce sync.Once
+	// dups memoizes the structural duplicates (see duplicates); scanned is
+	// closed once the context sweep that they are read from is complete.
+	dups    []int
+	dupOnce sync.Once
+	scanned chan struct{}
 	// types[id] is gate id's type: one byte per gate, so rules that ask
 	// about their fanins' types stay in cache.
 	types []netlist.GateType
@@ -145,6 +152,12 @@ type Options struct {
 	RequireMultiplier bool
 	// Disabled names rules to skip.
 	Disabled []string
+	// TraceConeIndex, when set, brackets the analysis' build of the
+	// netlist's cone index: it is called as the build starts, on the
+	// goroutine that runs it, and the function it returns as the build
+	// ends. The
+	// extraction pipeline times the build as a phase of its own with it.
+	TraceConeIndex func() (end func())
 }
 
 func (o Options) disabled(name string) bool {
@@ -296,27 +309,34 @@ func (r *Report) MaxPredictedPeak() int {
 // AnalyzeSource to get them.
 func Analyze(n *netlist.Netlist, opts Options) *Report {
 	// The semantic sweep is the longest pass and needs nothing the rules
-	// compute, so it starts at once on a goroutine of its own, which then
-	// builds the cone index; Sem waits for the sweep, and the cost
-	// predictor for the index (through the netlist's memo, which waits for
-	// a build in progress). The context sweep and the canonical netlist
-	// hash run meanwhile on this goroutine, and the hash is the sweep's
-	// cache key: a cached sweep stops as soon as the hash finds it. Best
-	// effort: an unserializable netlist gets no content hash, and its sweep
-	// is not cached.
+	// compute, so it runs at once on a goroutine of its own; Sem waits for
+	// it. The context sweep and the canonical netlist hash run meanwhile on
+	// this goroutine, in one walk over the gates (see netlist.DigestScan),
+	// and the hash is the sweep's cache key: a cached sweep stops as soon
+	// as the hash finds it. The cone index and the duplicate search are
+	// done by whichever goroutine comes to them first: this one, when its
+	// rules get there before the sweep is done, or the sweep's. Best
+	// effort: an
+	// unserializable netlist gets no content hash, and its sweep is not
+	// cached.
+	ctx := allocContext(n, opts)
 	sweep := sem.NewSweep(n, sem.Options{})
-	indexed := make(chan struct{})
+	ctx.sweep = sweep
+	swept := make(chan struct{})
 	go func() {
 		sweep.Run()
-		n.ConeSizes()
-		close(indexed)
+		ctx.indexCones()
+		if !opts.disabled("redundant-gate") {
+			ctx.duplicates()
+		}
+		close(swept)
 	}()
-	defer func() { <-indexed }()
-	ctx := newContext(n, opts)
-	ctx.sweep = sweep
+	defer func() { <-swept }()
 	rep := &Report{Design: n.Name}
 	var err error
-	if rep.ContentHash, err = checkpoint.HashNetlist(n); err == nil {
+	rep.ContentHash, err = n.DigestScan(ctx.scanGate)
+	close(ctx.scanned)
+	if err == nil {
 		sweep.Consult(rep.ContentHash, ctx.types)
 	}
 	for _, rule := range registry {
@@ -333,45 +353,76 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 }
 
 // newContext computes the shared analysis state once: in one forward sweep
-// over the gates, their types and logic levels plus everything the
-// structural rules and the cost predictor read of a gate (gateScan);
-// reachability in one backward sweep. The arrays are as narrow as their
+// over the gates (scanGate), their types and logic levels plus everything
+// the structural rules and the cost predictor read of a gate (gateScan).
+func newContext(n *netlist.Netlist, opts Options) *Context {
+	ctx := allocContext(n, opts)
+	for id := range ctx.Levels {
+		ctx.scanGate(id, n.Gate(id))
+	}
+	close(ctx.scanned)
+	return ctx
+}
+
+// allocContext returns a context whose forward sweep is still to run: one
+// scanGate call per gate, in ID order, and then close(scanned). The arrays are as narrow as their
 // values allow: on a large netlist, fresh memory costs more than the sweep
 // that fills it.
-func newContext(n *netlist.Netlist, opts Options) *Context {
-	ctx := &Context{N: n, Opts: opts}
+func allocContext(n *netlist.Netlist, opts Options) *Context {
+	ctx := &Context{N: n, Opts: opts, scanned: make(chan struct{})}
 	ng := n.NumGates()
 	ctx.Levels = make([]int32, ng)
 	ctx.types = make([]netlist.GateType, ng)
-	sc := &ctx.scan
-	sc.bounds = make([]int32, ng)
-	sc.dupTags = make([]uint32, ng)
-	for id := range ctx.Levels {
-		g := n.Gate(id)
-		var l int32
-		for _, f := range g.Fanin {
-			l = max(l, ctx.Levels[f]+1)
-		}
-		ctx.types[id] = g.Type
-		ctx.Levels[id] = l
-		ctx.Depth = max(ctx.Depth, int(l))
-		sc.gate(id, g, ctx.types)
-	}
-	// Reachability: reverse walk from the outputs. Gates are topologically
-	// ordered, so one descending sweep settles the whole DAG.
-	ctx.Reach = make([]bool, n.NumGates())
-	for _, out := range n.Outputs() {
-		ctx.Reach[out] = true
-	}
-	for id := n.NumGates() - 1; id >= 0; id-- {
-		if !ctx.Reach[id] {
-			continue
-		}
-		for _, f := range n.Gate(id).Fanin {
-			ctx.Reach[f] = true
-		}
-	}
+	ctx.scan.bounds = make([]int32, ng)
+	ctx.scan.dupTags = make([]uint32, ng)
 	return ctx
+}
+
+// scanGate is the context sweep's step for gate id, whose fanins it has
+// already seen.
+func (c *Context) scanGate(id int, g netlist.Gate) {
+	var l int32
+	for _, f := range g.Fanin {
+		l = max(l, c.Levels[f]+1)
+	}
+	c.types[id] = g.Type
+	c.Levels[id] = l
+	c.Depth = max(c.Depth, int(l))
+	c.scan.gate(id, g, c.types)
+}
+
+// indexCones builds the netlist's cone index unless this analysis has:
+// the first caller builds it, under Opts.TraceConeIndex, and any other
+// waits for it.
+func (c *Context) indexCones() {
+	c.coneOnce.Do(func() {
+		end := func() {}
+		if c.Opts.TraceConeIndex != nil {
+			end = c.Opts.TraceConeIndex()
+		}
+		c.N.ConeSizes()
+		end()
+	})
+}
+
+// duplicates returns the structural duplicates (gateScan.duplicates):
+// the first caller finds them, once the context sweep is complete, and
+// any other waits for it.
+func (c *Context) duplicates() []int {
+	c.dupOnce.Do(func() {
+		<-c.scanned
+		c.dups = c.scan.duplicates(c.N)
+	})
+	return c.dups
+}
+
+// reached reports whether gate id lies in some output's fanin cone.
+func (c *Context) reached(id int) bool {
+	if c.reach == nil {
+		c.indexCones()
+		c.reach = c.N.Reachable()
+	}
+	return c.reach[id>>6]>>uint(id&63)&1 == 1
 }
 
 // severityOf returns the effective severity for a rule, honoring the

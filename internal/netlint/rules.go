@@ -2,10 +2,11 @@ package netlint
 
 import (
 	"fmt"
-	"regexp"
+	"math/bits"
 	"sort"
 	"strconv"
 
+	"github.com/galoisfield/gfre/internal/netlint/sem"
 	"github.com/galoisfield/gfre/internal/netlist"
 )
 
@@ -53,10 +54,6 @@ func checkIOShape(c *Context) []Finding {
 	return fs
 }
 
-// portPat splits a port name into its alphabetic prefix and bit index,
-// accepting a3, a[3] and a_3 spellings.
-var portPat = regexp.MustCompile(`^([A-Za-z_]+?)_?\[?(\d+)\]?$`)
-
 // checkIONaming reports deviations from the a<i>/b<i>/z<i> bit-vector
 // convention the port identifier relies on: inputs should form exactly two
 // contiguous equal-width vectors and outputs one. Purely advisory —
@@ -70,9 +67,9 @@ func checkIONaming(c *Context) []Finding {
 		loose := []string{}
 		for _, id := range ids {
 			name := c.N.NameOf(id)
-			if m := portPat.FindStringSubmatch(name); m != nil {
-				bit, _ := strconv.Atoi(m[2])
-				vec[m[1]] = append(vec[m[1]], bit)
+			if prefix, digits, ok := sem.SplitPortName(name); ok {
+				bit, _ := strconv.Atoi(digits)
+				vec[prefix] = append(vec[prefix], bit)
 			} else {
 				loose = append(loose, name)
 			}
@@ -120,9 +117,12 @@ func checkIONaming(c *Context) []Finding {
 // obfuscation payload, and it inflates cost predictions.
 func checkDeadGates(c *Context) []Finding {
 	var dead []int
-	for id, t := range c.types {
-		if !c.Reach[id] && t != netlist.Input {
-			dead = append(dead, id)
+	c.reached(0) // fetches c.reach
+	for w, live := range c.reach {
+		for gone := ^live; gone != 0; gone &= gone - 1 {
+			if id := w*64 + bits.TrailingZeros64(gone); id < len(c.types) && c.types[id] != netlist.Input {
+				dead = append(dead, id)
+			}
 		}
 	}
 	if len(dead) == 0 {
@@ -140,7 +140,7 @@ func checkDeadGates(c *Context) []Finding {
 func checkUnusedInputs(c *Context) []Finding {
 	var unused []int
 	for _, id := range c.N.Inputs() {
-		if !c.Reach[id] {
+		if !c.reached(id) {
 			unused = append(unused, id)
 		}
 	}
@@ -161,12 +161,12 @@ func checkConstGates(c *Context) []Finding {
 	sev := c.severityOf("const-gate")
 	var consts, foldable []int
 	for _, id := range c.scan.consts {
-		if c.Reach[id] {
+		if c.reached(id) {
 			consts = append(consts, id)
 		}
 	}
 	for _, id := range c.scan.folds {
-		if c.Reach[id] {
+		if c.reached(id) {
 			foldable = append(foldable, id)
 		}
 	}
@@ -193,7 +193,7 @@ func checkConstGates(c *Context) []Finding {
 // inflate cone statistics.
 func checkRedundantGates(c *Context) []Finding {
 	sev := c.severityOf("redundant-gate")
-	selfCancel, dups, bufs := c.scan.selfCancel, c.scan.duplicates(c.N), c.scan.bufs
+	selfCancel, dups, bufs := c.scan.selfCancel, c.duplicates(), c.scan.bufs
 	var fs []Finding
 	if len(selfCancel) > 0 {
 		fs = append(fs, Finding{

@@ -3,7 +3,6 @@ package netlint
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/galoisfield/gfre/internal/netlist"
 )
@@ -12,7 +11,7 @@ import (
 // each gate, gathered in newContext's one forward sweep: every gate is
 // read once per Analyze instead of once per rule.
 type gateScan struct {
-	// bounds[id] is the no-cancellation term bound of gate id (termBound).
+	// bounds[id] is the no-cancellation term bound of gate id (gateBound).
 	bounds []int32
 	// consts and folds list, ascending, the constant gates and the gates
 	// with a constant fanin (const-gate).
@@ -79,67 +78,64 @@ func (s *gateScan) gate(id int, g netlist.Gate, types []netlist.GateType) {
 
 // duplicates returns the structural duplicates, ascending: the gates with
 // the same type and fanin list as an earlier gate. Equal gates have equal
-// tags, so the gates are first partitioned by their tags' top bits into
-// runs of a few hundred, kept in id order; each run is then checked with an
-// open-addressing table small enough to stay in cache, where a probe
-// compares tags and then the gates themselves, so detection is exact. One
-// table over all gates would miss cache on nearly every probe.
+// tags, so a first pass marks, in a bitmap over the tags' top bits small
+// enough to stay in cache, the buckets two or more gates share; only the
+// gates in such a bucket, a few percent of them, then go in id order
+// through an open-addressing table, where a probe compares tags and then
+// the gates themselves, so detection is exact.
 func (s *gateScan) duplicates(n *netlist.Netlist) []int {
 	if s.ndup == 0 {
 		return nil
 	}
 	tags := s.dupTags
-	pbits := bits.Len(uint(s.ndup / 256))
-	part := func(tag uint32) int { return int(uint64(tag) >> (32 - pbits)) }
-	starts := make([]int, 1<<pbits+1)
+	// Two bits per bucket, "seen" and "shared", side by side in one word.
+	shift := 32 - bits.Len(uint(8*s.ndup-1)) // about 8 buckets per gate
+	marks := make([]uint64, (1<<(32-shift)+31)/32)
+	nshared := 0
 	for _, tag := range tags {
-		if tag != 0 {
-			starts[part(tag)+1]++
+		if tag == 0 {
+			continue
+		}
+		b := tag >> shift
+		w, seen := &marks[b>>5], uint64(1)<<(2*(b&31))
+		if *w&seen != 0 {
+			*w |= seen << 1
+			nshared++
+		} else {
+			*w |= seen
 		}
 	}
-	for p := 1; p < len(starts); p++ {
-		starts[p] += starts[p-1]
+	if nshared == 0 {
+		return nil
 	}
-	next := slices.Clone(starts[:len(starts)-1])
-	ids := make([]uint32, s.ndup)
-	for id, tag := range tags {
-		if tag != 0 {
-			p := part(tag)
-			ids[next[p]] = uint32(id)
-			next[p]++
-		}
+	// A shared bucket holds at most twice as many gates as second hits.
+	size := 16
+	for size < 4*nshared {
+		size <<= 1
 	}
+	table := make([]uint64, size) // tag<<32 | id+1, 0 when empty
+	tshift := 64 - bits.TrailingZeros(uint(size))
 	var dups []int
-	var table []uint64 // tag<<32 | id+1, 0 when empty
-	for p := 0; p+1 < len(starts); p++ {
-		run := ids[starts[p]:starts[p+1]]
-		size := 16
-		for size < 2*len(run) {
-			size <<= 1
+	for id, tag := range tags {
+		if tag == 0 {
+			continue
 		}
-		if cap(table) < size {
-			table = make([]uint64, size)
+		if b := tag >> shift; marks[b>>5]>>(2*(b&31)+1)&1 == 0 {
+			continue
 		}
-		table = table[:size]
-		clear(table)
-		shift := 64 - bits.TrailingZeros(uint(size))
-		for _, id := range run {
-			tag := tags[id]
-			i := int((uint64(tag) * 0x9e3779b97f4a7c15) >> shift)
-			for ; table[i] != 0; i = (i + 1) & (size - 1) {
-				if uint32(table[i]>>32) == tag {
-					g, e := n.Gate(int(id)), n.Gate(int(uint32(table[i]))-1)
-					if e.Type == g.Type && slices.Equal(e.Fanin, g.Fanin) {
-						dups = append(dups, int(id))
-						break
-					}
+		i := int((uint64(tag) * 0x9e3779b97f4a7c15) >> tshift)
+		for ; table[i] != 0; i = (i + 1) & (size - 1) {
+			if uint32(table[i]>>32) == tag {
+				g, e := n.Gate(id), n.Gate(int(uint32(table[i]))-1)
+				if e.Type == g.Type && slices.Equal(e.Fanin, g.Fanin) {
+					dups = append(dups, id)
+					break
 				}
 			}
-			if table[i] == 0 {
-				table[i] = uint64(tag)<<32 | uint64(id+1)
-			}
+		}
+		if table[i] == 0 {
+			table[i] = uint64(tag)<<32 | uint64(id+1)
 		}
 	}
-	sort.Ints(dups)
 	return dups
 }

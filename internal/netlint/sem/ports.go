@@ -1,9 +1,9 @@
 package sem
 
 import (
-	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Class labels a primary input's role in the inferred operand partition.
@@ -50,9 +50,35 @@ type Ports struct {
 	KeyInputs []int
 }
 
-// portPat splits a port name into alphabetic prefix and bit index, matching
-// netlint's io-naming convention.
-var portPat = regexp.MustCompile(`^([A-Za-z_]+?)_?\[?(\d+)\]?$`)
+// SplitPortName splits a port name into its alphabetic prefix and the
+// digits of its bit index, accepting the a3, a[3] and a_3 spellings: the
+// name must read ^([A-Za-z_]+?)_?\[?(\d+)\]?$, and prefix and digits are
+// the two groups, the prefix as short as the pattern allows. It is the
+// convention both the operand classifier and netlint's io-naming rule read
+// port vectors by.
+func SplitPortName(name string) (prefix, digits string, ok bool) {
+	s := strings.TrimSuffix(name, "]")
+	i := len(s)
+	for i > 0 && '0' <= s[i-1] && s[i-1] <= '9' {
+		i--
+	}
+	if i == len(s) {
+		return "", "", false
+	}
+	s, digits = strings.TrimSuffix(s[:i], "["), s[i:]
+	if len(s) >= 2 && s[len(s)-1] == '_' {
+		s = s[:len(s)-1]
+	}
+	if s == "" {
+		return "", "", false
+	}
+	for _, c := range []byte(s) {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_') {
+			return "", "", false
+		}
+	}
+	return s, digits, true
+}
 
 // operandish prefixes get priority when several equal-width vectors compete
 // for the operand slots; conventional operand names beat key/control names.
@@ -74,16 +100,16 @@ func classify(ids []int, names []string) Ports {
 	var order []string // first-seen prefix order, for determinism
 	loose := []int{}   // positions whose names defy the convention
 	for i, name := range names {
-		m := portPat.FindStringSubmatch(name)
-		if m == nil {
+		pre, _, ok := SplitPortName(name)
+		if !ok {
 			loose = append(loose, i)
 			continue
 		}
-		v := byPrefix[m[1]]
+		v := byPrefix[pre]
 		if v == nil {
-			v = &vec{prefix: m[1]}
-			byPrefix[m[1]] = v
-			order = append(order, m[1])
+			v = &vec{prefix: pre}
+			byPrefix[pre] = v
+			order = append(order, pre)
 		}
 		v.members = append(v.members, i)
 	}
@@ -168,11 +194,11 @@ func classify(ids []int, names []string) Ports {
 // bitIndex parses the bit position out of a conventional port name
 // (unused bits return -1). Exposed for tests.
 func bitIndex(name string) int {
-	m := portPat.FindStringSubmatch(name)
-	if m == nil {
+	_, digits, ok := SplitPortName(name)
+	if !ok {
 		return -1
 	}
-	v, err := strconv.Atoi(m[2])
+	v, err := strconv.Atoi(digits)
 	if err != nil {
 		return -1
 	}

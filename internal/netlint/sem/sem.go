@@ -789,10 +789,11 @@ func (a *analyzer) abstractPlain(f *fact, cell netlist.GateType) {
 		f.setDegs(maxDeg(ua, wa), maxDeg(ub, wb), maxDeg(uk, wk), maxDeg(ut, wt))
 	}
 	clear(a.suppBuf)
-	size := a.orSupp(u) + a.orSupp(w)
+	a.unionSupp(u)
+	a.unionSupp(w)
 	f.ttv[absSupp] = a.pool.intern(a.suppBuf)
 	// As in abstract: unateness lifts only over disjoint supports.
-	if sum && u.unate() && w.unate() && size == a.pool.size(f.supp()) {
+	if sum && u.unate() && w.unate() && a.suppSize(u)+a.suppSize(w) == a.pool.size(f.supp()) {
 		f.setUnate(true)
 	}
 }
@@ -817,18 +818,30 @@ func (a *analyzer) coarse() fact {
 	return f
 }
 
-// orSupp ORs fanin uf's support into suppBuf and returns its cardinality;
-// exact facts (supp < 0) contribute their ttv variables directly without
-// touching the pool.
+// orSupp ORs fanin uf's support into suppBuf and returns its cardinality.
 func (a *analyzer) orSupp(uf *fact) int {
+	a.unionSupp(uf)
+	return a.suppSize(uf)
+}
+
+// unionSupp ORs fanin uf's support into suppBuf; exact facts (supp < 0)
+// contribute their ttv variables directly without touching the pool.
+func (a *analyzer) unionSupp(uf *fact) {
 	if uf.exact() {
 		for q := 0; q < int(uf.ttn); q++ {
 			pos := uf.ttv[q]
 			a.suppBuf[pos/64] |= 1 << uint(pos%64)
 		}
-		return int(uf.ttn)
+		return
 	}
 	a.pool.unionInto(a.suppBuf, uf.supp())
+}
+
+// suppSize returns the cardinality of fanin uf's support.
+func (a *analyzer) suppSize(uf *fact) int {
+	if uf.exact() {
+		return int(uf.ttn)
+	}
 	return a.pool.size(uf.supp())
 }
 

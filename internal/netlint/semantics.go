@@ -191,7 +191,7 @@ func checkOpaqueConstant(c *Context) []Finding {
 	// itself key-only (the point where the opaque value meets the datapath).
 	boundary := map[int]bool{}
 	for id := 0; id < c.N.NumGates(); id++ {
-		if !c.Reach[id] || r.KeyOnly(id) {
+		if !c.reached(id) || r.KeyOnly(id) {
 			continue
 		}
 		for _, f := range c.N.Gate(id).Fanin {
@@ -234,7 +234,7 @@ func checkDeadByAlgebra(c *Context) []Finding {
 	r := c.Sem()
 	var ids []int
 	for _, id := range r.AlgebraicConsts() {
-		if !c.Reach[id] {
+		if !c.reached(id) {
 			continue
 		}
 		// Same-signal self-cancellation (XOR(x,x) as one gate) is already

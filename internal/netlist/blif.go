@@ -291,7 +291,8 @@ func (n *Netlist) WriteBLIF(w io.Writer) error {
 	}
 	fmt.Fprintln(bw)
 
-	for id, g := range n.gates {
+	for id := range n.gates {
+		g := n.Gate(id)
 		if g.Type == Input {
 			continue
 		}

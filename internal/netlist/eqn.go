@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -284,7 +285,7 @@ func (p *eqnParser) parse() (*Netlist, error) {
 			}
 			// If the RHS reduced to an already-named node, add a buffer so
 			// the LHS name binds to its own gate.
-			if p.n.names[id] != "" || p.n.gates[id].Type == Input {
+			if p.n.names[id] != "" || p.n.gates[id].typ == Input {
 				if id, err = p.n.AddGate(Buf, id); err != nil {
 					return nil, err
 				}
@@ -424,13 +425,17 @@ func (p *eqnParser) parsePrimary() (int, error) {
 // WriteEQN renders the netlist in equation format. Every non-input gate
 // becomes one assignment in topological order; complex cells and LUTs are
 // expanded into their Boolean expressions.
-func (n *Netlist) WriteEQN(w io.Writer) error {
+func (n *Netlist) WriteEQN(w io.Writer) error { return n.writeEQN(w, nil) }
+
+// writeEQN is WriteEQN, calling visit (when not nil) on every gate, in ID
+// order, as the walk over the gates passes it.
+func (n *Netlist) writeEQN(w io.Writer, visit func(id int, g Gate)) error {
 	bw := bufio.NewWriter(w)
 	// Lines are appended into one reused chunk, each gate's name rendered
-	// once up front (a gate is referenced about three times): this loop is
-	// the whole cost of content hashing (Digest), which preflight pays per
-	// job.
-	names := n.renderNames()
+	// into its word once, as the walk reaches the gate (a gate is referenced
+	// about three times, always after its own line): this loop is the
+	// whole cost of content hashing (Digest), which preflight pays per job.
+	names := newEqnNames(len(n.gates))
 	chunk := make([]byte, 0, eqnChunk+eqnSlack)
 	flush := func() {
 		if len(chunk) >= eqnChunk {
@@ -440,7 +445,7 @@ func (n *Netlist) WriteEQN(w io.Writer) error {
 	}
 	chunk = append(append(append(chunk, "# "...), n.Name...), "\nINORDER ="...)
 	for _, id := range n.inputs {
-		chunk = names.append(append(chunk, ' '), id)
+		chunk = append(append(chunk, ' '), n.NameOf(id)...)
 		flush()
 	}
 	chunk = append(chunk, ";\nOUTORDER ="...)
@@ -462,7 +467,12 @@ func (n *Netlist) WriteEQN(w io.Writer) error {
 		}
 	}
 
-	for id, g := range n.gates {
+	for id := range n.gates {
+		names.name(n, id)
+		g := n.Gate(id)
+		if visit != nil {
+			visit(id, g)
+		}
 		if g.Type == Input {
 			continue
 		}
@@ -490,96 +500,78 @@ const (
 	eqnSlack = 256
 )
 
-// eqnNames holds every gate's NameOf in a 16-byte slot of its own: a name
-// of up to 15 bytes zero-padded, then its length, so fetching any name
-// touches one cache line and moves as two words. A longer name is marked
-// by length 0xff and kept in long.
+// eqnNames holds every gate's NameOf in a word of its own: a name of up to
+// eight bytes, in order from the low byte and zero-padded, so fetching any
+// name touches one word and its length is where the zero padding starts
+// (names hold no zero bytes). A longer name leaves its word 0 and is kept
+// in long. The words are filled in ID order, one name call per gate.
 type eqnNames struct {
-	slots []byte
+	words []uint64
 	long  map[int]string
+	// syn is the synthesized name "n<id>" of the next gate, counted up in
+	// decimal once per gate (synLen bytes): cheaper than formatting every
+	// one from scratch.
+	syn    [8]byte
+	synLen int
 }
 
-func (n *Netlist) renderNames() eqnNames {
-	e := eqnNames{slots: make([]byte, 16*len(n.gates))}
-	// syn is the slot of "n<id>", the synthesized name, counted up in
-	// decimal once per gate: cheaper than formatting every one from scratch.
-	syn := [16]byte{'n', '0', 15: 2}
-	for id, s := range n.names {
-		slot := (*[16]byte)(e.slots[16*id : 16*id+16])
-		switch {
-		case s == "" && !n.isShadowed(id) && syn[15] < 16:
-			*slot = syn
-		default:
-			if s == "" {
-				s = n.NameOf(id)
-			}
-			if len(s) < 16 {
-				copy(slot[:], s)
-				slot[15] = byte(len(s))
-			} else {
-				if e.long == nil {
-					e.long = map[int]string{}
-				}
-				e.long[id] = s
-				slot[15] = 0xff
-			}
+func newEqnNames(gates int) *eqnNames {
+	return &eqnNames{words: make([]uint64, gates), syn: [8]byte{'n', '0'}, synLen: 2}
+}
+
+// name fills in the word of gate id, the next one in ID order.
+func (e *eqnNames) name(n *Netlist, id int) {
+	switch s := n.names[id]; {
+	case s == "" && !n.isShadowed(id) && e.synLen <= 8:
+		e.words[id] = binary.LittleEndian.Uint64(e.syn[:])
+	default:
+		if s == "" {
+			s = n.NameOf(id)
 		}
-		incName(&syn)
+		if len(s) <= 8 && strings.IndexByte(s, 0) < 0 {
+			var w [8]byte
+			copy(w[:], s)
+			e.words[id] = binary.LittleEndian.Uint64(w[:])
+		} else {
+			if e.long == nil {
+				e.long = map[int]string{}
+			}
+			e.long[id] = s
+		}
 	}
-	return e
+	incName(&e.syn, &e.synLen)
 }
 
-// incName adds one to the number in the synthesized name slot syn. A slot
-// whose name has outgrown it reads length 16, which renderNames does not
-// copy.
-func incName(syn *[16]byte) {
-	l := int(syn[15])
-	if l >= 16 {
+// incName adds one to the number in the synthesized name syn of length
+// *l. A name that has outgrown the word reads length 9, which name does
+// not use.
+func incName(syn *[8]byte, l *int) {
+	if *l > 8 {
 		return
 	}
-	for i := l - 1; i >= 1; i-- {
+	for i := *l - 1; i >= 1; i-- {
 		if syn[i] < '9' {
 			syn[i]++
 			return
 		}
 		syn[i] = '0'
 	}
-	if l < 15 {
+	*l++
+	if *l <= 8 {
 		syn[1] = '1'
-		syn[l] = '0'
+		syn[*l-1] = '0'
 	}
-	syn[15]++
 }
+
+// wordLen returns the length of the name in word w (not 0).
+func wordLen(w uint64) int { return 8 - bits.LeadingZeros64(w)/8 }
 
 // append appends gate id's name to b.
-func (e eqnNames) append(b []byte, id int) []byte {
-	slot := e.slots[16*id : 16*id+16]
-	if l := slot[15]; l != 0xff {
-		return append(b, slot[:l]...)
+func (e *eqnNames) append(b []byte, id int) []byte {
+	if w := e.words[id]; w != 0 {
+		return binary.LittleEndian.AppendUint64(b, w)[:len(b)+wordLen(w)]
 	}
 	return append(b, e.long[id]...)
-}
-
-// size returns the length of gate id's name.
-func (e eqnNames) size(id int) int {
-	if l := e.slots[16*id+15]; l != 0xff {
-		return int(l)
-	}
-	return len(e.long[id])
-}
-
-// put stores gate id's name at b[i:] and returns the index past it. A name
-// that fits its slot moves as two words, with no call to memmove; the
-// caller guarantees 16 bytes of room at b[i:].
-func (e eqnNames) put(b []byte, i, id int) int {
-	slot := e.slots[16*id : 16*id+16]
-	l := slot[15]
-	if l == 0xff {
-		return i + copy(b[i:], e.long[id])
-	}
-	binary.LittleEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(slot))
-	binary.LittleEndian.PutUint64(b[i+8:], binary.LittleEndian.Uint64(slot[8:]))
-	return i + int(l)
 }
 
 // binops holds the operator text of the plain two-input cells, padded to
@@ -591,20 +583,29 @@ var binops = [...]uint32{
 }
 
 // appendLine appends gate id's assignment line, "name = expr;\n". The
-// plain two-input cells that make up nearly every multiplier are written
-// with word-wide stores into room reserved up front; every other cell goes
-// through appendGateExpr.
-func (e eqnNames) appendLine(b []byte, id int, g Gate) []byte {
+// plain two-input cells that make up nearly every multiplier, when all
+// three names fit their words, are written with word-wide stores into room
+// reserved up front; every other line goes through appendGateExpr.
+func (e *eqnNames) appendLine(b []byte, id int, g Gate) []byte {
 	if (g.Type == And || g.Type == Or || g.Type == Xor) && len(g.Fanin) == 2 {
-		b = slices.Grow(b, e.size(id)+e.size(g.Fanin[0])+e.size(g.Fanin[1])+3*16)
-		buf := b[:cap(b)]
-		i := e.put(buf, len(b), id)
-		binary.LittleEndian.PutUint32(buf[i:], ' '|'='<<8|' '<<16)
-		i = e.put(buf, i+3, g.Fanin[0])
-		binary.LittleEndian.PutUint32(buf[i:], binops[g.Type])
-		i = e.put(buf, i+3, g.Fanin[1])
-		binary.LittleEndian.PutUint16(buf[i:], ';'|'\n'<<8)
-		return b[:i+2]
+		w, x, y := e.words[id], e.words[g.Fanin[0]], e.words[g.Fanin[1]]
+		if w != 0 && x != 0 && y != 0 {
+			// Each name is stored as a whole word and the next text
+			// written over its padding: 8+3+8+3+8+2 bytes at most.
+			b = slices.Grow(b, 32)
+			buf := b[:cap(b)]
+			i := len(b)
+			binary.LittleEndian.PutUint64(buf[i:], w)
+			i += wordLen(w)
+			binary.LittleEndian.PutUint32(buf[i:], ' '|'='<<8|' '<<16)
+			binary.LittleEndian.PutUint64(buf[i+3:], x)
+			i += 3 + wordLen(x)
+			binary.LittleEndian.PutUint32(buf[i:], binops[g.Type])
+			binary.LittleEndian.PutUint64(buf[i+3:], y)
+			i += 3 + wordLen(y)
+			binary.LittleEndian.PutUint16(buf[i:], ';'|'\n'<<8)
+			return b[:i+2]
+		}
 	}
 	b = e.append(b, id)
 	b = append(b, " = "...)
@@ -613,7 +614,7 @@ func (e eqnNames) appendLine(b []byte, id int, g Gate) []byte {
 }
 
 // appendGateExpr appends the RHS expression of a gate in equation syntax.
-func (e eqnNames) appendGateExpr(b []byte, g Gate) []byte {
+func (e *eqnNames) appendGateExpr(b []byte, g Gate) []byte {
 	// f appends fanin i's name after the literal text pre.
 	f := func(b []byte, pre string, i int) []byte {
 		return e.append(append(b, pre...), g.Fanin[i])
@@ -656,7 +657,7 @@ func (e eqnNames) appendGateExpr(b []byte, g Gate) []byte {
 }
 
 // appendLutExpr expands a truth-table gate as a sum of minterms.
-func (e eqnNames) appendLutExpr(b []byte, g Gate) []byte {
+func (e *eqnNames) appendLutExpr(b []byte, g Gate) []byte {
 	start := len(b)
 	for row, bit := range g.Table {
 		if !bit {

@@ -162,13 +162,20 @@ func (g Gate) Eval(in []bool) bool {
 type Netlist struct {
 	Name string
 
-	gates []Gate
+	// gates holds every gate in 12 bytes (see gate), so the passes that
+	// stream the gate array — the semantic and context sweeps, the
+	// canonical render, the cone index — read a fifth of what whole Gate
+	// values would cost them; Gate assembles the value.
+	gates []gate
 	names []string // signal name per gate ("" if anonymous)
 	index nameIndex
-	// fanins is the arena Gate.Fanin lists are carved from: the chunk in
-	// use, each list a capacity-capped slice of it. A full chunk is left to
-	// the gates that point into it and a new one started.
+	// fanins is the arena every gate's fanin list lives in, in gate order;
+	// Gate.Fanin is a capacity-capped slice of it. Growing the arena
+	// leaves the lists handed out earlier on the old copy, which still
+	// holds them.
 	fanins []int
+	// tables holds the truth tables of the LUT gates (gate.lut).
+	tables [][]bool
 	// shadowed is a bitset over gate IDs: bit id is set once another gate
 	// or an output port carries "n<id>", the name NameOf synthesizes for an
 	// anonymous gate id. Such a name registered before gate id exists waits
@@ -185,10 +192,13 @@ type Netlist struct {
 	// is a substring of a parsed input would keep all of it alive there.
 	portText strings.Builder
 
-	// coneSizes memoizes ConeSizes; every mutator resets it. The mutex lets
-	// concurrent readers (rewrite workers, shard leases) share one build.
+	// coneSizes and coneReach memoize ConeSizes and Reachable, both read
+	// off one cone index build; every mutator resets coneSizes, which
+	// marks both stale. The mutex lets concurrent readers (rewrite workers,
+	// shard leases, preflight) share one build.
 	coneMu    sync.Mutex
 	coneSizes []int
+	coneReach []uint64
 
 	// digest memoizes Digest for the model name digestName it was computed
 	// under: every mutator resets it, and a renamed netlist recomputes it.
@@ -202,8 +212,14 @@ func New(name string) *Netlist {
 	return &Netlist{Name: name}
 }
 
-// minFaninChunk is the smallest fanin arena chunk.
-const minFaninChunk = 1024
+// gate is a gate as the netlist stores it: its type, and its fanin list
+// and LUT truth table as positions in the netlist's arenas.
+type gate struct {
+	off  uint32 // first fanin in the fanins arena
+	lut  uint32 // 1 + index of the truth table in tables; 0 for other cells
+	typ  GateType
+	nfan uint8 // fanin count; at most maxLutInputs
+}
 
 // reserve presizes the netlist for gates more gates, each named and with
 // two fanins on average.
@@ -211,23 +227,14 @@ func (n *Netlist) reserve(gates int) {
 	n.gates = slices.Grow(n.gates, gates)
 	n.names = slices.Grow(n.names, gates)
 	n.index.reserve(gates)
-	if need := 2 * gates; cap(n.fanins)-len(n.fanins) < need {
-		n.fanins = make([]int, 0, max(need, minFaninChunk))
-	}
+	n.fanins = slices.Grow(n.fanins, 2*gates)
 }
 
-// copyFanin copies a fanin list into the arena. Chunks grow with the
-// netlist, so their count is logarithmic in its size.
-func (n *Netlist) copyFanin(fanin []int) []int {
-	if len(fanin) == 0 {
-		return nil
-	}
-	if cap(n.fanins)-len(n.fanins) < len(fanin) {
-		n.fanins = make([]int, 0, max(len(fanin), len(n.gates), minFaninChunk))
-	}
-	i := len(n.fanins)
-	n.fanins = append(n.fanins, fanin...)
-	return n.fanins[i:len(n.fanins):len(n.fanins)]
+// fanin returns the fanin list of gate id.
+func (n *Netlist) fanin(id int) []int {
+	r := n.gates[id]
+	end := r.off + uint32(r.nfan)
+	return n.fanins[r.off:end:end]
 }
 
 // NumGates returns the total number of nodes including primary inputs and
@@ -239,8 +246,8 @@ func (n *Netlist) NumGates() int { return len(n.gates) }
 // the number of rewriting iterations needed to process the whole netlist.
 func (n *Netlist) NumEquations() int {
 	c := 0
-	for _, g := range n.gates {
-		if g.Type != Input {
+	for _, r := range n.gates {
+		if r.typ != Input {
 			c++
 		}
 	}
@@ -248,7 +255,18 @@ func (n *Netlist) NumEquations() int {
 }
 
 // Gate returns the gate with the given ID.
-func (n *Netlist) Gate(id int) Gate { return n.gates[id] }
+func (n *Netlist) Gate(id int) Gate {
+	r := n.gates[id]
+	g := Gate{Type: r.typ}
+	if r.nfan > 0 {
+		end := r.off + uint32(r.nfan)
+		g.Fanin = n.fanins[r.off:end:end]
+	}
+	if r.lut > 0 {
+		g.Table = n.tables[r.lut-1]
+	}
+	return g
+}
 
 // NameOf returns the signal name of gate id. An anonymous gate gets the
 // synthesized name "n<id>" or, when another gate or an output port already
@@ -346,7 +364,7 @@ func (n *Netlist) portName(name string) string {
 
 // AddInput appends a primary input with the given name and returns its ID.
 func (n *Netlist) AddInput(name string) (int, error) {
-	id := n.appendGate(Gate{Type: Input})
+	id := n.appendGate(Input, nil, nil)
 	if err := n.setName(id, n.portName(name)); err != nil {
 		n.gates = n.gates[:id]
 		n.names = n.names[:id]
@@ -393,13 +411,23 @@ func (n *Netlist) addChecked(t GateType, fanin []int, table []bool) (int, error)
 			return 0, fmt.Errorf("netlist: gate %d fanin %d out of range (forward reference or negative)", id, f)
 		}
 	}
-	return n.appendGate(Gate{Type: t, Fanin: n.copyFanin(fanin), Table: table}), nil
+	return n.appendGate(t, fanin, table), nil
 }
 
-// appendGate adds g as an anonymous gate and returns its ID.
-func (n *Netlist) appendGate(g Gate) int {
+// appendGate adds an anonymous gate, copying its fanins into the arena,
+// and returns its ID.
+func (n *Netlist) appendGate(t GateType, fanin []int, table []bool) int {
 	id := len(n.gates)
-	n.gates = append(n.gates, g)
+	r := gate{off: uint32(len(n.fanins)), typ: t, nfan: uint8(len(fanin))}
+	if len(n.fanins)+len(fanin) > math.MaxUint32 {
+		panic("netlist: fanin arena overflow")
+	}
+	n.fanins = append(n.fanins, fanin...)
+	if table != nil {
+		n.tables = append(n.tables, table)
+		r.lut = uint32(len(n.tables))
+	}
+	n.gates = append(n.gates, r)
 	n.names = append(n.names, "")
 	n.coneSizes = nil
 	n.digest = ""
@@ -495,7 +523,7 @@ func (n *Netlist) walkCone(root int, visit func(id int) (expand bool, err error)
 			if !expand {
 				continue
 			}
-			for _, f := range n.gates[id].Fanin {
+			for _, f := range n.fanin(id) {
 				fw, fb := f>>6, uint64(1)<<(uint(f)&63)
 				if seen[fw]&fb == 0 {
 					seen[fw] |= fb
@@ -517,14 +545,26 @@ func (n *Netlist) walkCone(root int, visit func(id int) (expand bool, err error)
 // computed once and memoized on the netlist until the next mutation or a
 // change of Name, so preflight, checkpointing and the shard scheduler of
 // one extraction share one computation; concurrent callers wait for it.
-func (n *Netlist) Digest() (string, error) {
+func (n *Netlist) Digest() (string, error) { return n.DigestScan(nil) }
+
+// DigestScan is Digest, calling visit (when not nil) on every gate in ID
+// order on the way: the walk over the gates that renders the canonical
+// text also serves a caller's own forward sweep, so the gate array is read
+// once for both. visit sees every gate whether the digest is memoized,
+// computed or fails.
+func (n *Netlist) DigestScan(visit func(id int, g Gate)) (string, error) {
 	n.digestMu.Lock()
 	defer n.digestMu.Unlock()
 	if n.digest != "" && n.digestName == n.Name {
+		if visit != nil {
+			for id := range n.gates {
+				visit(id, n.Gate(id))
+			}
+		}
 		return n.digest, nil
 	}
 	h := sha256.New()
-	if err := n.WriteEQN(h); err != nil {
+	if err := n.writeEQN(h, visit); err != nil {
 		return "", err
 	}
 	digests.Add(1)
@@ -548,23 +588,43 @@ func DigestsComputed() int64 { return digests.Load() }
 func (n *Netlist) ConeSizes() []int {
 	n.coneMu.Lock()
 	defer n.coneMu.Unlock()
-	if n.coneSizes == nil {
-		n.coneSizes = n.countCones()
-	}
+	n.indexCones()
 	return slices.Clone(n.coneSizes)
+}
+
+// Reachable returns a bitset over gate IDs: bit id (word id/64, bit id%64)
+// is set iff gate id lies in the transitive fanin of some primary output.
+// It comes from the same memoized cone index as ConeSizes; the caller gets
+// its own copy.
+func (n *Netlist) Reachable() []uint64 {
+	n.coneMu.Lock()
+	defer n.coneMu.Unlock()
+	n.indexCones()
+	return slices.Clone(n.coneReach)
+}
+
+// indexCones fills the cone index memo unless it is current; the caller
+// holds coneMu.
+func (n *Netlist) indexCones() {
+	if n.coneSizes == nil {
+		n.coneSizes, n.coneReach = n.countCones()
+	}
 }
 
 // countCones computes ConeSizes as column counts of the membership rows
 // (see ConeMembership), counting each row as soon as the sweep has made it
-// final rather than in a second pass. The counts are kept bit-sliced —
+// final rather than in a second pass, and Reachable as the union of the
+// rows' supports. The counts are kept bit-sliced —
 // planes[k] holds bit k of all 64 columns' running counts — so adding a row
 // is a ripple-carry increment of at most log2(gates) word operations (two
 // on average) instead of 64 per-bit adds.
-func (n *Netlist) countCones() []int {
-	sizes := make([]int, len(n.outputs))
+func (n *Netlist) countCones() (sizes []int, reach []uint64) {
+	sizes = make([]int, len(n.outputs))
+	reach = make([]uint64, (len(n.gates)+63)/64)
+	// A row is cleared once the sweep has passed it, so rows is all zero
+	// again when the next block starts.
 	rows := make([]uint64, len(n.gates))
 	for base := 0; base < len(n.outputs); base += 64 {
-		clear(rows)
 		top := 0
 		for j, root := range n.outputs[base:min(base+64, len(n.outputs))] {
 			rows[root] |= 1 << uint(j)
@@ -576,7 +636,9 @@ func (n *Netlist) countCones() []int {
 			if r == 0 {
 				continue
 			}
-			for _, f := range n.gates[id].Fanin {
+			rows[id] = 0
+			reach[id>>6] |= 1 << uint(id&63)
+			for _, f := range n.fanin(id) {
 				rows[f] |= r
 			}
 			for k := 0; r != 0; k++ {
@@ -589,7 +651,7 @@ func (n *Netlist) countCones() []int {
 			}
 		}
 	}
-	return sizes
+	return sizes, reach
 }
 
 // ConeMembership is the cone index: which output cones hold each gate. It
@@ -610,7 +672,7 @@ func (n *Netlist) ConeMembership(visit func(base int, rows []uint64)) {
 		}
 		for id := top; id >= 0; id-- {
 			if r := rows[id]; r != 0 {
-				for _, f := range n.gates[id].Fanin {
+				for _, f := range n.fanin(id) {
 					rows[f] |= r
 				}
 			}
@@ -623,7 +685,8 @@ func (n *Netlist) ConeMembership(visit func(base int, rows []uint64)) {
 // and the maximum depth of the circuit.
 func (n *Netlist) Levels() (levels []int, depth int) {
 	levels = make([]int, len(n.gates))
-	for id, g := range n.gates {
+	for id := range n.gates {
+		g := n.Gate(id)
 		l := 0
 		for _, f := range g.Fanin {
 			if levels[f]+1 > l {
@@ -657,8 +720,8 @@ func (n *Netlist) Stats() Stats {
 		Equations: n.NumEquations(),
 		ByType:    make(map[GateType]int),
 	}
-	for _, g := range n.gates {
-		s.ByType[g.Type]++
+	for _, r := range n.gates {
+		s.ByType[r.typ]++
 	}
 	_, s.Depth = n.Levels()
 	return s
@@ -698,7 +761,7 @@ var cellModels = func() (models [Lut][]uint32) {
 // construction. t is the caller's reusable buffer: once its slices have
 // grown, writing a model allocates nothing.
 func (n *Netlist) GateTerms(id int, t *anf.Terms) error {
-	g := n.gates[id]
+	g := n.Gate(id)
 	if g.Type == Input {
 		return fmt.Errorf("netlist: gate %d is a primary input", id)
 	}

@@ -25,7 +25,8 @@ func (n *Netlist) SimulateXor(inputs []uint64, flips map[int]uint64) ([]uint64, 
 	}
 	vals := make([]uint64, len(n.gates))
 	nextInput := 0
-	for id, g := range n.gates {
+	for id := range n.gates {
+		g := n.Gate(id)
 		switch g.Type {
 		case Input:
 			vals[id] = inputs[nextInput]
@@ -114,7 +115,7 @@ func (n *Netlist) FanoutCone(root int) []int {
 	mark[root] = true
 	out := []int{root}
 	for id := root + 1; id < len(n.gates); id++ {
-		for _, f := range n.gates[id].Fanin {
+		for _, f := range n.fanin(id) {
 			if mark[f] {
 				mark[id] = true
 				out = append(out, id)

@@ -735,7 +735,8 @@ func (n *Netlist) WriteVerilog(w io.Writer) error {
 	for _, nm := range n.outputNames {
 		outputName[nm] = true
 	}
-	for id, g := range n.gates {
+	for id := range n.gates {
+		g := n.Gate(id)
 		if g.Type == Input {
 			continue
 		}
@@ -744,7 +745,8 @@ func (n *Netlist) WriteVerilog(w io.Writer) error {
 		}
 	}
 
-	for id, g := range n.gates {
+	for id := range n.gates {
+		g := n.Gate(id)
 		switch g.Type {
 		case Input:
 			continue

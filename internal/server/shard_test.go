@@ -27,7 +27,7 @@ func TestShardResultRejectsBadEnvelopeWithoutFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := shard.NewPool(shard.Config{Hash: hash, Bits: 4})
+	pool, err := shard.NewPool(shard.Config{Hash: hash, Order: []int{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func Rewriter(sopts ExtractOptions, stats *Stats) extract.Rewriter {
 
 		rec := ro.Recorder
 		pool, err := NewPool(Config{
-			Hash: hash, Bits: m, Order: rewrite.ConeOrder(n),
+			Hash: hash, Order: rewrite.ConeOrder(n),
 			LeaseTTL: sopts.LeaseTTL, MaxConesPerLease: sopts.MaxCones,
 			MaxAttempts: sopts.MaxAttempts,
 			BackoffBase: sopts.BackoffBase, BackoffCap: sopts.BackoffCap,

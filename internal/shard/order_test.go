@@ -35,7 +35,7 @@ func TestLeaseDeepestFirst(t *testing.T) {
 			t.Fatalf("cone order %v is not deepest first", order)
 		}
 	}
-	pool, err := NewPool(Config{Hash: "h", Bits: len(outs), Order: order, MaxConesPerLease: 5})
+	pool, err := NewPool(Config{Hash: "h", Order: order, MaxConesPerLease: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,10 @@ func TestLeaseDeepestFirst(t *testing.T) {
 	if !slices.Equal(leased, order) {
 		t.Errorf("leased %v, want %v", leased, order)
 	}
-	if _, err := NewPool(Config{Hash: "h", Bits: 3, Order: []int{0, 0, 1}}); err == nil {
-		t.Error("a lease order that is not a permutation was accepted")
+	for _, bad := range [][]int{nil, {0, 0, 1}, {0, 2}, {-1, 0}} {
+		if _, err := NewPool(Config{Hash: "h", Order: bad}); err == nil {
+			t.Errorf("lease order %v, not a permutation of the bits, was accepted", bad)
+		}
 	}
 }
 

@@ -73,11 +73,9 @@ type Config struct {
 	// Hash is the netlist content hash (checkpoint.HashNetlist) every
 	// result is keyed on. Required.
 	Hash string
-	// Bits is the number of output cones (bit IDs 0..Bits-1). Required.
-	Bits int
-	// Order is the order pending cones are leased in, a permutation of the
-	// bit IDs: rewrite.ConeOrder, deepest cone first, as rewrite.Outputs
-	// feeds its workers. nil leases in bit order.
+	// Order lists every output cone's bit ID, 0..len(Order)-1, once, in
+	// the order pending cones are leased: rewrite.ConeOrder, deepest cone
+	// first, as rewrite.Outputs feeds its workers. Required.
 	Order []int
 
 	// LeaseTTL is the heartbeat deadline: a lease not renewed within it
@@ -252,8 +250,16 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Hash == "" {
 		return nil, errors.New("shard: Config.Hash is required")
 	}
-	if cfg.Bits <= 0 {
-		return nil, fmt.Errorf("shard: Config.Bits must be positive, got %d", cfg.Bits)
+	bits := len(cfg.Order)
+	if bits == 0 {
+		return nil, errors.New("shard: Config.Order is required")
+	}
+	seen := make([]bool, bits)
+	for _, bit := range cfg.Order {
+		if bit < 0 || bit >= bits || seen[bit] {
+			return nil, fmt.Errorf("shard: Config.Order is not a permutation of the bits 0..%d", bits-1)
+		}
+		seen[bit] = true
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
@@ -283,30 +289,13 @@ func NewPool(cfg Config) (*Pool, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	if cfg.Order == nil {
-		cfg.Order = make([]int, cfg.Bits)
-		for bit := range cfg.Order {
-			cfg.Order[bit] = bit
-		}
-	} else {
-		seen := make([]bool, cfg.Bits)
-		for _, bit := range cfg.Order {
-			if bit < 0 || bit >= cfg.Bits || seen[bit] {
-				return nil, fmt.Errorf("shard: Config.Order is not a permutation of the %d bits", cfg.Bits)
-			}
-			seen[bit] = true
-		}
-		if len(cfg.Order) != cfg.Bits {
-			return nil, fmt.Errorf("shard: Config.Order is not a permutation of the %d bits", cfg.Bits)
-		}
-	}
 	p := &Pool{
 		cfg:     cfg,
-		cones:   make([]coneState, cfg.Bits),
-		results: make([]rewrite.BitResult, cfg.Bits),
+		cones:   make([]coneState, bits),
+		results: make([]rewrite.BitResult, bits),
 		leases:  map[string]*lease{},
 		fence:   map[string]uint64{},
-		open:    cfg.Bits,
+		open:    bits,
 		rng:     rand.New(rand.NewSource(seed)),
 		donec:   make(chan struct{}),
 		stopc:   make(chan struct{}),
@@ -318,7 +307,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	var seeded []rewrite.BitResult
 	p.mu.Lock()
 	for _, br := range cfg.Prior {
-		if br.Status != rewrite.StatusOK || br.Bit < 0 || br.Bit >= cfg.Bits {
+		if br.Status != rewrite.StatusOK || br.Bit < 0 || br.Bit >= bits {
 			continue
 		}
 		if p.cones[br.Bit].state == coneDone {
@@ -328,7 +317,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		p.stats.Reused++
 		cfg.Store.Put(cfg.Hash, br.Bit, br)
 	}
-	for bit := 0; bit < cfg.Bits; bit++ {
+	for bit := 0; bit < bits; bit++ {
 		if p.cones[bit].state != conePending {
 			continue
 		}
@@ -575,8 +564,8 @@ func (p *Pool) Submit(leaseID string, epoch uint64, results []rewrite.BitResult)
 		finished []rewrite.BitResult
 	)
 	for _, br := range results {
-		if br.Bit < 0 || br.Bit >= p.cfg.Bits {
-			return reply, fmt.Errorf("shard: result bit %d out of range [0,%d)", br.Bit, p.cfg.Bits)
+		if br.Bit < 0 || br.Bit >= len(p.cfg.Order) {
+			return reply, fmt.Errorf("shard: result bit %d out of range [0,%d)", br.Bit, len(p.cfg.Order))
 		}
 	}
 	p.mu.Lock()
@@ -810,10 +799,10 @@ func (p *Pool) Result() *rewrite.Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rw := &rewrite.Result{
-		Bits:   make([]rewrite.BitResult, p.cfg.Bits),
+		Bits:   make([]rewrite.BitResult, len(p.cfg.Order)),
 		Reused: p.stats.Reused + p.stats.Cached,
 	}
-	for bit := 0; bit < p.cfg.Bits; bit++ {
+	for bit := 0; bit < len(p.cfg.Order); bit++ {
 		switch p.cones[bit].state {
 		case coneDone, coneFailed:
 			rw.Bits[bit] = p.results[bit]

@@ -63,9 +63,18 @@ func failResult(bit int) rewrite.BitResult {
 
 func pack(brs ...rewrite.BitResult) []rewrite.BitResult { return brs }
 
+// bitOrder is the lease order 0..bits-1.
+func bitOrder(bits int) []int {
+	order := make([]int, bits)
+	for bit := range order {
+		order[bit] = bit
+	}
+	return order
+}
+
 func newTestPool(t *testing.T, bits int, clk *fakeClock, mut func(*Config)) *Pool {
 	t.Helper()
-	cfg := Config{Hash: testHash, Bits: bits, LeaseTTL: time.Second, Seed: 7}
+	cfg := Config{Hash: testHash, Order: bitOrder(bits), LeaseTTL: time.Second, Seed: 7}
 	if clk != nil {
 		cfg.Clock = clk.Now
 	}
