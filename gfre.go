@@ -367,11 +367,10 @@ func Verify(n *Netlist, ext *Extraction) error { return extract.Verify(n, ext) }
 // architecture fingerprint, and per-output cone-cost prediction.
 func Lint(n *Netlist, opts LintOptions) *LintReport { return netlint.Analyze(n, opts) }
 
-// LintSource lints raw netlist text. Source-level rules (combinational
-// cycles with witness, multi-driven and undriven signals) run on the text
-// itself — defects the netlist constructors reject outright — followed by
-// the full DAG rule set when the design parses. format is "eqn", "blif",
-// "verilog" or "" to auto-detect.
+// LintSource lints raw netlist text: the full DAG rule set when the design
+// parses, and otherwise source-level rules (combinational cycles with
+// witness, multi-driven and undriven signals) that explain why the reader
+// rejected it. format is "eqn", "blif", "verilog" or "" to auto-detect.
 func LintSource(data []byte, filename, format string, opts LintOptions) *LintReport {
 	return netlint.AnalyzeSource(data, filename, format, opts)
 }

@@ -9,8 +9,9 @@
 // before any rewriting starts:
 //
 //   - source-level rules (combinational cycles with a witness path,
-//     multi-driven signals, undriven/dangling references) run on the raw
-//     EQN/BLIF text, where defects the constructors reject by design are
+//     multi-driven signals, undriven/dangling references) explain an
+//     EQN/BLIF file its reader rejects, over the statements the reader's
+//     lexer finds, where defects the constructors reject by design are
 //     still observable;
 //   - DAG-level rules (dead gates, unused inputs, constant-foldable and
 //     redundant gates, operand/result shape and naming conventions) run on
@@ -85,8 +86,8 @@ type Finding struct {
 }
 
 // Rule is one registered analysis. Source rules (cycle, multi-driven,
-// undriven, parse) have a nil Check: they run inside AnalyzeSource where raw
-// text is available, but are registered so Rules() describes the full set.
+// undriven, parse) have a nil Check: they run inside AnalyzeSource on text
+// the reader rejects, but are registered so Rules() describes the full set.
 type Rule struct {
 	// Name identifies the rule in findings and filters.
 	Name string
@@ -94,7 +95,7 @@ type Rule struct {
 	Doc string
 	// Default is the severity the rule's findings carry.
 	Default Severity
-	// Source marks rules that run on raw netlist text, before construction.
+	// Source marks rules that run on netlist text the reader rejects.
 	Source bool
 	// Check produces the rule's findings for a constructed netlist
 	// (nil for source rules).

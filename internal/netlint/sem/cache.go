@@ -45,7 +45,7 @@ var cache = struct {
 // therefore mean equal Results.
 func cacheKey(n *netlist.Netlist, digest string, types []netlist.GateType, opts Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "sem3|%s|tt%d|s%d|", digest, opts.ttMaxVars(), opts.maxSets())
+	fmt.Fprintf(h, "sem3|%s|s%d|", digest, opts.maxSets())
 	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 1<<12), uint32(len(types)))
 	flush := func() {
 		if len(buf) >= 1<<12-16 {

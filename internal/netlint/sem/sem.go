@@ -48,25 +48,17 @@ const DegCap = 1 << 20
 
 // Options configures an analysis.
 type Options struct {
-	// TTMaxVars bounds the exact truth-table sub-domain's variable count
-	// (default and maximum 6: one uint64 per wire).
-	TTMaxVars int
 	// MaxSets caps the support-set intern table before widening kicks in
 	// (default 1<<16 distinct sets).
 	MaxSets int
 }
 
 const (
-	defaultTTMaxVars = 6
-	defaultMaxSets   = 1 << 16
+	// ttMaxVars bounds the exact truth-table sub-domain's variable count:
+	// one uint64 table per wire.
+	ttMaxVars      = 6
+	defaultMaxSets = 1 << 16
 )
-
-func (o Options) ttMaxVars() int {
-	if o.TTMaxVars <= 0 || o.TTMaxVars > 6 {
-		return defaultTTMaxVars
-	}
-	return o.TTMaxVars
-}
 
 func (o Options) maxSets() int {
 	if o.MaxSets <= 8 {
@@ -477,7 +469,6 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 	// giving up as soon as it outgrows the exact domain. A signature with
 	// bit v&63 per variable rejects most oversized sets before the merge:
 	// its population bounds the joint set's size from below.
-	ttMax := a.opts.ttMaxVars()
 	var sig uint64
 	for _, u := range a.uid {
 		uf := &a.facts[u]
@@ -488,7 +479,7 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 			sig |= 1 << (uint32(v) & 63)
 		}
 	}
-	if bits.OnesCount64(sig) > ttMax {
+	if bits.OnesCount64(sig) > ttMaxVars {
 		return false
 	}
 	var bufs [2][6]int32 // merge ping-pong: bufs[cur][:nv] is the set so far
@@ -514,7 +505,7 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 				i++
 				j++
 			}
-			if m == ttMax {
+			if m == ttMaxVars {
 				return false
 			}
 			dst[m] = v
@@ -639,7 +630,7 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 func (a *analyzer) plainDisjoint(f *fact, cell netlist.GateType) bool {
 	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
 	nu, nw := int(u.ttn), int(w.ttn)
-	if nu < 0 || nw < 0 || nu+nw > a.opts.ttMaxVars() {
+	if nu < 0 || nw < 0 || nu+nw > ttMaxVars {
 		return false
 	}
 	if nu == 1 && nw == 1 && u.tt == 0b10 && w.tt == 0b10 && u.ttv[0] != w.ttv[0] {

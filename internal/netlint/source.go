@@ -11,176 +11,50 @@ import (
 	"github.com/galoisfield/gfre/internal/netlist"
 )
 
-// Source-level analysis. The netlist constructors enforce acyclicity and
-// single drivers *by rejecting the input*, so a constructed DAG can never
-// exhibit the defects the cycle / multi-driven / undriven rules look for.
-// To diagnose them with a useful witness instead of a bare parse error, we
-// scan the raw EQN/BLIF text into a name-level dependency graph first and
-// run the structural rules there; only a source-clean design is then handed
-// to the real reader for DAG-level analysis.
-
-// rawStmt is one signal definition in the raw text.
-type rawStmt struct {
-	lhs  string
-	deps []string
-	line int
-}
+// Source-level analysis. The netlist readers enforce acyclicity, single
+// drivers and define-before-use *by rejecting the input*, so a constructed
+// DAG can never exhibit the defects the cycle / multi-driven / undriven /
+// topo-order rules look for. A file the reader accepts therefore goes
+// straight to DAG-level analysis; a rejected EQN or BLIF file is explained
+// by running those rules on the name graph of its statements, as the
+// format's own reader tokenizes them (netlist.WalkEQN, netlist.WalkBLIF),
+// so the report carries a witness instead of a bare parse error.
 
 // rawDesign is the name-level view of a netlist file.
 type rawDesign struct {
-	format  string // "eqn", "blif", "verilog"
-	inputs  map[string]int
-	outputs []string // declared output names, in order
+	format  string         // "eqn", "blif", "verilog"
+	inputs  map[string]int // first declaring line per input
+	outputs []string       // declared output names, in order
 	outLine map[string]int
-	stmts   []rawStmt
+	stmts   []netlist.Statement // definitions, and repeated input declarations
 }
 
-// scanEQN tokenizes equation text into raw statements without building
-// gates. It is deliberately lenient — unknown characters are separators —
-// because its job is dependency extraction, not validation; the real parser
-// still runs afterwards on source-clean designs.
-func scanEQN(data []byte) *rawDesign {
-	raw := &rawDesign{format: "eqn", inputs: map[string]int{}, outLine: map[string]int{}}
-	type token struct {
-		text string
-		line int
-	}
-	var toks []token
-	line := 0
-	for _, ln := range strings.Split(string(data), "\n") {
-		line++
-		if i := strings.IndexByte(ln, '#'); i >= 0 {
-			ln = ln[:i]
-		}
-		if i := strings.Index(ln, "//"); i >= 0 {
-			ln = ln[:i]
-		}
-		for i := 0; i < len(ln); {
-			c := ln[i]
-			switch {
-			case c == ';' || c == '=':
-				toks = append(toks, token{string(c), line})
-				i++
-			case isEqnIdent(c):
-				j := i
-				for j < len(ln) && isEqnIdent(ln[j]) {
-					j++
-				}
-				toks = append(toks, token{ln[i:j], line})
-				i = j
-			default:
-				i++ // operators, parens, whitespace, garbage: separators
+// walkSource builds the name graph of an EQN or BLIF text; other formats
+// have none, and yield an empty one.
+func walkSource(data []byte, format string) *rawDesign {
+	raw := &rawDesign{format: format, inputs: map[string]int{}, outLine: map[string]int{}}
+	visit := func(s netlist.Statement) {
+		switch s.Kind {
+		case 'i':
+			if _, dup := raw.inputs[s.Name]; !dup {
+				raw.inputs[s.Name] = s.Line
+			} else {
+				// A repeated input declaration drives the name again: model
+				// it as a second defining statement.
+				raw.stmts = append(raw.stmts, s)
 			}
+		case 'o':
+			raw.outputs = append(raw.outputs, s.Name)
+			raw.outLine[s.Name] = s.Line
+		default:
+			raw.stmts = append(raw.stmts, s)
 		}
 	}
-	// Group into statements terminated by ';'.
-	for i := 0; i < len(toks); {
-		// Find statement extent.
-		j := i
-		for j < len(toks) && toks[j].text != ";" {
-			j++
-		}
-		stmt := toks[i:j]
-		i = j + 1
-		if len(stmt) == 0 {
-			continue
-		}
-		head := stmt[0]
-		isDecl := head.text == "INORDER" || head.text == "OUTORDER"
-		// Collect identifier tokens after '='.
-		var ids []token
-		seenEq := false
-		for _, t := range stmt[1:] {
-			if t.text == "=" {
-				seenEq = true
-				continue
-			}
-			if t.text == "0" || t.text == "1" {
-				continue // constants
-			}
-			if seenEq {
-				ids = append(ids, t)
-			}
-		}
-		switch {
-		case head.text == "INORDER":
-			for _, t := range ids {
-				if _, dup := raw.inputs[t.text]; !dup {
-					raw.inputs[t.text] = t.line
-				} else {
-					// Duplicate input declaration = multi-driven; model it
-					// as a second defining statement.
-					raw.stmts = append(raw.stmts, rawStmt{lhs: t.text, line: t.line})
-				}
-			}
-		case head.text == "OUTORDER":
-			for _, t := range ids {
-				raw.outputs = append(raw.outputs, t.text)
-				raw.outLine[t.text] = t.line
-			}
-		case !isDecl && seenEq:
-			deps := make([]string, 0, len(ids))
-			for _, t := range ids {
-				deps = append(deps, t.text)
-			}
-			raw.stmts = append(raw.stmts, rawStmt{lhs: head.text, deps: deps, line: head.line})
-		}
-	}
-	return raw
-}
-
-func isEqnIdent(c byte) bool {
-	return c == '_' || c == '[' || c == ']' || c == '.' ||
-		c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// scanBLIF extracts the .inputs/.outputs/.names structure; cover rows and
-// unknown directives are skipped.
-func scanBLIF(data []byte) *rawDesign {
-	raw := &rawDesign{format: "blif", inputs: map[string]int{}, outLine: map[string]int{}}
-	line, pending := 0, ""
-	for _, ln := range strings.Split(string(data), "\n") {
-		line++
-		if i := strings.IndexByte(ln, '#'); i >= 0 {
-			ln = ln[:i]
-		}
-		ln = strings.TrimSpace(ln)
-		if pending != "" {
-			ln = pending + " " + ln
-			pending = ""
-		}
-		if strings.HasSuffix(ln, "\\") {
-			pending = strings.TrimSuffix(ln, "\\")
-			continue
-		}
-		if ln == "" {
-			continue
-		}
-		fields := strings.Fields(ln)
-		switch fields[0] {
-		case ".inputs":
-			for _, f := range fields[1:] {
-				if _, dup := raw.inputs[f]; !dup {
-					raw.inputs[f] = line
-				} else {
-					raw.stmts = append(raw.stmts, rawStmt{lhs: f, line: line})
-				}
-			}
-		case ".outputs":
-			for _, f := range fields[1:] {
-				raw.outputs = append(raw.outputs, f)
-				raw.outLine[f] = line
-			}
-		case ".names":
-			if len(fields) < 2 {
-				continue
-			}
-			raw.stmts = append(raw.stmts, rawStmt{
-				lhs:  fields[len(fields)-1],
-				deps: fields[1 : len(fields)-1],
-				line: line,
-			})
-		}
+	switch format {
+	case "eqn":
+		netlist.WalkEQN(string(data), visit)
+	case "blif":
+		netlist.WalkBLIF(bytes.NewReader(data), visit)
 	}
 	return raw
 }
@@ -190,27 +64,27 @@ func analyzeRaw(raw *rawDesign, opts Options) []Finding {
 	var fs []Finding
 
 	// Index definitions: input declarations and statement LHS both drive.
-	defLine := map[string]int{}     // first defining line per name
-	stmtOf := map[string]*rawStmt{} // first statement per name, for cycle walk
+	defLine := map[string]int{}               // first defining line per name
+	stmtOf := map[string]*netlist.Statement{} // first statement per name, for cycle walk
 	multiSeen := map[string]bool{}
 	for name, ln := range raw.inputs {
 		defLine[name] = ln
 	}
 	for i := range raw.stmts {
 		s := &raw.stmts[i]
-		if prev, ok := defLine[s.lhs]; ok {
-			if !multiSeen[s.lhs] && !opts.disabled("multi-driven") {
-				multiSeen[s.lhs] = true
+		if prev, ok := defLine[s.Name]; ok {
+			if !multiSeen[s.Name] && !opts.disabled("multi-driven") {
+				multiSeen[s.Name] = true
 				fs = append(fs, Finding{
-					Rule: "multi-driven", Severity: SevError, Line: s.line,
-					Signals: []string{s.lhs},
-					Message: fmt.Sprintf("signal %q driven more than once (lines %d and %d)", s.lhs, prev, s.line),
+					Rule: "multi-driven", Severity: SevError, Line: s.Line,
+					Signals: []string{s.Name},
+					Message: fmt.Sprintf("signal %q driven more than once (lines %d and %d)", s.Name, prev, s.Line),
 				})
 			}
 			continue
 		}
-		defLine[s.lhs] = s.line
-		stmtOf[s.lhs] = s
+		defLine[s.Name] = s.Line
+		stmtOf[s.Name] = s
 	}
 
 	// Undriven: referenced or declared-as-output but never defined.
@@ -225,8 +99,8 @@ func analyzeRaw(raw *rawDesign, opts Options) []Finding {
 			}
 		}
 		for i := range raw.stmts {
-			for _, d := range raw.stmts[i].deps {
-				note(d, raw.stmts[i].line)
+			for _, d := range raw.stmts[i].Deps {
+				note(d, raw.stmts[i].Line)
 			}
 		}
 		for _, o := range raw.outputs {
@@ -285,7 +159,7 @@ func analyzeRaw(raw *rawDesign, opts Options) []Finding {
 			}
 			state[name] = visiting
 			stack = append(stack, name)
-			for _, d := range s.deps {
+			for _, d := range s.Deps {
 				if walk(d) {
 					return true
 				}
@@ -300,12 +174,12 @@ func analyzeRaw(raw *rawDesign, opts Options) []Finding {
 				break
 			}
 			stack = stack[:0]
-			walk(raw.stmts[i].lhs)
+			walk(raw.stmts[i].Name)
 		}
 		if cycle != nil {
 			line := 0
 			if s, ok := stmtOf[cycle[0]]; ok {
-				line = s.line
+				line = s.Line
 			}
 			shown := cycle
 			if len(shown) > maxWitness {
@@ -323,11 +197,11 @@ func analyzeRaw(raw *rawDesign, opts Options) []Finding {
 		count, firstLine, firstName := 0, 0, ""
 		for i := range raw.stmts {
 			s := &raw.stmts[i]
-			for _, d := range s.deps {
-				if dl, ok := defLine[d]; ok && dl > s.line && !multiSeen[d] {
+			for _, d := range s.Deps {
+				if dl, ok := defLine[d]; ok && dl > s.Line && !multiSeen[d] {
 					count++
 					if firstLine == 0 {
-						firstLine, firstName = s.line, d
+						firstLine, firstName = s.Line, d
 					}
 					break
 				}
@@ -352,10 +226,11 @@ func sortStrings(s []string) {
 	}
 }
 
-// AnalyzeSource lints a netlist file: source-level structural rules on the
-// raw text, then — when the source is clean enough to construct — the full
-// DAG rule set. format is "eqn", "blif", "verilog" or "" (auto-detect).
-// It never returns a nil report; unreadable input yields parse findings.
+// AnalyzeSource lints a netlist file: the full DAG rule set when the
+// format's reader accepts it, and otherwise the source-level rules, which
+// explain the rejection, or a parse finding when they find nothing. format
+// is "eqn", "blif", "verilog" or "" (auto-detect). It never returns a nil
+// report.
 func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 	if format == "" {
 		format = netlist.DetectFormat(filename, data)
@@ -363,28 +238,12 @@ func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 	design := strings.TrimSuffix(filepath.Base(filename), filepath.Ext(filename))
 	rep := &Report{Design: design, Source: filename}
 
-	var raw *rawDesign
-	switch format {
-	case "eqn":
-		raw = scanEQN(data)
-	case "blif":
-		raw = scanBLIF(data)
-	default:
-		// Verilog: no source scanner; rely on the reader + DAG rules.
-	}
-	if raw != nil {
-		rep.Findings = append(rep.Findings, analyzeRaw(raw, opts)...)
-	}
-	if rep.HasErrors() {
-		// The constructor would reject this input for the reasons already
-		// reported; a parse finding on top would be noise.
-		sortFindings(rep.Findings)
-		return rep
-	}
-
 	n, err := netlist.Read(bytes.NewReader(data), format, design)
 	if err != nil {
-		if !opts.disabled("parse") {
+		rep.Findings = analyzeRaw(walkSource(data, format), opts)
+		// Source errors say why the reader rejected the file; a parse
+		// finding on top would be noise.
+		if !rep.HasErrors() && !opts.disabled("parse") {
 			rep.Findings = append(rep.Findings, Finding{
 				Rule: "parse", Severity: SevError,
 				Message: fmt.Sprintf("netlist does not parse: %v", err),

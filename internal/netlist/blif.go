@@ -32,43 +32,16 @@ func readBLIF(r io.Reader) (*Netlist, error) {
 		line   int
 	}
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	lr := newBLIFLines(r)
 	var (
 		model   string
 		inputs  []string
 		outputs []string
 		blocks  []*namesBlock
 		cur     *namesBlock
-		lineNo  int
-		pending string
 	)
-	readLine := func() (string, bool) {
-		for sc.Scan() {
-			lineNo++
-			line := sc.Text()
-			if i := strings.IndexByte(line, '#'); i >= 0 {
-				line = line[:i]
-			}
-			line = strings.TrimSpace(line)
-			if pending != "" {
-				line = pending + " " + line
-				pending = ""
-			}
-			if strings.HasSuffix(line, "\\") {
-				pending = strings.TrimSuffix(line, "\\")
-				continue
-			}
-			if line == "" {
-				continue
-			}
-			return line, true
-		}
-		return "", false
-	}
-
 	for {
-		line, ok := readLine()
+		line, ok := lr.next()
 		if !ok {
 			break
 		}
@@ -84,29 +57,29 @@ func readBLIF(r io.Reader) (*Netlist, error) {
 			outputs = append(outputs, fields[1:]...)
 		case ".names":
 			if len(fields) < 2 {
-				return nil, fmt.Errorf("blif: line %d: .names needs at least an output", lineNo)
+				return nil, fmt.Errorf("blif: line %d: .names needs at least an output", lr.lineNo)
 			}
 			cur = &namesBlock{
 				inputs: fields[1 : len(fields)-1],
 				output: fields[len(fields)-1],
-				line:   lineNo,
+				line:   lr.lineNo,
 			}
 			blocks = append(blocks, cur)
 		case ".end":
 			cur = nil
 		case ".latch", ".subckt", ".gate":
-			return nil, fmt.Errorf("blif: line %d: %s not supported (combinational netlists only)", lineNo, fields[0])
+			return nil, fmt.Errorf("blif: line %d: %s not supported (combinational netlists only)", lr.lineNo, fields[0])
 		default:
 			if strings.HasPrefix(fields[0], ".") {
 				continue // tolerate unknown dot-directives
 			}
 			if cur == nil {
-				return nil, fmt.Errorf("blif: line %d: cover row outside .names", lineNo)
+				return nil, fmt.Errorf("blif: line %d: cover row outside .names", lr.lineNo)
 			}
 			cur.cover = append(cur.cover, line)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.sc.Err(); err != nil {
 		return nil, fmt.Errorf("blif: %w", err)
 	}
 
@@ -123,14 +96,14 @@ func readBLIF(r io.Reader) (*Netlist, error) {
 		if _, dup := byOutput[b.output]; dup {
 			return nil, fmt.Errorf("blif: line %d: signal %q defined twice", b.line, b.output)
 		}
+		if _, in := n.Lookup(b.output); in {
+			return nil, fmt.Errorf("blif: line %d: .names drives primary input %q", b.line, b.output)
+		}
 		byOutput[b.output] = b
 	}
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := make(map[string]int)
+	// A built block's gate carries its name, so Lookup finds it; a block
+	// met again while its fanins are still being built closes a cycle.
+	visiting := make(map[string]bool)
 	var build func(name string) (int, error)
 	build = func(name string) (int, error) {
 		if id, ok := n.Lookup(name); ok {
@@ -140,14 +113,10 @@ func readBLIF(r io.Reader) (*Netlist, error) {
 		if !ok {
 			return 0, fmt.Errorf("blif: signal %q has no driver", name)
 		}
-		switch state[name] {
-		case visiting:
+		if visiting[name] {
 			return 0, fmt.Errorf("blif: combinational cycle through %q", name)
-		case done:
-			id, _ := n.Lookup(name)
-			return id, nil
 		}
-		state[name] = visiting
+		visiting[name] = true
 		fanin := make([]int, len(b.inputs))
 		for i, in := range b.inputs {
 			id, err := build(in)
@@ -176,7 +145,6 @@ func readBLIF(r io.Reader) (*Netlist, error) {
 		if err := n.SetSignalName(id, name); err != nil {
 			return 0, err
 		}
-		state[name] = done
 		return id, nil
 	}
 	// Build every block (not only output cones) so the netlist round-trips.
@@ -198,6 +166,77 @@ func readBLIF(r io.Reader) (*Netlist, error) {
 		return nil, fmt.Errorf("blif: no .outputs declared")
 	}
 	return n, nil
+}
+
+// blifLines reads a BLIF text one logical line at a time: comments cut,
+// space trimmed, backslash-continued lines joined and blank lines skipped.
+// lineNo is the physical line the last logical line ended on.
+type blifLines struct {
+	sc      *bufio.Scanner
+	lineNo  int
+	pending string
+}
+
+func newBLIFLines(r io.Reader) *blifLines {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
+	return &blifLines{sc: sc}
+}
+
+// next returns the next logical line, or false at the end of the input or
+// at a read error, which lr.sc.Err reports.
+func (lr *blifLines) next() (string, bool) {
+	for lr.sc.Scan() {
+		lr.lineNo++
+		line := lr.sc.Text()
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimSpace(line)
+		if lr.pending != "" {
+			line = lr.pending + " " + line
+			lr.pending = ""
+		}
+		if strings.HasSuffix(line, "\\") {
+			lr.pending = strings.TrimSuffix(line, "\\")
+			continue
+		}
+		if line == "" {
+			continue
+		}
+		return line, true
+	}
+	return "", false
+}
+
+// WalkBLIF calls visit for every input and output declaration and every
+// .names block of a BLIF text, in order, as ReadBLIF's line reader reads
+// it. It never fails, so it can describe a text ReadBLIF rejects: cover
+// rows, other directives and .names lines without an output are skipped,
+// and a read error ends the walk. visit may keep its argument.
+func WalkBLIF(r io.Reader, visit func(Statement)) {
+	lr := newBLIFLines(r)
+	for {
+		line, ok := lr.next()
+		if !ok {
+			return
+		}
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case ".inputs", ".outputs":
+			kind := byte('i')
+			if fields[0] == ".outputs" {
+				kind = 'o'
+			}
+			for _, f := range fields[1:] {
+				visit(Statement{Kind: kind, Name: f, Line: lr.lineNo})
+			}
+		case ".names":
+			if len(fields) >= 2 {
+				visit(Statement{Kind: '=', Name: fields[len(fields)-1], Deps: fields[1 : len(fields)-1], Line: lr.lineNo})
+			}
+		}
+	}
 }
 
 // coverToTable converts a BLIF single-output cover into a truth table.

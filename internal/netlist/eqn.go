@@ -42,7 +42,7 @@ type eqnLexer struct {
 	lineNo int
 	toks   []eqnToken // tokens of line lineNo; toks[pos:] are unread
 	pos    int
-	err    error // the first lexing error; the input ends there
+	err    error // the first lexing error; the parser's input ends before its line
 }
 
 // eqnClass classifies input bytes for the lexer.
@@ -60,31 +60,32 @@ var eqnClass = func() (c [256]byte) {
 }()
 
 // fill lexes lines until an unread token is available. It reports false at
-// the end of the input and after an error, which it leaves in lx.err.
+// the end of the input and from the line of the first lexing error on.
 func (lx *eqnLexer) fill() bool {
 	for lx.pos >= len(lx.toks) {
-		if lx.err != nil || lx.off == len(lx.src) {
-			return false
-		}
-		line := lx.src[lx.off:]
-		if i := strings.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i]
-			lx.off += i + 1
-		} else {
-			lx.off = len(lx.src)
-		}
-		lx.lineNo++
-		lx.toks, lx.pos = lx.toks[:0], 0
-		if err := lx.lexLine(line); err != nil {
-			lx.err = err
+		if lx.err != nil || !lx.lexLine() {
 			return false
 		}
 	}
-	return true
+	return lx.err == nil
 }
 
-// lexLine appends the tokens of one line to lx.toks.
-func (lx *eqnLexer) lexLine(line string) error {
+// lexLine replaces lx.toks with the tokens of the next line, reporting
+// false at the end of the input. A byte outside the format separates the
+// tokens around it, and the first one sets lx.err.
+func (lx *eqnLexer) lexLine() bool {
+	if lx.off == len(lx.src) {
+		return false
+	}
+	line := lx.src[lx.off:]
+	if i := strings.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i]
+		lx.off += i + 1
+	} else {
+		lx.off = len(lx.src)
+	}
+	lx.lineNo++
+	lx.toks, lx.pos = lx.toks[:0], 0
 	if i := strings.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]
 	}
@@ -115,10 +116,13 @@ func (lx *eqnLexer) lexLine(line string) error {
 			}
 			i = j
 		default:
-			return fmt.Errorf("eqn: line %d: unexpected character %q", lx.lineNo, c)
+			if lx.err == nil {
+				lx.err = fmt.Errorf("eqn: line %d: unexpected character %q", lx.lineNo, c)
+			}
+			i++
 		}
 	}
-	return nil
+	return true
 }
 
 func (lx *eqnLexer) peek() (eqnToken, bool) {
@@ -152,6 +156,69 @@ func tokenDesc(t eqnToken) string {
 		return t.text
 	}
 	return string(t.kind)
+}
+
+// A Statement is one statement of a netlist text at the level of signal
+// names, as the format's reader tokenizes it. Kind 'i' declares input Name
+// and 'o' declares output Name; Kind '=' defines Name from the signals in
+// Deps, constants left out. Line is the line Name stands on; an EQN
+// definition reports the line its statement starts on, and a BLIF
+// statement the line its (possibly continued) directive ends on.
+type Statement struct {
+	Kind byte
+	Name string
+	Deps []string
+	Line int
+}
+
+// WalkEQN calls visit for every statement of an equation-format text, in
+// order, as ReadEQN's lexer tokenizes it. It never fails, so it can
+// describe a text ReadEQN rejects: a byte outside the format separates
+// tokens, operators and parentheses are skipped, and a statement without
+// '=' after its first token defines nothing. visit may keep its argument.
+func WalkEQN(src string, visit func(Statement)) {
+	lx := &eqnLexer{src: src}
+	var (
+		head   eqnToken // the statement's first token, when kind != 0
+		seenEq bool
+		ids    []eqnToken // the names after its '='
+	)
+	end := func() {
+		switch {
+		case head.kind == 'i' && (head.text == "INORDER" || head.text == "OUTORDER"):
+			kind := byte('i')
+			if head.text == "OUTORDER" {
+				kind = 'o'
+			}
+			for _, t := range ids {
+				visit(Statement{Kind: kind, Name: t.text, Line: t.line})
+			}
+		case head.kind != 0 && seenEq:
+			deps := make([]string, len(ids))
+			for i, t := range ids {
+				deps[i] = t.text
+			}
+			visit(Statement{Kind: '=', Name: tokenDesc(head), Deps: deps, Line: head.line})
+		}
+		head, seenEq, ids = eqnToken{}, false, ids[:0]
+	}
+	for lx.lexLine() {
+		for _, t := range lx.toks {
+			switch {
+			case t.kind == ';':
+				end()
+			case head.kind == 0:
+				if t.kind == 'i' || t.kind == '0' || t.kind == '1' || t.kind == '=' {
+					head = t
+				}
+			case t.kind == '=':
+				seenEq = true
+			case t.kind == 'i' && seenEq:
+				ids = append(ids, t)
+			}
+		}
+	}
+	end()
 }
 
 type eqnParser struct {

@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -296,6 +298,46 @@ func TestReadBLIFContinuationAndErrors(t *testing.T) {
 		if _, err := ReadBLIF(strings.NewReader(s)); err == nil {
 			t.Errorf("bad BLIF %d should fail", i)
 		}
+	}
+}
+
+// TestReadBLIFRejectsNamesDrivingInput checks that a .names block whose
+// output is a primary input is rejected, naming the signal and the line,
+// instead of being dropped so that the netlist read is not the one the
+// file describes.
+func TestReadBLIFRejectsNamesDrivingInput(t *testing.T) {
+	src := ".model t\n.inputs a b\n.outputs z\n.names a b z\n11 1\n.names b a\n1 1\n.end\n"
+	_, err := ReadBLIF(strings.NewReader(src))
+	if !errors.Is(err, ErrParse) {
+		t.Fatalf("err = %v, want ErrParse", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "line 6") || !strings.Contains(msg, `"a"`) {
+		t.Errorf("err = %q, want line 6 and signal \"a\"", msg)
+	}
+}
+
+// TestWalkStatements checks the statement walks on texts their readers
+// reject: a byte outside the EQN format separates the tokens around it
+// (ReadEQN still fails on it, at its line), and the BLIF walk skips .latch
+// lines and .names lines without an output.
+func TestWalkStatements(t *testing.T) {
+	collect := func(walk func(func(Statement))) string {
+		var b strings.Builder
+		walk(func(s Statement) { fmt.Fprintf(&b, "%c %s %v %d; ", s.Kind, s.Name, s.Deps, s.Line) })
+		return b.String()
+	}
+	eqn := "INORDER = a\n b;\nOUTORDER = z;\nz = = a@b $ (0 ^ !c);\nw = a\n"
+	got := collect(func(v func(Statement)) { WalkEQN(eqn, v) })
+	if want := "i a [] 1; i b [] 2; o z [] 3; = z [a b c] 4; = w [a] 5; "; got != want {
+		t.Errorf("WalkEQN = %q, want %q", got, want)
+	}
+	if _, err := ReadEQN(strings.NewReader(eqn), "w"); err == nil || !strings.Contains(err.Error(), "line 4: unexpected character '@'") {
+		t.Errorf("ReadEQN err = %v, want the line-4 lexing error", err)
+	}
+	blif := ".inputs a\n.outputs z\n.latch a q\n.names\n.names a \\\n z\n1 1\n"
+	got = collect(func(v func(Statement)) { WalkBLIF(strings.NewReader(blif), v) })
+	if want := "i a [] 1; o z [] 2; = z [a] 6; "; got != want {
+		t.Errorf("WalkBLIF = %q, want %q", got, want)
 	}
 }
 

@@ -387,7 +387,7 @@ func (q *Queue) Submit(spec *JobSpec) (*JobState, error) {
 	// the findings in the body), not the first extraction attempt. The
 	// source-level rules diagnose cycles and multi-driven signals with line
 	// numbers the parser's own errors lack, and a clean report implies the
-	// netlist parses — AnalyzeSource runs the real reader on clean source.
+	// netlist parses — AnalyzeSource runs the real reader first.
 	format := spec.Format
 	if format == "" {
 		format = "eqn"
