@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -53,17 +52,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("gfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		table     = fs.String("table", "all", "which table to run: 1, 2, 3, 4, none or all")
-		sizes     = fs.String("m", "", "comma-separated bit widths (default: the paper's sizes)")
-		m233      = fs.Int("m233", 233, "field size for Table IV / Figure 4 (233 = the paper's)")
-		fig4      = fs.String("figure4", "", "write Figure 4 per-bit runtime series to this CSV file")
-		noFig     = fs.Bool("skip-figure4", false, "skip Figure 4 when running everything")
-		arch      = fs.Int("archcmp", 0, "also run the architecture-comparison extension at this field size (0 = off)")
-		jsonOut   = fs.Bool("json", false, "emit tables as JSON instead of text")
-		benchjson = fs.String("benchjson", "", "also write one machine-readable BENCH_<design>_m<M>.json (phase + per-bit breakdowns) per row into this directory")
-		timeout   = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); rows abort with a resource error past it")
-		coneTO    = fs.Duration("cone-timeout", 0, "per-output-cone rewriting deadline (0 = none)")
-		budget    = fs.Int("budget", 0, "per-cone term budget; cones abort with ErrBudgetExceeded past it (0 = none)")
+		table   = fs.String("table", "all", "which table to run: 1, 2, 3, 4, none or all")
+		sizes   = fs.String("m", "", "comma-separated bit widths (default: the paper's sizes)")
+		m233    = fs.Int("m233", 233, "field size for Table IV / Figure 4 (233 = the paper's)")
+		fig4    = fs.String("figure4", "", "write Figure 4 per-bit runtime series to this CSV file")
+		noFig   = fs.Bool("skip-figure4", false, "skip Figure 4 when running everything")
+		arch    = fs.Int("archcmp", 0, "also run the architecture-comparison extension at this field size (0 = off)")
+		jsonOut = fs.Bool("json", false, "emit tables as JSON instead of text")
+		timeout = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); rows abort with a resource error past it")
+		coneTO  = fs.Duration("cone-timeout", 0, "per-output-cone rewriting deadline (0 = none)")
+		budget  = fs.Int("budget", 0, "per-cone term budget; cones abort with ErrBudgetExceeded past it (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,26 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		} else {
 			eval.WriteTable(stdout, title, rows)
 			fmt.Fprintln(stdout)
-		}
-		if *benchjson != "" {
-			if err := os.MkdirAll(*benchjson, 0o755); err != nil {
-				return err
-			}
-			for _, r := range rows {
-				path := filepath.Join(*benchjson, eval.BenchFileName(r))
-				f, err := os.Create(path)
-				if err != nil {
-					return err
-				}
-				werr := eval.WriteBenchReport(f, r)
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					return werr
-				}
-				fmt.Fprintf(stderr, "benchjson: wrote %s\n", path)
-			}
 		}
 		return nil
 	}

@@ -82,70 +82,6 @@ func TestRunArchComparison(t *testing.T) {
 	}
 }
 
-func TestRunBenchJSON(t *testing.T) {
-	// A nested directory that does not exist yet: -benchjson must create it
-	// rather than fail at the first os.Create.
-	dir := filepath.Join(t.TempDir(), "out", "bench")
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-table", "1", "-m", "64", "-skip-figure4", "-benchjson", dir}, &out, &errOut); err != nil {
-		t.Fatalf("%v\n%s", err, errOut.String())
-	}
-	path := filepath.Join(dir, "BENCH_mastrovito_m64.json")
-	if !strings.Contains(errOut.String(), "BENCH_mastrovito_m64.json") {
-		t.Errorf("no benchjson announcement:\n%s", errOut.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Design         string  `json:"design"`
-		M              int     `json:"m"`
-		P              string  `json:"p"`
-		OK             bool    `json:"ok"`
-		RuntimeSeconds float64 `json:"runtime_seconds"`
-		Phases         []struct {
-			Name    string  `json:"name"`
-			Seconds float64 `json:"seconds"`
-		} `json:"phases"`
-		Bits []struct {
-			Bit   int `json:"bit"`
-			Subst int `json:"subst"`
-			Peak  int `json:"peak"`
-		} `json:"bits"`
-		Metrics struct {
-			Counters map[string]int64 `json:"counters"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bad BENCH JSON: %v\n%s", err, data)
-	}
-	if rep.Design != "Mastrovito" || rep.M != 64 || !rep.OK || rep.RuntimeSeconds <= 0 {
-		t.Errorf("header fields wrong: %+v", rep)
-	}
-	if len(rep.Bits) != 64 {
-		t.Errorf("bits = %d, want 64", len(rep.Bits))
-	}
-	phases := map[string]bool{}
-	for _, ph := range rep.Phases {
-		phases[ph.Name] = true
-	}
-	for _, want := range []string{"rewrite", "extract"} {
-		if !phases[want] {
-			t.Errorf("BENCH phases missing %q (have %v)", want, phases)
-		}
-	}
-	if rep.Metrics.Counters["bits_done"] != 64 {
-		t.Errorf("metrics.bits_done = %d", rep.Metrics.Counters["bits_done"])
-	}
-	// A pure AND/XOR Mastrovito matrix cancels nothing mod 2 (cancellations
-	// come from the constants of NAND/XNOR cells), but every gate in each
-	// cone is substituted.
-	if rep.Metrics.Counters["substitutions"] == 0 {
-		t.Error("substitution counter empty — instrumentation not wired into eval rows")
-	}
-}
-
 func TestRunGovernedFlags(t *testing.T) {
 	// Generous limits must not disturb a clean Table I row.
 	var out, errOut bytes.Buffer

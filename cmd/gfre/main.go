@@ -103,12 +103,12 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		stats     = fs.Bool("stats", false, "print per-output-bit rewriting statistics")
 		trace     = fs.String("trace", "", "print the Figure-3-style rewriting trace for this output (small designs)")
 		quiet     = fs.Bool("quiet", false, "print only the recovered polynomial")
-		jsonOut   = fs.Bool("json", false, "emit the result as JSON (includes the phase-timing breakdown)")
+		jsonOut   = fs.Bool("json", false, "emit the result as JSON (includes the span tree of the run)")
 		report    = fs.Bool("report", false, "print the full audit report instead of the short summary")
 		progress  = fs.Bool("progress", false, "live per-bit progress ticker on stderr")
 		metrics   = fs.String("metrics", "", "stream telemetry events (phase spans, per-bit stats, heap samples) to this NDJSON file")
 		pprofSrv  = fs.String("pprof", "", "serve net/http/pprof and expvar (incl. live gfre metrics) on this address, e.g. localhost:6060")
-		traceTree = fs.Bool("trace-tree", false, "print the hierarchical span tree (phases with per-cone children) after extraction; with -json the tree rides in the report")
+		traceTree = fs.Bool("trace-tree", false, "print the hierarchical span tree (phases with per-cone children) after extraction")
 
 		timeout     = fs.Duration("timeout", 0, "abort the whole run after this long (exit code 3)")
 		coneTimeout = fs.Duration("cone-timeout", 0, "abort any single output cone whose rewriting exceeds this wall time")
@@ -167,7 +167,7 @@ exit codes:
 	}
 
 	// Telemetry: any observability flag (or -json, whose output embeds the
-	// phase breakdown) attaches a recorder; the nil recorder otherwise keeps
+	// span tree) attaches a recorder; the nil recorder otherwise keeps
 	// the pipeline uninstrumented.
 	var rec *gfre.Recorder
 	stopHeap := func() {}
@@ -284,12 +284,9 @@ exit codes:
 			ConeGates      int     `json:"cone_gates"`
 			Substitutions  int     `json:"substitutions"`
 			PeakTerms      int     `json:"peak_terms"`
+			FinalTerms     int     `json:"final_terms"`
 			Cancelled      int     `json:"cancelled"`
 			RuntimeSeconds float64 `json:"runtime_seconds"`
-		}
-		type phaseJSON struct {
-			Name    string  `json:"name"`
-			Seconds float64 `json:"seconds"`
 		}
 		type lintJSON struct {
 			Errors               int    `json:"errors"`
@@ -309,9 +306,8 @@ exit codes:
 			ReusedCones    int               `json:"reused_cones,omitempty"`
 			Equations      int               `json:"equations"`
 			Lint           *lintJSON         `json:"lint,omitempty"`
-			Phases         []phaseJSON       `json:"phases,omitempty"`
 			Bits           []bitJSON         `json:"bits,omitempty"`
-			Trace          []*gfre.TraceNode `json:"trace,omitempty"`
+			Trace          []*gfre.TraceNode `json:"trace"`
 			Diagnosis      *gfre.Diagnosis   `json:"diagnosis,omitempty"`
 		}{
 			Polynomial:     ext.P.String(),
@@ -321,6 +317,7 @@ exit codes:
 			Threads:        ext.Rewrite.Threads,
 			ReusedCones:    ext.Rewrite.Reused,
 			Equations:      st.Equations,
+			Trace:          rec.TraceTree(),
 			Diagnosis:      diag,
 		}
 		// Lint block: findings tally plus predicted-vs-actual cone cost, so
@@ -337,20 +334,12 @@ exit codes:
 				SuggestedBudgetTerms: l.SuggestedBudgetTerms,
 			}
 		}
-		// Phase-timing breakdown from the recorder, so scripted runs get
-		// the spans without parsing the NDJSON stream.
-		for _, sp := range rec.Spans() {
-			report.Phases = append(report.Phases, phaseJSON{Name: sp.Name, Seconds: sp.Duration.Seconds()})
-		}
-		if *traceTree {
-			report.Trace = rec.TraceTree()
-		}
 		if *stats {
 			for _, b := range ext.Rewrite.Bits {
 				report.Bits = append(report.Bits, bitJSON{
 					Bit: b.Bit, Name: b.Name, ConeGates: b.ConeGates,
 					Substitutions: b.Substitutions, PeakTerms: b.PeakTerms,
-					Cancelled:      b.Cancelled,
+					FinalTerms: b.FinalTerms, Cancelled: b.Cancelled,
 					RuntimeSeconds: b.Runtime.Seconds(),
 				})
 			}

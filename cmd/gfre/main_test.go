@@ -429,36 +429,81 @@ func TestRunProgressAndMetrics(t *testing.T) {
 	}
 }
 
-func TestRunJSONIncludesPhases(t *testing.T) {
-	path := writeNetlist(t, "m8.eqn", "montgomery", 8)
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-json", path}, &out, &errOut); err != nil {
+// TestRunJSONTraceNests checks the -json report over a real extraction,
+// with the local scheduler and with the lease pool: the span tree is always
+// there, holds every pipeline phase, and every child span's wall interval
+// lies inside its parent's.
+func TestRunJSONTraceNests(t *testing.T) {
+	const m = 8
+	path := writeNetlist(t, "m8.eqn", "montgomery", m)
+	p, err := gfre.DefaultPolynomial(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Threads int `json:"threads"`
-		Phases  []struct {
-			Name    string  `json:"name"`
-			Seconds float64 `json:"seconds"`
-		} `json:"phases"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out.String())
-	}
-	if rep.Threads <= 0 {
-		t.Errorf("threads = %d; the auto default must report the actual worker count", rep.Threads)
-	}
-	got := map[string]bool{}
-	for _, ph := range rep.Phases {
-		if ph.Seconds < 0 {
-			t.Errorf("phase %q has negative duration", ph.Name)
-		}
-		got[ph.Name] = true
-	}
-	for _, phase := range []string{"parse", "rewrite", "extract", "golden-model", "verify"} {
-		if !got[phase] {
-			t.Errorf("JSON phases missing %q (have %v)", phase, got)
-		}
+	for name, sched := range map[string][]string{"local": nil, "shard": {"-shard", "2"}} {
+		t.Run(name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if err := run(append(append([]string{"-json", "-stats"}, sched...), path), &out, &errOut); err != nil {
+				t.Fatalf("%v\n%s", err, errOut.String())
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(out.Bytes(), &fields); err != nil {
+				t.Fatalf("bad JSON: %v\n%s", err, out.String())
+			}
+			if _, ok := fields["phases"]; ok {
+				t.Error("report still carries the flat phases list")
+			}
+			var rep struct {
+				Polynomial string `json:"polynomial"`
+				Verified   bool   `json:"verified"`
+				Threads    int    `json:"threads"`
+				Bits       []struct {
+					PeakTerms  int `json:"peak_terms"`
+					FinalTerms int `json:"final_terms"`
+				} `json:"bits"`
+				Trace []*gfre.TraceNode `json:"trace"`
+			}
+			if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+				t.Fatal(err)
+			}
+			if rep.Polynomial != p.String() || !rep.Verified {
+				t.Errorf("P = %s (verified %v), want %v verified", rep.Polynomial, rep.Verified, p)
+			}
+			if rep.Threads <= 0 {
+				t.Errorf("threads = %d; the auto default must report the actual worker count", rep.Threads)
+			}
+			if len(rep.Bits) != m {
+				t.Errorf("bits = %d, want %d", len(rep.Bits), m)
+			}
+			for i, b := range rep.Bits {
+				if b.FinalTerms <= 0 || b.FinalTerms > b.PeakTerms {
+					t.Errorf("bit %d: final_terms %d, peak_terms %d", i, b.FinalTerms, b.PeakTerms)
+				}
+			}
+			got := map[string]bool{}
+			var walk func(n *gfre.TraceNode)
+			walk = func(n *gfre.TraceNode) {
+				got[n.Name] = true
+				if n.Start < 0 || n.Duration < 0 {
+					t.Errorf("span %q: start %v, duration %v", n.Name, n.Start, n.Duration)
+				}
+				for _, c := range n.Children {
+					if c.Start < n.Start || c.Start+c.Duration > n.Start+n.Duration {
+						t.Errorf("span %q [%d, %d] ns lies outside its parent %q [%d, %d] ns",
+							c.Name, c.Start, c.Start+c.Duration, n.Name, n.Start, n.Start+n.Duration)
+					}
+					walk(c)
+				}
+			}
+			for _, root := range rep.Trace {
+				walk(root)
+			}
+			for _, phase := range []string{"parse", "rewrite", "extract", "golden-model", "verify"} {
+				if !got[phase] {
+					t.Errorf("trace missing %q (have %v)", phase, got)
+				}
+			}
+		})
 	}
 }
 

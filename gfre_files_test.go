@@ -1,9 +1,13 @@
 package gfre_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	gfre "github.com/galoisfield/gfre"
@@ -112,5 +116,99 @@ func TestGoldenVerifyAgainstKnownP(t *testing.T) {
 	p := gfre.MustParsePoly("x^16+x^5+x^3+x+1")
 	if _, err := gfre.VerifyAgainst(n, p, gfre.Options{}); err != nil {
 		t.Errorf("verification against the known P failed: %v", err)
+	}
+}
+
+// TestCommittedBENCHFiles decodes every committed BENCH_<arch>_m<m>.json
+// as the report of `gfre -json -stats` on the matching gfmultgen design.
+// Unknown fields are rejected, so a change to the report's shape has to
+// regenerate the files (README, "Observability").
+func TestCommittedBENCHFiles(t *testing.T) {
+	paths, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json files")
+	}
+	for _, path := range paths {
+		t.Run(path, func(t *testing.T) {
+			var arch string
+			var m int
+			if _, err := fmt.Sscanf(strings.ReplaceAll(path, "_", " "), "BENCH %s m%d.json", &arch, &m); err != nil {
+				t.Fatalf("file name does not read BENCH_<arch>_m<m>.json: %v", err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep struct {
+				Polynomial     string  `json:"polynomial"`
+				M              int     `json:"m"`
+				Verified       bool    `json:"verified"`
+				RuntimeSeconds float64 `json:"runtime_seconds"`
+				Threads        int     `json:"threads"`
+				ReusedCones    int     `json:"reused_cones"`
+				Equations      int     `json:"equations"`
+				Lint           struct {
+					Errors               int    `json:"errors"`
+					Warnings             int    `json:"warnings"`
+					Infos                int    `json:"infos"`
+					Fingerprint          string `json:"fingerprint"`
+					PredictedPeakTerms   int    `json:"predicted_peak_terms"`
+					ActualPeakTerms      int    `json:"actual_peak_terms"`
+					SuggestedBudgetTerms int    `json:"suggested_budget_terms"`
+				} `json:"lint"`
+				Bits []struct {
+					Bit            int     `json:"bit"`
+					Name           string  `json:"name"`
+					ConeGates      int     `json:"cone_gates"`
+					Substitutions  int     `json:"substitutions"`
+					PeakTerms      int     `json:"peak_terms"`
+					FinalTerms     int     `json:"final_terms"`
+					Cancelled      int     `json:"cancelled"`
+					RuntimeSeconds float64 `json:"runtime_seconds"`
+				} `json:"bits"`
+				Trace     []*gfre.TraceNode `json:"trace"`
+				Diagnosis *gfre.Diagnosis   `json:"diagnosis"`
+			}
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&rep); err != nil {
+				t.Fatalf("not a gfre -json report: %v", err)
+			}
+			p, err := gfre.DefaultPolynomial(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.M != m || rep.Polynomial != p.String() || !rep.Verified {
+				t.Errorf("m = %d, P = %s, verified %v; want m = %d, P = %v, verified", rep.M, rep.Polynomial, rep.Verified, m, p)
+			}
+			if len(rep.Bits) != m {
+				t.Errorf("%d bits, want %d (was the report made with -stats?)", len(rep.Bits), m)
+			}
+			if rep.Lint.Fingerprint != arch {
+				t.Errorf("lint fingerprint %q, want %q", rep.Lint.Fingerprint, arch)
+			}
+			var roots []string
+			for _, root := range rep.Trace {
+				roots = append(roots, root.Name)
+				if root.Name != "extraction" {
+					continue
+				}
+				phases := map[string]bool{}
+				for _, c := range root.Children {
+					phases[c.Name] = true
+				}
+				for _, want := range []string{"preflight", "rewrite", "extract", "golden-model", "verify"} {
+					if !phases[want] {
+						t.Errorf("extraction span has no %q child (have %v)", want, phases)
+					}
+				}
+			}
+			if n := strings.Count(strings.Join(roots, " "), "extraction"); n != 1 {
+				t.Errorf("trace roots %v, want one extraction root", roots)
+			}
+		})
 	}
 }

@@ -63,11 +63,9 @@ type Row struct {
 	Err     string        // failure description when !OK
 	Paper   PaperRow
 
-	// Telemetry captured by the per-row recorder — the raw material of the
-	// machine-readable BENCH_<design>.json reports (not part of the table
+	// Telemetry captured by the per-row recorder (not part of the table
 	// rendering).
 	Bits    []rewrite.BitStats
-	Phases  []obs.SpanRecord
 	Metrics obs.Snapshot
 }
 
@@ -170,14 +168,10 @@ func applyRunOptions(ropts []RunOption) runCfg {
 	return cfg
 }
 
-// runExtraction measures one extraction and fills a Row, capturing phase
-// spans, per-bit stats and the metrics snapshot through rec. Callers with
-// pre-extraction phases to attribute (synthesis) pass their own recorder;
-// nil means "create one for this row".
-func runExtraction(label string, n *netlist.Netlist, p gf2poly.Poly, paper PaperRow, rec *obs.Recorder, ropts ...RunOption) Row {
-	if rec == nil {
-		rec = obs.NewRecorder()
-	}
+// runExtraction measures one extraction and fills a Row, capturing per-bit
+// stats and the metrics snapshot through a recorder of the row's own.
+func runExtraction(label string, n *netlist.Netlist, p gf2poly.Poly, paper PaperRow, ropts ...RunOption) Row {
+	rec := obs.NewRecorder()
 	cfg := applyRunOptions(ropts)
 	row := Row{
 		Label: label,
@@ -215,7 +209,6 @@ func runExtraction(label string, n *netlist.Netlist, p gf2poly.Poly, paper Paper
 			row.Bits = append(row.Bits, b.BitStats)
 		}
 	}
-	row.Phases = rec.Spans()
 	row.Metrics = rec.Snapshot()
 	return row
 }
@@ -236,7 +229,7 @@ func TableI(sizes []int, ropts ...RunOption) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, runExtraction("Mastrovito", n, p, paperTableI[m], nil, ropts...))
+		rows = append(rows, runExtraction("Mastrovito", n, p, paperTableI[m], ropts...))
 	}
 	return rows, nil
 }
@@ -258,7 +251,7 @@ func TableII(sizes []int, ropts ...RunOption) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, runExtraction("Montgomery", n, p, paperTableII[m], nil, ropts...))
+		rows = append(rows, runExtraction("Montgomery", n, p, paperTableII[m], ropts...))
 	}
 	return rows, nil
 }
@@ -279,26 +272,21 @@ func TableIII(sizes []int, ropts ...RunOption) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The synthesis recorder is shared with the extraction run, so
-		// Table III rows report the opt.* phase spans alongside the
-		// extraction phases.
-		mastRec := obs.NewRecorder()
-		mastSyn, err := opt.SynthesizeObserved(mast, mastRec)
+		mastSyn, err := opt.Synthesize(mast)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, runExtraction("Mastrovito-syn", mastSyn, p, paperTableIIIMastrovito[m], mastRec, ropts...))
+		rows = append(rows, runExtraction("Mastrovito-syn", mastSyn, p, paperTableIIIMastrovito[m], ropts...))
 
 		mont, err := gen.Montgomery(m, p)
 		if err != nil {
 			return nil, err
 		}
-		montRec := obs.NewRecorder()
-		montSyn, err := opt.SynthesizeObserved(mont, montRec)
+		montSyn, err := opt.Synthesize(mont)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, runExtraction("Montgomery-syn", montSyn, p, paperTableIIIMontgomery[m], montRec, ropts...))
+		rows = append(rows, runExtraction("Montgomery-syn", montSyn, p, paperTableIIIMontgomery[m], ropts...))
 	}
 	return rows, nil
 }
@@ -328,7 +316,7 @@ func TableIV(m int, ropts ...RunOption) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, runExtraction(ap.Arch, n, ap.P, paperTableIV[ap.Arch], nil, ropts...))
+		rows = append(rows, runExtraction(ap.Arch, n, ap.P, paperTableIV[ap.Arch], ropts...))
 	}
 	return rows, nil
 }
@@ -484,7 +472,7 @@ func ArchComparison(m int, ropts ...RunOption) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, runExtraction(b.name, n, p, PaperRow{}, nil, ropts...))
+		rows = append(rows, runExtraction(b.name, n, p, PaperRow{}, ropts...))
 	}
 	return rows, nil
 }

@@ -33,6 +33,8 @@ func FuzzNetlint(f *testing.F) {
 	f.Add([]byte(";;;===;;;"))
 	f.Add([]byte("OUTORDER = ;"))
 	f.Add([]byte(".names\n"))
+	// Two broken vectors per port side: io-naming findings in prefix order.
+	f.Add([]byte(brokenVectorsBLIF))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sourceRulesSilentIfAccepted(t, data, "eqn")

@@ -477,3 +477,32 @@ z1 = p;
 		}
 	}
 }
+
+// brokenVectorsBLIF has two broken input vectors (x, y) and two broken
+// output vectors (w missing bit 1, n starting at 3), so io-naming reports
+// four "not a contiguous 0-based bit range" findings of one severity.
+const brokenVectorsBLIF = ".model v\n.inputs a0 a1 b0 b1 x[3] y[5]\n.outputs w[0] n3 w[2]\n" +
+	".names a0 b0 w[0]\n11 1\n.names a1 b1 n3\n11 1\n.names x[3] y[5] w[2]\n11 1\n.end\n"
+
+func TestIONamingFindingOrderDeterministic(t *testing.T) {
+	render := func() []byte {
+		rep := AnalyzeSource([]byte(brokenVectorsBLIF), "vectors.blif", "", Options{})
+		if rep.Algebra != nil {
+			rep.Algebra.AnalysisMicros = 0
+		}
+		out, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := render()
+	if n := bytes.Count(first, []byte("not a contiguous 0-based bit range")); n != 4 {
+		t.Fatalf("%d broken-vector findings, want 4:\n%s", n, first)
+	}
+	for i := 0; i < 200; i++ {
+		if again := render(); !bytes.Equal(first, again) {
+			t.Fatalf("call %d reports in another order:\n%s\n%s", i, first, again)
+		}
+	}
+}

@@ -83,18 +83,19 @@ func checkIONaming(c *Context) []Finding {
 				Message: fmt.Sprintf("%d %s port(s) do not match the <prefix><bit> convention; port identification will be positional", len(loose), what),
 			})
 		}
+		prefixes := make([]string, 0, len(vec))
+		for p := range vec {
+			prefixes = append(prefixes, p)
+		}
+		sort.Strings(prefixes)
 		if len(vec) != wantVectors && len(loose) == 0 {
-			prefixes := make([]string, 0, len(vec))
-			for p := range vec {
-				prefixes = append(prefixes, p)
-			}
-			sort.Strings(prefixes)
 			fs = append(fs, Finding{
 				Rule: "io-naming", Severity: sev, Signals: prefixes,
 				Message: fmt.Sprintf("expected %d %s vector(s), found %d (prefixes %v)", wantVectors, what, len(vec), prefixes),
 			})
 		}
-		for prefix, bits := range vec {
+		for _, prefix := range prefixes {
+			bits := vec[prefix]
 			sort.Ints(bits)
 			for i, b := range bits {
 				if b != i {

@@ -124,3 +124,50 @@ func TestReadEQNAllocationCount(t *testing.T) {
 		t.Errorf("ReadEQN made %.0f allocations at m=163 against %.0f at m=64, want at most twice as many", allocs[163], allocs[64])
 	}
 }
+
+// TestReadVerilogSmallModuleBytes bounds the bytes a small module's read
+// allocates: the lexer's scanner starts from a small buffer and grows only
+// for long lines, so a few-line module does not pay for a megabyte.
+func TestReadVerilogSmallModuleBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const src = "module m(a, b, z);\n  input a, b;\n  output z;\n  assign z = a & b;\nendmodule\n"
+	const reads = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if _, err := netlist.Read(strings.NewReader(src), "verilog", "small.v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+	t.Logf("a %d-byte module: %d bytes allocated per read", len(src), perRead)
+	if perRead > 128<<10 {
+		t.Errorf("reading a %d-byte Verilog module allocated %d bytes, want at most 128 KiB", len(src), perRead)
+	}
+}
+
+// TestReadVerilogLongLine reads a module whose assign statement is one line
+// longer than the scanner's initial buffer.
+func TestReadVerilogLongLine(t *testing.T) {
+	const terms = 20000
+	src := "module m(a, b, z);\n  input a, b;\n  output z;\n  assign z = a" +
+		strings.Repeat(" ^ b ^ a", terms/2) + ";\nendmodule\n"
+	if len(src) <= 64<<10 {
+		t.Fatalf("line of %d bytes does not outgrow the initial buffer", len(src))
+	}
+	n, err := netlist.Read(strings.NewReader(src), "verilog", "long.v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a ^ (b ^ a) repeated: an odd number of a's and an even number of b's.
+	vals, err := n.Simulate([]uint64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals[0]&1 != 1 {
+		t.Errorf("z(a=1, b=1) = %d, want 1", vals[0]&1)
+	}
+}

@@ -49,7 +49,7 @@ type vToken struct {
 func lexVerilog(r io.Reader) ([]vToken, error) {
 	var toks []vToken
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 256*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), 256*1024*1024)
 	line := 0
 	inBlockComment := false
 	for sc.Scan() {

@@ -139,11 +139,10 @@ type Sink interface {
 	Flush() error
 }
 
-// SpanRecord is one completed phase with its wall-clock cost — the
-// phase-timing breakdown exported into JSON reports. ID/Parent link the
-// record into the trace tree (see TraceTree); Attrs carries whatever the
-// span closed with (per-cone peak terms, retries, ...), Status the budget
-// verdict of governed cones ("" = ok).
+// SpanRecord is one completed phase with its wall-clock cost. ID/Parent
+// link the record into the trace tree (see TraceTree) that JSON reports
+// carry; Attrs carries whatever the span closed with (per-cone peak terms,
+// retries, ...), Status the budget verdict of governed cones ("" = ok).
 type SpanRecord struct {
 	Name     string           `json:"name"`
 	Start    time.Duration    `json:"start_ns"` // offset from recorder start

@@ -38,7 +38,7 @@ var (
 // BudgetError is the concrete error behind ErrBudgetExceeded; it records how
 // far the cone got before the governor stopped it.
 type BudgetError struct {
-	Bit           int    // output position (-1 for single-output Output calls)
+	Bit           int    // output position
 	Name          string // output port name
 	Terms         int    // live terms when the budget tripped
 	Budget        int    // the configured ceiling

@@ -30,7 +30,7 @@ func buildCancelPair(t testing.TB) *netlist.Netlist {
 
 func TestExactCancellationCount(t *testing.T) {
 	n := buildCancelPair(t)
-	br, err := Output(n, n.Outputs()[0])
+	br, err := RewriteCone(n, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -384,14 +384,6 @@ func (h *hooks) busyAdd(delta int64) {
 	}
 }
 
-// Output rewrites the single output driven by gate root into its canonical
-// ANF over primary inputs (Algorithm 1 restricted to root's cone).
-func Output(n *netlist.Netlist, root int) (BitResult, error) {
-	br, err := rewriteOutput(n, root, pass{})
-	br.ConeGates = len(n.Cone(root))
-	return br, err
-}
-
 // pass configures one rewriting attempt over a cone. The zero value is the
 // plain default: ungoverned, uninstrumented, silent, descending-ID order.
 type pass struct {

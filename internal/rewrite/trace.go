@@ -59,10 +59,10 @@ func joinTerms(parts []string) string {
 	return strings.Join(parts, "+")
 }
 
-// TraceOutput rewrites the single output driven by gate root exactly like
-// Output, but logs every iteration of Algorithm 1 to w in the style of the
-// paper's Figure 3: the gate substituted, the polynomial after mod-2
-// simplification, and the number of monomials cancelled in the step.
+// TraceOutput rewrites the single output driven by gate root as RewriteCone
+// does (ungoverned), but logs every iteration of Algorithm 1 to w in the
+// style of the paper's Figure 3: the gate substituted, the polynomial after
+// mod-2 simplification, and the number of monomials cancelled in the step.
 // Intended for small designs (the full expression is printed per step).
 func TraceOutput(n *netlist.Netlist, root int, w io.Writer) (BitResult, error) {
 	fmt.Fprintf(w, "F0 = %s\n", n.NameOf(root))

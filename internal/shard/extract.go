@@ -24,13 +24,8 @@ type ExtractOptions struct {
 	Workers int
 	// MaxCones caps the cones per lease (0 = DefaultMaxCones).
 	MaxCones int
-	// LeaseTTL / MaxAttempts / BackoffBase / BackoffCap / StealAge / Seed
-	// forward to Config.
-	LeaseTTL                time.Duration
-	MaxAttempts             int
-	BackoffBase, BackoffCap time.Duration
-	StealAge                time.Duration
-	Seed                    int64
+	// LeaseTTL forwards to Config.
+	LeaseTTL time.Duration
 	// Store is the cross-job result cache; nil allocates a private one.
 	Store *Store
 	// Hub, when non-nil, exposes the pool to remote peers under HubKey for
@@ -88,12 +83,9 @@ func Rewriter(sopts ExtractOptions, stats *Stats) extract.Rewriter {
 		pool, err := NewPool(Config{
 			Hash: hash, Order: rewrite.ConeOrder(n),
 			LeaseTTL: sopts.LeaseTTL, MaxConesPerLease: sopts.MaxCones,
-			MaxAttempts: sopts.MaxAttempts,
-			BackoffBase: sopts.BackoffBase, BackoffCap: sopts.BackoffCap,
-			StealAge:    sopts.StealAge,
 			BudgetTerms: ro.BudgetTerms, ConeDeadline: ro.ConeDeadline,
 			Store: sopts.Store, Prior: ro.Prior, OnResult: onResult,
-			Recorder: rec, Seed: sopts.Seed,
+			Recorder: rec,
 		})
 		if err != nil {
 			return nil, err
