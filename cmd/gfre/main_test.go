@@ -481,9 +481,17 @@ func TestRunJSONTraceNests(t *testing.T) {
 				}
 			}
 			got := map[string]bool{}
+			cones := map[string]int{} // per-cone children of the rewrite span
 			var walk func(n *gfre.TraceNode)
 			walk = func(n *gfre.TraceNode) {
 				got[n.Name] = true
+				if n.Name == "rewrite" {
+					for _, c := range n.Children {
+						if c.Name != "cone-index" {
+							cones[c.Name]++
+						}
+					}
+				}
 				if n.Start < 0 || n.Duration < 0 {
 					t.Errorf("span %q: start %v, duration %v", n.Name, n.Start, n.Duration)
 				}
@@ -501,6 +509,14 @@ func TestRunJSONTraceNests(t *testing.T) {
 			for _, phase := range []string{"parse", "rewrite", "extract", "golden-model", "verify"} {
 				if !got[phase] {
 					t.Errorf("trace missing %q (have %v)", phase, got)
+				}
+			}
+			if len(cones) != m {
+				t.Errorf("rewrite span has per-cone children %v, want one for each of the %d outputs", cones, m)
+			}
+			for name, k := range cones {
+				if k != 1 {
+					t.Errorf("cone %s has %d spans under rewrite, want 1", name, k)
 				}
 			}
 		})

@@ -570,3 +570,12 @@ func TestPropCloneIndependence(t *testing.T) {
 		}
 	}
 }
+
+func TestEachSupportVarStops(t *testing.T) {
+	p := FromMonos(NewMono(2, 5), NewMono(9), NewMono(5, 9))
+	seen := 0
+	p.EachSupportVar(func(Var) bool { seen++; return seen < 2 })
+	if seen != 2 {
+		t.Errorf("EachSupportVar called yield %d times after it returned false, want 2", seen)
+	}
+}

@@ -308,18 +308,30 @@ func (p Poly) SupportVars() []Var {
 	if p.p == nil {
 		return nil
 	}
+	out := make([]Var, 0, len(p.p.occ.vars))
+	p.EachSupportVar(func(v Var) bool { out = append(out, v); return true })
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// EachSupportVar calls yield with every variable appearing in p, in the
+// occurrence index's order rather than ascending, stopping early when yield
+// returns false. Unlike SupportVars it neither sorts nor allocates.
+func (p Poly) EachSupportVar(yield func(Var) bool) {
+	if p.p == nil {
+		return
+	}
 	occ := &p.p.occ
-	out := make([]Var, 0, len(occ.vars))
 	for k, v := range occ.vars {
 		for e := occ.head[k]; e != 0; e = occ.ent[e].next {
 			if p.p.live(occ.ent[e].id) {
-				out = append(out, v)
+				if !yield(v) {
+					return
+				}
 				break
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ContainsVar reports whether variable v occurs anywhere in p.

@@ -113,25 +113,26 @@ func degreeBound(supp, deg int) int {
 	return satMul(total, mixSlack)
 }
 
-// gateBound is an upper bound on the number of ANF terms gate g expands
-// to over the primary inputs, assuming no cancellation, from t, the bounds
-// of the gates before it. XOR adds term counts, AND multiplies them,
-// OR/complex cells combine both (x+y = x ^ y ^ xy). The bound is monotone
-// in the fanin bounds, so newContext's one forward sweep settles the DAG
-// (gateScan.bounds). Bounds saturate at costCap, so 32 bits hold them.
-func gateBound(g netlist.Gate, t []int32) int32 {
+// gateBound is an upper bound on the number of ANF terms a gate of type
+// typ on fanins fanin expands to over the primary inputs, assuming no
+// cancellation, from t, the bounds of the gates before it. XOR adds term
+// counts, AND multiplies them, OR/complex cells combine both
+// (x+y = x ^ y ^ xy). The bound is monotone in the fanin bounds, so
+// newContext's one forward sweep settles the DAG (gateScan.bounds). Bounds
+// saturate at costCap, so 32 bits hold them.
+func gateBound(typ netlist.GateType, fanin []int, t []int32) int32 {
 	// The cells of a multiplier first, without the general case's closure.
-	switch g.Type {
+	switch typ {
 	case netlist.Input, netlist.Const0, netlist.Const1:
 		return 1
 	case netlist.And:
-		return int32(max(satMul(int(t[g.Fanin[0]]), int(t[g.Fanin[1]])), 1))
+		return int32(max(satMul(int(t[fanin[0]]), int(t[fanin[1]])), 1))
 	case netlist.Xor:
-		return int32(max(satAdd(int(t[g.Fanin[0]]), int(t[g.Fanin[1]])), 1))
+		return int32(max(satAdd(int(t[fanin[0]]), int(t[fanin[1]])), 1))
 	}
-	f := func(i int) int { return int(t[g.Fanin[i]]) }
+	f := func(i int) int { return int(t[fanin[i]]) }
 	var b int
-	switch g.Type {
+	switch typ {
 	case netlist.Buf:
 		b = f(0)
 	case netlist.Not:
@@ -163,7 +164,7 @@ func gateBound(g netlist.Gate, t []int32) int32 {
 		// Worst case: every minterm survives — product of (fanin bound
 		// + 1) monomial choices, capped.
 		b = 1
-		for i := range g.Fanin {
+		for i := range fanin {
 			b = satMul(b, satAdd(f(i), 1))
 		}
 	default:

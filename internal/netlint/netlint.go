@@ -33,7 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"github.com/galoisfield/gfre/internal/netlint/sem"
 	"github.com/galoisfield/gfre/internal/netlist"
@@ -114,13 +114,13 @@ type Context struct {
 	Depth  int
 	// reach is the netlist's Reachable bitset, fetched on first use (see
 	// reached): it comes with the cone index, which indexCones builds once.
-	reach    []uint64
-	coneOnce sync.Once
+	reach     []uint64
+	coneIndex shared
 	// dups memoizes the structural duplicates (see duplicates); scanned is
 	// closed once the context sweep that they are read from is complete.
-	dups    []int
-	dupOnce sync.Once
-	scanned chan struct{}
+	dups     []int
+	dupsOnce shared
+	scanned  chan struct{}
 	// types[id] is gate id's type: one byte per gate, so rules that ask
 	// about their fanins' types stay in cache.
 	types []netlist.GateType
@@ -315,20 +315,21 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	// this goroutine, in one walk over the gates (see netlist.DigestScan),
 	// and the hash is the sweep's cache key: a cached sweep stops as soon
 	// as the hash finds it. The cone index and the duplicate search are
-	// done by whichever goroutine comes to them first: this one, when its
-	// rules get there before the sweep is done, or the sweep's. Best
-	// effort: an
-	// unserializable netlist gets no content hash, and its sweep is not
-	// cached.
+	// each done by whichever goroutine claims it first, and a goroutine
+	// that finds one claimed goes on to the other rather than wait: so
+	// when both legs finish together, the two searches run side by side.
+	// Best effort: an unserializable netlist gets no content hash, and its
+	// sweep is not cached.
 	ctx := allocContext(n, opts)
 	sweep := sem.NewSweep(n, sem.Options{})
 	ctx.sweep = sweep
+	dups := !opts.disabled("redundant-gate")
 	swept := make(chan struct{})
 	go func() {
 		sweep.Run()
-		ctx.indexCones()
-		if !opts.disabled("redundant-gate") {
-			ctx.duplicates()
+		ctx.coneIndex.try(ctx.buildConeIndex)
+		if dups {
+			ctx.dupsOnce.try(ctx.findDuplicates)
 		}
 		close(swept)
 	}()
@@ -339,6 +340,9 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	close(ctx.scanned)
 	if err == nil {
 		sweep.Consult(rep.ContentHash, ctx.types)
+	}
+	if dups {
+		ctx.dupsOnce.try(ctx.findDuplicates)
 	}
 	for _, rule := range registry {
 		if rule.Check == nil || opts.disabled(rule.Name) {
@@ -359,18 +363,21 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 func newContext(n *netlist.Netlist, opts Options) *Context {
 	ctx := allocContext(n, opts)
 	for id := range ctx.Levels {
-		ctx.scanGate(id, n.Gate(id))
+		typ, fanin := n.Cell(id)
+		ctx.scanGate(id, typ, fanin)
 	}
 	close(ctx.scanned)
 	return ctx
 }
 
 // allocContext returns a context whose forward sweep is still to run: one
-// scanGate call per gate, in ID order, and then close(scanned). The arrays are as narrow as their
-// values allow: on a large netlist, fresh memory costs more than the sweep
-// that fills it.
+// scanGate call per gate, in ID order, and then close(scanned). The arrays
+// are as narrow as their values allow: on a large netlist, fresh memory
+// costs more than the sweep that fills it.
 func allocContext(n *netlist.Netlist, opts Options) *Context {
 	ctx := &Context{N: n, Opts: opts, scanned: make(chan struct{})}
+	ctx.coneIndex.done = make(chan struct{})
+	ctx.dupsOnce.done = make(chan struct{})
 	ng := n.NumGates()
 	ctx.Levels = make([]int32, ng)
 	ctx.types = make([]netlist.GateType, ng)
@@ -381,40 +388,68 @@ func allocContext(n *netlist.Netlist, opts Options) *Context {
 
 // scanGate is the context sweep's step for gate id, whose fanins it has
 // already seen.
-func (c *Context) scanGate(id int, g netlist.Gate) {
+func (c *Context) scanGate(id int, typ netlist.GateType, fanin []int) {
 	var l int32
-	for _, f := range g.Fanin {
+	for _, f := range fanin {
 		l = max(l, c.Levels[f]+1)
 	}
-	c.types[id] = g.Type
+	c.types[id] = typ
 	c.Levels[id] = l
 	c.Depth = max(c.Depth, int(l))
-	c.scan.gate(id, g, c.types)
+	c.scan.gate(id, typ, fanin, c.types)
+}
+
+// shared is a piece of the analysis that either goroutine of Analyze may
+// compute: the first to claim it computes it, and a goroutine that needs
+// the result waits for it.
+type shared struct {
+	claimed atomic.Bool
+	done    chan struct{} // made by allocContext
+}
+
+// try computes the piece with f unless another goroutine has claimed it.
+func (s *shared) try(f func()) {
+	if s.claimed.CompareAndSwap(false, true) {
+		f()
+		close(s.done)
+	}
+}
+
+// get returns once the piece is computed, computing it with f unless
+// another goroutine has claimed it.
+func (s *shared) get(f func()) {
+	s.try(f)
+	<-s.done
 }
 
 // indexCones builds the netlist's cone index unless this analysis has:
-// the first caller builds it, under Opts.TraceConeIndex, and any other
-// waits for it.
-func (c *Context) indexCones() {
-	c.coneOnce.Do(func() {
-		end := func() {}
-		if c.Opts.TraceConeIndex != nil {
-			end = c.Opts.TraceConeIndex()
-		}
-		c.N.ConeSizes()
-		end()
-	})
+// the first caller builds it, and any other waits for it.
+func (c *Context) indexCones() { c.coneIndex.get(c.buildConeIndex) }
+
+// buildConeIndex builds the netlist's cone index under
+// Opts.TraceConeIndex.
+func (c *Context) buildConeIndex() {
+	end := func() {}
+	if c.Opts.TraceConeIndex != nil {
+		end = c.Opts.TraceConeIndex()
+	}
+	c.N.ConeSizes()
+	end()
 }
 
 // duplicates returns the structural duplicates (gateScan.duplicates):
 // the first caller finds them, once the context sweep is complete, and
 // any other waits for it.
 func (c *Context) duplicates() []int {
-	c.dupOnce.Do(func() {
-		<-c.scanned
-		c.dups = c.scan.duplicates(c.N)
-	})
+	c.dupsOnce.get(c.findDuplicates)
 	return c.dups
+}
+
+// findDuplicates finds the structural duplicates once the context sweep is
+// complete.
+func (c *Context) findDuplicates() {
+	<-c.scanned
+	c.dups = c.scan.duplicates(c.N)
 }
 
 // reached reports whether gate id lies in some output's fanin cone.

@@ -27,10 +27,11 @@ type gateScan struct {
 	xors, ands, partialAnds, internalAnds, complexCells, combinational int
 }
 
-// gate records gate id; types holds the types of gates 0..id.
-func (s *gateScan) gate(id int, g netlist.Gate, types []netlist.GateType) {
-	s.bounds[id] = gateBound(g, s.bounds)
-	switch g.Type {
+// gate records gate id, of type typ on fanins fanin; types holds the
+// types of gates 0..id.
+func (s *gateScan) gate(id int, typ netlist.GateType, fanin []int, types []netlist.GateType) {
+	s.bounds[id] = gateBound(typ, fanin, s.bounds)
+	switch typ {
 	case netlist.Const0, netlist.Const1:
 		s.consts = append(s.consts, id)
 		return
@@ -40,7 +41,7 @@ func (s *gateScan) gate(id int, g netlist.Gate, types []netlist.GateType) {
 		s.xors++
 	case netlist.And:
 		s.ands++
-		if len(g.Fanin) == 2 && types[g.Fanin[0]] == netlist.Input && types[g.Fanin[1]] == netlist.Input {
+		if len(fanin) == 2 && types[fanin[0]] == netlist.Input && types[fanin[1]] == netlist.Input {
 			s.partialAnds++
 		} else {
 			s.internalAnds++
@@ -51,25 +52,25 @@ func (s *gateScan) gate(id int, g netlist.Gate, types []netlist.GateType) {
 		s.complexCells++
 	}
 	s.combinational++
-	for _, f := range g.Fanin {
+	for _, f := range fanin {
 		if t := types[f]; t == netlist.Const0 || t == netlist.Const1 {
 			s.folds = append(s.folds, id)
 			break
 		}
 	}
-	switch g.Type {
+	switch typ {
 	case netlist.Lut:
 		return
 	case netlist.Buf:
 		s.bufs = append(s.bufs, id)
 	}
-	if len(g.Fanin) == 2 && g.Fanin[0] == g.Fanin[1] {
+	if len(fanin) == 2 && fanin[0] == fanin[1] {
 		// x^x = 0, x·x = x, x+x = x, etc.: degenerate either way.
 		s.selfCancel = append(s.selfCancel, id)
 	}
 	h := uint64(1469598103934665603)
-	h = (h ^ uint64(g.Type)) * 1099511628211
-	for _, f := range g.Fanin {
+	h = (h ^ uint64(typ)) * 1099511628211
+	for _, f := range fanin {
 		h = (h ^ (uint64(f) + 1)) * 1099511628211
 	}
 	s.dupTags[id] = uint32((h*0x9e3779b97f4a7c15)>>32) | 1

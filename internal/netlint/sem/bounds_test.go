@@ -58,6 +58,7 @@ func TestBoundsAreSound(t *testing.T) {
 	checked := 0
 	for ci, n := range corpus {
 		r := sem.Analyze(n, sem.Options{})
+		facts := sem.SweepFacts(n, sem.Options{})
 		class := map[anf.Var]sem.Class{}
 		for pos, id := range n.Inputs() {
 			class[anf.Var(id)] = r.Ports.Class[pos]
@@ -96,14 +97,14 @@ func TestBoundsAreSound(t *testing.T) {
 				t.Errorf("%s: exact degrees a/b/key/total %d/%d/%d/%d, the ANF's are %d/%d/%d/%d",
 					where, of.DegA, of.DegB, of.DegKey, of.DegTot, degA, degB, degKey, degTot)
 			}
-			if c, ok := r.Const(of.Gate); ok {
+			if c, ok := facts.Const(of.Gate); ok {
 				want := anf.Constant(c)
 				if !br.Expr.Equal(want) {
 					t.Errorf("%s: sem proves constant %v, the ANF is %s", where, c, br.Expr)
 				}
 			}
 			supp := map[int]bool{}
-			for _, id := range r.SupportInputs(of.Gate) {
+			for _, id := range facts.SupportInputs(of.Gate) {
 				supp[id] = true
 			}
 			if len(supp) != of.SupportSize {

@@ -17,6 +17,10 @@ import (
 // files by editors and CI, and the diffcheck campaigns lint the same
 // generated designs repeatedly. The sweep is cheap but not free, and the
 // Result is immutable — so identical (netlist, options) pairs share one.
+// A cached Result holds only what its readers query, a few words per
+// output; the sweep's per-gate facts and support slab are working state,
+// and the cache keeps one set of them, the spare, for the next sweep to
+// reuse, so a run of sweeps does not fault in fresh memory for each.
 //
 // The key is built on the netlist's canonical digest (netlist.Digest),
 // which its caller computes anyway, so the cache costs no serialization of
@@ -30,8 +34,33 @@ const cacheCap = 64
 var cache = struct {
 	sync.Mutex
 	m     map[string]*Result
-	order []string // insertion order, oldest first
+	order []string  // insertion order, oldest first
+	spare *analyzer // working state of a finished sweep, for the next
 }{m: make(map[string]*Result)}
+
+// takeAnalyzer returns the spare working state, or a new one while another
+// sweep holds it.
+func takeAnalyzer() *analyzer {
+	cache.Lock()
+	defer cache.Unlock()
+	a := cache.spare
+	cache.spare = nil
+	if a == nil {
+		a = new(analyzer)
+	}
+	return a
+}
+
+// putAnalyzer keeps a, done with its sweep, as the spare: of two sweeps
+// that ran at once, the one whose facts array is larger.
+func putAnalyzer(a *analyzer) {
+	a.n, a.inputs, a.ports = nil, nil, Ports{} // the Result owns these
+	cache.Lock()
+	defer cache.Unlock()
+	if cache.spare == nil || cap(cache.spare.facts) < cap(a.facts) {
+		cache.spare = a
+	}
+}
 
 // cacheKey binds the netlist's canonical digest to what the canonical
 // text leaves open of what a sweep reads, and to every option that shapes

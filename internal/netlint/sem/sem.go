@@ -183,8 +183,10 @@ type OutputFact struct {
 	KeyInputs []int
 }
 
-// Result is the outcome of one semantic sweep. It is immutable after
-// Analyze and safe for concurrent readers (AnalyzeCached shares it).
+// Result is the outcome of one semantic sweep: what its readers query, and
+// none of the sweep's per-gate working state, which the next sweep reuses.
+// It is immutable after Analyze and safe for concurrent readers
+// (AnalyzeCached shares it).
 type Result struct {
 	Ports   Ports
 	Outputs []OutputFact
@@ -198,18 +200,25 @@ type Result struct {
 	Widened      int
 	Elapsed      time.Duration
 
-	facts    []fact
-	pool     *suppPool
-	inputs   []int
-	algConst []int // AlgebraicConsts
+	keyOnly  []uint64    // bit id set iff KeyOnly(id); nil without key inputs
+	algConst []GateConst // AlgebraicConsts
 }
 
-// analyzer carries the sweep's scratch state.
+// GateConst is a gate the sweep proves constant, with its value.
+type GateConst struct {
+	Gate  int
+	Value bool
+}
+
+// analyzer carries the sweep's working state: the per-gate facts, the
+// support pool and the scratch buffers. A finished sweep hands its analyzer
+// on to the next (see takeAnalyzer), so on a run of sweeps the facts array
+// and the support slab stop being fresh memory.
 type analyzer struct {
 	n        *netlist.Netlist
-	opts     Options
 	ports    Ports
-	pool     *suppPool
+	inputs   []int
+	pool     suppPool
 	facts    []fact
 	algConst []int
 
@@ -218,7 +227,6 @@ type analyzer struct {
 	slotConst []bool  // per fanin slot: value when slotIdx < 0
 	evalIn    []bool
 	suppBuf   []uint64
-	memb      []int
 }
 
 // Analyze runs the semantic sweep over a constructed netlist.
@@ -234,22 +242,33 @@ const stopEvery = 1 << 12
 // set.
 func analyze(n *netlist.Netlist, opts Options, stop *atomic.Bool) *Result {
 	start := time.Now()
+	a := takeAnalyzer()
+	defer putAnalyzer(a)
+	if !a.sweep(n, opts, stop) {
+		return nil
+	}
+	r := a.result()
+	r.Elapsed = time.Since(start)
+	return r
+}
+
+// sweep settles every gate of n, in ID order, into a.facts, growing a's
+// buffers where n needs more than an earlier sweep did. It reports false,
+// abandoned, once stop (if not nil) is set.
+func (a *analyzer) sweep(n *netlist.Netlist, opts Options, stop *atomic.Bool) bool {
 	inputs := n.Inputs()
 	names := make([]string, len(inputs))
 	for i, id := range inputs {
 		names[i] = n.NameOf(id)
 	}
-	ports := classify(inputs, names)
-
-	a := &analyzer{
-		n:       n,
-		opts:    opts,
-		ports:   ports,
-		pool:    newSuppPool(len(inputs), opts.maxSets(), n.NumGates()/4+16, ports.Class),
-		facts:   make([]fact, n.NumGates()),
-		evalIn:  make([]bool, 0, 32),
-		suppBuf: make([]uint64, (len(inputs)+63)/64),
-	}
+	a.n, a.inputs = n, inputs
+	a.ports = classify(inputs, names)
+	a.pool.reset(len(inputs), opts.maxSets(), n.NumGates()/4+16, a.ports.Class)
+	// Every gate's fact is written before it is read (fanins precede their
+	// readers), so reused facts need no clearing.
+	a.facts = slices.Grow(a.facts[:0], n.NumGates())[:n.NumGates()]
+	a.algConst = a.algConst[:0]
+	a.suppBuf = slices.Grow(a.suppBuf[:0], a.pool.nwords)[:a.pool.nwords]
 	// Primary inputs are settled up front, where their positions are at
 	// hand: an exact fact names its variables by input position, which is
 	// what the operand classes and support bitsets are indexed by.
@@ -261,7 +280,7 @@ func analyze(n *netlist.Netlist, opts Options, stop *atomic.Bool) *Result {
 		*f = exactFact(1, 0b10)
 		f.flags = factUnate
 		f.ttv[0] = int32(pos)
-		switch ports.Class[pos] {
+		switch a.ports.Class[pos] {
 		case ClassA:
 			f.setDegs(1, 0, 0, 1)
 		case ClassB:
@@ -270,12 +289,9 @@ func analyze(n *netlist.Netlist, opts Options, stop *atomic.Bool) *Result {
 			f.setDegs(0, 0, 1, 1)
 		}
 	}
-	if len(a.suppBuf) == 0 {
-		a.suppBuf = make([]uint64, 1)
-	}
 	for id := 0; id < n.NumGates(); id++ {
 		if id%stopEvery == 0 && stop != nil && stop.Load() {
-			return nil
+			return false
 		}
 		f := &a.facts[id]
 		a.transfer(id, f)
@@ -283,20 +299,34 @@ func analyze(n *netlist.Netlist, opts Options, stop *atomic.Bool) *Result {
 			a.algConst = append(a.algConst, id)
 		}
 	}
+	return true
+}
 
+// result copies out of a finished sweep what Result's readers query.
+func (a *analyzer) result() *Result {
+	n := a.n
 	r := &Result{
-		Ports:        ports,
+		Ports:        a.ports,
 		NumGates:     n.NumGates(),
-		NumInputs:    len(inputs),
+		NumInputs:    len(a.inputs),
 		SetsInterned: a.pool.count(),
 		Widened:      a.pool.widens,
-		facts:        a.facts,
-		pool:         a.pool,
-		inputs:       inputs,
-		algConst:     a.algConst,
+		algConst:     make([]GateConst, len(a.algConst)),
+	}
+	for i, id := range a.algConst {
+		r.algConst[i] = GateConst{Gate: id, Value: a.facts[id].konst == 1}
+	}
+	if a.ports.Partitioned && len(a.ports.KeyInputs) > 0 {
+		r.keyOnly = make([]uint64, (n.NumGates()+63)/64)
+		for id := range a.facts {
+			if a.keyOnly(id) {
+				r.keyOnly[id/64] |= 1 << uint(id%64)
+			}
+		}
 	}
 	outs := n.Outputs()
 	outNames := n.OutputNames()
+	r.Outputs = make([]OutputFact, len(outs))
 	for i, id := range outs {
 		f := &a.facts[id]
 		of := OutputFact{
@@ -304,25 +334,24 @@ func analyze(n *netlist.Netlist, opts Options, stop *atomic.Bool) *Result {
 			Const: f.konst,
 			Exact: f.exact(),
 
-			SupportSize: r.SupportSize(id),
-			KeyInputs:   r.KeySupport(id),
+			SupportSize: a.supportSize(id),
+			KeyInputs:   a.keySupport(id),
 		}
 		if i < len(outNames) {
 			of.Name = outNames[i]
 		}
 		da, db, dk, dt := f.degs()
 		of.DegA, of.DegB, of.DegKey, of.DegTot = int(da), int(db), int(dk), int(dt)
-		r.Outputs = append(r.Outputs, of)
+		r.Outputs[i] = of
 	}
-	r.Elapsed = time.Since(start)
 	return r
 }
 
 // transfer computes the lattice value of gate id from its fanins' values
 // into f, the gate's own slot.
 func (a *analyzer) transfer(id int, f *fact) {
-	g := a.n.Gate(id)
-	switch g.Type {
+	typ, fanin := a.n.Cell(id)
+	switch typ {
 	case netlist.Input:
 		return // settled before the sweep
 	case netlist.Const0:
@@ -337,17 +366,28 @@ func (a *analyzer) transfer(id int, f *fact) {
 	// any multiplier — take their local table straight from plainTables:
 	// both variables are essential, so the partition below, the
 	// restriction, Eval sweep and essentiality drop are all skipped.
-	if len(g.Fanin) == 2 && int(g.Type) < len(plainTables) && plainTables[g.Type] != 0 {
-		f0, f1 := g.Fanin[0], g.Fanin[1]
-		if f0 != f1 && a.facts[f0].konst < 0 && a.facts[f1].konst < 0 {
-			a.uid = append(a.uid[:0], int32(f0), int32(f1))
-			if !a.exactCompose(f, plainTables[g.Type], 2, g.Type) {
-				a.abstractPlain(f, g.Type)
+	if len(fanin) == 2 && int(typ) < len(plainTables) && plainTables[typ] != 0 {
+		f0, f1 := fanin[0], fanin[1]
+		u, w := &a.facts[f0], &a.facts[f1]
+		if f0 != f1 && u.konst < 0 && w.konst < 0 {
+			if a.plainDisjoint(f, typ, u, w) {
+				return
 			}
+			if u.exact() && w.exact() {
+				a.uid = append(a.uid[:0], int32(f0), int32(f1))
+				if a.exactCompose(f, plainTables[typ], 2, typ) {
+					return
+				}
+			}
+			a.abstractPlain(f, typ, u, w)
 			return
 		}
 	}
+	a.transferCell(a.n.Gate(id), f)
+}
 
+// transferCell is transfer's general step, for any cell on any fanins.
+func (a *analyzer) transferCell(g netlist.Gate, f *fact) {
 	// Partition fanin slots into constants and distinct variable signals;
 	// constant fanins are baked into the gate-local truth table (automatic
 	// constant folding), duplicate fanins collapse to one variable
@@ -462,9 +502,6 @@ var plainTables = [...]uint64{
 // non-constant fanins, netlist.Input otherwise. On success the fact is
 // written to f.
 func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType) bool {
-	if cell != netlist.Input && a.plainDisjoint(f, cell) {
-		return true
-	}
 	// The joint variable set: merge the fanins' ascending variable lists,
 	// giving up as soon as it outgrows the exact domain. A signature with
 	// bit v&63 per variable rejects most oversized sets before the merge:
@@ -619,16 +656,15 @@ func (a *analyzer) exactCompose(f *fact, T uint64, k int, cell netlist.GateType)
 	return true
 }
 
-// plainDisjoint settles a plain 2-input cell over two exact fanins that
-// read disjoint variables — every partial product of a multiplier and the
+// plainDisjoint settles a plain 2-input cell over two exact fanins u and w
+// that read disjoint variables — every partial product of a multiplier and the
 // first levels of its XOR trees — without the general merge: the joint
 // variable list interleaves the two, each fanin's table is lifted over the
 // other's variables, and the cell combines the lifted tables word-wide.
 // Every joint variable stays essential, so degrees and unateness compose
 // without the spectrum (composeDisjoint). It reports false, changing
 // nothing, when the fanins share a variable or outgrow the exact domain.
-func (a *analyzer) plainDisjoint(f *fact, cell netlist.GateType) bool {
-	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
+func (a *analyzer) plainDisjoint(f *fact, cell netlist.GateType, u, w *fact) bool {
 	nu, nw := int(u.ttn), int(w.ttn)
 	if nu < 0 || nw < 0 || nu+nw > ttMaxVars {
 		return false
@@ -638,7 +674,7 @@ func (a *analyzer) plainDisjoint(f *fact, cell netlist.GateType) bool {
 		// cells are symmetric, so the cell's own table is the joint one.
 		*f = exactFact(2, plainTables[cell])
 		f.ttv[0], f.ttv[1] = min(u.ttv[0], w.ttv[0]), max(u.ttv[0], w.ttv[0])
-		a.composeDisjoint(f, cell)
+		a.composeDisjoint(f, cell, u, w)
 		return true
 	}
 	nv := nu + nw
@@ -669,7 +705,7 @@ func (a *analyzer) plainDisjoint(f *fact, cell netlist.GateType) bool {
 	}
 	*f = exactFact(nv, combine(cell, eu, ew)&rowMask(nv))
 	copy(f.ttv[:], vars[:nv])
-	a.composeDisjoint(f, cell)
+	a.composeDisjoint(f, cell, u, w)
 	return true
 }
 
@@ -692,14 +728,13 @@ func combine(cell netlist.GateType, x, y uint64) uint64 {
 }
 
 // composeDisjoint sets the degrees and unateness of a plain 2-input cell
-// whose two exact fanins read disjoint variables. Each fanin is
+// whose two exact fanins u and w read disjoint variables. Each fanin is
 // non-constant with every variable essential, so the facts compose
 // algebraically: a product (AND, OR = f+g+fg, and their complements) adds
 // the fanins' per-class degrees and is unate iff both fanins are, while a
 // sum (XOR, XNOR) keeps the larger degrees and, over disjoint supports, is
 // never unate.
-func (a *analyzer) composeDisjoint(f *fact, cell netlist.GateType) {
-	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
+func (a *analyzer) composeDisjoint(f *fact, cell netlist.GateType, u, w *fact) {
 	ua, ub, uk, ut := u.degs()
 	wa, wb, wk, wt := w.degs()
 	if cell == netlist.Xor || cell == netlist.Xnor {
@@ -763,13 +798,12 @@ func (a *analyzer) abstract(T uint64, k int) fact {
 	return f
 }
 
-// abstractPlain is abstract for a plain 2-input cell on the two fanins in
-// uid, whose local ANF needs no spectrum: XOR and XNOR sum their fanins,
+// abstractPlain is abstract for a plain 2-input cell on fanins u and w,
+// whose local ANF needs no spectrum: XOR and XNOR sum their fanins,
 // so their degrees are the fanins' larger ones and they are unate in
 // neither; the other four multiply them (x+y = x ^ y ^ xy), so degrees add
 // and they are unate in both.
-func (a *analyzer) abstractPlain(f *fact, cell netlist.GateType) {
-	u, w := &a.facts[a.uid[0]], &a.facts[a.uid[1]]
+func (a *analyzer) abstractPlain(f *fact, cell netlist.GateType, u, w *fact) {
 	ua, ub, uk, ut := u.degs()
 	wa, wb, wk, wt := w.degs()
 	*f = fact{konst: -1, ttn: -1}
@@ -836,52 +870,32 @@ func (a *analyzer) suppSize(uf *fact) int {
 	return a.pool.size(uf.supp())
 }
 
-// Const reports whether gate id is provably constant, and its value.
-func (r *Result) Const(id int) (value bool, ok bool) {
-	f := &r.facts[id]
-	return f.konst == 1, f.konst >= 0
+// AlgebraicConsts lists, ascending, the gates provably constant for
+// algebraic reasons — cancellation across distinct signals — rather than by
+// constant propagation a syntactic linter already sees, with their values.
+// The sweep collects them as it settles them.
+func (r *Result) AlgebraicConsts() []GateConst { return r.algConst }
+
+// KeyOnly reports whether gate id's support is nonempty and lies wholly in
+// the key class: its value is fixed once the key is chosen — an opaque
+// constant under any particular key.
+func (r *Result) KeyOnly(id int) bool {
+	return r.keyOnly != nil && r.keyOnly[id/64]&(1<<uint(id%64)) != 0
 }
 
-// AlgebraicConsts lists, ascending, the gates AlgebraicConst holds for;
-// the sweep collects them as it settles them.
-func (r *Result) AlgebraicConsts() []int { return r.algConst }
-
-// AlgebraicConst reports whether gate id is provably constant for algebraic
-// reasons — cancellation across distinct signals — rather than by constant
-// propagation a syntactic linter already sees.
-func (r *Result) AlgebraicConst(id int) bool {
-	f := &r.facts[id]
-	return f.konst >= 0 && !f.syn()
-}
-
-// Degrees returns gate id's ANF degree upper bounds (exact for wires in the
-// truth-table domain): degree in operand a, in operand b, in key inputs,
-// and total.
-func (r *Result) Degrees(id int) (degA, degB, degKey, degTot int) {
-	a, b, k, t := r.facts[id].degs()
-	return int(a), int(b), int(k), int(t)
-}
-
-// Exact reports whether gate id was settled in the exact truth-table domain.
-func (r *Result) Exact(id int) bool { return r.facts[id].exact() }
-
-// Unate reports whether gate id is monotone/anti-monotone in every support
-// input (exact in the truth-table domain, conservative elsewhere).
-func (r *Result) Unate(id int) bool { return r.facts[id].unate() }
-
-// SupportSize counts the primary inputs that can influence gate id.
-func (r *Result) SupportSize(id int) int {
-	f := &r.facts[id]
+// supportSize counts the primary inputs that can influence gate id.
+func (a *analyzer) supportSize(id int) int {
+	f := &a.facts[id]
 	if f.exact() {
 		return int(f.ttn)
 	}
-	return r.pool.size(f.supp())
+	return a.pool.size(f.supp())
 }
 
 // suppPositions returns gate id's support as ascending input positions;
 // exact facts read it off ttv, abstract facts off the interned set.
-func (r *Result) suppPositions(id int) []int {
-	f := &r.facts[id]
+func (a *analyzer) suppPositions(id int) []int {
+	f := &a.facts[id]
 	if f.exact() {
 		out := make([]int, 0, int(f.ttn))
 		for q := 0; q < int(f.ttn); q++ {
@@ -889,42 +903,27 @@ func (r *Result) suppPositions(id int) []int {
 		}
 		return out
 	}
-	return r.pool.members(f.supp(), nil)
+	return a.pool.members(f.supp(), nil)
 }
 
-// SupportInputs returns the gate IDs of primary inputs in gate id's support.
-func (r *Result) SupportInputs(id int) []int {
-	pos := r.suppPositions(id)
-	out := make([]int, len(pos))
-	for i, p := range pos {
-		out[i] = r.inputs[p]
-	}
-	return out
-}
-
-// KeySupport returns the gate IDs of key-classed inputs in gate id's
+// keySupport returns the gate IDs of key-classed inputs in gate id's
 // support — the inputs whose value gates this wire.
-func (r *Result) KeySupport(id int) []int {
-	if !r.Ports.Partitioned || len(r.Ports.KeyInputs) == 0 {
+func (a *analyzer) keySupport(id int) []int {
+	if !a.ports.Partitioned || len(a.ports.KeyInputs) == 0 {
 		return nil
 	}
 	var out []int
-	for _, p := range r.suppPositions(id) {
-		if r.Ports.Class[p] == ClassKey {
-			out = append(out, r.inputs[p])
+	for _, p := range a.suppPositions(id) {
+		if a.ports.Class[p] == ClassKey {
+			out = append(out, a.inputs[p])
 		}
 	}
 	return out
 }
 
-// KeyOnly reports whether gate id's support is nonempty and lies wholly in
-// the key class: its value is fixed once the key is chosen — an opaque
-// constant under any particular key.
-func (r *Result) KeyOnly(id int) bool {
-	if !r.Ports.Partitioned || len(r.Ports.KeyInputs) == 0 {
-		return false
-	}
-	f := &r.facts[id]
+// keyOnly is Result.KeyOnly on the sweep's facts.
+func (a *analyzer) keyOnly(id int) bool {
+	f := &a.facts[id]
 	if f.konst >= 0 {
 		return false
 	}
@@ -933,13 +932,13 @@ func (r *Result) KeyOnly(id int) bool {
 			return false
 		}
 		for q := 0; q < int(f.ttn); q++ {
-			if r.Ports.Class[f.ttv[q]] != ClassKey {
+			if a.ports.Class[f.ttv[q]] != ClassKey {
 				return false
 			}
 		}
 		return true
 	}
-	return f.supp() != emptySet && r.pool.subsetOfClass(f.supp(), ClassKey)
+	return f.supp() != emptySet && a.pool.subsetOfClass(f.supp(), ClassKey)
 }
 
 // GatedKeyInputs returns the union, over all outputs, of key inputs in the

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/galoisfield/gfre/internal/gen"
@@ -118,7 +119,7 @@ func TestExactDomainIdentities(t *testing.T) {
 	n.MarkOutput("z0", t2)
 	n.MarkOutput("z1", a)
 
-	r := Analyze(n, Options{})
+	r := SweepFacts(n, Options{})
 	if v, ok := r.Const(zero); !ok || v {
 		t.Errorf("XOR of reconvergent equal paths: const=%v ok=%v, want 0", v, ok)
 	}
@@ -140,6 +141,11 @@ func TestExactDomainIdentities(t *testing.T) {
 	}
 	if !r.Exact(t2) {
 		t.Error("two-input cone should stay in the exact domain")
+	}
+	// The Result keeps the algebraic constants, and their values, of the
+	// facts it was built from.
+	if got, want := Analyze(n, Options{}).AlgebraicConsts(), []GateConst{{Gate: zero}, {Gate: one, Value: true}}; !slices.Equal(got, want) {
+		t.Errorf("AlgebraicConsts = %v, want %v", got, want)
 	}
 }
 
@@ -237,7 +243,7 @@ func TestUnpartitionedPorts(t *testing.T) {
 		t.Fatalf("unpartitioned design flagged keys %v", got)
 	}
 	// All inputs default to ClassA; total degree still tracked.
-	if _, _, _, dt := r.Degrees(cur); dt != 6 {
+	if _, _, _, dt := SweepFacts(n, Options{}).Degrees(cur); dt != 6 {
 		t.Fatalf("AND chain degTot = %d, want 6", dt)
 	}
 }
@@ -267,7 +273,7 @@ func TestDegenerateInputs(t *testing.T) {
 	c1, _ := n.AddGate(netlist.Const1)
 	x, _ := n.AddGate(netlist.Xor, c0, c1)
 	n.MarkOutput("z0", x)
-	r := Analyze(n, Options{})
+	r := SweepFacts(n, Options{})
 	if v, ok := r.Const(x); !ok || !v {
 		t.Errorf("XOR(0,1): const=%v ok=%v", v, ok)
 	}
@@ -301,7 +307,7 @@ func TestDegenerateInputs(t *testing.T) {
 	if r3.Outputs[0].SupportSize != 7 {
 		t.Errorf("wide LUT support = %d, want 7", r3.Outputs[0].SupportSize)
 	}
-	if _, _, _, dt := r3.Degrees(lut); dt != 7 {
+	if _, _, _, dt := SweepFacts(n3, Options{}).Degrees(lut); dt != 7 {
 		t.Errorf("wide LUT coarse degTot = %d, want 7", dt)
 	}
 }
@@ -434,7 +440,7 @@ func TestExactFactsMatchBruteForce(t *testing.T) {
 		if err := n.MarkOutput("z0", n.NumGates()-1); err != nil {
 			t.Fatal(err)
 		}
-		res := Analyze(n, Options{})
+		res := SweepFacts(n, Options{})
 
 		// Input i's word holds bit i of every row index 0..63.
 		words := make([]uint64, len(names))
@@ -469,7 +475,7 @@ func TestExactFactsMatchBruteForce(t *testing.T) {
 					if m>>uint(i)&1 == 0 {
 						continue
 					}
-					switch res.Ports.Class[i] {
+					switch res.ports.Class[i] {
 					case ClassA:
 						da++
 					case ClassB:
@@ -544,4 +550,46 @@ func TestCacheKeyPinsGateArray(t *testing.T) {
 	if again := AnalyzeCached(parse(), Options{}); again != round {
 		t.Error("two parses of the same text did not share a cached Result")
 	}
+}
+
+// TestConcurrentSweepsShareSpare runs sweeps of differently sized netlists
+// from several goroutines at once: they hand the spare working state from
+// one to the next, and every Result must still equal its netlist's
+// sequential one.
+func TestConcurrentSweepsShareSpare(t *testing.T) {
+	var nets []*netlist.Netlist
+	for _, m := range []int{8, 16, 24} {
+		p, err := polytab.Default(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := gen.Montgomery(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n)
+	}
+	want := make([]*Result, len(nets))
+	for i, n := range nets {
+		want[i] = Analyze(n, Options{})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 6; k++ {
+				i := (g + k) % len(nets)
+				got := Analyze(nets[i], Options{})
+				if !slices.EqualFunc(got.Outputs, want[i].Outputs, func(a, b OutputFact) bool {
+					return a.Gate == b.Gate && a.Const == b.Const && a.Exact == b.Exact &&
+						a.DegA == b.DegA && a.DegB == b.DegB && a.DegKey == b.DegKey && a.DegTot == b.DegTot &&
+						a.SupportSize == b.SupportSize && slices.Equal(a.KeyInputs, b.KeyInputs)
+				}) || !slices.Equal(got.AlgebraicConsts(), want[i].AlgebraicConsts()) {
+					t.Errorf("goroutine %d: sweep of %s differs from its sequential result", g, nets[i].Name)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

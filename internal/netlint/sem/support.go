@@ -1,6 +1,9 @@
 package sem
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Support sets are bitsets over primary-input positions, hash-consed into a
 // slab so every distinct set is stored once and a per-wire fact carries only
@@ -35,37 +38,39 @@ type suppPool struct {
 
 const emptySet int32 = 0
 
-// newSuppPool sizes the slab for an expected number of distinct sets
-// (sizeHint, capped by maxSets) so a large sweep does not pay for slab
-// reallocation.
+// newSuppPool returns an empty pool; see reset.
 func newSuppPool(nvars, maxSets, sizeHint int, classOf []Class) *suppPool {
-	nwords := (nvars + 63) / 64
-	if nwords == 0 {
-		nwords = 1
+	p := new(suppPool)
+	p.reset(nvars, maxSets, sizeHint, classOf)
+	return p
+}
+
+// reset empties the pool for a sweep over nvars inputs whose classes are
+// classOf, keeping every buffer an earlier sweep grew. The slab is sized
+// for an expected number of distinct sets (sizeHint, capped by maxSets) so
+// a large sweep does not pay for slab reallocation.
+func (p *suppPool) reset(nvars, maxSets, sizeHint int, classOf []Class) {
+	nwords := max((nvars+63)/64, 1)
+	sizeHint = min(max(sizeHint, 64), maxSets)
+	p.nwords, p.cap, p.widens = nwords, maxSets, 0
+	p.slab = slices.Grow(p.slab[:0], sizeHint*nwords)
+	p.tags = slices.Grow(p.tags[:0], sizeHint)
+	if p.slots == nil {
+		p.sizeSlots(1 << 10)
+	} else {
+		clear(p.slots)
 	}
-	if sizeHint < 64 {
-		sizeHint = 64
-	}
-	if sizeHint > maxSets {
-		sizeHint = maxSets
-	}
-	p := &suppPool{
-		nwords:  nwords,
-		slab:    make([]uint64, 0, sizeHint*nwords),
-		tags:    make([]uint32, 0, sizeHint),
-		cap:     maxSets,
-		scratch: make([]uint64, nwords),
-	}
-	p.sizeSlots(1 << 10)
+	p.scratch = slices.Grow(p.scratch[:0], nwords)[:nwords]
 	for c := range p.classMask {
-		p.classMask[c] = make([]uint64, nwords)
+		p.classMask[c] = slices.Grow(p.classMask[c][:0], nwords)[:nwords]
+		clear(p.classMask[c])
 	}
 	for i, cl := range classOf {
 		p.classMask[cl][i/64] |= 1 << uint(i%64)
 	}
 	// Set 0 is the empty set.
-	p.intern(make([]uint64, nwords))
-	return p
+	clear(p.scratch)
+	p.intern(p.scratch)
 }
 
 func (p *suppPool) get(id int32) []uint64 {
@@ -175,24 +180,6 @@ func (p *suppPool) widen(buf []uint64) {
 	}
 }
 
-// union2 interns the union of two sets, reusing the pool scratch buffer.
-func (p *suppPool) union2(a, b int32) int32 {
-	if a == b {
-		return a
-	}
-	if a == emptySet {
-		return b
-	}
-	if b == emptySet {
-		return a
-	}
-	wa, wb := p.get(a), p.get(b)
-	for i := range p.scratch {
-		p.scratch[i] = wa[i] | wb[i]
-	}
-	return p.intern(p.scratch)
-}
-
 // unionInto ORs set id into dst (len nwords).
 func (p *suppPool) unionInto(dst []uint64, id int32) {
 	for i, w := range p.get(id) {
@@ -209,17 +196,6 @@ func (p *suppPool) size(id int32) int {
 	return n
 }
 
-// disjoint reports whether two sets share no member.
-func (p *suppPool) disjoint(a, b int32) bool {
-	wa, wb := p.get(a), p.get(b)
-	for i := range wa {
-		if wa[i]&wb[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // subsetOfClass reports whether set id is wholly inside one class's mask.
 func (p *suppPool) subsetOfClass(id int32, c Class) bool {
 	mask := p.classMask[c]
@@ -229,17 +205,6 @@ func (p *suppPool) subsetOfClass(id int32, c Class) bool {
 		}
 	}
 	return true
-}
-
-// intersectClass reports whether set id contains any member of class c.
-func (p *suppPool) intersectClass(id int32, c Class) bool {
-	mask := p.classMask[c]
-	for i, w := range p.get(id) {
-		if w&mask[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // members appends the input positions in set id to out.

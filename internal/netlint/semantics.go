@@ -231,9 +231,9 @@ func checkOpaqueConstant(c *Context) []Finding {
 // syntactic const-gate rule cannot see. Only cancellation roots fire;
 // everything downstream is ordinary constant propagation from them.
 func checkDeadByAlgebra(c *Context) []Finding {
-	r := c.Sem()
-	var ids []int
-	for _, id := range r.AlgebraicConsts() {
+	var consts []sem.GateConst
+	for _, gc := range c.Sem().AlgebraicConsts() {
+		id := gc.Gate
 		if !c.reached(id) {
 			continue
 		}
@@ -253,24 +253,24 @@ func checkDeadByAlgebra(c *Context) []Finding {
 		if dup {
 			continue
 		}
-		ids = append(ids, id)
+		consts = append(consts, gc)
 	}
-	if len(ids) == 0 {
+	if len(consts) == 0 {
 		return nil
 	}
 	var fs []Finding
-	for i, id := range ids {
+	for i, gc := range consts {
 		if i == maxWitness {
 			fs = append(fs, Finding{
 				Rule:     "dead-by-algebra",
 				Severity: c.severityOf("dead-by-algebra"),
-				Message:  fmt.Sprintf("... %d more algebraically constant gates", len(ids)-i),
+				Message:  fmt.Sprintf("... %d more algebraically constant gates", len(consts)-i),
 			})
 			break
 		}
-		v, _ := r.Const(id)
+		id := gc.Gate
 		val := 0
-		if v {
+		if gc.Value {
 			val = 1
 		}
 		fs = append(fs, Finding{

@@ -496,7 +496,7 @@ func (n *Netlist) WriteEQN(w io.Writer) error { return n.writeEQN(w, nil) }
 
 // writeEQN is WriteEQN, calling visit (when not nil) on every gate, in ID
 // order, as the walk over the gates passes it.
-func (n *Netlist) writeEQN(w io.Writer, visit func(id int, g Gate)) error {
+func (n *Netlist) writeEQN(w io.Writer, visit func(id int, typ GateType, fanin []int)) error {
 	bw := bufio.NewWriter(w)
 	// Lines are appended into one reused chunk, each gate's name rendered
 	// into its word once, as the walk reaches the gate (a gate is referenced
@@ -536,14 +536,14 @@ func (n *Netlist) writeEQN(w io.Writer, visit func(id int, g Gate)) error {
 
 	for id := range n.gates {
 		names.name(n, id)
-		g := n.Gate(id)
+		typ, fanin := n.Cell(id)
 		if visit != nil {
-			visit(id, g)
+			visit(id, typ, fanin)
 		}
-		if g.Type == Input {
+		if typ == Input {
 			continue
 		}
-		chunk = names.appendLine(chunk, id, g)
+		chunk = names.appendLine(chunk, n, id, typ, fanin)
 		flush()
 	}
 	// Deterministic order for alias buffers.
@@ -653,13 +653,15 @@ var binops = [...]uint32{
 // plain two-input cells that make up nearly every multiplier, when all
 // three names fit their words, are written with word-wide stores into room
 // reserved up front; every other line goes through appendGateExpr.
-func (e *eqnNames) appendLine(b []byte, id int, g Gate) []byte {
-	if (g.Type == And || g.Type == Or || g.Type == Xor) && len(g.Fanin) == 2 {
-		w, x, y := e.words[id], e.words[g.Fanin[0]], e.words[g.Fanin[1]]
+func (e *eqnNames) appendLine(b []byte, n *Netlist, id int, typ GateType, fanin []int) []byte {
+	if (typ == And || typ == Or || typ == Xor) && len(fanin) == 2 {
+		w, x, y := e.words[id], e.words[fanin[0]], e.words[fanin[1]]
 		if w != 0 && x != 0 && y != 0 {
 			// Each name is stored as a whole word and the next text
 			// written over its padding: 8+3+8+3+8+2 bytes at most.
-			b = slices.Grow(b, 32)
+			if cap(b)-len(b) < 32 {
+				b = slices.Grow(b, 32)
+			}
 			buf := b[:cap(b)]
 			i := len(b)
 			binary.LittleEndian.PutUint64(buf[i:], w)
@@ -667,7 +669,7 @@ func (e *eqnNames) appendLine(b []byte, id int, g Gate) []byte {
 			binary.LittleEndian.PutUint32(buf[i:], ' '|'='<<8|' '<<16)
 			binary.LittleEndian.PutUint64(buf[i+3:], x)
 			i += 3 + wordLen(x)
-			binary.LittleEndian.PutUint32(buf[i:], binops[g.Type])
+			binary.LittleEndian.PutUint32(buf[i:], binops[typ])
 			binary.LittleEndian.PutUint64(buf[i+3:], y)
 			i += 3 + wordLen(y)
 			binary.LittleEndian.PutUint16(buf[i:], ';'|'\n'<<8)
@@ -676,7 +678,7 @@ func (e *eqnNames) appendLine(b []byte, id int, g Gate) []byte {
 	}
 	b = e.append(b, id)
 	b = append(b, " = "...)
-	b = e.appendGateExpr(b, g)
+	b = e.appendGateExpr(b, n.Gate(id))
 	return append(b, ";\n"...)
 }
 

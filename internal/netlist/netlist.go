@@ -199,6 +199,11 @@ type Netlist struct {
 	coneMu    sync.Mutex
 	coneSizes []int
 	coneReach []uint64
+	// levels and depth memoize Levels under levelMu: every mutator resets
+	// levels along with coneSizes.
+	levelMu sync.Mutex
+	levels  []int32
+	depth   int
 
 	// digest memoizes Digest for the model name digestName it was computed
 	// under: every mutator resets it, and a renamed netlist recomputes it.
@@ -252,6 +257,15 @@ func (n *Netlist) NumEquations() int {
 		}
 	}
 	return c
+}
+
+// Cell returns gate id's type and fanin list, as Gate does, without
+// building a Gate. The loops that read every gate of a large netlist (the
+// canonical render behind Digest, the semantic sweep, the rewriting walk)
+// use it: a Gate is too large to live in registers, and building one in
+// memory per gate costs those loops a fifth of their time.
+func (n *Netlist) Cell(id int) (GateType, []int) {
+	return n.gates[id].typ, n.fanin(id)
 }
 
 // Gate returns the gate with the given ID.
@@ -429,7 +443,7 @@ func (n *Netlist) appendGate(t GateType, fanin []int, table []bool) int {
 	}
 	n.gates = append(n.gates, r)
 	n.names = append(n.names, "")
-	n.coneSizes = nil
+	n.coneSizes, n.levels = nil, nil
 	n.digest = ""
 	if len(n.shadowLater) > 0 && n.shadowLater[id] {
 		delete(n.shadowLater, id)
@@ -457,7 +471,7 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 	}
 	n.outputs = append(n.outputs, id)
 	n.outputNames = append(n.outputNames, n.portName(name))
-	n.coneSizes = nil
+	n.coneSizes, n.levels = nil, nil
 	n.digest = ""
 	return nil
 }
@@ -548,17 +562,18 @@ func (n *Netlist) walkCone(root int, visit func(id int) (expand bool, err error)
 func (n *Netlist) Digest() (string, error) { return n.DigestScan(nil) }
 
 // DigestScan is Digest, calling visit (when not nil) on every gate in ID
-// order on the way: the walk over the gates that renders the canonical
-// text also serves a caller's own forward sweep, so the gate array is read
-// once for both. visit sees every gate whether the digest is memoized,
-// computed or fails.
-func (n *Netlist) DigestScan(visit func(id int, g Gate)) (string, error) {
+// order on the way, with the gate's type and fanins as Cell returns them:
+// the walk over the gates that renders the canonical text also serves a
+// caller's own forward sweep, so the gate array is read once for both.
+// visit sees every gate whether the digest is memoized, computed or fails.
+func (n *Netlist) DigestScan(visit func(id int, typ GateType, fanin []int)) (string, error) {
 	n.digestMu.Lock()
 	defer n.digestMu.Unlock()
 	if n.digest != "" && n.digestName == n.Name {
 		if visit != nil {
 			for id := range n.gates {
-				visit(id, n.Gate(id))
+				typ, fanin := n.Cell(id)
+				visit(id, typ, fanin)
 			}
 		}
 		return n.digest, nil
@@ -631,6 +646,7 @@ func (n *Netlist) countCones() (sizes []int, reach []uint64) {
 			top = max(top, root)
 		}
 		var planes [64]uint64
+		gates, fanins := n.gates[:top+1], n.fanins
 		for id := top; id >= 0; id-- {
 			r := rows[id]
 			if r == 0 {
@@ -638,7 +654,8 @@ func (n *Netlist) countCones() (sizes []int, reach []uint64) {
 			}
 			rows[id] = 0
 			reach[id>>6] |= 1 << uint(id&63)
-			for _, f := range n.fanin(id) {
+			g := gates[id]
+			for _, f := range fanins[g.off : g.off+uint32(g.nfan)] {
 				rows[f] |= r
 			}
 			for k := 0; r != 0; k++ {
@@ -682,24 +699,56 @@ func (n *Netlist) ConeMembership(visit func(base int, rows []uint64)) {
 }
 
 // Levels returns the logic depth of each gate (inputs and constants at 0)
-// and the maximum depth of the circuit.
+// and the maximum depth of the circuit. The levels are computed once and
+// memoized on the netlist until the next mutation; the caller gets its own
+// copy.
 func (n *Netlist) Levels() (levels []int, depth int) {
-	levels = make([]int, len(n.gates))
-	for id := range n.gates {
-		g := n.Gate(id)
-		l := 0
-		for _, f := range g.Fanin {
-			if levels[f]+1 > l {
-				l = levels[f] + 1
-			}
-		}
-		levels[id] = l
-		if l > depth {
-			depth = l
-		}
+	memo, depth := n.levelMemo()
+	levels = make([]int, len(memo))
+	for id, l := range memo {
+		levels[id] = int(l)
 	}
 	return levels, depth
 }
+
+// OutputLevels returns, per primary output in port order, the logic level
+// of its driving gate, read off the same memo as Levels.
+func (n *Netlist) OutputLevels() []int {
+	memo, _ := n.levelMemo()
+	out := make([]int, len(n.outputs))
+	for i, id := range n.outputs {
+		out[i] = int(memo[id])
+	}
+	return out
+}
+
+// levelMemo returns the memoized levels and depth, computing them unless
+// they are current. The slice is shared and must not be modified.
+func (n *Netlist) levelMemo() ([]int32, int) {
+	n.levelMu.Lock()
+	defer n.levelMu.Unlock()
+	if n.levels == nil {
+		levelPasses.Add(1)
+		n.levels, n.depth = make([]int32, len(n.gates)), 0
+		for id := range n.gates {
+			var l int32
+			for _, f := range n.fanin(id) {
+				l = max(l, n.levels[f]+1)
+			}
+			n.levels[id] = l
+			n.depth = max(n.depth, int(l))
+		}
+	}
+	return n.levels, n.depth
+}
+
+// levelPasses counts level computations, memo hits excluded.
+var levelPasses atomic.Int64
+
+// LevelsComputed reports how many times this process has computed a
+// netlist's logic levels; memoized Levels and OutputLevels calls do not
+// count. It lets tests pin one levels pass per extraction.
+func LevelsComputed() int64 { return levelPasses.Load() }
 
 // Stats summarizes the netlist composition.
 type Stats struct {
@@ -723,7 +772,7 @@ func (n *Netlist) Stats() Stats {
 	for _, r := range n.gates {
 		s.ByType[r.typ]++
 	}
-	_, s.Depth = n.Levels()
+	_, s.Depth = n.levelMemo()
 	return s
 }
 
@@ -761,30 +810,30 @@ var cellModels = func() (models [Lut][]uint32) {
 // construction. t is the caller's reusable buffer: once its slices have
 // grown, writing a model allocates nothing.
 func (n *Netlist) GateTerms(id int, t *anf.Terms) error {
-	g := n.Gate(id)
-	if g.Type == Input {
+	typ, fanin := n.Cell(id)
+	if typ == Input {
 		return fmt.Errorf("netlist: gate %d is a primary input", id)
 	}
-	k := len(g.Fanin)
+	k := len(fanin)
 	if k > maxLutInputs {
 		return fmt.Errorf("netlist: gate %d has %d fanins (max %d)", id, k, maxLutInputs)
 	}
 	// The model's variables are the distinct fanins, ascending; slot[i] is
 	// fanin i's position among them.
 	vars := t.Vars[:0]
-	for _, f := range g.Fanin {
+	for _, f := range fanin {
 		vars = append(vars, anf.Var(f))
 	}
 	slices.Sort(vars)
 	vars = slices.Compact(vars)
 	t.Vars = vars
 	var slot [maxLutInputs]uint8
-	for i, f := range g.Fanin {
+	for i, f := range fanin {
 		slot[i] = uint8(slices.Index(vars, anf.Var(f)))
 	}
-	if g.Type != Lut && len(vars) == k {
+	if typ != Lut && len(vars) == k {
 		t.Masks = t.Masks[:0]
-		for _, m := range cellModels[g.Type] {
+		for _, m := range cellModels[typ] {
 			var r uint32
 			for i := 0; m != 0; i, m = i+1, m>>1 {
 				r |= (m & 1) << slot[i]
@@ -794,6 +843,7 @@ func (n *Netlist) GateTerms(id int, t *anf.Terms) error {
 		return nil
 	}
 	var in [maxLutInputs]bool
+	g := n.Gate(id)
 	t.SetFunc(vars, func(row int) bool {
 		for i := range k {
 			in[i] = row>>slot[i]&1 != 0

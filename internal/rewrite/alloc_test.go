@@ -12,7 +12,7 @@ import (
 
 // maxAllocsPerSubstitution bounds the heap allocations one iteration of
 // Algorithm 1 may make, amortized over a whole run. Gate models are written
-// into one reused term buffer per cone, and the cone's polynomial keeps its
+// into the worker's reused term buffer, and the cone's polynomial keeps its
 // monomials, product memo and occurrence lists in flat tables that grow by
 // doubling, so what remains is that growth plus each cone's own tables and
 // compacted result (0.3–0.4 per substitution on the designs below).
@@ -59,9 +59,9 @@ func TestRewriteAllocsPerSubstitution(t *testing.T) {
 	}
 }
 
-// BenchmarkRewriteCone times rewriteOutput's real path on one m=64
-// Mastrovito cone: the fused cone walk, GateTerms into the cone's term
-// buffer and SubstituteTerms. The BenchmarkSubstitute microbenchmarks
+// BenchmarkRewriteCone times rewriting's real path on one m=64 Mastrovito
+// cone: the fused cone walk, GateTerms into the worker's term buffer,
+// SubstituteTerms and Compact. The BenchmarkSubstitute microbenchmarks
 // substitute prebuilt polynomials and so never see the cost of building gate
 // models.
 func BenchmarkRewriteCone(b *testing.B) {
@@ -74,10 +74,11 @@ func BenchmarkRewriteCone(b *testing.B) {
 		b.Fatal(err)
 	}
 	root := n.Outputs()[32]
+	w := NewWorker(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rewriteOutput(n, root, pass{}); err != nil {
+		if _, err := w.rewrite(n, root, pass{}); err != nil {
 			b.Fatal(err)
 		}
 	}

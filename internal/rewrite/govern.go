@@ -161,21 +161,27 @@ func coneErr(br BitResult) error {
 // governor enforces the per-cone resource policy inside the substitution
 // loop. A nil governor disables every check.
 type governor struct {
-	ctx      context.Context
+	ctx context.Context
+	// done is ctx.Done(), read once per cone: polling it is a non-blocking
+	// receive, where ctx.Err() takes the lock of the context every worker
+	// of a run shares.
+	done     <-chan struct{}
 	deadline time.Time // zero = no per-cone deadline
 	budget   int       // max live terms, 0 = unlimited
 }
 
 // poll checks cancellation and the cone deadline. It runs once per
 // substitution actually performed — substitutions dominate the loop cost by
-// orders of magnitude, so the two clock reads are noise (see
-// BenchmarkExtract/governed).
+// orders of magnitude, so the channel poll and the clock read are noise
+// (see BenchmarkExtract/governed).
 func (g *governor) poll() (Status, error) {
 	if g == nil {
 		return StatusOK, nil
 	}
-	if err := g.ctx.Err(); err != nil {
-		return StatusCancelled, err
+	select {
+	case <-g.done:
+		return StatusCancelled, g.ctx.Err()
+	default:
 	}
 	if !g.deadline.IsZero() && time.Now().After(g.deadline) {
 		return StatusTimeout, ErrConeTimeout
@@ -192,34 +198,34 @@ func (g *governor) charge(terms int) bool {
 	return g != nil && g.budget > 0 && terms > g.budget
 }
 
-// testPanicOutput, when >= 0, makes rewriteOutput panic upon visiting that
+// testPanicOutput, when >= 0, makes Worker.rewrite panic upon visiting that
 // gate ID. The public API cannot build a netlist that panics mid-rewrite
 // (constructors validate shapes), so the containment path needs a seam.
 var testPanicOutput = -1
 
-// rewriteSafe runs one rewriting attempt with panic containment: a panicking
-// cone yields ErrConePanic instead of crashing the process.
-func rewriteSafe(n *netlist.Netlist, root int, p pass) (br BitResult, err error) {
+// safe runs one rewriting attempt with panic containment: a panicking cone
+// yields ErrConePanic instead of crashing the process.
+func (w *Worker) safe(n *netlist.Netlist, root int, p pass) (br BitResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			br.Status = StatusPanic
 			err = fmt.Errorf("%w: output %q: %v", ErrConePanic, n.NameOf(root), r)
 		}
 	}()
-	return rewriteOutput(n, root, p)
+	return w.rewrite(n, root, p)
 }
 
-// rewriteGoverned is the per-cone retry ladder: one attempt in the default
+// governed is the per-cone retry ladder: one attempt in the default
 // reverse-topological order, then — only for budget aborts — one retry with
 // the alternative substitution schedule, then cone abandonment. Timeouts and
 // cancellations are never retried: the clock that killed the first attempt
 // is still running.
-func rewriteGoverned(n *netlist.Netlist, root int, h *hooks, opts Options, ctx context.Context) (BitResult, error, bool) {
-	gov := &governor{ctx: ctx, budget: opts.BudgetTerms}
+func (w *Worker) governed(n *netlist.Netlist, root int, h *hooks, opts Options, ctx context.Context) (BitResult, error, bool) {
+	gov := &governor{ctx: ctx, done: ctx.Done(), budget: opts.BudgetTerms}
 	if opts.ConeDeadline > 0 {
 		gov.deadline = time.Now().Add(opts.ConeDeadline)
 	}
-	br, err := rewriteSafe(n, root, pass{h: h, gov: gov})
+	br, err := w.safe(n, root, pass{h: h, gov: gov})
 	if err == nil || !errors.Is(err, ErrBudgetExceeded) {
 		return br, err, false
 	}
@@ -228,7 +234,7 @@ func rewriteGoverned(n *netlist.Netlist, root int, h *hooks, opts Options, ctx c
 	// the frontier smaller than the ID-driven one. The deadline keeps
 	// running, so a retry cannot extend the cone's wall budget.
 	h.countRetry()
-	br2, err2 := rewriteSafe(n, root, pass{h: h, gov: gov, order: altOrder(n, n.Cone(root))})
+	br2, err2 := w.safe(n, root, pass{h: h, gov: gov, order: altOrder(n, n.Cone(root))})
 	if err2 != nil {
 		// Report the attempt that got further; both failed.
 		if br2.Substitutions < br.Substitutions {
@@ -248,11 +254,12 @@ func rewriteGoverned(n *netlist.Netlist, root int, h *hooks, opts Options, ctx c
 //
 // The schedule is produced by a counting sort over (level, gate-cost)
 // buckets fed from the Kahn-levelized depths that Levels computes in one
-// forward sweep. Keys are few and small — depth·4 buckets — so this is
-// O(cone + depth) instead of the comparison sort's O(cone·log cone), which
-// matters because altOrder runs on exactly the cones that already blew a
-// budget (i.e. the biggest ones). A single ascending pass over cone fills
-// the buckets, preserving the ascending-ID tiebreak for free.
+// forward sweep, memoized on the netlist. Keys are few and small — depth·4
+// buckets — so this is O(cone + depth) instead of the comparison sort's
+// O(cone·log cone), which matters because altOrder runs on exactly the
+// cones that already blew a budget (i.e. the biggest ones). A single
+// ascending pass over cone fills the buckets, preserving the ascending-ID
+// tiebreak for free.
 func altOrder(n *netlist.Netlist, cone []int) []int {
 	levels, depth := n.Levels()
 	// Bucket key: (depth-level)*4 + cost-1, so lower keys mean deeper

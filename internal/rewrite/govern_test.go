@@ -223,11 +223,11 @@ func TestAltOrderEquivalent(t *testing.T) {
 	// same dependency order, nothing more.
 	n := explodingNetlist(t, 6)
 	root := n.Outputs()[0]
-	def, err := rewriteOutput(n, root, pass{})
+	def, err := new(Worker).rewrite(n, root, pass{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alt, err := rewriteOutput(n, root, pass{order: altOrder(n, n.Cone(root))})
+	alt, err := new(Worker).rewrite(n, root, pass{order: altOrder(n, n.Cone(root))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,6 +286,7 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := NewWorker(span)
 			for bit := range jobs {
 				if err := ctx.Err(); err != nil {
 					res.Bits[bit] = BitResult{
@@ -294,26 +295,9 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 					}
 					continue
 				}
-				// Per-cone child span under the rewrite phase: concurrent
-				// siblings in the trace tree, one per output bit. Child is
-				// nil-safe and the attrs ride on EndWith, so the nil-recorder
-				// path stays allocation-free.
-				coneSpan := span.Child(names[bit], nil)
-				br, err, retried := runCone(ctx, n, bit, outs[bit], names[bit], sizes[bit], opts, h)
+				br, err, retried := w.runCone(ctx, n, bit, outs[bit], names[bit], sizes[bit], opts, h)
 				if retried {
 					retries.Add(1)
-				}
-				if coneSpan != nil {
-					retriedV := int64(0)
-					if retried {
-						retriedV = 1
-					}
-					coneSpan.SetStatus(string(br.Status))
-					coneSpan.EndWith(map[string]int64{
-						"bit": int64(bit), "cone_gates": int64(br.ConeGates),
-						"subst": int64(br.Substitutions), "peak_terms": int64(br.PeakTerms),
-						"cancelled": int64(br.Cancelled), "retries": retriedV,
-					})
 				}
 				res.Bits[bit] = br
 				if opts.OnBitDone != nil {
@@ -362,18 +346,17 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 // land a fat cone on the last free worker and serialize the tail of the
 // run behind it; starting the deep cones first bounds the tail by the
 // cheap ones instead. Root logic depth is the predictor — it is computed
-// in one O(gates) sweep and correlates with both cone size and
-// substitution cost on every architecture we generate (see
+// in one O(gates) sweep, memoized on the netlist, and correlates with both
+// cone size and substitution cost on every architecture we generate (see
 // EXPERIMENTS.md).
 func ConeOrder(n *netlist.Netlist) []int {
-	levels, _ := n.Levels()
-	outs := n.Outputs()
-	order := make([]int, len(outs))
+	levels := n.OutputLevels()
+	order := make([]int, len(levels))
 	for bit := range order {
 		order[bit] = bit
 	}
 	sort.SliceStable(order, func(i, j int) bool {
-		return levels[outs[order[i]]] > levels[outs[order[j]]]
+		return levels[order[i]] > levels[order[j]]
 	})
 	return order
 }
@@ -393,9 +376,9 @@ type pass struct {
 	trace io.Writer // Figure-3 step log (TraceOutput); nil = silent
 }
 
-// rewriteOutput runs Algorithm 1 on root's cone. It leaves ConeGates to the
+// rewrite runs Algorithm 1 on root's cone. It leaves ConeGates to the
 // caller, which reads it from the cone index.
-func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
+func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 	start := time.Now()
 	h, gov := p.h, p.gov
 	br := BitResult{}
@@ -406,10 +389,10 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 
 	f := anf.Variable(anf.Var(root))
 	br.PeakTerms = 1
-	// One gate-model buffer per cone: GateTerms refills it per substitution
+	// The worker's gate-model buffer: GateTerms refills it per substitution
 	// and SubstituteTerms reads it in place, so no polynomial is built per
 	// gate.
-	var e anf.Terms
+	e := &w.e
 	if h != nil {
 		// On every exit path the bit's resident terms leave the working
 		// set — aborted cones must not leak into the live_terms gauge.
@@ -419,8 +402,8 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 	// substitute eliminates gate id's variable from f if it still occurs
 	// there, and reports whether it did.
 	substitute := func(id int) (bool, error) {
-		g := n.Gate(id)
-		if g.Type == netlist.Input {
+		typ, _ := n.Cell(id)
+		if typ == netlist.Input {
 			return false, nil
 		}
 		if id == testPanicOutput {
@@ -436,11 +419,11 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 			br.Status = st
 			return false, err
 		}
-		if err := n.GateTerms(id, &e); err != nil {
+		if err := n.GateTerms(id, e); err != nil {
 			return false, fmt.Errorf("rewrite: gate %d (%s): %w", id, n.NameOf(id), err)
 		}
 		before := f.Len()
-		f.SubstituteTerms(v, &e)
+		f.SubstituteTerms(v, e)
 		after := f.Len()
 		br.Substitutions++
 		// Exact mod-2 accounting: the k occurrences of v expand to k·|e|
@@ -457,7 +440,7 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 				elim = fmt.Sprintf("   [%d terms cancelled mod 2]", cancelled)
 			}
 			fmt.Fprintf(p.trace, "%-6s %s = %-24s F%d = %s%s\n",
-				n.NameOf(id)+":", g.Type, formatTerms(&e, n), br.Substitutions, FormatPoly(f, n), elim)
+				n.NameOf(id)+":", typ, formatTerms(e, n), br.Substitutions, FormatPoly(f, n), elim)
 		}
 		if h != nil {
 			h.subst.Inc()
@@ -493,12 +476,18 @@ func rewriteOutput(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 		return br, err
 	}
 
-	// Sanity: only primary-input variables may remain (Theorem 1).
-	for _, v := range f.SupportVars() {
-		if n.Gate(int(v)).Type != netlist.Input {
-			br.Status = StatusError
-			return br, fmt.Errorf("rewrite: non-input variable v%d (%s) survived rewriting", v, n.NameOf(int(v)))
+	// Sanity: only primary-input variables may remain (Theorem 1). The
+	// support is walked unsorted; the smallest survivor is reported.
+	bad, survived := anf.Var(0), false
+	f.EachSupportVar(func(v anf.Var) bool {
+		if typ, _ := n.Cell(int(v)); typ != netlist.Input && (!survived || v < bad) {
+			bad, survived = v, true
 		}
+		return true
+	})
+	if survived {
+		br.Status = StatusError
+		return br, fmt.Errorf("rewrite: non-input variable v%d (%s) survived rewriting", bad, n.NameOf(int(bad)))
 	}
 	// Compact drops the cone's intern-table churn (every monomial that ever
 	// existed during rewriting plus the product memo) so the returned

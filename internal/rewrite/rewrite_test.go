@@ -459,7 +459,7 @@ func TestTraceOutputMatchesOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := RewriteCone(n, i, Options{})
+		plain, err := NewWorker(nil).RewriteCone(n, i, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func joinTerms(parts []string) string {
 // Intended for small designs (the full expression is printed per step).
 func TraceOutput(n *netlist.Netlist, root int, w io.Writer) (BitResult, error) {
 	fmt.Fprintf(w, "F0 = %s\n", n.NameOf(root))
-	br, err := rewriteOutput(n, root, pass{trace: w})
+	br, err := NewWorker(nil).rewrite(n, root, pass{trace: w})
 	br.ConeGates = len(n.Cone(root))
 	return br, err
 }

@@ -54,7 +54,7 @@ func checkFusedWalk(t *testing.T, n *netlist.Netlist) {
 		slots <- struct{}{}
 		go func() {
 			defer func() { <-slots; wg.Done() }()
-			fused, err := rewriteOutput(n, root, pass{})
+			fused, err := new(Worker).rewrite(n, root, pass{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -64,7 +64,7 @@ func checkFusedWalk(t *testing.T, n *netlist.Netlist) {
 				t.Errorf("bit %d: cone index size %d, len(Cone) %d", bit, sizes[bit], len(full))
 			}
 			slices.Reverse(full)
-			ref, err := rewriteOutput(n, root, pass{order: full})
+			ref, err := new(Worker).rewrite(n, root, pass{order: full})
 			if err != nil {
 				t.Error(err)
 				return

@@ -224,6 +224,7 @@ func RunPeer(ctx context.Context, base string, cfg PeerConfig) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			rw := rewrite.NewWorker(nil)
 			// Reusable idle timer: time.After per iteration would leak a
 			// timer allocation for every empty poll.
 			var idle *time.Timer
@@ -257,7 +258,7 @@ func RunPeer(ctx context.Context, base string, cfg PeerConfig) error {
 						"epoch": int64(g.Epoch), "cones": int64(len(g.Cones)),
 					})
 				}
-				ExecuteLease(ctx, cl, n, g, cfg.Rewrite)
+				ExecuteLease(ctx, cl, n, g, rw, cfg.Rewrite)
 			}
 		}(w)
 	}

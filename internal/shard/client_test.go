@@ -141,10 +141,10 @@ func TestClientRoundTripOverHTTP(t *testing.T) {
 	// Drive both leases to completion through the real worker loop.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := ExecuteLease(ctx, cl, parsed, g, rewrite.Options{}); err != nil {
+	if _, err := ExecuteLease(ctx, cl, parsed, g, rewrite.NewWorker(nil), rewrite.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteLease(ctx, cl2, parsed, g2, rewrite.Options{}); err != nil {
+	if _, err := ExecuteLease(ctx, cl2, parsed, g2, rewrite.NewWorker(nil), rewrite.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !pool.Finished() {

@@ -111,6 +111,7 @@ func Rewriter(sopts ExtractOptions, stats *Stats) extract.Rewriter {
 			RunWorkers(ctx, pool, n, WorkerConfig{
 				Workers: sopts.Workers, MaxCones: sopts.MaxCones,
 				Rewrite: rewrite.Options{Recorder: rec, Threads: ro.Threads},
+				Span:    span,
 			})
 		}
 		waitErr := pool.Wait(ctx)

@@ -102,3 +102,46 @@ func TestOneDigestPerExtraction(t *testing.T) {
 		})
 	}
 }
+
+// TestOneLevelsPassPerExtraction pins the netlist's logic levels to one
+// computation per netlist: rewrite.ConeOrder (both schedulers' cone order)
+// reads them from the netlist's memo, so an extraction computes them once,
+// locally and with -shard, and a second extraction of the same netlist not
+// at all.
+func TestOneLevelsPassPerExtraction(t *testing.T) {
+	p, err := polytab.Default(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		shard bool
+	}{
+		{"local", false},
+		{"shard", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := gen.Montgomery(16, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st extract.Stages
+			if tc.shard {
+				st.Rewrite = Rewriter(ExtractOptions{Workers: 2}, nil)
+			}
+			for run, want := range []int64{1, 0} {
+				before := netlist.LevelsComputed()
+				ext, _, _, err := extract.Run(n, extract.Options{Preflight: true}, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := netlist.LevelsComputed() - before; got != want {
+					t.Errorf("extraction %d computed the netlist's levels %d times, want %d", run+1, got, want)
+				}
+				if ext.P.String() != p.String() {
+					t.Errorf("extracted %s, want %s", ext.P, p)
+				}
+			}
+		})
+	}
+}

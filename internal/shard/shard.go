@@ -6,7 +6,7 @@
 // its checkpoint content hash). Workers — local goroutines or remote gfred
 // peers speaking the /shards HTTP endpoints — pull leases (a batch of cone
 // IDs plus a deadline and an epoch), heartbeat them with Renew, compute the
-// cones with rewrite.RewriteCone, and push the results back with Submit.
+// cones with a rewrite.Worker each, and push the results back with Submit.
 // Local workers hand over the in-process results; only the HTTP boundary
 // (Client, DecodeResultEnvelope) packs and unpacks them. Robustness
 // invariants:

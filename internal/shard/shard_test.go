@@ -565,7 +565,7 @@ func TestExtractShardedWithRemotePeerOverHub(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				continue
 			}
-			if _, err := ExecuteLease(ctx, src, n, g, rewrite.Options{}); err != nil &&
+			if _, err := ExecuteLease(ctx, src, n, g, rewrite.NewWorker(nil), rewrite.Options{}); err != nil &&
 				!errors.Is(err, ErrLeaseExpired) {
 				t.Errorf("peer execute: %v", err)
 				return

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/galoisfield/gfre/internal/netlist"
+	"github.com/galoisfield/gfre/internal/obs"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
@@ -36,6 +37,9 @@ type WorkerConfig struct {
 	// Rewrite carries the governance knobs applied to each cone. Ctx is
 	// overridden per lease so a fenced lease aborts its remaining cones.
 	Rewrite rewrite.Options
+	// Span parents one child span per cone the workers rewrite, as
+	// rewrite.Outputs' rewrite span does; nil emits none.
+	Span *obs.Span
 	// IdleSleep is the base delay after ErrNoWork (doubled up to 16x).
 	// 0 selects 10ms.
 	IdleSleep time.Duration
@@ -73,6 +77,7 @@ func RunWorkers(ctx context.Context, src Source, n *netlist.Netlist, cfg WorkerC
 
 func workerLoop(ctx context.Context, src Source, n *netlist.Netlist, cfg WorkerConfig, w int) error {
 	name := workerName(cfg.ID, w)
+	rw := rewrite.NewWorker(cfg.Span)
 	idle := cfg.IdleSleep
 	// One reusable backoff timer for the whole loop; time.After here would
 	// allocate a timer per idle iteration that lives until it fires.
@@ -111,7 +116,7 @@ func workerLoop(ctx context.Context, src Source, n *netlist.Netlist, cfg WorkerC
 			continue
 		}
 		idle = cfg.IdleSleep
-		ExecuteLease(ctx, src, n, g, cfg.Rewrite)
+		ExecuteLease(ctx, src, n, g, rw, cfg.Rewrite)
 	}
 }
 
@@ -119,14 +124,15 @@ func workerName(id string, w int) string {
 	return id + "-" + string(rune('0'+w%10))
 }
 
-// ExecuteLease computes the cones of one grant and submits the results,
-// heartbeating the lease from a sidecar goroutine. A failed renewal (the
+// ExecuteLease computes the cones of one grant on w, the calling
+// goroutine's rewrite worker, and submits the results, heartbeating the
+// lease from a sidecar goroutine. A failed renewal (the
 // lease was fenced: expired, stolen whole, or the pool is gone) cancels
 // the remaining cones — continuing would be wasted work whose submission
 // is rejected anyway. Per-cone results are submitted in one envelope at
 // the end; cancelled cones are dropped, not submitted (the scheduler
 // re-queues them on expiry).
-func ExecuteLease(ctx context.Context, src Source, n *netlist.Netlist, g *Grant, ropts rewrite.Options) (SubmitReply, error) {
+func ExecuteLease(ctx context.Context, src Source, n *netlist.Netlist, g *Grant, w *rewrite.Worker, ropts rewrite.Options) (SubmitReply, error) {
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -166,7 +172,7 @@ func ExecuteLease(ctx context.Context, src Source, n *netlist.Netlist, g *Grant,
 		if lctx.Err() != nil {
 			break
 		}
-		br, _ := rewrite.RewriteCone(n, bit, ropts)
+		br, _ := w.RewriteCone(n, bit, ropts)
 		if br.Status == rewrite.StatusCancelled {
 			continue // lease fenced or worker dying: the cone re-queues
 		}
