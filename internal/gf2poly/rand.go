@@ -5,18 +5,6 @@ import (
 	"math/rand"
 )
 
-// RandomPoly returns a uniformly random polynomial of exact degree deg
-// (the x^deg coefficient is forced to 1, lower coefficients are fair coins).
-func RandomPoly(r *rand.Rand, deg int) Poly {
-	p := Monomial(deg)
-	for i := 0; i < deg; i++ {
-		if r.Intn(2) == 1 {
-			p = p.Add(Monomial(i))
-		}
-	}
-	return p
-}
-
 // RandomIrreducible samples a uniformly random irreducible polynomial of
 // degree m by rejection: the density of irreducibles among degree-m
 // polynomials with constant term 1 is about 2/m, so the expected number of

@@ -45,7 +45,9 @@ type eqnLexer struct {
 	err    error // the first lexing error; the parser's input ends before its line
 }
 
-// eqnClass classifies input bytes for the lexer.
+// eqnClass classifies input bytes for the lexer: ' ' separates tokens,
+// '=' is a one-byte token, 'i' continues a word, '\n' ends a line, '#'
+// starts a comment, and '/' starts one when another follows.
 var eqnClass = func() (c [256]byte) {
 	for _, b := range []byte(" \t\r") {
 		c[b] = ' '
@@ -56,44 +58,39 @@ var eqnClass = func() (c [256]byte) {
 	for _, b := range []byte("_[].abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789") {
 		c[b] = 'i'
 	}
+	c['\n'], c['#'], c['/'] = '\n', '#', '/'
 	return c
 }()
 
 // fill lexes lines until an unread token is available. It reports false at
-// the end of the input and from the line of the first lexing error on.
+// the end of the input and from the line of the first lexing error on,
+// whose tokens it drops, so peek can trust any unread token it holds.
 func (lx *eqnLexer) fill() bool {
 	for lx.pos >= len(lx.toks) {
 		if lx.err != nil || !lx.lexLine() {
 			return false
 		}
 	}
-	return lx.err == nil
+	if lx.err != nil {
+		lx.toks, lx.pos = lx.toks[:0], 0
+		return false
+	}
+	return true
 }
 
 // lexLine replaces lx.toks with the tokens of the next line, reporting
 // false at the end of the input. A byte outside the format separates the
-// tokens around it, and the first one sets lx.err.
+// tokens around it, and the first one sets lx.err. It reads the line once:
+// a comment, from '#' or "//", runs to the end of the line.
 func (lx *eqnLexer) lexLine() bool {
-	if lx.off == len(lx.src) {
+	src, i := lx.src, lx.off
+	if i == len(src) {
 		return false
-	}
-	line := lx.src[lx.off:]
-	if i := strings.IndexByte(line, '\n'); i >= 0 {
-		line = line[:i]
-		lx.off += i + 1
-	} else {
-		lx.off = len(lx.src)
 	}
 	lx.lineNo++
 	lx.toks, lx.pos = lx.toks[:0], 0
-	if i := strings.IndexByte(line, '#'); i >= 0 {
-		line = line[:i]
-	}
-	if i := strings.Index(line, "//"); i >= 0 {
-		line = line[:i]
-	}
-	for i := 0; i < len(line); {
-		c := line[i]
+	for i < len(src) {
+		c := src[i]
 		switch eqnClass[c] {
 		case ' ':
 			i++
@@ -102,19 +99,27 @@ func (lx *eqnLexer) lexLine() bool {
 			i++
 		case 'i':
 			j := i + 1
-			for j < len(line) && eqnClass[line[j]] == 'i' {
+			for j < len(src) && eqnClass[src[j]] == 'i' {
 				j++
 			}
-			word := line[i:j]
-			switch word {
-			case "0":
-				lx.toks = append(lx.toks, eqnToken{kind: '0', line: lx.lineNo})
-			case "1":
-				lx.toks = append(lx.toks, eqnToken{kind: '1', line: lx.lineNo})
+			switch word := src[i:j]; word {
+			case "0", "1":
+				lx.toks = append(lx.toks, eqnToken{kind: word[0], line: lx.lineNo})
 			default:
 				lx.toks = append(lx.toks, eqnToken{kind: 'i', text: word, line: lx.lineNo})
 			}
 			i = j
+		case '\n':
+			lx.off = i + 1
+			return true
+		case '#':
+			i = lx.skipComment(i)
+		case '/':
+			if i+1 < len(src) && src[i+1] == '/' {
+				i = lx.skipComment(i)
+				break
+			}
+			fallthrough
 		default:
 			if lx.err == nil {
 				lx.err = fmt.Errorf("eqn: line %d: unexpected character %q", lx.lineNo, c)
@@ -122,22 +127,34 @@ func (lx *eqnLexer) lexLine() bool {
 			i++
 		}
 	}
+	lx.off = len(src)
 	return true
 }
 
-func (lx *eqnLexer) peek() (eqnToken, bool) {
-	if !lx.fill() {
-		return eqnToken{}, false
+// skipComment returns the position of the newline that ends the comment
+// starting at i, or the end of the input.
+func (lx *eqnLexer) skipComment(i int) int {
+	if k := strings.IndexByte(lx.src[i:], '\n'); k >= 0 {
+		return i + k
 	}
-	return lx.toks[lx.pos], true
+	return len(lx.src)
+}
+
+// peekKind returns the kind of the next token, or 0 at the end of the
+// input: all the expression parser needs to choose its way.
+func (lx *eqnLexer) peekKind() byte {
+	if lx.pos < len(lx.toks) || lx.fill() {
+		return lx.toks[lx.pos].kind
+	}
+	return 0
 }
 
 func (lx *eqnLexer) next() (eqnToken, bool) {
-	t, ok := lx.peek()
-	if ok {
+	if lx.pos < len(lx.toks) || lx.fill() {
 		lx.pos++
+		return lx.toks[lx.pos-1], true
 	}
-	return t, ok
+	return eqnToken{}, false
 }
 
 func (lx *eqnLexer) expect(kind byte) (eqnToken, error) {
@@ -384,8 +401,7 @@ func (p *eqnParser) parseOr() (int, error) {
 		return 0, err
 	}
 	for {
-		t, ok := p.lx.peek()
-		if !ok || t.kind != '+' {
+		if p.lx.peekKind() != '+' {
 			return id, nil
 		}
 		p.lx.pos++
@@ -406,8 +422,7 @@ func (p *eqnParser) parseXor() (int, error) {
 		return 0, err
 	}
 	for {
-		t, ok := p.lx.peek()
-		if !ok || t.kind != '^' {
+		if p.lx.peekKind() != '^' {
 			return id, nil
 		}
 		p.lx.pos++
@@ -428,8 +443,7 @@ func (p *eqnParser) parseAnd() (int, error) {
 		return 0, err
 	}
 	for {
-		t, ok := p.lx.peek()
-		if !ok || t.kind != '*' {
+		if p.lx.peekKind() != '*' {
 			return id, nil
 		}
 		p.lx.pos++
@@ -444,11 +458,7 @@ func (p *eqnParser) parseAnd() (int, error) {
 }
 
 func (p *eqnParser) parseUnary() (int, error) {
-	t, ok := p.lx.peek()
-	if !ok {
-		return 0, fmt.Errorf("eqn: unexpected end of expression")
-	}
-	if t.kind == '!' {
+	if p.lx.peekKind() == '!' {
 		p.lx.pos++
 		id, err := p.parseUnary()
 		if err != nil {

@@ -62,7 +62,7 @@ func TestReadEQNReadErrorIsParseError(t *testing.T) {
 
 // TestReadEQNAllocationBound guards the reader's memory: it tokenizes one
 // line at a time, so parsing allocates little beyond the netlist it builds
-// (7.2 bytes per input byte for this design). A reader that tokenizes the
+// (3.5 bytes per input byte for this design). A reader that tokenizes the
 // whole file before parsing allocates 78 and fails the bound.
 func TestReadEQNAllocationBound(t *testing.T) {
 	n, err := gen.Mastrovito(64, gf2poly.MustParse("x^64+x^4+x^3+x+1"))
@@ -87,9 +87,9 @@ func TestReadEQNAllocationBound(t *testing.T) {
 }
 
 // TestReadEQNAllocationCount pins the reader's cost shape: it reads the
-// input into one string, lexes in place and presizes the netlist, name
-// index and fanin arena from the statement count, so the number of
-// allocations does not grow with the design. m=163 has 6.5 times m=64's
+// input into one string, lexes in place and presizes the netlist and its
+// fanin arena from the statement count, so the number of allocations does
+// not grow with the design. m=163 has 6.5 times m=64's
 // gates; a reader that allocates per line, per name or per gate makes tens
 // of thousands of allocations at m=64 alone.
 func TestReadEQNAllocationCount(t *testing.T) {
@@ -122,6 +122,43 @@ func TestReadEQNAllocationCount(t *testing.T) {
 	}
 	if allocs[163] > 2*allocs[64] {
 		t.Errorf("ReadEQN made %.0f allocations at m=163 against %.0f at m=64, want at most twice as many", allocs[163], allocs[64])
+	}
+}
+
+// TestReadEQNIndexHoldsPortNames pins the name index at the size of a
+// generated multiplier's ports: its gates are self-named, gate k "n<k>", and
+// resolve from their names alone, so parsing makes no hash-table probe for
+// them. An index that holds every name (54k at m=163) costs parse a cache
+// miss per name.
+func TestReadEQNIndexHoldsPortNames(t *testing.T) {
+	const m = 163
+	p, err := polytab.Default(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []struct {
+		name  string
+		build func(int, gf2poly.Poly) (*netlist.Netlist, error)
+	}{{"mastrovito", gen.Mastrovito}, {"montgomery", gen.Montgomery}} {
+		n, err := arch.build(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := n.WriteEQN(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := netlist.ReadEQN(&buf, arch.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports := len(back.Inputs()) + back.NumOutputs()
+		indexed := netlist.IndexedNames(back)
+		t.Logf("%s m=%d: %d names indexed for %d ports and %d gates", arch.name, m, indexed, ports, back.NumGates())
+		if indexed > 2*ports {
+			t.Errorf("%s m=%d: the name index holds %d names, want at most %d (twice the %d ports)",
+				arch.name, m, indexed, 2*ports, ports)
+		}
 	}
 }
 

@@ -112,6 +112,16 @@ func FuzzEqn(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Self names resolve without the hash index, every other name
+		// through it: both must find their gates.
+		for id, name := range n.names {
+			if name == "" {
+				continue
+			}
+			if got, ok := n.Lookup(n.NameOf(id)); !ok || got != id {
+				t.Fatalf("Lookup(NameOf(%d) = %q) = %d, %v", id, n.NameOf(id), got, ok)
+			}
+		}
 		roundTrip(t, n,
 			func(n *Netlist, b *bytes.Buffer) error { return n.WriteEQN(b) },
 			func(b *bytes.Buffer) (*Netlist, error) { return ReadEQN(b, "fuzz") })

@@ -11,7 +11,10 @@ import (
 // when empty. Reference id+1 is gate id, keyed by its current name
 // names[id]; a reference with aliasRef set indexes aliases, the earlier
 // names of gates that were named again, which keep resolving to their
-// gates. A probe compares tags first and only then the key string. A
+// gates. A self-named gate, gate k named "n<k>", has no slot for that
+// name: Netlist.Lookup resolves it from names[k] alone, so the index holds
+// only the other names, in a generated multiplier little more than its
+// ports. A probe compares tags first and only then the key string. A
 // tag's top bits are its home slot, so growing re-homes slots without
 // hashing a name again. The seed is per index, as Go's maps are, so a
 // submitted netlist cannot aim its names at one probe chain.
@@ -95,25 +98,40 @@ func (x *nameIndex) reserve(extra int) {
 // already names another gate, it changes nothing and reports false. The
 // gate's current name, if any, stays bound to it as an alias.
 func (x *nameIndex) set(name string, id int, names []string) bool {
-	x.reserve(1)
+	x.reserve(2) // name, and the gate's self name if set retires one
 	i, tag, found := x.find(name, names)
 	if found {
 		if _, other := x.key(uint32(x.slots[i]), names); other != id {
 			return false
 		}
 	}
-	if cur := names[id]; cur != "" && cur != name {
-		// cur's slot is about to lose its key; re-key it as an alias. It may
-		// be one already, when cur was itself bound through an alias.
-		j, _, _ := x.find(cur, names)
-		if ref := uint32(x.slots[j]); ref&aliasRef == 0 {
-			x.slots[j] = x.slots[j]&^(1<<32-1) | uint64(aliasRef|len(x.aliases))
-			x.aliases = append(x.aliases, nameAlias{cur, id})
-		}
+	if cur := names[id]; cur != "" && cur != name && x.retire(cur, id, names) {
+		i, tag, _ = x.find(name, names)
 	}
 	if !found {
 		x.slots[i] = tag<<32 | uint64(id+1)
 		x.used++
 	}
 	return true
+}
+
+// retire keeps name, the current name of gate id that the caller is about
+// to replace, bound to the gate as an alias. It reports whether that took
+// a new slot, which happens when name was a self name the index never held.
+func (x *nameIndex) retire(name string, id int, names []string) bool {
+	x.reserve(1)
+	j, tag, found := x.find(name, names)
+	if !found {
+		x.slots[j] = tag<<32 | uint64(aliasRef|len(x.aliases))
+		x.aliases = append(x.aliases, nameAlias{name, id})
+		x.used++
+		return true
+	}
+	// name's slot is about to lose its key; re-key it as an alias. It may
+	// be one already, when name was itself bound through an alias.
+	if ref := uint32(x.slots[j]); ref&aliasRef == 0 {
+		x.slots[j] = x.slots[j]&^(1<<32-1) | uint64(aliasRef|len(x.aliases))
+		x.aliases = append(x.aliases, nameAlias{name, id})
+	}
+	return false
 }

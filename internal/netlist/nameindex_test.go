@@ -1,9 +1,11 @@
 package netlist_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/galoisfield/gfre/internal/netlist"
@@ -170,5 +172,137 @@ func TestNameIndexKeepsEveryNameOfARenamedGate(t *testing.T) {
 	}
 	if id, ok := n.Lookup("b"); !ok || id != b {
 		t.Errorf("Lookup(b) = %d, %v after refused renames; want %d", id, ok, b)
+	}
+}
+
+// TestSelfNameRejectsDuplicatesBothWays checks the duplicate rule for self
+// names, a gate's own "n<id>", which take no slot in the name index: "n5"
+// cannot go to gate 7 while gate 5 carries it as its self name, nor to
+// gate 5 while gate 7 carries it.
+func TestSelfNameRejectsDuplicatesBothWays(t *testing.T) {
+	build := func() *netlist.Netlist {
+		n := netlist.New("dup")
+		a, _ := n.AddInput("a")
+		b, _ := n.AddInput("b")
+		for range 6 {
+			if _, err := n.AddGate(netlist.Xor, a, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	n := build()
+	if err := n.SetSignalName(5, "n5"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetSignalName(7, "n5"); err == nil {
+		t.Error("gate 7 took n5, gate 5's self name")
+	}
+	if id, ok := n.Lookup("n5"); !ok || id != 5 {
+		t.Errorf("Lookup(n5) = %d, %v; want 5", id, ok)
+	}
+	if got := n.NameOf(7); got != "n7" {
+		t.Errorf("NameOf(7) = %q after the refused rename, want n7", got)
+	}
+
+	n = build()
+	if err := n.SetSignalName(7, "n5"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetSignalName(5, "n5"); err == nil {
+		t.Error("gate 5 took n5, the name gate 7 carries")
+	}
+	if id, ok := n.Lookup("n5"); !ok || id != 7 {
+		t.Errorf("Lookup(n5) = %d, %v; want 7", id, ok)
+	}
+	if got := n.NameOf(5); got != "n5_1" {
+		t.Errorf("NameOf(5) = %q, want n5_1 beside gate 7's n5", got)
+	}
+}
+
+// TestRenamedSelfNamedGateKeepsItsName checks that a self name a gate is
+// renamed away from keeps resolving to the gate, as any earlier name does,
+// and stays refused to other gates.
+func TestRenamedSelfNamedGateKeepsItsName(t *testing.T) {
+	n := netlist.New("rename-self")
+	a, _ := n.AddInput("a")
+	b, _ := n.AddInput("b")
+	g, _ := n.AddGate(netlist.Xor, a, b)
+	h, _ := n.AddGate(netlist.And, a, b)
+	for _, name := range []string{"n2", "sum", "n2", "p"} {
+		if err := n.SetSignalName(g, name); err != nil {
+			t.Fatalf("SetSignalName(g, %q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"n2", "sum", "p"} {
+		if id, ok := n.Lookup(name); !ok || id != g {
+			t.Errorf("Lookup(%q) = %d, %v; want %d", name, id, ok, g)
+		}
+		if err := n.SetSignalName(h, name); err == nil {
+			t.Errorf("SetSignalName(h, %q) accepted a name gate %d carries", name, g)
+		}
+	}
+	if got := n.NameOf(g); got != "p" {
+		t.Errorf("NameOf(g) = %q, want p", got)
+	}
+}
+
+// TestRoundTripWithShiftedSelfNames writes a netlist whose complex cell
+// and constant expand, on reading back, into more gates than they were:
+// the names "n3" to "n6" that WriteEQN gives their gates then land on
+// other IDs, so they are not self names of the netlist read back and go
+// through the name index. Reading, writing and reading again must keep
+// every name and the function.
+func TestRoundTripWithShiftedSelfNames(t *testing.T) {
+	n := netlist.New("shift")
+	a, _ := n.AddInput("a")
+	b, _ := n.AddInput("b")
+	c, _ := n.AddInput("c")
+	aoi, _ := n.AddGate(netlist.Aoi21, a, b, c) // n3 = !(a * b + c)
+	one, _ := n.AddGate(netlist.Const1)         // n4 = 1
+	x, _ := n.AddGate(netlist.Xor, aoi, a)      // n5 = n3 ^ a
+	y, _ := n.AddGate(netlist.And, x, one)      // n6 = n5 * n4
+	if err := n.MarkOutput("z", y); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.WriteEQN(&buf); err != nil {
+		t.Fatal(err)
+	}
+	first := buf.String()
+	back, err := netlist.ReadEQN(strings.NewReader(first), "shift")
+	if err != nil {
+		t.Fatalf("read back: %v\n%s", err, first)
+	}
+	for _, name := range []string{"n3", "n4", "n5", "n6"} {
+		id, ok := back.Lookup(name)
+		if !ok {
+			t.Fatalf("Lookup(%q) failed after the round trip\n%s", name, first)
+		}
+		if k, _ := strconv.Atoi(name[1:]); id == k {
+			t.Errorf("test premise: %s is gate %d again, a self name", name, id)
+		}
+		if got := back.NameOf(id); got != name {
+			t.Errorf("NameOf(%d) = %q, want %q", id, got, name)
+		}
+	}
+	buf.Reset()
+	if err := back.WriteEQN(&buf); err != nil {
+		t.Fatal(err)
+	}
+	again, err := netlist.ReadEQN(&buf, "shift")
+	if err != nil {
+		t.Fatalf("second read back: %v\n%s", err, buf.String())
+	}
+	words := []uint64{0xf0f0, 0xcccc, 0xaaaa}
+	for _, m := range []*netlist.Netlist{back, again} {
+		v1, _ := n.Simulate(words)
+		v2, err := m.Simulate(words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.OutputWords(v2)[0]&0xffff, n.OutputWords(v1)[0]&0xffff; got != want {
+			t.Errorf("round trip changed z: %#x, want %#x", got, want)
+		}
 	}
 }

@@ -226,12 +226,12 @@ type gate struct {
 	nfan uint8 // fanin count; at most maxLutInputs
 }
 
-// reserve presizes the netlist for gates more gates, each named and with
-// two fanins on average.
+// reserve presizes the netlist for gates more gates with two fanins on
+// average. The name index is left to grow with the names it holds: the
+// self names of a generated design, nearly all of them, take no slot.
 func (n *Netlist) reserve(gates int) {
 	n.gates = slices.Grow(n.gates, gates)
 	n.names = slices.Grow(n.names, gates)
-	n.index.reserve(gates)
 	n.fanins = slices.Grow(n.fanins, 2*gates)
 }
 
@@ -304,18 +304,18 @@ func (n *Netlist) NameOf(id int) string {
 
 // synthesizedID reports whether name is "n<id>", the name NameOf
 // synthesizes for an anonymous gate id. Unlike strconv.Atoi, which builds
-// an error for every name it rejects, it never allocates.
+// an error for every name it rejects, it never allocates. It reads at most
+// 18 digits: no netlist has 10^18 gates, so a longer number names none.
 func synthesizedID(name string) (int, bool) {
-	if len(name) < 2 || name[0] != 'n' || name[1] == '0' && len(name) > 2 {
+	if len(name) < 2 || len(name) > 19 || name[0] != 'n' || name[1] == '0' && len(name) > 2 {
 		return 0, false
 	}
 	id := 0
 	for _, c := range []byte(name[1:]) {
-		d := int(c - '0')
-		if c < '0' || c > '9' || id > (math.MaxInt-d)/10 {
+		if c-'0' > 9 {
 			return 0, false
 		}
-		id = id*10 + d
+		id = id*10 + int(c-'0')
 	}
 	return id, true
 }
@@ -340,8 +340,12 @@ func (n *Netlist) isShadowed(id int) bool {
 	return w < len(n.shadowed) && n.shadowed[w]>>uint(id&63)&1 == 1
 }
 
-// Lookup resolves a signal name to its gate ID.
+// Lookup resolves a signal name to its gate ID. A self name, gate k's own
+// "n<k>", resolves from names[k] without a probe into the name index.
 func (n *Netlist) Lookup(name string) (int, bool) {
+	if k, ok := synthesizedID(name); ok && k < len(n.names) && n.names[k] == name {
+		return k, true
+	}
 	return n.index.lookup(name, n.names)
 }
 
@@ -354,18 +358,51 @@ func (n *Netlist) Outputs() []int { return append([]int(nil), n.outputs...) }
 // OutputNames returns the primary output names in port order.
 func (n *Netlist) OutputNames() []string { return append([]string(nil), n.outputNames...) }
 
+// NumOutputs returns the number of primary outputs.
+func (n *Netlist) NumOutputs() int { return len(n.outputs) }
+
+// Output returns the gate ID driving primary output i, as Outputs()[i]
+// does without copying the port list.
+func (n *Netlist) Output(i int) int { return n.outputs[i] }
+
+// OutputName returns the name of primary output i, as OutputNames()[i]
+// does without copying the port list.
+func (n *Netlist) OutputName(i int) string { return n.outputNames[i] }
+
+// setName makes name gate id's name. A self name, the gate's own "n<id>",
+// takes no slot in the name index. The index can hold it only for another
+// gate, which shadowed then marks, or as an alias gate id kept when it was
+// renamed, which only a named gate has; otherwise setName does not probe.
 func (n *Netlist) setName(id int, name string) error {
 	if name == "" {
 		return nil
 	}
-	if !n.index.set(name, id, n.names) {
-		return fmt.Errorf("netlist: duplicate signal name %q", name)
+	k, synth := synthesizedID(name)
+	switch {
+	case synth && k < len(n.names) && n.names[k] == name:
+		if k != id {
+			return fmt.Errorf("netlist: duplicate signal name %q", name)
+		}
+		return nil
+	case synth && k == id:
+		if n.names[id] != "" || n.isShadowed(id) {
+			if other, ok := n.index.lookup(name, n.names); ok && other != id {
+				return fmt.Errorf("netlist: duplicate signal name %q", name)
+			}
+		}
+		if cur := n.names[id]; cur != "" {
+			n.index.retire(cur, id, n.names)
+		}
+	default:
+		if !n.index.set(name, id, n.names) {
+			return fmt.Errorf("netlist: duplicate signal name %q", name)
+		}
+		if synth {
+			n.shadow(k)
+		}
 	}
 	n.names[id] = name
 	n.digest = ""
-	if k, ok := synthesizedID(name); ok && k != id {
-		n.shadow(k)
-	}
 	return nil
 }
 
@@ -605,6 +642,15 @@ func (n *Netlist) ConeSizes() []int {
 	defer n.coneMu.Unlock()
 	n.indexCones()
 	return slices.Clone(n.coneSizes)
+}
+
+// ConeSize returns the size of output i's cone, as ConeSizes()[i] does
+// without copying the sizes: a per-cone caller pays O(1), not O(m).
+func (n *Netlist) ConeSize(i int) int {
+	n.coneMu.Lock()
+	defer n.coneMu.Unlock()
+	n.indexCones()
+	return n.coneSizes[i]
 }
 
 // Reachable returns a bitset over gate IDs: bit id (word id/64, bit id%64)

@@ -32,9 +32,6 @@ var NIST = map[int]gf2poly.Poly{
 	571: gf2poly.MustParse("x^571+x^10+x^5+x^2+1"),
 }
 
-// NISTSizes lists the bit widths of the NIST table in ascending order.
-var NISTSizes = []int{64, 96, 163, 233, 283, 409, 571}
-
 // ArchPoly is an irreducible polynomial recommended as optimal for a
 // particular microprocessor architecture (Table IV; from M. Scott, "Optimal
 // irreducible polynomials for GF(2^m) arithmetic", 2007).

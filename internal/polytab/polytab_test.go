@@ -7,8 +7,11 @@ import (
 	"github.com/galoisfield/gfre/internal/gf2poly"
 )
 
+// nistSizes lists the bit widths of the NIST table in ascending order.
+var nistSizes = []int{64, 96, 163, 233, 283, 409, 571}
+
 func TestNISTTableIrreducible(t *testing.T) {
-	for _, m := range NISTSizes {
+	for _, m := range nistSizes {
 		p, ok := NIST[m]
 		if !ok {
 			t.Fatalf("NIST table missing m=%d", m)
@@ -268,7 +271,7 @@ func TestNISTTableBerlekampCrossCheck(t *testing.T) {
 			t.Errorf("%s: algorithms disagree on corrupted %v", name, bad)
 		}
 	}
-	for _, m := range NISTSizes {
+	for _, m := range nistSizes {
 		check(fmt.Sprintf("NIST[%d]", m), NIST[m])
 	}
 	for _, ap := range Arch233 {

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -56,6 +57,57 @@ func TestRewriteAllocsPerSubstitution(t *testing.T) {
 			t.Errorf("%s m=64: %.2f heap allocations per substitution, want <= %d",
 				tc.arch, per, maxAllocsPerSubstitution)
 		}
+	}
+}
+
+// TestRewriteConeBytesIndependentOfM checks that a worker rewriting one
+// leased cone allocates for that cone alone: the same two-input cone, read
+// from netlists with 64 and 163 outputs, costs the same bytes per call. A
+// worker that copies the netlist's port lists or cone sizes per cone pays
+// O(m) per lease, O(m²) per sharded extraction.
+func TestRewriteConeBytesIndependentOfM(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard: the race detector allocates on its own")
+	}
+	const runs = 50
+	perCall := map[int]uint64{}
+	for _, m := range []int{64, 163} {
+		// Output 0 is a0 ^ a1, gate 2 in both netlists; the other m-1
+		// outputs only widen the netlist's port lists and cone sizes.
+		n := netlist.New("wide")
+		prev, _ := n.AddInput("a0")
+		for i := 1; i <= m; i++ {
+			in, err := n.AddInput(fmt.Sprintf("a%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := n.AddGate(netlist.Xor, prev, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.MarkOutput(fmt.Sprintf("z%d", i-1), g); err != nil {
+				t.Fatal(err)
+			}
+			prev = in
+		}
+		w := NewWorker(nil)
+		if _, err := w.RewriteCone(n, 0, Options{}); err != nil { // fills the cone index memo
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := w.RewriteCone(n, 0, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCall[m] = (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("m=%d: RewriteCone of a 3-gate cone allocated %d bytes per call", m, perCall[m])
+	}
+	if perCall[163] > perCall[64] {
+		t.Errorf("RewriteCone allocated %d bytes per cone at m=163 against %d at m=64, want no more", perCall[163], perCall[64])
 	}
 }
 

@@ -40,15 +40,14 @@ func NewWorker(span *obs.Span) *Worker { return &Worker{span: span} }
 // cancellation is involved: this is exactly one cone, for callers (the
 // shard scheduler, remote gfred peers) that do their own scheduling.
 func (w *Worker) RewriteCone(n *netlist.Netlist, bit int, opts Options) (BitResult, error) {
-	outs := n.Outputs()
-	if bit < 0 || bit >= len(outs) {
-		return BitResult{}, fmt.Errorf("rewrite: output bit %d out of range (netlist has %d outputs)", bit, len(outs))
+	if bit < 0 || bit >= n.NumOutputs() {
+		return BitResult{}, fmt.Errorf("rewrite: output bit %d out of range (netlist has %d outputs)", bit, n.NumOutputs())
 	}
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	br, err, _ := w.runCone(ctx, n, bit, outs[bit], n.OutputNames()[bit], n.ConeSizes()[bit], opts, newHooks(opts.Recorder))
+	br, err, _ := w.runCone(ctx, n, bit, n.Output(bit), n.OutputName(bit), n.ConeSize(bit), opts, newHooks(opts.Recorder))
 	return br, err
 }
 
