@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		infer     = fs.Bool("infer", false, "infer operand partition, bit order and output order from the expressions (for scrambled/anonymized netlists)")
 		noVerify  = fs.Bool("no-verify", false, "skip the golden-model equivalence check")
 		simulate  = fs.Int("simulate", 0, "additionally cross-check with N*64 random simulation vectors")
-		stats     = fs.Bool("stats", false, "print per-output-bit rewriting statistics")
+		stats     = fs.Bool("stats", false, "print per-output-bit rewriting statistics (with -json: each bit's final term count, its cost being in the trace)")
 		trace     = fs.String("trace", "", "print the Figure-3-style rewriting trace for this output (small designs)")
 		quiet     = fs.Bool("quiet", false, "print only the recovered polynomial")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON (includes the span tree of the run)")
@@ -278,15 +278,13 @@ exit codes:
 	}
 
 	if *jsonOut {
+		// Each cone's cost (cone_gates, subst, peak_terms, cancelled) and
+		// wall time are its rewrite child span's in the trace; bits carries
+		// only what the cone answered.
 		type bitJSON struct {
-			Bit            int     `json:"bit"`
-			Name           string  `json:"name"`
-			ConeGates      int     `json:"cone_gates"`
-			Substitutions  int     `json:"substitutions"`
-			PeakTerms      int     `json:"peak_terms"`
-			FinalTerms     int     `json:"final_terms"`
-			Cancelled      int     `json:"cancelled"`
-			RuntimeSeconds float64 `json:"runtime_seconds"`
+			Bit        int    `json:"bit"`
+			Name       string `json:"name"`
+			FinalTerms int    `json:"final_terms"`
 		}
 		type lintJSON struct {
 			Errors               int    `json:"errors"`
@@ -336,12 +334,7 @@ exit codes:
 		}
 		if *stats {
 			for _, b := range ext.Rewrite.Bits {
-				report.Bits = append(report.Bits, bitJSON{
-					Bit: b.Bit, Name: b.Name, ConeGates: b.ConeGates,
-					Substitutions: b.Substitutions, PeakTerms: b.PeakTerms,
-					FinalTerms: b.FinalTerms, Cancelled: b.Cancelled,
-					RuntimeSeconds: b.Runtime.Seconds(),
-				})
+				report.Bits = append(report.Bits, bitJSON{Bit: b.Bit, Name: b.Name, FinalTerms: b.FinalTerms})
 			}
 		}
 		enc := json.NewEncoder(stdout)

@@ -422,7 +422,7 @@ func TestRunProgressAndMetrics(t *testing.T) {
 	if counts["heap"] == 0 {
 		t.Errorf("no heap samples in %v", counts)
 	}
-	for _, phase := range []string{"parse", "preflight", "cone-index", "rewrite", "extract", "golden-model", "verify"} {
+	for _, phase := range []string{"parse", "preflight", "rewrite", "extract", "golden-model", "verify"} {
 		if !spans[phase] {
 			t.Errorf("phase span %q missing from event stream (have %v)", phase, spans)
 		}
@@ -458,8 +458,8 @@ func TestRunJSONTraceNests(t *testing.T) {
 				Verified   bool   `json:"verified"`
 				Threads    int    `json:"threads"`
 				Bits       []struct {
-					PeakTerms  int `json:"peak_terms"`
-					FinalTerms int `json:"final_terms"`
+					Name       string `json:"name"`
+					FinalTerms int    `json:"final_terms"`
 				} `json:"bits"`
 				Trace []*gfre.TraceNode `json:"trace"`
 			}
@@ -475,21 +475,16 @@ func TestRunJSONTraceNests(t *testing.T) {
 			if len(rep.Bits) != m {
 				t.Errorf("bits = %d, want %d", len(rep.Bits), m)
 			}
-			for i, b := range rep.Bits {
-				if b.FinalTerms <= 0 || b.FinalTerms > b.PeakTerms {
-					t.Errorf("bit %d: final_terms %d, peak_terms %d", i, b.FinalTerms, b.PeakTerms)
-				}
-			}
 			got := map[string]bool{}
-			cones := map[string]int{} // per-cone children of the rewrite span
+			cones := map[string]int{}              // per-cone children of the rewrite span
+			costs := map[string]map[string]int64{} // their attrs: each cone's cost
 			var walk func(n *gfre.TraceNode)
 			walk = func(n *gfre.TraceNode) {
 				got[n.Name] = true
 				if n.Name == "rewrite" {
 					for _, c := range n.Children {
-						if c.Name != "cone-index" {
-							cones[c.Name]++
-						}
+						cones[c.Name]++
+						costs[c.Name] = c.Attrs
 					}
 				}
 				if n.Start < 0 || n.Duration < 0 {
@@ -517,6 +512,14 @@ func TestRunJSONTraceNests(t *testing.T) {
 			for name, k := range cones {
 				if k != 1 {
 					t.Errorf("cone %s has %d spans under rewrite, want 1", name, k)
+				}
+			}
+			// Each cone's cost is written once, in its span: bits carries
+			// the answer only.
+			for i, b := range rep.Bits {
+				c := costs[b.Name]
+				if b.FinalTerms <= 0 || int64(b.FinalTerms) > c["peak_terms"] || c["cone_gates"] <= 0 || c["subst"] <= 0 {
+					t.Errorf("bit %d (%s): final_terms %d, cone span attrs %v", i, b.Name, b.FinalTerms, c)
 				}
 			}
 		})

@@ -160,14 +160,9 @@ func TestCommittedBENCHFiles(t *testing.T) {
 					SuggestedBudgetTerms int    `json:"suggested_budget_terms"`
 				} `json:"lint"`
 				Bits []struct {
-					Bit            int     `json:"bit"`
-					Name           string  `json:"name"`
-					ConeGates      int     `json:"cone_gates"`
-					Substitutions  int     `json:"substitutions"`
-					PeakTerms      int     `json:"peak_terms"`
-					FinalTerms     int     `json:"final_terms"`
-					Cancelled      int     `json:"cancelled"`
-					RuntimeSeconds float64 `json:"runtime_seconds"`
+					Bit        int    `json:"bit"`
+					Name       string `json:"name"`
+					FinalTerms int    `json:"final_terms"`
 				} `json:"bits"`
 				Trace     []*gfre.TraceNode `json:"trace"`
 				Diagnosis *gfre.Diagnosis   `json:"diagnosis"`
@@ -199,6 +194,18 @@ func TestCommittedBENCHFiles(t *testing.T) {
 				phases := map[string]bool{}
 				for _, c := range root.Children {
 					phases[c.Name] = true
+					if c.Name != "rewrite" {
+						continue
+					}
+					// Each cone's cost is in its span, and only there.
+					if len(c.Children) != m {
+						t.Errorf("rewrite span has %d per-cone children, want %d", len(c.Children), m)
+					}
+					for _, cone := range c.Children {
+						if cone.Attrs["cone_gates"] <= 0 || cone.Attrs["subst"] <= 0 || cone.Attrs["peak_terms"] <= 0 {
+							t.Errorf("cone %s: attrs %v lack its cost", cone.Name, cone.Attrs)
+						}
+					}
 				}
 				for _, want := range []string{"preflight", "rewrite", "extract", "golden-model", "verify"} {
 					if !phases[want] {

@@ -579,3 +579,36 @@ func TestEachSupportVarStops(t *testing.T) {
 		t.Errorf("EachSupportVar called yield %d times after it returned false, want 2", seen)
 	}
 }
+
+// TestVariableSizedMatchesVariable runs the same random substitution chains
+// from Variable and from VariableSized with presizes smaller, equal and
+// larger than the chain needs: the terms, occurrence counts and compacted
+// copies must agree, and TableSize must report at least the monomials kept.
+func TestVariableSizedMatchesVariable(t *testing.T) {
+	r := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < 200; trial++ {
+		root := Var(7 + r.Intn(3))
+		plain := Variable(root)
+		sized := VariableSized(root, r.Intn(4)*r.Intn(64), r.Intn(4)*r.Intn(128))
+		for s := 1 + r.Intn(8); s > 0; s-- {
+			v := Var(1 + r.Intn(9))
+			e := randPoly(r, 6, 1+r.Intn(8))
+			if e.ContainsVar(v) {
+				continue
+			}
+			plain.Substitute(v, e)
+			sized.Substitute(v, e)
+		}
+		if !sized.Equal(plain) || sized.String() != plain.String() || sized.Compact().String() != plain.String() {
+			t.Fatalf("trial %d: presized %v, plain %v", trial, sized, plain)
+		}
+		for v := Var(1); v <= 9; v++ {
+			if sized.VarOccurrences(v) != plain.VarOccurrences(v) {
+				t.Fatalf("trial %d: VarOccurrences(%d) presized %d, plain %d", trial, v, sized.VarOccurrences(v), plain.VarOccurrences(v))
+			}
+		}
+		if monos, _ := sized.TableSize(); monos < sized.Len() {
+			t.Fatalf("trial %d: TableSize reports %d monomials for %d terms", trial, monos, sized.Len())
+		}
+	}
+}

@@ -54,6 +54,26 @@ func newPolyState(hint, arena int, seed uint64) *poly {
 	return p
 }
 
+// TableSize reports how far p's tables grew: the monomials ever interned and
+// their variable occurrences, for presizing a polynomial expected to grow
+// alike (VariableSized).
+func (p Poly) TableSize() (monos, arena int) {
+	if p.p == nil {
+		return 0, 0
+	}
+	return p.p.tab.count(), len(p.p.tab.arena)
+}
+
+// VariableSized returns Variable(v) with tables presized for about monos
+// monomials over arena variable occurrences.
+func VariableSized(v Var, monos, arena int) Poly {
+	p := Poly{p: newPolyState(monos, arena, 0)}
+	p.p.words = make([]uint64, 0, (monos+63)/64)
+	p.p.listed = make([]bool, 0, monos)
+	p.Toggle(NewMono(v))
+	return p
+}
+
 // FromMonos builds a polynomial as the XOR of the given monomials
 // (duplicates cancel in pairs).
 func FromMonos(monos ...Mono) Poly {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestExtractPhaseSpans: a full verified extraction must record the whole
-// pipeline's phase breakdown — cone-index, rewrite, extract, golden-model and
-// verify — and leave one bit_start/bit_finish pair per output bit in the
+// pipeline's phase breakdown — rewrite, extract, golden-model and verify —
+// and leave one bit_start/bit_finish pair per output bit in the
 // event stream.
 func TestExtractPhaseSpans(t *testing.T) {
 	p, err := polytab.Default(8)
@@ -35,7 +35,7 @@ func TestExtractPhaseSpans(t *testing.T) {
 	for _, sp := range rec.Spans() {
 		got[sp.Name]++
 	}
-	for _, phase := range []string{"cone-index", "rewrite", "extract", "golden-model", "verify"} {
+	for _, phase := range []string{"rewrite", "extract", "golden-model", "verify"} {
 		if got[phase] != 1 {
 			t.Errorf("phase %q recorded %d times, want 1 (all: %v)", phase, got[phase], got)
 		}

@@ -20,15 +20,7 @@ func preflight(n *netlist.Netlist, opts *Options) (*netlint.Report, error) {
 	span := opts.Recorder.StartSpan("preflight", map[string]int64{
 		"gates": int64(n.NumGates()),
 	})
-	// Analyze builds the cone index beside its rules; it gets a span of its
-	// own here, and rewriting reuses the memoized sizes.
-	rep := netlint.Analyze(n, netlint.Options{
-		RequireMultiplier: true,
-		TraceConeIndex: func() func() {
-			idx := opts.Recorder.StartSpan("cone-index", nil)
-			return func() { idx.End() }
-		},
-	})
+	rep := netlint.Analyze(n, netlint.Options{RequireMultiplier: true})
 	span.End()
 	if err := rep.Err(); err != nil {
 		return rep, err

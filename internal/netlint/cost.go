@@ -12,8 +12,7 @@ type ConeCost struct {
 	// Output is the output bit position; Name its signal name.
 	Output int    `json:"output"`
 	Name   string `json:"name"`
-	// Gates is the fanin-cone size (gates + inputs), Depth its logic depth.
-	Gates int `json:"gates"`
+	// Depth is the logic depth of the output's driving gate.
 	Depth int `json:"depth"`
 	// PredictedPeakTerms is an upper bound on the ANF term count reached
 	// while rewriting this cone: the smaller of the syntactic
@@ -50,14 +49,17 @@ const (
 	budgetFloor   = 4096
 	budgetCeil    = 1 << 26
 	deadlineFloor = 60 * time.Second
-	// deadlinePerGate scales the per-cone deadline with cone size.
-	// Recalibrated for the packed ANF core: the worst m=64 Montgomery cone
-	// now rewrites in 2.9ms over ~8500 cone gates (~0.34us/gate, was ~18us
-	// under the string-keyed core whose straggler bits ran 151ms), so 2ms
-	// per gate still leaves >5000x headroom for slow machines and
-	// pathological-but-legitimate designs while halving the auto-deadline
-	// the old 5ms constant suggested on large multipliers.
-	deadlinePerGate = 2 * time.Millisecond
+	// deadlinePerTermLevel scales the per-cone deadline with the cone's
+	// depth times its predicted peak: a substitution costs about the live
+	// terms it touches, and a deeper cone takes more of them. No cone of
+	// the Mastrovito and Montgomery designs at m=64, 233 and 571 took more
+	// than 0.8us per level·peak term (the small m=64 Mastrovito cones,
+	// where per-cone overhead dominates; EXPERIMENTS.md), so 20us leaves
+	// 25 times that on top of the floor for slow machines and odd designs.
+	deadlinePerTermLevel = 20 * time.Microsecond
+	// deadlineCeil caps the suggestion: a predicted peak near costCap says
+	// nothing about time, and no legitimate cone comes near it.
+	deadlineCeil = 30 * time.Minute
 )
 
 // satAdd / satMul keep the estimate inside [0, costCap].
@@ -68,14 +70,11 @@ func satAdd(a, b int) int {
 	return costCap
 }
 
+// Operands are themselves saturated estimates or small constants, at most
+// a few times costCap, so the product fits in 64 bits and no division is
+// needed: gateBound multiplies once per AND gate.
 func satMul(a, b int) int {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > costCap/b {
-		return costCap
-	}
-	return a * b
+	return min(a*b, costCap)
 }
 
 // mixSlack pads the semantic degree bound for intermediate rewriting states:
@@ -189,16 +188,12 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 		return nil, 0, 0
 	}
 	bounds := c.scan.bounds
-	c.indexCones()
-	sizes := c.N.ConeSizes() // the netlist's cone index, shared with rewrite
+	levels := c.N.OutputLevels() // filled by the context sweep
 	names := c.N.OutputNames()
 	sems := c.Sem()
-	maxPeak, maxGates := 0, 0
+	maxPeak, maxWork := 0, 0
 	for i, id := range outs {
-		depth := 0
-		if id < len(c.Levels) {
-			depth = int(c.Levels[id])
-		}
+		depth := levels[i]
 		of := sems.Outputs[i]
 		peak, method := int(bounds[id]), "term-bound"
 		if db := degreeBound(of.SupportSize, of.DegTot); db < peak {
@@ -206,7 +201,6 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 		}
 		cc := ConeCost{
 			Output:             i,
-			Gates:              sizes[i],
 			Depth:              depth,
 			PredictedPeakTerms: peak,
 			Saturated:          peak >= costCap,
@@ -222,9 +216,7 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 		if cc.PredictedPeakTerms > maxPeak {
 			maxPeak = cc.PredictedPeakTerms
 		}
-		if cc.Gates > maxGates {
-			maxGates = cc.Gates
-		}
+		maxWork = max(maxWork, max(depth, 1)*peak)
 	}
 	// Budget: slack over the worst predicted peak, clamped. A saturated
 	// estimate keeps the cap — the point is to abort, not to admit.
@@ -238,7 +230,10 @@ func predictCones(c *Context) (cones []ConeCost, budget int, deadlineMS int64) {
 	if budget > budgetCeil {
 		budget = budgetCeil
 	}
-	deadline := deadlineFloor + time.Duration(maxGates)*deadlinePerGate
+	deadline := deadlineCeil
+	if maxPeak < costCap && maxWork < int((deadlineCeil-deadlineFloor)/deadlinePerTermLevel) {
+		deadline = deadlineFloor + time.Duration(maxWork)*deadlinePerTermLevel
+	}
 	return cones, budget, int64(deadline / time.Millisecond)
 }
 
@@ -249,14 +244,11 @@ func checkConeCost(c *Context) []Finding {
 	if len(cones) == 0 {
 		return nil
 	}
-	maxPeak, maxGates, maxDepth := 0, 0, 0
+	maxPeak, maxDepth := 0, 0
 	var saturated []int
 	for _, cc := range cones {
 		if cc.PredictedPeakTerms > maxPeak {
 			maxPeak = cc.PredictedPeakTerms
-		}
-		if cc.Gates > maxGates {
-			maxGates = cc.Gates
 		}
 		if cc.Depth > maxDepth {
 			maxDepth = cc.Depth
@@ -267,8 +259,8 @@ func checkConeCost(c *Context) []Finding {
 	}
 	fs := []Finding{{
 		Rule: "cone-cost", Severity: c.severityOf("cone-cost"),
-		Message: fmt.Sprintf("%d output cones: max %d gates, depth %d, predicted peak %d terms; suggested -budget %d, -cone-timeout %s",
-			len(cones), maxGates, maxDepth, maxPeak, budget, time.Duration(deadlineMS)*time.Millisecond),
+		Message: fmt.Sprintf("%d output cones: depth %d, predicted peak %d terms; suggested -budget %d, -cone-timeout %s",
+			len(cones), maxDepth, maxPeak, budget, time.Duration(deadlineMS)*time.Millisecond),
 	}}
 	if len(saturated) > 0 {
 		fs = append(fs, Finding{

@@ -21,30 +21,32 @@ import (
 )
 
 // reportGolden holds, per design, the SHA-256 of its lint report's JSON
-// with analysis_micros zeroed, as the semantic sweep produced it when its
-// Result still kept every gate's facts. A Result that keeps only what its
-// readers query must leave every report byte for byte as it was.
+// with analysis_micros zeroed and the fields maskReport names blanked, as
+// the analysis produced it when its semantic Result still kept every
+// gate's facts and it still counted structural cone sizes. A Result that
+// keeps only what its readers query, and a cone table without gate counts,
+// must leave every other report byte as it was.
 var reportGolden = map[string]string{
-	"digitserial8_mapped.eqn":         "7c3b1110b3ed6ead8df653f149f897150613855c092c57ebe37389611e2595ab",
-	"karatsuba16_syn.v":               "377d24b288b46d4c7a5b2aad55827f1f035013f4f9860c64a47cc592df9885a9",
-	"mastrovito16.eqn":                "22f09bdbcc6d33240c89f45f9a4d78f4155d4719d3da140b7622619148aa8d9c",
-	"montgomery12.blif":               "3c0e1794b2fa86890cd502aa323515d13c57225a6c062d1d2a49fb675cebb9c4",
-	"scrambled16.eqn":                 "d3433f860e59d6c71398e0818dce9f1f9a140c1bd6e44794011553d23c30809f",
-	"trojan8.eqn":                     "27f3debf2e0ef5a1e24794a9954eb54a1c3fa013090a2290b78df87f3100434d",
-	"lint/cyclic8.eqn":                "1651311ea6ac25501f5807a0874ad256194ff135d0b24e870361eaaf8cd7fd8d",
-	"lint/deadgate8.eqn":              "d82375f8416cc25da595a6f9d32032422b56b9b42657044df89e62926fbece88",
-	"lint/keyopaque8.eqn":             "921a6665804d0bd3155221f39e2ee8bb7213ad4ddbce15a3cee8067a014cb3ec",
-	"lint/keyxor8.eqn":                "6e415d587389b5df2b33d727d233e9068e380702db7c61ab35fc08835d369f04",
-	"lint/multidriven8.eqn":           "9141a48710a089de69c07ade0acf9ccd3015de35340eb54e517bc126ba207e38",
-	"mastrovito/m=163":                "07552b2b2049cfd2097313794cbab8bcb55534569c2d193e0674e87513c6dcee",
-	"mastrovito/m=233":                "c26500aea63a1c7c2c089bbd00e98e9e8c48afded151aae6b5dbbdccfb41e97a",
-	"mastrovito/m=283":                "48af1678c7cb825bc9729662b079d15f3530693fc64348ed7841b536b374f6e0",
-	"mastrovito/m=409":                "8c55c58d342f9665d0fb2f10e9764642beb8cf8d98a947634d5aa4f00eda30fa",
-	"montgomery/m=163":                "7d00f36b2091d0675ba21d144e583a414da80119d29965f2d1f68ba29fcc21a5",
-	"montgomery/m=283":                "04a35ae597bfc5b35619061601679e2e06d66eb224aa463ed5ab7d0da8bf8567",
-	"mastrovito/m=64/synth+scrambled": "ecd084ea61a662790d72c8e82d6a1ea5b683fbbd16d8ddf7b71758f012cbfd58",
-	"mastrovito/m=16/locked":          "a7bd4278f847586a323102fb78f8565f9abba93b5c033a5f7d1c96d1a60cae8a",
-	"randnet":                         "3595bdab4c3de86d8c872d7771fb3685fbfaf7bfac91dea31a2d457fdeea311c",
+	"digitserial8_mapped.eqn":         "83f43213938b3ebc3637f55c2c83f27aa4b8be136445624ed8faeb0a27963964",
+	"karatsuba16_syn.v":               "dfd54faa521e9d3d86430dd048b62d33226b5e83af7531cc41184323470c2f17",
+	"mastrovito16.eqn":                "21788fca5d4ad7188c431b8a14b30b790f62bac2d33e44ce6a3cf7608416deb6",
+	"montgomery12.blif":               "0c673420a8d305e0c86a99eed55fd66fe42966ee0e3aee7ffb46b7fd108b0cf6",
+	"scrambled16.eqn":                 "42495e0937299bc88e9702c9334ddb69b1da3186af5dec4963e7c3d4c2619e97",
+	"trojan8.eqn":                     "bd71fa3c1f5836125753953ffc0a7a1a316921ea39178ca7cdcd3caa7bfbb699",
+	"lint/cyclic8.eqn":                "ff7a88a09d403efcf7f1bb6ba99cfd88dea2762b045fc1fb26e087c657abd290",
+	"lint/deadgate8.eqn":              "679015c5387c335aefb6dcf3918f7d8106b94bbfc393ac48e11a493630ec93ec",
+	"lint/keyopaque8.eqn":             "3ebc648499f1a0a4900ae29499071ab222d19529cbf0411a54af80e05b98c918",
+	"lint/keyxor8.eqn":                "b920a9f79ffa71e092f7b95eaf656df5cd22135ce1dd467dc2913c47e14f2e36",
+	"lint/multidriven8.eqn":           "7068cfd240bf34acecac4e0e51654bc834ebea6d192748245dfd4e87250d0295",
+	"mastrovito/m=163":                "7c8e513c9cae0f79a69d926a1f0544d29f252c1c8c7c94fa969239180dd439b3",
+	"mastrovito/m=233":                "d2f81bed015e6e1d89e0d6f202a4b0fcb25e2b7ff8d1330ccc770859266c9357",
+	"mastrovito/m=283":                "bd5e68638d4f9b6c00a285b3c28eccc436554f554a8d52fe8921bb1fff77f5d1",
+	"mastrovito/m=409":                "04f2d0e2f9f7c9671ce26a078dfaad239e9a97f5a607c347ae39be7c2b43c5c5",
+	"montgomery/m=163":                "4957085a619f7f5f8931516abc254fc6c061bead182e2d94e8a8ac9448ef85ee",
+	"montgomery/m=283":                "89910a31dabc2de7b212fe8c83b3b214a4f3c019d438b24d2377f31c76cc49e2",
+	"mastrovito/m=64/synth+scrambled": "b3c612cf5985752c0d8b3551965324db74aefb40e98cb4cc18821781e2f77489",
+	"mastrovito/m=16/locked":          "447cfa788c3040e214b9562e4b8383fc45d83a8fdad7af0d70fc4d63839a80d0",
+	"randnet":                         "1ecb344d0606ccb81bc587c17937105f407433ccef52463582fadedd8e85cc99",
 }
 
 // TestReportsUnchangedBySlimSemantics lints the repository's test netlists
@@ -63,7 +65,7 @@ func TestReportsUnchangedBySlimSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(data)
+		sum := sha256.Sum256(maskReport(t, data))
 		return hex.EncodeToString(sum[:])
 	}
 	got := map[string]string{}
@@ -145,4 +147,35 @@ func TestReportsUnchangedBySlimSemantics(t *testing.T) {
 			t.Errorf("%s: golden design not linted", name)
 		}
 	}
+}
+
+// maskReport blanks, in a report's JSON, what the analysis changed on
+// purpose when it stopped counting structural cone sizes: each cone's
+// "gates", the cone-cost finding's message and the suggested cone timeout,
+// which were built on them. Everything else is kept, re-marshalled with
+// sorted keys.
+func maskReport(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var rep map[string]any
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	delete(rep, "suggested_cone_timeout_ms")
+	if cones, ok := rep["cones"].([]any); ok {
+		for _, c := range cones {
+			delete(c.(map[string]any), "gates")
+		}
+	}
+	if fs, ok := rep["findings"].([]any); ok {
+		for _, f := range fs {
+			if f := f.(map[string]any); f["rule"] == "cone-cost" {
+				f["message"] = ""
+			}
+		}
+	}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

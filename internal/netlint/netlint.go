@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"github.com/galoisfield/gfre/internal/netlint/sem"
@@ -108,14 +109,14 @@ type Context struct {
 	N    *netlist.Netlist
 	Opts Options
 
-	// Levels / Depth are netlist.Levels(), computed here in the context
-	// sweep.
-	Levels []int32
-	Depth  int
-	// reach is the netlist's Reachable bitset, fetched on first use (see
-	// reached): it comes with the cone index, which indexCones builds once.
-	reach     []uint64
-	coneIndex shared
+	// Depth is the netlist's logic depth, off the level memo the context
+	// sweep's walk (netlist.DigestScan) fills.
+	Depth int
+	// reach is the netlist's Reachable bitset as the rules read it (see
+	// reachable): swept into found by whichever goroutine of Analyze
+	// claims reachOnce first.
+	reach, found []uint64
+	reachOnce    shared
 	// dups memoizes the structural duplicates (see duplicates); scanned is
 	// closed once the context sweep that they are read from is complete.
 	dups     []int
@@ -124,6 +125,8 @@ type Context struct {
 	// types[id] is gate id's type: one byte per gate, so rules that ask
 	// about their fanins' types stay in cache.
 	types []netlist.GateType
+	// arrays backs types and the scan's per-gate arrays (see release).
+	arrays *gateArrays
 
 	// Facts the structural rules read, gathered by newContext's one forward
 	// pass over the gates (see gateScan).
@@ -153,12 +156,6 @@ type Options struct {
 	RequireMultiplier bool
 	// Disabled names rules to skip.
 	Disabled []string
-	// TraceConeIndex, when set, brackets the analysis' build of the
-	// netlist's cone index: it is called as the build starts, on the
-	// goroutine that runs it, and the function it returns as the build
-	// ends. The
-	// extraction pipeline times the build as a phase of its own with it.
-	TraceConeIndex func() (end func())
 }
 
 func (o Options) disabled(name string) bool {
@@ -314,8 +311,8 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	// it. The context sweep and the canonical netlist hash run meanwhile on
 	// this goroutine, in one walk over the gates (see netlist.DigestScan),
 	// and the hash is the sweep's cache key: a cached sweep stops as soon
-	// as the hash finds it. The cone index and the duplicate search are
-	// each done by whichever goroutine claims it first, and a goroutine
+	// as the hash finds it. The reachability sweep and the duplicate search
+	// are each done by whichever goroutine claims it first, and a goroutine
 	// that finds one claimed goes on to the other rather than wait: so
 	// when both legs finish together, the two searches run side by side.
 	// Best effort: an unserializable netlist gets no content hash, and its
@@ -327,16 +324,20 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	swept := make(chan struct{})
 	go func() {
 		sweep.Run()
-		ctx.coneIndex.try(ctx.buildConeIndex)
+		ctx.reachOnce.try(ctx.findReach)
 		if dups {
 			ctx.dupsOnce.try(ctx.findDuplicates)
 		}
 		close(swept)
 	}()
-	defer func() { <-swept }()
+	defer func() {
+		<-swept
+		ctx.release()
+	}()
 	rep := &Report{Design: n.Name}
 	var err error
 	rep.ContentHash, err = n.DigestScan(ctx.scanGate)
+	ctx.Depth = n.Depth()
 	close(ctx.scanned)
 	if err == nil {
 		sweep.Consult(rep.ContentHash, ctx.types)
@@ -358,44 +359,76 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 }
 
 // newContext computes the shared analysis state once: in one forward sweep
-// over the gates (scanGate), their types and logic levels plus everything
-// the structural rules and the cost predictor read of a gate (gateScan).
+// over the gates (scanGate), their types plus everything the structural
+// rules and the cost predictor read of a gate (gateScan).
 func newContext(n *netlist.Netlist, opts Options) *Context {
 	ctx := allocContext(n, opts)
-	for id := range ctx.Levels {
+	for id := range n.NumGates() {
 		typ, fanin := n.Cell(id)
 		ctx.scanGate(id, typ, fanin)
 	}
+	ctx.Depth = n.Depth()
 	close(ctx.scanned)
 	return ctx
 }
 
 // allocContext returns a context whose forward sweep is still to run: one
 // scanGate call per gate, in ID order, and then close(scanned). The arrays
-// are as narrow as their values allow: on a large netlist, fresh memory
-// costs more than the sweep that fills it.
+// are as narrow as their values allow, and they come from the spare when
+// it is large enough: on a large netlist, fresh memory costs more than the
+// sweep that fills it.
 func allocContext(n *netlist.Netlist, opts Options) *Context {
 	ctx := &Context{N: n, Opts: opts, scanned: make(chan struct{})}
-	ctx.coneIndex.done = make(chan struct{})
+	ctx.reachOnce.done = make(chan struct{})
 	ctx.dupsOnce.done = make(chan struct{})
 	ng := n.NumGates()
-	ctx.Levels = make([]int32, ng)
-	ctx.types = make([]netlist.GateType, ng)
-	ctx.scan.bounds = make([]int32, ng)
-	ctx.scan.dupTags = make([]uint32, ng)
+	spare.Lock()
+	a := spare.arrays
+	spare.arrays = nil
+	spare.Unlock()
+	if a == nil || cap(a.types) < ng {
+		a = &gateArrays{types: make([]netlist.GateType, ng), bounds: make([]int32, ng), dupTags: make([]uint32, ng)}
+	}
+	ctx.arrays = a
+	ctx.types, ctx.scan.bounds, ctx.scan.dupTags = a.types[:ng], a.bounds[:ng], a.dupTags[:ng]
+	ctx.scan.marks = a.marks
+	clear(ctx.scan.dupTags) // the sweep leaves untagged gates alone
 	return ctx
+}
+
+// gateArrays are a context's per-gate arrays (types, gateScan's bounds,
+// dupTags and duplicate marks), kept between analyses in spare.
+type gateArrays struct {
+	types   []netlist.GateType
+	bounds  []int32
+	dupTags []uint32
+	marks   []uint64
+}
+
+// spare holds the per-gate arrays of a finished analysis for the next one,
+// as the semantic sweep keeps its working state: of two analyses that ran
+// at once, the larger arrays are kept.
+var spare struct {
+	sync.Mutex
+	arrays *gateArrays
+}
+
+// release hands the context's per-gate arrays back to spare once the
+// analysis is over; the report holds nothing of them.
+func (c *Context) release() {
+	c.arrays.marks = c.scan.marks
+	spare.Lock()
+	defer spare.Unlock()
+	if spare.arrays == nil || cap(spare.arrays.types) < cap(c.arrays.types) {
+		spare.arrays = c.arrays
+	}
+	c.arrays, c.types, c.scan.bounds, c.scan.dupTags = nil, nil, nil, nil
 }
 
 // scanGate is the context sweep's step for gate id, whose fanins it has
 // already seen.
 func (c *Context) scanGate(id int, typ netlist.GateType, fanin []int) {
-	var l int32
-	for _, f := range fanin {
-		l = max(l, c.Levels[f]+1)
-	}
 	c.types[id] = typ
-	c.Levels[id] = l
-	c.Depth = max(c.Depth, int(l))
 	c.scan.gate(id, typ, fanin, c.types)
 }
 
@@ -422,19 +455,17 @@ func (s *shared) get(f func()) {
 	<-s.done
 }
 
-// indexCones builds the netlist's cone index unless this analysis has:
-// the first caller builds it, and any other waits for it.
-func (c *Context) indexCones() { c.coneIndex.get(c.buildConeIndex) }
+// findReach finds the gates in some output's fanin cone.
+func (c *Context) findReach() { c.found = c.N.Reachable() }
 
-// buildConeIndex builds the netlist's cone index under
-// Opts.TraceConeIndex.
-func (c *Context) buildConeIndex() {
-	end := func() {}
-	if c.Opts.TraceConeIndex != nil {
-		end = c.Opts.TraceConeIndex()
+// reachable returns the Reachable bitset: the first call finds it, unless
+// the other goroutine of Analyze has claimed it, and waits for it.
+func (c *Context) reachable() []uint64 {
+	if c.reach == nil {
+		c.reachOnce.get(c.findReach)
+		c.reach = c.found
 	}
-	c.N.ConeSizes()
-	end()
+	return c.reach
 }
 
 // duplicates returns the structural duplicates (gateScan.duplicates):
@@ -454,11 +485,7 @@ func (c *Context) findDuplicates() {
 
 // reached reports whether gate id lies in some output's fanin cone.
 func (c *Context) reached(id int) bool {
-	if c.reach == nil {
-		c.indexCones()
-		c.reach = c.N.Reachable()
-	}
-	return c.reach[id>>6]>>uint(id&63)&1 == 1
+	return c.reachable()[id>>6]>>uint(id&63)&1 == 1
 }
 
 // severityOf returns the effective severity for a rule, honoring the

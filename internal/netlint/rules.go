@@ -118,8 +118,7 @@ func checkIONaming(c *Context) []Finding {
 // obfuscation payload, and it inflates cost predictions.
 func checkDeadGates(c *Context) []Finding {
 	var dead []int
-	c.reached(0) // fetches c.reach
-	for w, live := range c.reach {
+	for w, live := range c.reachable() {
 		for gone := ^live; gone != 0; gone &= gone - 1 {
 			if id := w*64 + bits.TrailingZeros64(gone); id < len(c.types) && c.types[id] != netlist.Input {
 				dead = append(dead, id)

@@ -23,6 +23,9 @@ type gateScan struct {
 	// duplicate finder skips; ndup counts the others (redundant-gate).
 	dupTags []uint32
 	ndup    int
+	// marks is duplicates' bucket bitmap, kept with the per-gate arrays
+	// between analyses (see gateArrays).
+	marks []uint64
 	// Gate-mix counters of the architecture fingerprint.
 	xors, ands, partialAnds, internalAnds, complexCells, combinational int
 }
@@ -91,7 +94,9 @@ func (s *gateScan) duplicates(n *netlist.Netlist) []int {
 	tags := s.dupTags
 	// Two bits per bucket, "seen" and "shared", side by side in one word.
 	shift := 32 - bits.Len(uint(8*s.ndup-1)) // about 8 buckets per gate
-	marks := make([]uint64, (1<<(32-shift)+31)/32)
+	s.marks = slices.Grow(s.marks[:0], (1<<(32-shift)+31)/32)[:(1<<(32-shift)+31)/32]
+	marks := s.marks
+	clear(marks)
 	nshared := 0
 	for _, tag := range tags {
 		if tag == 0 {

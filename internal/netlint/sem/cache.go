@@ -82,13 +82,20 @@ func cacheKey(n *netlist.Netlist, digest string, types []netlist.GateType, opts 
 			buf = buf[:0]
 		}
 	}
+	// The types go in whole blocks of the buffer: this loop runs once per
+	// gate on preflight's longer goroutine.
 	var zeroLuts []int
-	for id, t := range types {
-		buf = append(buf, byte(t))
-		flush()
-		if t == netlist.Lut && !slices.Contains(n.Gate(id).Table, true) {
-			zeroLuts = append(zeroLuts, id)
+	for base := 0; base < len(types); {
+		block := types[base:min(base+cap(buf)-len(buf), len(types))]
+		for i, t := range block {
+			buf = append(buf, byte(t))
+			if t == netlist.Lut && !slices.Contains(n.Gate(base+i).Table, true) {
+				zeroLuts = append(zeroLuts, base+i)
+			}
 		}
+		h.Write(buf) //nolint:errcheck
+		buf = buf[:0]
+		base += len(block)
 	}
 	for _, ids := range [][]int{n.Inputs(), n.Outputs(), zeroLuts} {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))

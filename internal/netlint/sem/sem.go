@@ -813,9 +813,19 @@ func (a *analyzer) abstractPlain(f *fact, cell netlist.GateType, u, w *fact) {
 	} else {
 		f.setDegs(maxDeg(ua, wa), maxDeg(ub, wb), maxDeg(uk, wk), maxDeg(ut, wt))
 	}
-	clear(a.suppBuf)
-	a.unionSupp(u)
-	a.unionSupp(w)
+	// An abstract fanin's set seeds the union.
+	switch {
+	case !u.exact():
+		copy(a.suppBuf, a.pool.get(u.supp()))
+		a.unionSupp(w)
+	case !w.exact():
+		copy(a.suppBuf, a.pool.get(w.supp()))
+		a.unionSupp(u)
+	default:
+		clear(a.suppBuf)
+		a.unionSupp(u)
+		a.unionSupp(w)
+	}
 	f.ttv[absSupp] = a.pool.intern(a.suppBuf)
 	// As in abstract: unateness lifts only over disjoint supports.
 	if sum && u.unate() && w.unate() && a.suppSize(u)+a.suppSize(w) == a.pool.size(f.supp()) {

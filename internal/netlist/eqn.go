@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // The equation format is a line-oriented text netlist in the style of ABC's
@@ -513,6 +514,7 @@ func (n *Netlist) writeEQN(w io.Writer, visit func(id int, typ GateType, fanin [
 	// about three times, always after its own line): this loop is the
 	// whole cost of content hashing (Digest), which preflight pays per job.
 	names := newEqnNames(len(n.gates))
+	defer names.release()
 	chunk := make([]byte, 0, eqnChunk+eqnSlack)
 	flush := func() {
 		if len(chunk) >= eqnChunk {
@@ -593,7 +595,33 @@ type eqnNames struct {
 }
 
 func newEqnNames(gates int) *eqnNames {
-	return &eqnNames{words: make([]uint64, gates), syn: [8]byte{'n', '0'}, synLen: 2}
+	spareNames.Lock()
+	words := spareNames.words
+	spareNames.words = nil
+	spareNames.Unlock()
+	if cap(words) < gates {
+		words = make([]uint64, gates)
+	}
+	return &eqnNames{words: words[:gates], syn: [8]byte{'n', '0'}, synLen: 2}
+}
+
+// spareNames keeps the name words of a finished render for the next one:
+// preflight renders every netlist it lints, and fresh memory for the
+// words, the render's one per-gate array, costs more than filling them.
+var spareNames struct {
+	sync.Mutex
+	words []uint64
+}
+
+// release hands the name words to spareNames: of two renders that ran at
+// once, the larger words are kept.
+func (e *eqnNames) release() {
+	spareNames.Lock()
+	defer spareNames.Unlock()
+	if cap(spareNames.words) < cap(e.words) {
+		spareNames.words = e.words
+	}
+	e.words = nil
 }
 
 // name fills in the word of gate id, the next one in ID order.
@@ -610,6 +638,7 @@ func (e *eqnNames) name(n *Netlist, id int) {
 			copy(w[:], s)
 			e.words[id] = binary.LittleEndian.Uint64(w[:])
 		} else {
+			e.words[id] = 0 // reused words hold an earlier render's
 			if e.long == nil {
 				e.long = map[int]string{}
 			}

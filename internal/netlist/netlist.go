@@ -164,8 +164,8 @@ type Netlist struct {
 
 	// gates holds every gate in 12 bytes (see gate), so the passes that
 	// stream the gate array — the semantic and context sweeps, the
-	// canonical render, the cone index — read a fifth of what whole Gate
-	// values would cost them; Gate assembles the value.
+	// canonical render, the reachability sweep — read a fifth of what
+	// whole Gate values would cost them; Gate assembles the value.
 	gates []gate
 	names []string // signal name per gate ("" if anonymous)
 	index nameIndex
@@ -192,15 +192,8 @@ type Netlist struct {
 	// is a substring of a parsed input would keep all of it alive there.
 	portText strings.Builder
 
-	// coneSizes and coneReach memoize ConeSizes and Reachable, both read
-	// off one cone index build; every mutator resets coneSizes, which
-	// marks both stale. The mutex lets concurrent readers (rewrite workers,
-	// shard leases, preflight) share one build.
-	coneMu    sync.Mutex
-	coneSizes []int
-	coneReach []uint64
 	// levels and depth memoize Levels under levelMu: every mutator resets
-	// levels along with coneSizes.
+	// levels. DigestScan fills the memo on its walk when it is stale.
 	levelMu sync.Mutex
 	levels  []int32
 	depth   int
@@ -480,7 +473,7 @@ func (n *Netlist) appendGate(t GateType, fanin []int, table []bool) int {
 	}
 	n.gates = append(n.gates, r)
 	n.names = append(n.names, "")
-	n.coneSizes, n.levels = nil, nil
+	n.levels = nil
 	n.digest = ""
 	if len(n.shadowLater) > 0 && n.shadowLater[id] {
 		delete(n.shadowLater, id)
@@ -508,7 +501,7 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 	}
 	n.outputs = append(n.outputs, id)
 	n.outputNames = append(n.outputNames, n.portName(name))
-	n.coneSizes, n.levels = nil, nil
+	n.levels = nil
 	n.digest = ""
 	return nil
 }
@@ -517,6 +510,7 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 // in ascending — hence topological — order. Per Theorem 2 of the paper,
 // backward rewriting of one output bit only ever touches its cone.
 func (n *Netlist) Cone(root int) []int {
+	conePasses.Add(1)
 	count := 0
 	seen, _ := n.walkCone(root, func(int) (bool, error) {
 		count++
@@ -602,21 +596,44 @@ func (n *Netlist) Digest() (string, error) { return n.DigestScan(nil) }
 // order on the way, with the gate's type and fanins as Cell returns them:
 // the walk over the gates that renders the canonical text also serves a
 // caller's own forward sweep, so the gate array is read once for both.
-// visit sees every gate whether the digest is memoized, computed or fails.
+// Such a walk also fills the level memo when it is stale, so preflight's
+// sweep and the extraction that follows share one levels pass. visit sees
+// every gate whether the digest is memoized, computed or fails.
 func (n *Netlist) DigestScan(visit func(id int, typ GateType, fanin []int)) (string, error) {
 	n.digestMu.Lock()
 	defer n.digestMu.Unlock()
+	step := visit
+	if visit != nil {
+		n.levelMu.Lock()
+		defer n.levelMu.Unlock()
+		if n.levels == nil {
+			levels, depth := make([]int32, len(n.gates)), 0
+			defer func() {
+				levelPasses.Add(1)
+				n.levels, n.depth = levels, depth
+			}()
+			step = func(id int, typ GateType, fanin []int) {
+				var l int32
+				for _, f := range fanin {
+					l = max(l, levels[f]+1)
+				}
+				levels[id] = l
+				depth = max(depth, int(l))
+				visit(id, typ, fanin)
+			}
+		}
+	}
 	if n.digest != "" && n.digestName == n.Name {
-		if visit != nil {
+		if step != nil {
 			for id := range n.gates {
 				typ, fanin := n.Cell(id)
-				visit(id, typ, fanin)
+				step(id, typ, fanin)
 			}
 		}
 		return n.digest, nil
 	}
 	h := sha256.New()
-	if err := n.writeEQN(h, visit); err != nil {
+	if err := n.writeEQN(h, step); err != nil {
 		return "", err
 	}
 	digests.Add(1)
@@ -634,87 +651,47 @@ func DigestsComputed() int64 { return digests.Load() }
 
 // ConeSizes returns, per primary output in port order, the number of gates
 // in its transitive fanin (root included) — len(n.Cone(root)) for every
-// output at once, from one cone index instead of one sweep per output. The
-// sizes are memoized on the netlist until the next mutation; the caller
-// gets its own copy.
+// output at once, counted off ConeMembership's rows. Nothing on the
+// extraction path reads it: rewriting reports the live cone it walks
+// (rewrite.BitStats.ConeGates), and Reachable needs no sizes.
 func (n *Netlist) ConeSizes() []int {
-	n.coneMu.Lock()
-	defer n.coneMu.Unlock()
-	n.indexCones()
-	return slices.Clone(n.coneSizes)
-}
-
-// ConeSize returns the size of output i's cone, as ConeSizes()[i] does
-// without copying the sizes: a per-cone caller pays O(1), not O(m).
-func (n *Netlist) ConeSize(i int) int {
-	n.coneMu.Lock()
-	defer n.coneMu.Unlock()
-	n.indexCones()
-	return n.coneSizes[i]
+	sizes := make([]int, len(n.outputs))
+	n.ConeMembership(func(base int, rows []uint64) {
+		for _, r := range rows {
+			for ; r != 0; r &= r - 1 {
+				sizes[base+bits.TrailingZeros64(r)]++
+			}
+		}
+	})
+	return sizes
 }
 
 // Reachable returns a bitset over gate IDs: bit id (word id/64, bit id%64)
 // is set iff gate id lies in the transitive fanin of some primary output.
-// It comes from the same memoized cone index as ConeSizes; the caller gets
-// its own copy.
+// It is one descending mark sweep: every reader of a gate precedes it, so
+// a gate's mark is final when the sweep reaches it.
 func (n *Netlist) Reachable() []uint64 {
-	n.coneMu.Lock()
-	defer n.coneMu.Unlock()
-	n.indexCones()
-	return slices.Clone(n.coneReach)
-}
-
-// indexCones fills the cone index memo unless it is current; the caller
-// holds coneMu.
-func (n *Netlist) indexCones() {
-	if n.coneSizes == nil {
-		n.coneSizes, n.coneReach = n.countCones()
+	reach := make([]uint64, (len(n.gates)+63)/64)
+	for _, root := range n.outputs {
+		reach[root>>6] |= 1 << uint(root&63)
 	}
-}
-
-// countCones computes ConeSizes as column counts of the membership rows
-// (see ConeMembership), counting each row as soon as the sweep has made it
-// final rather than in a second pass, and Reachable as the union of the
-// rows' supports. The counts are kept bit-sliced —
-// planes[k] holds bit k of all 64 columns' running counts — so adding a row
-// is a ripple-carry increment of at most log2(gates) word operations (two
-// on average) instead of 64 per-bit adds.
-func (n *Netlist) countCones() (sizes []int, reach []uint64) {
-	sizes = make([]int, len(n.outputs))
-	reach = make([]uint64, (len(n.gates)+63)/64)
-	// A row is cleared once the sweep has passed it, so rows is all zero
-	// again when the next block starts.
-	rows := make([]uint64, len(n.gates))
-	for base := 0; base < len(n.outputs); base += 64 {
-		top := 0
-		for j, root := range n.outputs[base:min(base+64, len(n.outputs))] {
-			rows[root] |= 1 << uint(j)
-			top = max(top, root)
-		}
-		var planes [64]uint64
-		gates, fanins := n.gates[:top+1], n.fanins
-		for id := top; id >= 0; id-- {
-			r := rows[id]
-			if r == 0 {
-				continue
-			}
-			rows[id] = 0
-			reach[id>>6] |= 1 << uint(id&63)
-			g := gates[id]
-			for _, f := range fanins[g.off : g.off+uint32(g.nfan)] {
-				rows[f] |= r
-			}
-			for k := 0; r != 0; k++ {
-				planes[k], r = planes[k]^r, planes[k]&r
-			}
-		}
-		for j := base; j < len(sizes) && j < base+64; j++ {
-			for k, p := range planes {
-				sizes[j] += int(p>>uint(j-base)&1) << uint(k)
+	for w := len(reach) - 1; w >= 0; w-- {
+		rem := reach[w]
+		for rem != 0 {
+			b := 63 - bits.LeadingZeros64(rem)
+			rem &^= 1 << uint(b)
+			for _, f := range n.fanin(w<<6 + b) {
+				fw, fb := f>>6, uint64(1)<<(uint(f)&63)
+				if reach[fw]&fb == 0 {
+					reach[fw] |= fb
+					if fw == w {
+						rem |= fb // below b in the current word: still to visit
+					}
+				}
 			}
 		}
 	}
-	return sizes, reach
+	return reach
 }
 
 // ConeMembership is the cone index: which output cones hold each gate. It
@@ -725,6 +702,7 @@ func (n *Netlist) countCones() (sizes []int, reach []uint64) {
 // when the sweep reaches it. rows is reused across blocks and must not be
 // retained; one word per gate bounds the index's memory regardless of m.
 func (n *Netlist) ConeMembership(visit func(base int, rows []uint64)) {
+	conePasses.Add(1)
 	rows := make([]uint64, len(n.gates))
 	for base := 0; base < len(n.outputs); base += 64 {
 		clear(rows)
@@ -744,6 +722,16 @@ func (n *Netlist) ConeMembership(visit func(base int, rows []uint64)) {
 	}
 }
 
+// conePasses counts structural cone passes: Cone walks and ConeMembership
+// sweeps.
+var conePasses atomic.Int64
+
+// ConePasses reports how many structural cone passes (a Cone walk or a
+// ConeMembership sweep, which ConeSizes makes) this process has made. It
+// lets tests pin that an extraction with preflight makes none: rewriting
+// walks only the live cone, and preflight's reachability is a mark sweep.
+func ConePasses() int64 { return conePasses.Load() }
+
 // Levels returns the logic depth of each gate (inputs and constants at 0)
 // and the maximum depth of the circuit. The levels are computed once and
 // memoized on the netlist until the next mutation; the caller gets its own
@@ -755,6 +743,13 @@ func (n *Netlist) Levels() (levels []int, depth int) {
 		levels[id] = int(l)
 	}
 	return levels, depth
+}
+
+// Depth returns the netlist's logic depth, as Levels does, without
+// copying the levels.
+func (n *Netlist) Depth() int {
+	_, depth := n.levelMemo()
+	return depth
 }
 
 // OutputLevels returns, per primary output in port order, the logic level

@@ -41,9 +41,7 @@
 // rewrite (with per-cone children named after the output bit), extract,
 // golden-model, verify, plus consensus / localize on the fault-tolerant path
 // and opt.simplify / opt.balance-xor / opt.techmap / opt.sweep inside the
-// synthesis flow. Preflight and rewrite each hold a cone-index child: the
-// wall time spent getting the netlist's cone index (rewrite's is a memo hit
-// whenever preflight ran).
+// synthesis flow.
 // Well-known metrics: substitutions, cancellations (mod-2 eliminations),
 // live_terms (gauge; watermark = peak resident terms), workers_busy (gauge),
 // bits_done, heap_bytes (gauge; watermark = heap high-water

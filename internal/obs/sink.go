@@ -88,7 +88,7 @@ func (s *ProgressSink) Emit(e Event) {
 		}
 		s.buf = fmt.Appendf(s.buf, "[obs %8.3fs] %s...\n", e.TS, e.Name)
 	case EvSpanEnd:
-		if s.rewriteSpan != 0 && e.Parent == s.rewriteSpan && e.Name != "cone-index" {
+		if s.rewriteSpan != 0 && e.Parent == s.rewriteSpan {
 			return
 		}
 		s.buf = fmt.Appendf(s.buf, "[obs %8.3fs] %s done in %v\n",

@@ -42,7 +42,6 @@ func TestRewriteAllocsPerSubstitution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.ConeSizes() // the cone index is preflight's allocation, not the loop's
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -15,15 +15,20 @@ import (
 )
 
 // Worker is one rewriting goroutine's state: the gate-model buffer every
-// cone it rewrites refills, and the span its per-cone spans nest under.
-// Each cone still interns its monomials into tables of its own, which
-// Compact drops once the expression is copied out: reusing one working
-// polynomial per worker halves rewriting time, but preflight, held to 30%
-// of extraction by TestPreflightWallShare, cannot yet keep up with so fast
-// an extraction. A Worker is not safe for concurrent use.
+// cone it rewrites refills, the size its last completed cone's tables
+// reached, which the next cone's tables start at, and the span its
+// per-cone spans nest under. Each cone interns its monomials into tables
+// of its own, which Compact drops once the expression is copied out.
+// Keeping one working polynomial per worker and resetting it per cone
+// instead made an m=233 Mastrovito extraction about a third faster than
+// fresh tables, but preflight, held to 30% of extraction by
+// TestPreflightWallShare, cannot yet keep up with so fast an extraction:
+// the share read 22–34% (median 27%) over 20 isolated runs
+// (EXPERIMENTS.md). A Worker is not safe for concurrent use.
 type Worker struct {
-	span *obs.Span // parent of the per-cone spans; nil emits none
-	e    anf.Terms // gate-model buffer, refilled per substitution
+	span         *obs.Span // parent of the per-cone spans; nil emits none
+	e            anf.Terms // gate-model buffer, refilled per substitution
+	monos, arena int       // table size of the last completed cone (anf.Poly.TableSize)
 }
 
 // NewWorker returns a worker whose per-cone spans are children of span;
@@ -47,17 +52,16 @@ func (w *Worker) RewriteCone(n *netlist.Netlist, bit int, opts Options) (BitResu
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	br, err, _ := w.runCone(ctx, n, bit, n.Output(bit), n.OutputName(bit), n.ConeSize(bit), opts, newHooks(opts.Recorder))
+	br, err, _ := w.runCone(ctx, n, bit, n.Output(bit), n.OutputName(bit), opts, newHooks(opts.Recorder))
 	return br, err
 }
 
-// runCone rewrites output bit (gate root, port name, gates gates in its
-// cone) under ctx and the budget and deadline of opts, with bit_start and
-// bit_finish telemetry, the cone's child span, the workers_busy gauge and
-// abort accounting. The result is terminal: StatusOK with an Expr, or a
+// runCone rewrites output bit (gate root, port name) under ctx and the
+// budget and deadline of opts, with bit_start and bit_finish telemetry, the
+// cone's child span, the workers_busy gauge and abort accounting. The result is terminal: StatusOK with an Expr, or a
 // failure Status with Err set and the returned error typed. retried
 // reports whether the retry ladder ran.
-func (w *Worker) runCone(ctx context.Context, n *netlist.Netlist, bit, root int, name string, gates int, opts Options, h *hooks) (br BitResult, err error, retried bool) {
+func (w *Worker) runCone(ctx context.Context, n *netlist.Netlist, bit, root int, name string, opts Options, h *hooks) (br BitResult, err error, retried bool) {
 	rec := opts.Recorder
 	// Per-cone child span: concurrent siblings in the trace tree, one per
 	// output bit. Child is nil-safe and the attrs ride on EndWith, so the
@@ -67,7 +71,7 @@ func (w *Worker) runCone(ctx context.Context, n *netlist.Netlist, bit, root int,
 	h.busyAdd(1)
 	br, err, retried = w.governed(n, root, h, opts, ctx)
 	h.busyAdd(-1)
-	br.Bit, br.Name, br.ConeGates = bit, name, gates
+	br.Bit, br.Name = bit, name
 	if err == nil {
 		br.Status = StatusOK
 		rec.BitFinish(obs.BitStats{

@@ -37,7 +37,7 @@ type Options struct {
 	// The paper's experiments use 16.
 	Threads int
 	// Recorder receives telemetry: per-bit start/finish events, the
-	// rewrite and cone-index phase spans, and the substitutions /
+	// rewrite span with its per-cone children, and the substitutions /
 	// cancellations / live_terms / workers_busy metrics. nil disables
 	// instrumentation at negligible cost.
 	Recorder *obs.Recorder
@@ -83,7 +83,7 @@ type Options struct {
 type BitStats struct {
 	Bit           int           // output position
 	Name          string        // output port name
-	ConeGates     int           // gates in the output's transitive fanin
+	ConeGates     int           // gates of the output's cone the rewriting walk visited (the live cone)
 	Substitutions int           // rewriting iterations actually performed
 	PeakTerms     int           // largest intermediate polynomial size
 	FinalTerms    int           // terms in the extracted expression
@@ -147,24 +147,27 @@ func (r *Result) PeakTerms() int {
 	return p
 }
 
-// EstimatedMemBytes approximates the working-set high-water mark: the peak
-// term count of every concurrently live bit times an empirical per-term
-// cost. It is the analogue of the paper's "Mem" column (their numbers are
-// resident-set sizes of the C++ tool; ours are model estimates — shapes are
-// comparable, absolute values are not).
+// EstimatedMemBytes approximates the working-set high-water mark: the
+// tables of one cone per worker, each at most the size of the largest
+// cone's, plus the retained expressions of all bits. It is the analogue of the paper's "Mem"
+// column (their numbers are resident-set sizes of the C++ tool; ours are
+// model estimates — shapes are comparable, absolute values are not).
 func (r *Result) EstimatedMemBytes() int64 {
-	// Measured on the flat-table core by holding the compacted expressions
-	// of a GF(2^64) Montgomery run and reading the GC-settled HeapAlloc
-	// delta: ~73 B per term (arena variables, offset, hash tag, signature
-	// mask and index slots; occurrence entries; bitset and listed-flag
-	// share), 79 B at m=163, rounded up to cover per-poly fixed overhead at
-	// small term counts.
-	const bytesPerTerm = 80
-	var total int64
+	// Both constants are GC-settled HeapAlloc deltas on Mastrovito and
+	// Montgomery designs at m=64, 163 and 233. The tables of the largest
+	// cone, at its end, hold every monomial it interned and its product
+	// memo: 209–293 B per peak term. A compacted expression holds only its
+	// final terms: 74–86 B per term. Both are rounded up to cover fixed
+	// per-table overhead.
+	const (
+		tableBytesPerPeakTerm = 300
+		retainedBytesPerTerm  = 88
+	)
+	var retained int64
 	for _, b := range r.Bits {
-		total += int64(b.PeakTerms) * bytesPerTerm
+		retained += int64(b.FinalTerms) * retainedBytesPerTerm
 	}
-	return total
+	return int64(max(r.Threads, 1))*int64(r.PeakTerms())*tableBytesPerPeakTerm + retained
 }
 
 // hooks carries pre-fetched metric handles into the rewriting hot loop, so
@@ -250,13 +253,6 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 	span := rec.StartSpan("rewrite", map[string]int64{
 		"bits": int64(len(outs)), "threads": int64(threads),
 	})
-	// Per-bit cone sizes come from the netlist's cone index: one build per
-	// netlist (free when preflight already paid for it), never a per-bit
-	// sweep.
-	idx := rec.StartSpan("cone-index", nil)
-	sizes := n.ConeSizes()
-	idx.End()
-
 	// Adopt checkpointed cones before any worker starts: a reused bit is
 	// final state, not work. Name matching guards against stale snapshots
 	// (callers additionally gate on a netlist content hash).
@@ -295,7 +291,7 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 					}
 					continue
 				}
-				br, err, retried := w.runCone(ctx, n, bit, outs[bit], names[bit], sizes[bit], opts, h)
+				br, err, retried := w.runCone(ctx, n, bit, outs[bit], names[bit], opts, h)
 				if retried {
 					retries.Add(1)
 				}
@@ -376,8 +372,8 @@ type pass struct {
 	trace io.Writer // Figure-3 step log (TraceOutput); nil = silent
 }
 
-// rewrite runs Algorithm 1 on root's cone. It leaves ConeGates to the
-// caller, which reads it from the cone index.
+// rewrite runs Algorithm 1 on root's cone. ConeGates counts the gates the
+// walk visits: the live cone, which never exceeds the structural one.
 func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error) {
 	start := time.Now()
 	h, gov := p.h, p.gov
@@ -387,7 +383,10 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 		h.live.Add(1) // F₀ = z
 	}
 
-	f := anf.Variable(anf.Var(root))
+	// The cone's tables start at the size the worker's last completed cone
+	// grew them to: cones come deepest first, so a cone's tables rarely
+	// have to double as it grows.
+	f := anf.VariableSized(anf.Var(root), w.monos, w.arena)
 	br.PeakTerms = 1
 	// The worker's gate-model buffer: GateTerms refills it per substitution
 	// and SubstituteTerms reads it in place, so no polynomial is built per
@@ -402,6 +401,7 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 	// substitute eliminates gate id's variable from f if it still occurs
 	// there, and reports whether it did.
 	substitute := func(id int) (bool, error) {
+		br.ConeGates++
 		typ, _ := n.Cell(id)
 		if typ == netlist.Input {
 			return false, nil
@@ -495,6 +495,7 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 	// KBs per bit on the large-m runs whose results live until extraction.
 	br.Expr = f.Compact()
 	br.FinalTerms = br.Expr.Len()
+	w.monos, w.arena = f.TableSize()
 	br.Runtime = time.Since(start)
 	return br, nil
 }

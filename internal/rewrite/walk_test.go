@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/galoisfield/gfre/internal/anf"
 	"github.com/galoisfield/gfre/internal/gen"
 	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/opt"
@@ -69,6 +70,9 @@ func checkFusedWalk(t *testing.T, n *netlist.Netlist) {
 				t.Error(err)
 				return
 			}
+			if ref.ConeGates != len(full) || fused.ConeGates > len(full) {
+				t.Errorf("bit %d: the full-cone walk visited %d gates and the fused one %d, of %d", bit, ref.ConeGates, fused.ConeGates, len(full))
+			}
 			if !fused.Expr.Equal(ref.Expr) || fused.Substitutions != ref.Substitutions ||
 				fused.PeakTerms != ref.PeakTerms || fused.Cancelled != ref.Cancelled ||
 				fused.FinalTerms != ref.FinalTerms {
@@ -77,4 +81,73 @@ func checkFusedWalk(t *testing.T, n *netlist.Netlist) {
 		}()
 	}
 	wg.Wait()
+}
+
+// liveCone counts, independently of the worker, the gates a rewriting walk
+// of root visits: root, and every fanin of a gate whose variable still
+// occurs when the walk reaches it.
+func liveCone(t *testing.T, n *netlist.Netlist, root int) int {
+	t.Helper()
+	f := anf.Variable(anf.Var(root))
+	var e anf.Terms
+	visits := 0
+	err := n.WalkCone(root, func(id int) (bool, error) {
+		visits++
+		if typ, _ := n.Cell(id); typ == netlist.Input || f.VarOccurrences(anf.Var(id)) == 0 {
+			return false, nil
+		}
+		if err := n.GateTerms(id, &e); err != nil {
+			return false, err
+		}
+		f.SubstituteTerms(anf.Var(id), &e)
+		return true, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return visits
+}
+
+// TestConeGatesIsTheLiveCone pins BitStats.ConeGates to the live cone: the
+// gates the rewriting walk visited, counted here without the worker, the
+// same under Outputs and RewriteCone, and never more than the structural
+// cone len(n.Cone(root)).
+func TestConeGatesIsTheLiveCone(t *testing.T) {
+	for _, m := range []int{8, 64} {
+		p, err := polytab.Default(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mast, err := gen.Mastrovito(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mont, err := gen.Montgomery(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []*netlist.Netlist{mast, mont} {
+			res, err := Outputs(n, Options{Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := NewWorker(nil)
+			fewer := 0
+			for bit, root := range n.Outputs() {
+				want, full := liveCone(t, n, root), len(n.Cone(root))
+				one, err := w.RewriteCone(n, bit, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Bits[bit].ConeGates; got != want || one.ConeGates != want || want > full {
+					t.Errorf("%s bit %d: ConeGates %d (Outputs), %d (RewriteCone); walk visits %d, structural cone %d",
+						n.Name, bit, got, one.ConeGates, want, full)
+				}
+				if want < full {
+					fewer++
+				}
+			}
+			t.Logf("%s m=%d: %d of %d live cones smaller than the structural one", n.Name, m, fewer, len(n.Outputs()))
+		}
+	}
 }

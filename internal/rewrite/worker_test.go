@@ -28,11 +28,11 @@ func sameCone(t *testing.T, what string, got, want BitResult) {
 }
 
 // TestWorkerReuseMatchesFresh runs one worker over the cones of several
-// netlists in shuffled orders: deepest cone first (the big cones, then the
-// small ones, as Outputs hands them out), shuffled, and smallest first. Every
-// cone must come out exactly as it does on a fresh worker, whatever the
-// worker's state held before: the gate models of other cones and of other
-// netlists.
+// netlists of different sizes in shuffled orders: deepest cone first (the
+// big cones, then the small ones, as Outputs hands them out), shuffled, and
+// smallest first. Every cone must come out exactly as it does on a fresh
+// worker, whatever the worker's state held before: the gate models of
+// other cones and of other netlists, larger or smaller.
 func TestWorkerReuseMatchesFresh(t *testing.T) {
 	p, err := polytab.Default(16)
 	if err != nil {
@@ -50,7 +50,15 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets := []*netlist.Netlist{mont, mast, syn, repeatedFaninNetlist(t)}
+	p48, err := polytab.Default(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mont48, err := gen.Montgomery(48, p48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []*netlist.Netlist{mont, mast, mont48, syn, repeatedFaninNetlist(t)}
 	fresh := make([][]BitResult, len(nets))
 	for i, n := range nets {
 		for _, root := range n.Outputs() {
@@ -86,7 +94,9 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 
 // TestWorkerAfterAbort checks the two ways a cone can leave a worker
 // mid-cone: a budget abort, followed by its retry, and a panic. Healthy
-// cones rewritten on the same worker after either must match a fresh one.
+// cones rewritten on the same worker after either must match a fresh one,
+// and an aborted cone must not set the size the next cone's tables start
+// at.
 func TestWorkerAfterAbort(t *testing.T) {
 	n := explodingNetlist(t, 6)
 	addSimpleOutput(t, n, "0")
@@ -110,8 +120,14 @@ func TestWorkerAfterAbort(t *testing.T) {
 			sameCone(t, stage, got, want[bit])
 		}
 	}
+	healthy("before an abort")
+	monos, arena := w.monos, w.arena
 	if _, err := w.RewriteCone(n, 0, Options{BudgetTerms: 16}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("budget 16: err = %v, want ErrBudgetExceeded", err)
+	}
+	if w.monos != monos || w.arena != arena {
+		t.Errorf("a budget abort presized the next cone's tables to %d monomials, %d variables; its last completed cone's were %d, %d",
+			w.monos, w.arena, monos, arena)
 	}
 	healthy("after a budget abort")
 

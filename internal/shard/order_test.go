@@ -7,6 +7,7 @@ import (
 	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/extract"
 	"github.com/galoisfield/gfre/internal/gen"
+	"github.com/galoisfield/gfre/internal/netlint"
 	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/polytab"
 	"github.com/galoisfield/gfre/internal/rewrite"
@@ -104,10 +105,13 @@ func TestOneDigestPerExtraction(t *testing.T) {
 }
 
 // TestOneLevelsPassPerExtraction pins the netlist's logic levels to one
-// computation per netlist: rewrite.ConeOrder (both schedulers' cone order)
-// reads them from the netlist's memo, so an extraction computes them once,
-// locally and with -shard, and a second extraction of the same netlist not
-// at all.
+// computation per netlist: preflight's context sweep fills the netlist's
+// memo, and rewrite.ConeOrder (both schedulers' cone order) reads it, so an
+// extraction with preflight computes them once, locally and with -shard,
+// and a second extraction of the same netlist not at all. Linting on its
+// own counts that one pass, and an extraction after it none. No extraction
+// makes a structural cone pass: rewriting walks only the live cone, and
+// preflight's reachability needs no cone index.
 func TestOneLevelsPassPerExtraction(t *testing.T) {
 	p, err := polytab.Default(16)
 	if err != nil {
@@ -130,7 +134,7 @@ func TestOneLevelsPassPerExtraction(t *testing.T) {
 				st.Rewrite = Rewriter(ExtractOptions{Workers: 2}, nil)
 			}
 			for run, want := range []int64{1, 0} {
-				before := netlist.LevelsComputed()
+				before, cones := netlist.LevelsComputed(), netlist.ConePasses()
 				ext, _, _, err := extract.Run(n, extract.Options{Preflight: true}, st)
 				if err != nil {
 					t.Fatal(err)
@@ -138,10 +142,66 @@ func TestOneLevelsPassPerExtraction(t *testing.T) {
 				if got := netlist.LevelsComputed() - before; got != want {
 					t.Errorf("extraction %d computed the netlist's levels %d times, want %d", run+1, got, want)
 				}
+				if got := netlist.ConePasses() - cones; got != 0 {
+					t.Errorf("extraction %d made %d structural cone passes, want 0", run+1, got)
+				}
 				if ext.P.String() != p.String() {
 					t.Errorf("extracted %s, want %s", ext.P, p)
 				}
 			}
+
+			// The levels pass is the lint's own: an extraction after a
+			// separate lint computes none.
+			n, err = gen.Montgomery(16, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := netlist.LevelsComputed()
+			if rep := netlint.Analyze(n, netlint.Options{RequireMultiplier: true}); rep.Err() != nil {
+				t.Fatal(rep.Err())
+			}
+			if got := netlist.LevelsComputed() - before; got != 1 {
+				t.Errorf("netlint.Analyze computed the netlist's levels %d times, want 1", got)
+			}
+			before = netlist.LevelsComputed()
+			if _, _, _, err := extract.Run(n, extract.Options{}, st); err != nil {
+				t.Fatal(err)
+			}
+			if got := netlist.LevelsComputed() - before; got != 0 {
+				t.Errorf("extraction after lint computed the netlist's levels %d times, want 0", got)
+			}
 		})
+	}
+}
+
+// TestShardConeGatesAreTheLiveCone checks that a cone rewritten under the
+// lease pool reports the live cone its walk visited, as rewrite.Outputs
+// does for the same cone, and never more than the structural cone.
+func TestShardConeGatesAreTheLiveCone(t *testing.T) {
+	p, err := polytab.Default(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := gen.Montgomery(16, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := rewrite.Outputs(n, rewrite.Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := Rewriter(ExtractOptions{Workers: 2}, nil)(n, rewrite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit, br := range sharded.Bits {
+		want := local.Bits[bit]
+		if br.ConeGates != want.ConeGates || br.Substitutions != want.Substitutions {
+			t.Errorf("bit %d: -shard reports %d cone gates, %d substitutions; Outputs %d, %d",
+				bit, br.ConeGates, br.Substitutions, want.ConeGates, want.Substitutions)
+		}
+		if full := len(n.Cone(n.Outputs()[bit])); br.ConeGates <= br.Substitutions || br.ConeGates > full {
+			t.Errorf("bit %d: %d cone gates for %d substitutions in a cone of %d", bit, br.ConeGates, br.Substitutions, full)
+		}
 	}
 }

@@ -10,9 +10,11 @@ import (
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
-// DefaultStoreEntries bounds an unconfigured store; at ~80 bytes per
-// resident term (see rewrite.Result.EstimatedMemBytes) the default keeps
-// worst-case memory under the low hundreds of MB for in-range fields.
+// DefaultStoreEntries bounds an unconfigured store. An entry holds one
+// cone's compacted expression, about 88 bytes per final term (see
+// rewrite.Result.EstimatedMemBytes): some 41 KB for an m=163 cone of 470
+// terms, so a store full of such cones holds about 2.7 GB. Callers serving
+// large fields size the store with NewStore.
 const DefaultStoreEntries = 1 << 16
 
 type storeKey struct {
