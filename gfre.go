@@ -322,16 +322,18 @@ func WritePrometheus(w io.Writer, s MetricsSnapshot, namespace string) error {
 }
 
 // NewCheckpointManager returns a checkpoint manager persisting extraction
-// progress into dir, saving at most once per throttle interval (throttle < 0
-// selects the 250ms default, 0 saves on every completed cone). Assign it to
-// Options.Checkpoint; set Options.Resume to adopt an existing snapshot so
-// only pending cones are re-rewritten.
+// progress into dir as an append-only cone log, appending at most once per
+// throttle interval (throttle < 0 selects the 250ms default; 0 appends and
+// fsyncs every completed cone before its completion hook returns, at about
+// one fsync per cone). Assign it to Options.Checkpoint; set Options.Resume
+// to adopt an existing checkpoint so only pending cones are re-rewritten.
 func NewCheckpointManager(dir string, throttle time.Duration) *CheckpointManager {
 	return checkpoint.NewManager(dir, throttle)
 }
 
-// LoadCheckpoint reads and validates the snapshot in dir without starting a
-// run — for inspection tools and the service's restart recovery.
+// LoadCheckpoint replays and validates the checkpoint in dir (its cone log,
+// or a legacy snapshot) without starting a run — for inspection tools and
+// the service's restart recovery.
 func LoadCheckpoint(dir string) (*CheckpointSnapshot, error) { return checkpoint.Load(dir) }
 
 // Rewrite extracts the canonical ANF of every output bit (Algorithm 1,

@@ -9,15 +9,27 @@
 // governor, and a content hash binding the snapshot to the exact netlist it
 // was computed from.
 //
-// Snapshots are written crash-safely: encode to a temp file in the target
-// directory, fsync, atomically rename over the previous snapshot, fsync the
-// directory. A reader therefore sees either the old snapshot or the new one,
-// never a torn write. The file format is a fixed header (magic, version,
-// payload length, CRC-32 of the payload) followed by a JSON payload whose
-// per-bit expressions are varint-packed and base64-wrapped. Decode rejects
-// truncated, bit-flipped or version-skewed files with ErrCheckpoint — a
-// corrupt checkpoint must surface as a typed error, never as a panic or a
+// On disk a run is an append-only cone log (LogFile, see log.go): a header
+// naming the netlist hash and outputs, written once by temp file, fsync,
+// rename and directory fsync, then one CRC-framed binary record per
+// finished cone, appended and fsynced as the cone completes. Bytes written
+// per run grow with the cones, not with the cones squared, and a cone costs
+// one append and one fsync. A crash can tear at most the record being
+// written: Load replays the log up to the first record that fails its
+// length or CRC check, so earlier cones are adopted and later ones are
+// simply rewritten again. A damaged header, another netlist's hash, or a
+// record that passes its CRC yet does not parse is ErrCheckpoint — a
+// corrupt checkpoint surfaces as a typed error, never as a panic or a
 // silently wrong resume.
+//
+// Directories written before the log existed hold one snapshot.gfre: a
+// fixed header (magic, version, payload length, CRC-32) and a JSON payload
+// with base64-wrapped expressions. Load still reads it through Decode, and
+// a Restore from it continues into a fresh log seeded with its cones.
+//
+// Expressions are varint-packed term lists (packExpr). Term order is the
+// polynomial's table order, not canonical: two packings of one polynomial
+// may differ byte for byte, and unpacking accepts any order.
 package checkpoint
 
 import (
@@ -42,23 +54,24 @@ import (
 
 // Sentinel errors; use errors.Is against them.
 var (
-	// ErrCheckpoint means a snapshot file exists but cannot be trusted:
-	// truncated, checksum mismatch, unsupported version, malformed payload,
-	// or bound to a different netlist than the one being resumed.
+	// ErrCheckpoint means a checkpoint exists but cannot be trusted: a
+	// damaged log header or legacy snapshot, an unsupported version, a
+	// malformed record, or a binding to a different netlist than the one
+	// being resumed.
 	ErrCheckpoint = errors.New("checkpoint: invalid snapshot")
-	// ErrNoCheckpoint means no snapshot file exists in the directory — a
-	// fresh start, not a failure.
+	// ErrNoCheckpoint means the directory holds neither a cone log nor a
+	// legacy snapshot — a fresh start, not a failure.
 	ErrNoCheckpoint = errors.New("checkpoint: no snapshot")
 )
 
 const (
-	// magic opens every snapshot file.
+	// magic opens every legacy snapshot file.
 	magic = "GFRESNAP"
-	// Version is the current snapshot format version. Decode accepts only
+	// Version is the legacy snapshot format version. Decode accepts only
 	// this version: the format carries extracted expressions, so a lossy
 	// cross-version migration could silently corrupt a resumed P(x).
 	Version = 1
-	// SnapshotFile is the snapshot's file name within its directory.
+	// SnapshotFile is the legacy snapshot's file name within its directory.
 	SnapshotFile = "snapshot.gfre"
 	// maxPayload bounds the declared payload size Decode will allocate for.
 	// The largest legitimate snapshots (GF(2^571) Montgomery) stay far below
@@ -155,27 +168,31 @@ func HashSubmission(source, format string, knobs ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// packExpr serializes an ANF polynomial: uvarint term count, then per
-// monomial a uvarint variable count followed by the delta-encoded uvarint
-// variables (ascending), base64-wrapped for JSON transport. The canonical
-// Monos order makes the encoding deterministic.
-func packExpr(p anf.Poly) string {
-	monos := p.Monos()
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(monos)))
-	for _, m := range monos {
-		vars := m.Vars()
-		buf = binary.AppendUvarint(buf, uint64(len(vars)))
+// appendExpr appends the packed form of an ANF polynomial to dst: uvarint
+// term count, then per monomial a uvarint variable count followed by the
+// delta-encoded uvarint variables (ascending). Terms come in the
+// polynomial's table order, which is not canonical (see the package doc).
+func appendExpr(dst []byte, p anf.Poly) []byte {
+	dst = binary.AppendUvarint(dst, uint64(p.Len()))
+	p.Terms(func(vars []anf.Var) bool {
+		dst = binary.AppendUvarint(dst, uint64(len(vars)))
 		prev := uint64(0)
 		for _, v := range vars {
-			buf = binary.AppendUvarint(buf, uint64(v)-prev)
+			dst = binary.AppendUvarint(dst, uint64(v)-prev)
 			prev = uint64(v)
 		}
-	}
-	return base64.StdEncoding.EncodeToString(buf)
+		return true
+	})
+	return dst
 }
 
-// unpackExpr reverses packExpr, validating structure as it reads.
+// packExpr is appendExpr base64-wrapped for JSON transport (Cone.Expr).
+func packExpr(p anf.Poly) string {
+	return base64.StdEncoding.EncodeToString(appendExpr(nil, p))
+}
+
+// unpackExpr reverses packExpr, validating structure as it reads: any term
+// order is accepted, duplicate monomials are not.
 func unpackExpr(s string) (anf.Poly, error) {
 	raw, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
@@ -228,6 +245,13 @@ func unpackExpr(s string) (anf.Poly, error) {
 // FromBitResult converts a completed (or failed) rewrite result into its
 // durable form.
 func FromBitResult(br rewrite.BitResult) Cone {
+	c, _ := packCone(br)
+	return c
+}
+
+// packCone is FromBitResult that also returns the raw packed expression
+// (nil unless the cone completed), for the log record.
+func packCone(br rewrite.BitResult) (Cone, []byte) {
 	c := Cone{
 		Bit:           br.Bit,
 		Name:          br.Name,
@@ -240,10 +264,12 @@ func FromBitResult(br rewrite.BitResult) Cone {
 		Cancelled:     br.Cancelled,
 		RuntimeNS:     int64(br.Runtime),
 	}
+	var raw []byte
 	if br.Status == rewrite.StatusOK {
-		c.Expr = packExpr(br.Expr)
+		raw = appendExpr(nil, br.Expr)
+		c.Expr = base64.StdEncoding.EncodeToString(raw)
 	}
-	return c
+	return c, raw
 }
 
 // BitResult converts a durable cone back into the rewriting engine's form.
@@ -275,24 +301,6 @@ func (c Cone) BitResult() (rewrite.BitResult, error) {
 		br.Expr = expr
 	}
 	return br, nil
-}
-
-// Encode writes the snapshot to w in the framed on-disk format.
-func Encode(w io.Writer, s *Snapshot) error {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
-	var hdr [headerLen]byte
-	copy(hdr[:], magic)
-	binary.BigEndian.PutUint32(hdr[8:], Version)
-	binary.BigEndian.PutUint64(hdr[12:], uint64(len(payload)))
-	binary.BigEndian.PutUint32(hdr[20:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
 }
 
 // Decode reads and validates a snapshot. Every way a file can be wrong —
@@ -376,19 +384,19 @@ func (s *Snapshot) validate() error {
 	return nil
 }
 
-// Save writes the snapshot crash-safely into dir: temp file, fsync, atomic
-// rename over SnapshotFile, fsync of the directory. A concurrent reader (or
-// a post-crash restart) sees either the previous snapshot or this one.
-func Save(dir string, s *Snapshot) error {
+// replaceFile writes data as dir/name crash-safely: temp file, fsync,
+// atomic rename over name, fsync of the directory. A concurrent reader (or
+// a post-crash restart) sees either the previous file or this one.
+func replaceFile(dir, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, SnapshotFile+".tmp*")
+	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Encode(tmp, s); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -399,7 +407,7 @@ func Save(dir string, s *Snapshot) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, SnapshotFile)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return err
 	}
 	return syncDir(dir)
@@ -420,9 +428,31 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Load reads the snapshot from dir. A missing file is ErrNoCheckpoint; an
-// unreadable or invalid file is ErrCheckpoint.
+// Load reads the checkpoint in dir: the cone log when there is one (see
+// replayLog), else a legacy snapshot.gfre through Decode. A directory with
+// neither is ErrNoCheckpoint; an unreadable or invalid checkpoint is
+// ErrCheckpoint.
 func Load(dir string) (*Snapshot, error) {
+	path := filepath.Join(dir, LogFile)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return loadLegacy(dir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s, err := replayLog(data)
+	if err != nil {
+		return nil, err
+	}
+	if fi, err := os.Stat(path); err == nil {
+		s.SavedUnixNS = fi.ModTime().UnixNano()
+	}
+	return s, nil
+}
+
+// loadLegacy reads a snapshot.gfre written before the cone log existed.
+func loadLegacy(dir string) (*Snapshot, error) {
 	f, err := os.Open(filepath.Join(dir, SnapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w in %s", ErrNoCheckpoint, dir)

@@ -61,6 +61,7 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	defer cancel()
 
 	src := newChaosSource(ctx, pool, c.Seed^0x5ca1ab1e)
+	src.holdFirst = true
 	workersDone := make(chan struct{})
 	go func() {
 		defer close(workersDone)
@@ -161,12 +162,16 @@ const (
 //
 // Every submission that is sent is delayed by 30–70 ms, mostly past the
 // lease TTL (1 in 4), split and sent tail first (1 in 3), and re-sent
-// whole (1 in 3).
+// whole (1 in 3). With holdFirst, the first submission that is sent is
+// also held until its lease has expired, so a case fences at least one
+// zombie result however fast its cones finish.
 type chaosSource struct {
 	pool *shard.Pool
 	// sleep waits d for a delayed submission and reports false when the
 	// case ended first. Tests swap in a fake clock's Advance.
 	sleep func(d time.Duration) bool
+	// holdFirst is cleared by the submission it holds.
+	holdFirst bool
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -259,8 +264,10 @@ func (s *chaosSource) Submit(leaseID string, epoch uint64, results []rewrite.Bit
 		return shard.SubmitReply{}, nil
 	}
 	s.mu.Lock()
+	hold := s.holdFirst
+	s.holdFirst = false
 	var delay time.Duration
-	if s.rng.Intn(4) == 0 {
+	if !hold && s.rng.Intn(4) == 0 {
 		delay = time.Duration(30+s.rng.Intn(40)) * time.Millisecond
 		s.delayedSubmits++
 	}
@@ -274,6 +281,13 @@ func (s *chaosSource) Submit(leaseID string, epoch uint64, results []rewrite.Bit
 	}
 	s.mu.Unlock()
 
+	// A held worker stalls past its TTL (it stopped heartbeating when its
+	// cones were done). Wait out the expiry even when the case is ending:
+	// the pool cannot finish before this lease's cones re-queue, so the
+	// wait is bounded by the TTL, and the late submission must be fenced.
+	for hold && s.pool.LeaseLive(leaseID) {
+		time.Sleep(time.Millisecond)
+	}
 	if delay > 0 && !s.sleep(delay) {
 		return shard.SubmitReply{}, context.Canceled
 	}

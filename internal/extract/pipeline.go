@@ -169,16 +169,16 @@ func run(n *netlist.Netlist, opts Options, st Stages, known *gf2poly.Poly) (ext 
 // path, where failed cones are data rather than fatal. Without a checkpoint
 // manager it is exactly the scheduler. With one:
 //
-//   - Resume loads the directory's snapshot (validating the netlist content
-//     hash) and feeds its completed cones to rewrite.Options.Prior, so only
-//     pending or failed cones are re-rewritten;
-//   - without Resume a fresh snapshot is begun, replacing any stale one at
-//     the first cone completion;
-//   - every freshly computed cone — completed or failed — lands in the
-//     snapshot through the OnBitDone hook as the run progresses;
+//   - Resume loads the directory's checkpoint (validating the netlist
+//     content hash) and feeds its completed cones to
+//     rewrite.Options.Prior, so only pending or failed cones are
+//     re-rewritten;
+//   - without Resume a fresh cone log is begun, replacing any stale one;
+//   - every freshly computed cone — completed or failed — is appended to
+//     the log through the OnBitDone hook as the run progresses;
 //   - whatever way the run ends (success, governed abort, cancellation),
-//     Sync flushes the last throttle window, so the snapshot on disk is
-//     never more than the in-flight cones behind the run.
+//     Sync flushes the last throttle window, so the log on disk is never
+//     more than the in-flight cones behind the run.
 func rewriteStage(n *netlist.Netlist, opts Options, schedule Rewriter, keepPartial bool) (*rewrite.Result, error) {
 	ro := rewrite.Options{
 		Threads: opts.Threads, Recorder: opts.Recorder,

@@ -74,7 +74,8 @@ type Config struct {
 	// Defaults 1s / 2m.
 	RetryBase, RetryCap time.Duration
 	// CheckpointThrottle is passed to each job's checkpoint manager
-	// (0 saves on every cone; <0 selects the package default).
+	// (0 appends and fsyncs every finished cone to the job's cone log, one
+	// small append per cone; <0 selects the package default).
 	CheckpointThrottle time.Duration
 	// Recorder receives queue metrics (jobs_* counters, queue_depth and
 	// jobs_running gauges) and per-job telemetry. nil creates a fresh one —
