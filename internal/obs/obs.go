@@ -43,18 +43,20 @@
 // and opt.simplify / opt.balance-xor / opt.techmap / opt.sweep inside the
 // synthesis flow.
 // Well-known metrics: substitutions, cancellations (mod-2 eliminations),
-// live_terms (gauge; watermark = peak resident terms), workers_busy (gauge),
-// bits_done, heap_bytes (gauge; watermark = heap high-water
-// from runtime.ReadMemStats), the peak_terms / bit_dur_ns histograms, and
-// the resource-governance counters cone_retries (budget aborts re-attempted
-// under the alternative substitution order) and cone_aborts (cones ended
-// without an expression). Each abort additionally emits a cone_abort event
-// whose name is the abort status (budget / timeout / panic / cancelled /
-// error) and whose payload carries bit, cone_gates, substitutions and
-// peak_terms at the moment the governor stopped the cone. When the anomaly
-// stage is armed (EnableConeAnomalies), cones whose actual peak approaches
-// or exceeds the statically predicted no-cancellation bound emit
-// cone_anomaly events and bump the cone_anomalies counter.
+// live_terms (gauge of resident terms, sampled every 64 substitutions per
+// worker and at each cone's end; each sample passes through the highest
+// count since the last one, so the watermark is at least every cone's peak),
+// workers_busy (gauge), bits_done, heap_bytes (gauge; watermark = heap
+// high-water from runtime.ReadMemStats), the peak_terms / bit_dur_ns
+// histograms, and the resource-governance counters cone_retries (budget
+// aborts re-attempted under the alternative substitution order) and
+// cone_aborts (cones ended without an expression). Each abort additionally
+// emits a cone_abort event whose name is the abort status (budget / timeout
+// / panic / cancelled / error) and whose payload carries bit, cone_gates,
+// substitutions and peak_terms at the moment the governor stopped the cone.
+// When the anomaly stage is armed (EnableConeAnomalies), cones whose actual
+// peak approaches or exceeds the statically predicted no-cancellation bound
+// emit cone_anomaly events and bump the cone_anomalies counter.
 //
 // The sharded scheduler (internal/shard) adds the lease lifecycle events
 // lease_grant / lease_expire / lease_steal / cone_leased / shard_result

@@ -61,14 +61,17 @@ func TestRewriteAllocsPerSubstitution(t *testing.T) {
 
 // TestRewriteConeBytesIndependentOfM checks that a worker rewriting one
 // leased cone allocates for that cone alone: the same two-input cone, read
-// from netlists with 64 and 163 outputs, costs the same bytes per call. A
+// from netlists with 64 and 163 outputs, costs the same bytes per call in
+// the quietest of five windows of 50 calls. A
 // worker that copies the netlist's port lists or cone sizes per cone pays
 // O(m) per lease, O(m²) per sharded extraction.
 func TestRewriteConeBytesIndependentOfM(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guard: the race detector allocates on its own")
 	}
-	const runs = 50
+	// Anything else the process allocates inside a window adds bytes to it
+	// and nothing takes them away, so each m keeps its quietest window.
+	const runs, windows = 50, 5
 	perCall := map[int]uint64{}
 	for _, m := range []int{64, 163} {
 		// Output 0 is a0 ^ a1, gate 2 in both netlists; the other m-1
@@ -93,16 +96,20 @@ func TestRewriteConeBytesIndependentOfM(t *testing.T) {
 		if _, err := w.RewriteCone(n, 0, Options{}); err != nil { // fills the cone index memo
 			t.Fatal(err)
 		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			if _, err := w.RewriteCone(n, 0, Options{}); err != nil {
-				t.Fatal(err)
+		for i := range windows {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if _, err := w.RewriteCone(n, 0, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if b := (after.TotalAlloc - before.TotalAlloc) / runs; i == 0 || b < perCall[m] {
+				perCall[m] = b
 			}
 		}
-		runtime.ReadMemStats(&after)
-		perCall[m] = (after.TotalAlloc - before.TotalAlloc) / runs
 		t.Logf("m=%d: RewriteCone of a 3-gate cone allocated %d bytes per call", m, perCall[m])
 	}
 	if perCall[163] > perCall[64] {

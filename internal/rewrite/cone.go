@@ -16,9 +16,10 @@ import (
 
 // Worker is one rewriting goroutine's state: the gate-model buffer every
 // cone it rewrites refills, the size its last completed cone's tables
-// reached, which the next cone's tables start at, and the span its
-// per-cone spans nest under. Each cone interns its monomials into tables
-// of its own, which Compact drops once the expression is copied out.
+// reached, which the next cone's tables start at, the span its per-cone
+// spans nest under, and the current cone's unpublished telemetry. Each cone
+// interns its monomials into tables of its own, which Compact drops once the
+// expression is copied out.
 // Keeping one working polynomial per worker and resetting it per cone
 // instead made an m=233 Mastrovito extraction about a third faster than
 // fresh tables, but preflight, held to 30% of extraction by
@@ -29,6 +30,7 @@ type Worker struct {
 	span         *obs.Span // parent of the per-cone spans; nil emits none
 	e            anf.Terms // gate-model buffer, refilled per substitution
 	monos, arena int       // table size of the last completed cone (anf.Poly.TableSize)
+	tally        tally     // the current cone's unpublished telemetry
 }
 
 // NewWorker returns a worker whose per-cone spans are children of span;

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/galoisfield/gfre/internal/netlist"
 )
@@ -161,32 +160,32 @@ func coneErr(br BitResult) error {
 // governor enforces the per-cone resource policy inside the substitution
 // loop. A nil governor disables every check.
 type governor struct {
-	ctx context.Context
-	// done is ctx.Done(), read once per cone: polling it is a non-blocking
-	// receive, where ctx.Err() takes the lock of the context every worker
-	// of a run shares.
-	done     <-chan struct{}
-	deadline time.Time // zero = no per-cone deadline
-	budget   int       // max live terms, 0 = unlimited
+	parent context.Context // the run's context; its error outranks the cone deadline
+	// done closes when the parent ends or the cone's deadline passes: it is
+	// the Done channel of the cone's context.WithTimeout, or the parent's
+	// own when the cone has no deadline.
+	done   <-chan struct{}
+	budget int // max live terms, 0 = unlimited
 }
 
-// poll checks cancellation and the cone deadline. It runs once per
-// substitution actually performed — substitutions dominate the loop cost by
-// orders of magnitude, so the channel poll and the clock read are noise
-// (see BenchmarkExtract/governed).
+// poll checks cancellation and the cone deadline with one non-blocking
+// receive per substitution performed. The deadline is a timer that closes
+// done, so the loop reads no clock. When done has closed, the parent's error
+// decides the class: an ended parent cancels the cone, otherwise the cone
+// ran out of its own time.
 func (g *governor) poll() (Status, error) {
 	if g == nil {
 		return StatusOK, nil
 	}
 	select {
 	case <-g.done:
-		return StatusCancelled, g.ctx.Err()
-	default:
-	}
-	if !g.deadline.IsZero() && time.Now().After(g.deadline) {
+		if err := g.parent.Err(); err != nil {
+			return StatusCancelled, err
+		}
 		return StatusTimeout, ErrConeTimeout
+	default:
+		return StatusOK, nil
 	}
-	return StatusOK, nil
 }
 
 // charge checks the live-term budget after a substitution landed. The check
@@ -215,15 +214,22 @@ func (w *Worker) safe(n *netlist.Netlist, root int, p pass) (br BitResult, err e
 	return w.rewrite(n, root, p)
 }
 
+// testBeforeRetry, when non-nil, runs between a budget-aborted attempt and
+// its retry with the governor both share, so tests can spend the cone's
+// wall budget there.
+var testBeforeRetry func(*governor)
+
 // governed is the per-cone retry ladder: one attempt in the default
 // reverse-topological order, then — only for budget aborts — one retry with
 // the alternative substitution schedule, then cone abandonment. Timeouts and
 // cancellations are never retried: the clock that killed the first attempt
 // is still running.
 func (w *Worker) governed(n *netlist.Netlist, root int, h *hooks, opts Options, ctx context.Context) (BitResult, error, bool) {
-	gov := &governor{ctx: ctx, done: ctx.Done(), budget: opts.BudgetTerms}
+	gov := &governor{parent: ctx, done: ctx.Done(), budget: opts.BudgetTerms}
 	if opts.ConeDeadline > 0 {
-		gov.deadline = time.Now().Add(opts.ConeDeadline)
+		coneCtx, stop := context.WithTimeout(ctx, opts.ConeDeadline)
+		defer stop()
+		gov.done = coneCtx.Done()
 	}
 	br, err := w.safe(n, root, pass{h: h, gov: gov})
 	if err == nil || !errors.Is(err, ErrBudgetExceeded) {
@@ -231,9 +237,12 @@ func (w *Worker) governed(n *netlist.Netlist, root int, h *hooks, opts Options, 
 	}
 	// Budget abort: substitution order changes which products meet which,
 	// and hence when cancellations fire; a level-driven schedule often keeps
-	// the frontier smaller than the ID-driven one. The deadline keeps
-	// running, so a retry cannot extend the cone's wall budget.
+	// the frontier smaller than the ID-driven one. The retry polls the same
+	// cone timer, so it cannot extend the cone's wall budget.
 	h.countRetry()
+	if testBeforeRetry != nil {
+		testBeforeRetry(gov)
+	}
 	br2, err2 := w.safe(n, root, pass{h: h, gov: gov, order: altOrder(n, n.Cone(root))})
 	if err2 != nil {
 		// Report the attempt that got further; both failed.

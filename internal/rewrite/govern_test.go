@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/galoisfield/gfre/internal/gen"
 	"github.com/galoisfield/gfre/internal/netlist"
+	"github.com/galoisfield/gfre/internal/obs"
+	"github.com/galoisfield/gfre/internal/polytab"
 )
 
 // explodingNetlist builds a circuit whose backward rewriting has no mod-2
@@ -16,13 +19,21 @@ import (
 func explodingNetlist(t testing.TB, l int) *netlist.Netlist {
 	t.Helper()
 	n := netlist.New("explode")
+	addExploding(t, n, l, "")
+	return n
+}
+
+// addExploding appends explodingNetlist's circuit over 2l fresh inputs
+// named after tag and marks its root as output "z"+tag.
+func addExploding(t testing.TB, n *netlist.Netlist, l int, tag string) {
+	t.Helper()
 	sums := make([]int, l)
 	for i := 0; i < l; i++ {
-		ai, err := n.AddInput(fmt.Sprintf("a%d", i))
+		ai, err := n.AddInput(fmt.Sprintf("a%s%d", tag, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bi, err := n.AddInput(fmt.Sprintf("b%d", i))
+		bi, err := n.AddInput(fmt.Sprintf("b%s%d", tag, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,24 +43,30 @@ func explodingNetlist(t testing.TB, l int) *netlist.Netlist {
 		}
 		sums[i] = x
 	}
-	for len(sums) > 1 {
+	if err := n.MarkOutput("z"+tag, gateTree(t, n, netlist.And, sums)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// gateTree appends a balanced tree of typ gates over leaves and returns its
+// root.
+func gateTree(t testing.TB, n *netlist.Netlist, typ netlist.GateType, leaves []int) int {
+	t.Helper()
+	for len(leaves) > 1 {
 		var next []int
-		for i := 0; i+1 < len(sums); i += 2 {
-			g, err := n.AddGate(netlist.And, sums[i], sums[i+1])
+		for i := 0; i+1 < len(leaves); i += 2 {
+			g, err := n.AddGate(typ, leaves[i], leaves[i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			next = append(next, g)
 		}
-		if len(sums)%2 == 1 {
-			next = append(next, sums[len(sums)-1])
+		if len(leaves)%2 == 1 {
+			next = append(next, leaves[len(leaves)-1])
 		}
-		sums = next
+		leaves = next
 	}
-	if err := n.MarkOutput("z", sums[0]); err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return leaves[0]
 }
 
 // addSimpleOutput appends an extra cheap output (a_0·b_0 style AND over two
@@ -257,5 +274,157 @@ func TestGovernedMatchesUngovernedOnCleanRun(t *testing.T) {
 	}
 	if governed.Bits[0].Status != StatusOK {
 		t.Fatalf("clean bit status = %q", governed.Bits[0].Status)
+	}
+}
+
+// TestGovernorDeadlineClasses pins how poll classifies the closed channel
+// of a governed cone: a parent context whose deadline passes cancels the
+// cone with the parent's error, while the cone's own deadline times it out.
+func TestGovernorDeadlineClasses(t *testing.T) {
+	n := explodingNetlist(t, 18)
+	for _, tc := range []struct {
+		name         string
+		parent, cone time.Duration // 0 = no deadline
+		status       Status
+		err          error
+	}{
+		{"parent deadline", 10 * time.Millisecond, time.Hour, StatusCancelled, context.DeadlineExceeded},
+		{"cone deadline", 0, 10 * time.Millisecond, StatusTimeout, ErrConeTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			if tc.parent > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.parent)
+				defer cancel()
+			}
+			br, err := NewWorker(nil).RewriteCone(n, 0, Options{Ctx: ctx, ConeDeadline: tc.cone})
+			if br.Status != tc.status || !errors.Is(err, tc.err) {
+				t.Fatalf("cone ended %q with %v, want %q with %v", br.Status, err, tc.status, tc.err)
+			}
+			t.Logf("stopped after %d substitutions", br.Substitutions)
+		})
+	}
+}
+
+// retryRescuedNetlist builds z = G·(X ⊕ X'), where X and X' are two AND
+// trees over the same 16 XOR leaves and G is an XOR tree over 8 fresh
+// inputs. The default descending-ID order expands G into 8 terms before X
+// and X' meet, so the polynomial reaches 16 terms; the level-driven retry
+// reaches X and X' leaves first, where they cancel, and peaks at 4 terms.
+func retryRescuedNetlist(t testing.TB) *netlist.Netlist {
+	t.Helper()
+	n := netlist.New("rescued")
+	gate := func(typ netlist.GateType, fanin ...int) int {
+		g, err := n.AddGate(typ, fanin...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	input := func(name string) int {
+		in, err := n.AddInput(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	leaves := make([]int, 16)
+	for i := range leaves {
+		leaves[i] = gate(netlist.Xor, input(fmt.Sprintf("a%d", i)), input(fmt.Sprintf("b%d", i)))
+	}
+	h := gate(netlist.Xor, gateTree(t, n, netlist.And, leaves), gateTree(t, n, netlist.And, leaves))
+	cs := make([]int, 8)
+	for i := range cs {
+		cs[i] = input(fmt.Sprintf("c%d", i))
+	}
+	if err := n.MarkOutput("z", gate(netlist.And, gateTree(t, n, netlist.Xor, cs), h)); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestBudgetRetrySharesConeDeadline checks that a budget retry runs against
+// the first attempt's deadline: once that deadline has passed, a retry that
+// would rescue the cone fails instead.
+func TestBudgetRetrySharesConeDeadline(t *testing.T) {
+	n := retryRescuedNetlist(t)
+	opts := Options{Threads: 1, BudgetTerms: 8}
+	res, err := Outputs(n, opts)
+	if err != nil || res.Retries != 1 {
+		t.Fatalf("without a deadline: err %v after %d retries, want the retry to rescue the cone", err, res.Retries)
+	}
+
+	testBeforeRetry = func(g *governor) {
+		<-g.done // the first attempt's deadline passes before the retry starts
+		if st, err := g.poll(); st != StatusTimeout || err != ErrConeTimeout {
+			t.Errorf("retry's governor polls %q, %v; want a timeout", st, err)
+		}
+	}
+	defer func() { testBeforeRetry = nil }()
+	opts.ConeDeadline = 20 * time.Millisecond
+	res, err = Outputs(n, opts)
+	// The retry stops before its first substitution, so the ladder reports
+	// the first attempt, which got further.
+	if !errors.Is(err, ErrBudgetExceeded) || res.Bits[0].Status != StatusBudget || res.Retries != 1 {
+		t.Fatalf("with a spent deadline: err %v, status %q, %d retries; want the first attempt's budget abort after 1 retry",
+			err, res.Bits[0].Status, res.Retries)
+	}
+}
+
+// TestRecorderCountsExactAfterBudgetAbort checks the batched telemetry on
+// every exit path of a 2-worker run: one cone aborts on the budget, a
+// sibling in flight is cancelled mid-cone and queued ones never start. The
+// substitutions and cancellations counters must still equal the per-bit
+// stats, plus the attempt of the retried cone that its BitResult does not
+// report, and live_terms must drain to 0.
+func TestRecorderCountsExactAfterBudgetAbort(t *testing.T) {
+	p, err := polytab.Default(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := gen.Mastrovito(32, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addExploding(t, n, 14, "x")
+	const budget = 256
+	rec := obs.NewRecorder()
+	res, err := Outputs(n, Options{Threads: 2, Recorder: rec, BudgetTerms: budget})
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+
+	boom := len(res.Bits) - 1
+	root := n.Outputs()[boom]
+	gov := &governor{budget: budget}
+	first, _ := new(Worker).rewrite(n, root, pass{gov: gov})
+	retry, _ := new(Worker).rewrite(n, root, pass{gov: gov, order: altOrder(n, n.Cone(root))})
+	if got := res.Bits[boom].Substitutions; got != max(first.Substitutions, retry.Substitutions) {
+		t.Fatalf("retried cone reports %d substitutions, want the larger of %d and %d",
+			got, first.Substitutions, retry.Substitutions)
+	}
+	wantSubst := int64(first.Substitutions + retry.Substitutions)
+	wantCancel := int64(first.Cancelled + retry.Cancelled)
+	longest := 0
+	for bit, br := range res.Bits {
+		if bit != boom {
+			wantSubst += int64(br.Substitutions)
+			wantCancel += int64(br.Cancelled)
+			longest = max(longest, br.Substitutions)
+		}
+	}
+	if longest <= tallyEvery {
+		t.Fatalf("longest sibling cone ran %d substitutions, want more than one tally batch (%d)", longest, tallyEvery)
+	}
+	s := rec.Snapshot()
+	if got := s.Counters["substitutions"]; got != wantSubst {
+		t.Errorf("substitutions counter %d, want %d", got, wantSubst)
+	}
+	if got := s.Counters["cancellations"]; got != wantCancel {
+		t.Errorf("cancellations counter %d, want %d", got, wantCancel)
+	}
+	if s.Gauges["live_terms"] != 0 || s.Gauges["workers_busy"] != 0 {
+		t.Errorf("gauges not drained: %v", s.Gauges)
 	}
 }

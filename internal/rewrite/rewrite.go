@@ -46,7 +46,9 @@ type Options struct {
 	// next substitution and queued cones are skipped. nil means Background.
 	Ctx context.Context
 	// ConeDeadline bounds the wall time of each individual cone; a cone
-	// over deadline aborts with ErrConeTimeout. 0 disables the deadline.
+	// over deadline aborts with ErrConeTimeout. The deadline is enforced by
+	// a per-cone timer, which a budget retry shares, checked between
+	// substitutions. 0 disables the deadline.
 	ConeDeadline time.Duration
 	// BudgetTerms caps the live terms of each cone's intermediate
 	// polynomial; exceeding it aborts the cone with a *BudgetError
@@ -172,8 +174,9 @@ func (r *Result) EstimatedMemBytes() int64 {
 
 // hooks carries pre-fetched metric handles into the rewriting hot loop, so
 // the instrumented path costs one predictable nil check per event site and
-// the registry lock is never touched mid-rewrite. A nil *hooks disables
-// everything.
+// the registry lock is never touched mid-rewrite. The per-substitution
+// metrics go through each worker's tally rather than straight to these
+// shared handles. A nil *hooks disables everything.
 type hooks struct {
 	rec    *obs.Recorder
 	subst  *obs.Counter // substitutions performed
@@ -198,6 +201,32 @@ func newHooks(rec *obs.Recorder) *hooks {
 		retry:  m.Counter("cone_retries"),
 		aborts: m.Counter("cone_aborts"),
 	}
+}
+
+// tallyEvery is how many substitutions a worker's tally holds before it
+// publishes them.
+const tallyEvery = 64
+
+// tally is one cone's telemetry not yet published: the worker adds each
+// substitution here and publishes every tallyEvery substitutions and when
+// the cone ends, so the substitution loop writes no counter that other
+// workers share.
+type tally struct {
+	subst, cancel int64
+	pub           int64 // the cone's live terms as last published
+	hi            int64 // the most live terms since the last publish
+}
+
+// publish adds t's counts to the shared counters and moves the cone's share
+// of live_terms to live, through the batch's largest count first so the
+// gauge's watermark sees every cone's peak. A cone's last publish passes
+// live = 0: its terms leave the working set on every exit path.
+func (h *hooks) publish(t *tally, live int) {
+	h.subst.Add(t.subst)
+	h.cancel.Add(t.cancel)
+	h.live.Add(t.hi - t.pub)
+	h.live.Add(int64(live) - t.hi)
+	*t = tally{pub: int64(live), hi: int64(live)}
 }
 
 func (h *hooks) countRetry() {
@@ -379,9 +408,6 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 	h, gov := p.h, p.gov
 	br := BitResult{}
 	br.Bit = -1
-	if h != nil {
-		h.live.Add(1) // F₀ = z
-	}
 
 	// The cone's tables start at the size the worker's last completed cone
 	// grew them to: cones come deepest first, so a cone's tables rarely
@@ -393,9 +419,10 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 	// gate.
 	e := &w.e
 	if h != nil {
-		// On every exit path the bit's resident terms leave the working
-		// set — aborted cones must not leak into the live_terms gauge.
-		defer func() { h.live.Add(-int64(f.Len())) }()
+		w.tally = tally{hi: 1} // F₀ = z
+		// Every exit path publishes the cone's counts, so they are exact
+		// at its end, and drains its terms from live_terms.
+		defer h.publish(&w.tally, 0)
 	}
 
 	// substitute eliminates gate id's variable from f if it still occurs
@@ -442,10 +469,13 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 			fmt.Fprintf(p.trace, "%-6s %s = %-24s F%d = %s%s\n",
 				n.NameOf(id)+":", typ, formatTerms(e, n), br.Substitutions, FormatPoly(f, n), elim)
 		}
-		if h != nil {
-			h.subst.Inc()
-			h.cancel.Add(int64(cancelled))
-			h.live.Add(int64(after - before))
+		if t := &w.tally; h != nil {
+			t.subst++
+			t.cancel += int64(cancelled)
+			t.hi = max(t.hi, int64(after))
+			if t.subst == tallyEvery {
+				h.publish(t, after)
+			}
 		}
 		if gov.charge(after) {
 			br.Status = StatusBudget

@@ -131,7 +131,8 @@ type JobState struct {
 
 // Spool file layout: <id>.job holds the immutable JobSpec, <id>.state the
 // mutable JobState (atomically replaced on every transition), and <id>.ckpt/
-// the extraction checkpoint directory.
+// the extraction checkpoint directory, removed once the job's done state is
+// saved.
 const (
 	specSuffix  = ".job"
 	stateSuffix = ".state"

@@ -259,6 +259,11 @@ func (q *Queue) recover(ids []string) error {
 			q.seq = st.Seq + 1
 		}
 		if st.Status.Terminal() {
+			if st.Status == StatusDone {
+				// A daemon that died between saving the result and
+				// removing the cone log left the log behind.
+				os.RemoveAll(q.ckptDir(id)) //nolint:errcheck — best effort, retried next start
+			}
 			continue
 		}
 		live = append(live, entry)
@@ -820,7 +825,11 @@ func (q *Queue) runJob(id string) {
 		q.settleDedupLocked(entry)
 		q.updateShedLocked()
 	}
-	saveState(q.cfg.Dir, st) //nolint:errcheck — state rewrites on every later transition
+	if err := saveState(q.cfg.Dir, st); err == nil && st.Status == StatusDone {
+		// The saved result supersedes the cone log; failed jobs keep theirs
+		// for diagnosis.
+		os.RemoveAll(q.ckptDir(id)) //nolint:errcheck — recover removes a leftover
+	}
 }
 
 // finishAccountingLocked books one job's terminal transition: the done or

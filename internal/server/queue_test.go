@@ -369,3 +369,68 @@ func TestValidJobID(t *testing.T) {
 		}
 	}
 }
+
+// TestDoneJobLeavesNoConeLog checks that a finished job's cone log leaves
+// the spool once its done state is saved while a failed job keeps its log
+// for diagnosis, and that a restart over a spool of done jobs, one still
+// holding a log as after a crash between the two steps, serves their
+// results, removes the leftover log and runs new work.
+func TestDoneJobLeavesNoConeLog(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := func(id string) string { return filepath.Join(dir, id+ckptSuffix) }
+	q, err := NewQueue(Config{Dir: dir, MaxAttempts: 1, RetrySeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := q.Submit(&JobSpec{Netlist: eqnText(t, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, err := q.Submit(&JobSpec{Netlist: eqnText(t, 8), BudgetTerms: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStatus(t, q, done.ID); st.Status != StatusDone {
+		t.Fatalf("job ended %s: %s", st.Status, st.Error)
+	}
+	if st := waitStatus(t, q, failed.ID); st.Status != StatusFailed {
+		t.Fatalf("budget-starved job ended %s", st.Status)
+	}
+	if _, err := os.Stat(ckpt(done.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("done job's cone log still in the spool: %v", err)
+	}
+	if _, err := checkpoint.Load(ckpt(failed.ID)); err != nil {
+		t.Fatalf("failed job's cone log: %v", err)
+	}
+	q.Drain(time.Second)
+
+	if err := os.MkdirAll(ckpt(done.ID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt(done.ID), "cones.gfrelog"), []byte("left over"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q2, err := NewQueue(Config{Dir: dir, RetrySeed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Drain(time.Second)
+	p, _ := polytab.Default(8)
+	st, err := q2.Get(done.ID)
+	if err != nil || st.Status != StatusDone || st.Result == nil || st.Result.Polynomial != p.String() {
+		t.Fatalf("recovered done job: %+v, %v", st, err)
+	}
+	if _, err := os.Stat(ckpt(done.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("recovery kept a done job's leftover cone log: %v", err)
+	}
+	next, err := q2.Submit(&JobSpec{Netlist: eqnText(t, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStatus(t, q2, next.ID); st.Status != StatusDone {
+		t.Fatalf("job after recovery ended %s: %s", st.Status, st.Error)
+	}
+	if _, err := os.Stat(ckpt(next.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("done job's cone log still in the spool after recovery: %v", err)
+	}
+}
