@@ -28,7 +28,7 @@ import (
 // must leave every other report byte as it was.
 var reportGolden = map[string]string{
 	"digitserial8_mapped.eqn":         "83f43213938b3ebc3637f55c2c83f27aa4b8be136445624ed8faeb0a27963964",
-	"karatsuba16_syn.v":               "dfd54faa521e9d3d86430dd048b62d33226b5e83af7531cc41184323470c2f17",
+	"karatsuba16_syn.v":               "ce1de18a3f2741986db065ee2b24190fe0f624eae3e3ee8e80302f988e4b50e6",
 	"mastrovito16.eqn":                "21788fca5d4ad7188c431b8a14b30b790f62bac2d33e44ce6a3cf7608416deb6",
 	"montgomery12.blif":               "0c673420a8d305e0c86a99eed55fd66fe42966ee0e3aee7ffb46b7fd108b0cf6",
 	"scrambled16.eqn":                 "42495e0937299bc88e9702c9334ddb69b1da3186af5dec4963e7c3d4c2619e97",

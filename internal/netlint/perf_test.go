@@ -23,16 +23,20 @@ const preflightWallShareLimit = 0.30
 // preflight is heaviest: Montgomery, whose output cones overlap ~m-fold
 // (a per-output cone sweep there took 60-70% of extraction before the cone
 // index replaced it), and the largest Mastrovito field of the differential
-// suite, where content hashing and the semantic sweep dominate. Both sides
-// are best-of-three, and each round lints a freshly built netlist under a
-// distinct name, so neither the semantic sweep's content-hash cache nor the
-// memoized cone index can hide work; extraction then runs on the linted
-// netlist, as it does after gfre's preflight. CI runs it in a build without
-// the race detector; under -race it skips (see raceEnabled).
+// suite, where content hashing and the semantic sweep dominate. Each round
+// times both sides, in alternating order, on freshly built netlists under
+// distinct names, so neither the semantic sweep's content-hash cache nor
+// the memoized cone index can hide work; the extracted netlist is linted
+// first, untimed, as gfre's preflight does. Whatever else runs on the host
+// (other packages' tests, in a full go test ./...) only adds time to the
+// side it lands on, and it lands mostly on the shorter lint, so the guard
+// fails only when every round exceeds the bound. CI runs it in a build
+// without the race detector; under -race it skips (see raceEnabled).
 func TestPreflightWallShare(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("perf guard: skipped in -short and under the race detector")
 	}
+	const rounds = 4
 	for _, tc := range []struct {
 		arch  string
 		poly  string
@@ -47,39 +51,57 @@ func TestPreflightWallShare(t *testing.T) {
 		}
 		m := p.Deg()
 		t.Run(fmt.Sprintf("%s/m=%d", tc.arch, m), func(t *testing.T) {
-			lintBest, extractBest := time.Duration(1<<62), time.Duration(1<<62)
-			for round := 0; round < 3; round++ {
+			fresh := func(round int, side string) *netlist.Netlist {
 				n, err := tc.build(m, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				n.Name = fmt.Sprintf("%s-%s-round%d", t.Name(), tc.poly, round)
-
+				n.Name = fmt.Sprintf("%s-%s-round%d-%s", t.Name(), tc.poly, round, side)
+				return n
+			}
+			lint := func(n *netlist.Netlist) time.Duration {
 				t0 := time.Now()
 				rep := netlint.Analyze(n, netlint.Options{RequireMultiplier: true})
-				lintBest = min(lintBest, time.Since(t0))
+				d := time.Since(t0)
 				// Preflight being fast is worthless if it stopped working:
 				// pin a clean, fully predicted report before trusting the
 				// timing.
 				if err := rep.Err(); err != nil || len(rep.Cones) != m {
 					t.Fatalf("report: err %v, %d cone predictions for %d outputs", err, len(rep.Cones), m)
 				}
-
-				t0 = time.Now()
+				return d
+			}
+			extraction := func(n *netlist.Netlist) time.Duration {
+				t0 := time.Now()
 				ext, err := extract.IrreduciblePolynomial(n, extract.Options{})
-				extractBest = min(extractBest, time.Since(t0))
+				d := time.Since(t0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if ext.P.String() != p.String() {
 					t.Fatalf("extraction recovered %s, want %s", ext.P, p)
 				}
+				return d
 			}
-			ratio := float64(lintBest) / float64(extractBest)
-			t.Logf("netlint=%v extraction=%v ratio=%.1f%%", lintBest, extractBest, 100*ratio)
-			if ratio > preflightWallShareLimit {
-				t.Errorf("preflight took %.1f%% of extraction wall time, budget is %.0f%% (netlint=%v, extraction=%v)",
-					100*ratio, 100*preflightWallShareLimit, lintBest, extractBest)
+			best := 1e9
+			for round := range rounds {
+				linted, extracted := fresh(round, "lint"), fresh(round, "extract")
+				lint(extracted)
+				var l, x time.Duration
+				if round%2 == 0 {
+					l = lint(linted)
+					x = extraction(extracted)
+				} else {
+					x = extraction(extracted)
+					l = lint(linted)
+				}
+				ratio := float64(l) / float64(x)
+				best = min(best, ratio)
+				t.Logf("round %d: netlint=%v extraction=%v ratio=%.1f%%", round, l, x, 100*ratio)
+			}
+			if best > preflightWallShareLimit {
+				t.Errorf("preflight took at least %.1f%% of extraction wall time in each of %d rounds, budget is %.0f%%",
+					100*best, rounds, 100*preflightWallShareLimit)
 			}
 		})
 	}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // ReadBLIF parses a combinational subset of Berkeley BLIF:
@@ -12,10 +14,10 @@ import (
 // 16 inputs. Latches, subcircuits and multiple models are not supported —
 // the paper's benchmarks are flattened combinational multipliers.
 //
-// Unlike the equation format, BLIF allows .names blocks in any order;
-// ReadBLIF resolves forward references by topologically ordering the blocks
-// before building gates. All syntax and structure failures are wrapped in
-// ErrParse.
+// Unlike the equation format, BLIF allows .names blocks in any order: a
+// block is built as soon as the signals it reads are, so a file in
+// topological order is numbered in file order. All syntax and structure
+// failures are wrapped in ErrParse.
 func ReadBLIF(r io.Reader) (*Netlist, error) {
 	n, err := readBLIF(r)
 	if err != nil {
@@ -25,180 +27,184 @@ func ReadBLIF(r io.Reader) (*Netlist, error) {
 }
 
 func readBLIF(r io.Reader) (*Netlist, error) {
-	type namesBlock struct {
-		inputs []string
-		output string
-		cover  []string // cover rows "<in-bits> <out-bit>"
-		line   int
+	src, err := readInput(r)
+	if err != nil {
+		return nil, fmt.Errorf("blif: %w", err)
 	}
-
-	lr := newBLIFLines(r)
+	n := New("")
+	e := &elaborator{n: n, lang: "blif", reserve: strings.Count(src, ".names")}
+	lr := &blifLines{src: src}
 	var (
-		model   string
-		inputs  []string
-		outputs []string
-		blocks  []*namesBlock
-		cur     *namesBlock
+		fields []string
+		cur    blifBlock // the .names block being read, when cur.open
 	)
 	for {
 		line, ok := lr.next()
+		if ok {
+			fields = appendFields(fields[:0], line)
+		}
+		if cur.open && (!ok || fields[0] == ".names" || fields[0] == ".end") {
+			if err := cur.end(e); err != nil {
+				return nil, err
+			}
+		}
 		if !ok {
 			break
 		}
-		fields := strings.Fields(line)
 		switch fields[0] {
 		case ".model":
 			if len(fields) > 1 {
-				model = fields[1]
+				n.Name = fields[1]
 			}
 		case ".inputs":
-			inputs = append(inputs, fields[1:]...)
+			for _, name := range fields[1:] {
+				if err := e.input(name); err != nil {
+					return nil, err
+				}
+			}
 		case ".outputs":
-			outputs = append(outputs, fields[1:]...)
+			e.outputs = append(e.outputs, fields[1:]...)
 		case ".names":
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("blif: line %d: .names needs at least an output", lr.lineNo)
 			}
-			cur = &namesBlock{
-				inputs: fields[1 : len(fields)-1],
-				output: fields[len(fields)-1],
-				line:   lr.lineNo,
+			if err := cur.start(fields[1:], lr.lineNo); err != nil {
+				return nil, err
 			}
-			blocks = append(blocks, cur)
 		case ".end":
-			cur = nil
 		case ".latch", ".subckt", ".gate":
 			return nil, fmt.Errorf("blif: line %d: %s not supported (combinational netlists only)", lr.lineNo, fields[0])
 		default:
 			if strings.HasPrefix(fields[0], ".") {
 				continue // tolerate unknown dot-directives
 			}
-			if cur == nil {
+			if !cur.open {
 				return nil, fmt.Errorf("blif: line %d: cover row outside .names", lr.lineNo)
 			}
-			cur.cover = append(cur.cover, line)
-		}
-	}
-	if err := lr.sc.Err(); err != nil {
-		return nil, fmt.Errorf("blif: %w", err)
-	}
-
-	n := New(model)
-	for _, name := range inputs {
-		if _, err := n.AddInput(name); err != nil {
-			return nil, err
-		}
-	}
-
-	// Topologically order blocks by signal dependencies.
-	byOutput := make(map[string]*namesBlock, len(blocks))
-	for _, b := range blocks {
-		if _, dup := byOutput[b.output]; dup {
-			return nil, fmt.Errorf("blif: line %d: signal %q defined twice", b.line, b.output)
-		}
-		if _, in := n.Lookup(b.output); in {
-			return nil, fmt.Errorf("blif: line %d: .names drives primary input %q", b.line, b.output)
-		}
-		byOutput[b.output] = b
-	}
-	// A built block's gate carries its name, so Lookup finds it; a block
-	// met again while its fanins are still being built closes a cycle.
-	visiting := make(map[string]bool)
-	var build func(name string) (int, error)
-	build = func(name string) (int, error) {
-		if id, ok := n.Lookup(name); ok {
-			return id, nil
-		}
-		b, ok := byOutput[name]
-		if !ok {
-			return 0, fmt.Errorf("blif: signal %q has no driver", name)
-		}
-		if visiting[name] {
-			return 0, fmt.Errorf("blif: combinational cycle through %q", name)
-		}
-		visiting[name] = true
-		fanin := make([]int, len(b.inputs))
-		for i, in := range b.inputs {
-			id, err := build(in)
-			if err != nil {
-				return 0, err
+			if err := cur.row(fields, lr.lineNo); err != nil {
+				return nil, err
 			}
-			fanin[i] = id
-		}
-		table, err := coverToTable(b.inputs, b.cover, b.line)
-		if err != nil {
-			return 0, err
-		}
-		var id int
-		if len(fanin) == 0 {
-			t := Const0
-			if table[0] {
-				t = Const1
-			}
-			id, err = n.AddGate(t)
-		} else {
-			id, err = n.AddLut(table, fanin...)
-		}
-		if err != nil {
-			return 0, err
-		}
-		if err := n.SetSignalName(id, name); err != nil {
-			return 0, err
-		}
-		return id, nil
-	}
-	// Build every block (not only output cones) so the netlist round-trips.
-	for _, b := range blocks {
-		if _, err := build(b.output); err != nil {
-			return nil, err
 		}
 	}
-	for _, name := range outputs {
-		id, ok := n.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("blif: output %q has no driver", name)
-		}
-		if err := n.MarkOutput(name, id); err != nil {
-			return nil, err
-		}
+	if err := e.finish(); err != nil {
+		return nil, err
 	}
-	if len(outputs) == 0 {
+	if len(e.outputs) == 0 {
 		return nil, fmt.Errorf("blif: no .outputs declared")
 	}
 	return n, nil
 }
 
-// blifLines reads a BLIF text one logical line at a time: comments cut,
-// space trimmed, backslash-continued lines joined and blank lines skipped.
-// lineNo is the physical line the last logical line ended on.
+// blifBlock is the .names block being read: its signals, and its cover
+// folded into a truth table row by row. Its slices are reused from block
+// to block.
+type blifBlock struct {
+	stmt
+	open   bool // a .names line was read, and no .names or .end since
+	outVal byte // the output column of the cover's rows; 0 before the first
+}
+
+// start begins the block of a ".names in... out" line.
+func (b *blifBlock) start(signals []string, line int) error {
+	k := len(signals) - 1
+	if k > 16 {
+		return fmt.Errorf("blif: line %d: %d-input .names too wide (max 16)", line, k)
+	}
+	b.ins = append(b.ins[:0], signals[:k]...)
+	b.out, b.line = signals[k], line
+	b.table = slices.Grow(b.table[:0], 1<<k)[:1<<k]
+	clear(b.table)
+	b.open, b.outVal = true, 0
+	return nil
+}
+
+// row folds one cover row "<in-bits> <out-bit>" into the table.
+func (b *blifBlock) row(fields []string, line int) error {
+	k := len(b.ins)
+	var inPat, outPat string
+	switch {
+	case k == 0 && len(fields) == 1:
+		outPat = fields[0]
+	case len(fields) == 2:
+		inPat, outPat = fields[0], fields[1]
+	default:
+		return fmt.Errorf("blif: line %d: malformed cover row %q", line, strings.Join(fields, " "))
+	}
+	if len(inPat) != k {
+		return fmt.Errorf("blif: line %d: cover row %q has %d literals for %d inputs", line, inPat, len(inPat), k)
+	}
+	if outPat != "0" && outPat != "1" {
+		return fmt.Errorf("blif: line %d: cover output %q", line, outPat)
+	}
+	if b.outVal == 0 {
+		b.outVal = outPat[0]
+	} else if outPat[0] != b.outVal {
+		return fmt.Errorf("blif: line %d: mixed on-set and off-set rows", line)
+	}
+	// The cube covers row idx with any subset of the don't-cares dc set.
+	idx, dc := 0, 0
+	for i := 0; i < k; i++ {
+		switch inPat[i] {
+		case '1':
+			idx |= 1 << i
+		case '0':
+		case '-':
+			dc |= 1 << i
+		default:
+			return fmt.Errorf("blif: line %d: bad literal %q", line, inPat[i])
+		}
+	}
+	for sub := dc; ; sub = (sub - 1) & dc {
+		b.table[idx|sub] = true
+		if sub == 0 {
+			return nil
+		}
+	}
+}
+
+// end hands the block to the elaborator.
+func (b *blifBlock) end(e *elaborator) error {
+	b.open = false
+	if b.outVal == '0' {
+		for i := range b.table {
+			b.table[i] = !b.table[i]
+		}
+	}
+	return e.add(b.stmt)
+}
+
+// blifLines reads a BLIF text one logical line at a time, in place:
+// comments cut, space trimmed, backslash-continued lines joined and blank
+// lines skipped. lineNo is the physical line the last logical line ended
+// on.
 type blifLines struct {
-	sc      *bufio.Scanner
-	lineNo  int
-	pending string
+	src    string // src[off:] is not read yet
+	off    int
+	lineNo int
 }
 
-func newBLIFLines(r io.Reader) *blifLines {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
-	return &blifLines{sc: sc}
-}
-
-// next returns the next logical line, or false at the end of the input or
-// at a read error, which lr.sc.Err reports.
+// next returns the next logical line, or false at the end of the input.
 func (lr *blifLines) next() (string, bool) {
-	for lr.sc.Scan() {
+	pending := ""
+	for lr.off < len(lr.src) {
+		line := lr.src[lr.off:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+			lr.off += i + 1
+		} else {
+			lr.off = len(lr.src)
+		}
 		lr.lineNo++
-		line := lr.sc.Text()
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
 		line = strings.TrimSpace(line)
-		if lr.pending != "" {
-			line = lr.pending + " " + line
-			lr.pending = ""
+		if pending != "" {
+			line = pending + " " + line
+			pending = ""
 		}
 		if strings.HasSuffix(line, "\\") {
-			lr.pending = strings.TrimSuffix(line, "\\")
+			pending = strings.TrimSuffix(line, "\\")
 			continue
 		}
 		if line == "" {
@@ -209,13 +215,36 @@ func (lr *blifLines) next() (string, bool) {
 	return "", false
 }
 
+// appendFields appends the space-separated fields of s to dst, as
+// strings.Fields splits them, in place.
+func appendFields(dst []string, s string) []string {
+	n, start := len(dst), -1
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			return append(dst[:n], strings.Fields(s)...)
+		case c == ' ' || c >= '\t' && c <= '\r':
+			if start >= 0 {
+				dst, start = append(dst, s[start:i]), -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
 // WalkBLIF calls visit for every input and output declaration and every
 // .names block of a BLIF text, in order, as ReadBLIF's line reader reads
 // it. It never fails, so it can describe a text ReadBLIF rejects: cover
 // rows, other directives and .names lines without an output are skipped,
 // and a read error ends the walk. visit may keep its argument.
 func WalkBLIF(r io.Reader, visit func(Statement)) {
-	lr := newBLIFLines(r)
+	src, _ := readInput(r) // a read error ends the text where it struck
+	lr := &blifLines{src: src}
 	for {
 		line, ok := lr.next()
 		if !ok {
@@ -237,77 +266,6 @@ func WalkBLIF(r io.Reader, visit func(Statement)) {
 			}
 		}
 	}
-}
-
-// coverToTable converts a BLIF single-output cover into a truth table.
-func coverToTable(inputs []string, cover []string, line int) ([]bool, error) {
-	k := len(inputs)
-	if k > 16 {
-		return nil, fmt.Errorf("blif: line %d: %d-input .names too wide (max 16)", line, k)
-	}
-	table := make([]bool, 1<<uint(k))
-	if len(cover) == 0 {
-		return table, nil // constant 0
-	}
-	outVal := byte(0)
-	for rowIdx, row := range cover {
-		fields := strings.Fields(row)
-		var inPat, outPat string
-		switch {
-		case k == 0 && len(fields) == 1:
-			inPat, outPat = "", fields[0]
-		case len(fields) == 2:
-			inPat, outPat = fields[0], fields[1]
-		default:
-			return nil, fmt.Errorf("blif: line %d: malformed cover row %q", line, row)
-		}
-		if len(inPat) != k {
-			return nil, fmt.Errorf("blif: line %d: cover row %q has %d literals for %d inputs", line, row, len(inPat), k)
-		}
-		if outPat != "0" && outPat != "1" {
-			return nil, fmt.Errorf("blif: line %d: cover output %q", line, outPat)
-		}
-		if rowIdx == 0 {
-			outVal = outPat[0]
-		} else if outPat[0] != outVal {
-			return nil, fmt.Errorf("blif: line %d: mixed on-set and off-set rows", line)
-		}
-		// Expand the cube across don't-cares.
-		expand := func(apply func(idx int)) error {
-			idx := 0
-			var dcBits []int
-			for i := 0; i < k; i++ {
-				switch inPat[i] {
-				case '1':
-					idx |= 1 << uint(i)
-				case '0':
-				case '-':
-					dcBits = append(dcBits, i)
-				default:
-					return fmt.Errorf("blif: line %d: bad literal %q", line, inPat[i])
-				}
-			}
-			for dc := 0; dc < 1<<uint(len(dcBits)); dc++ {
-				v := idx
-				for j, bitPos := range dcBits {
-					if dc&(1<<uint(j)) != 0 {
-						v |= 1 << uint(bitPos)
-					}
-				}
-				apply(v)
-			}
-			return nil
-		}
-		if err := expand(func(idx int) { table[idx] = true }); err != nil {
-			return nil, err
-		}
-	}
-	if outVal == '0' {
-		for i := range table {
-			table[i] = !table[i]
-		}
-	}
-	return table, nil
 }
 
 // WriteBLIF renders the netlist as BLIF, one .names block per non-input

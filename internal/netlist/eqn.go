@@ -36,14 +36,27 @@ type eqnToken struct {
 
 // eqnLexer tokenizes one line at a time as the parser asks for tokens, so
 // parsing holds the current line's tokens instead of the whole file's. It
-// lexes in place: every identifier is a substring of the input.
+// lexes in place: every identifier is a substring of the input. It lexes
+// Verilog too, into the same token kinds, so that EQN's expression grammar
+// parses Verilog's assigns; a lexer over a statement's saved tokens and no
+// input replays them.
 type eqnLexer struct {
-	src    string // the whole input; src[off:] is not lexed yet
-	off    int
-	lineNo int
-	toks   []eqnToken // tokens of line lineNo; toks[pos:] are unread
-	pos    int
-	err    error // the first lexing error; the parser's input ends before its line
+	src     string // the whole input; src[off:] is not lexed yet
+	off     int
+	lineNo  int
+	toks    []eqnToken // tokens of line lineNo; toks[pos:] are unread
+	pos     int
+	err     error // the first lexing error; the parser's input ends before its line
+	verilog bool
+	comment bool // inside a Verilog block comment
+}
+
+// lang names the lexer's format in error messages.
+func (lx *eqnLexer) lang() string {
+	if lx.verilog {
+		return "verilog"
+	}
+	return "eqn"
 }
 
 // eqnClass classifies input bytes for the lexer: ' ' separates tokens,
@@ -84,6 +97,9 @@ func (lx *eqnLexer) fill() bool {
 // tokens around it, and the first one sets lx.err. It reads the line once:
 // a comment, from '#' or "//", runs to the end of the line.
 func (lx *eqnLexer) lexLine() bool {
+	if lx.verilog {
+		return lx.lexVerilogLine()
+	}
 	src, i := lx.src, lx.off
 	if i == len(src) {
 		return false
@@ -161,16 +177,17 @@ func (lx *eqnLexer) next() (eqnToken, bool) {
 func (lx *eqnLexer) expect(kind byte) (eqnToken, error) {
 	t, ok := lx.next()
 	if !ok {
-		return t, fmt.Errorf("eqn: unexpected end of file, want %q", kind)
+		return t, fmt.Errorf("%s: unexpected end of file, want %q", lx.lang(), kind)
 	}
 	if t.kind != kind {
-		return t, fmt.Errorf("eqn: line %d: got %q, want %q", t.line, tokenDesc(t), kind)
+		return t, fmt.Errorf("%s: line %d: got %q, want %q", lx.lang(), t.line, tokenDesc(t), kind)
 	}
 	return t, nil
 }
 
+// tokenDesc returns a token's text as the input has it.
 func tokenDesc(t eqnToken) string {
-	if t.kind == 'i' {
+	if t.text != "" {
 		return t.text
 	}
 	return string(t.kind)
@@ -368,14 +385,7 @@ func (p *eqnParser) parse() (*Netlist, error) {
 			if _, err := lx.expect(';'); err != nil {
 				return nil, err
 			}
-			// If the RHS reduced to an already-named node, add a buffer so
-			// the LHS name binds to its own gate.
-			if p.n.names[id] != "" || p.n.gates[id].typ == Input {
-				if id, err = p.n.AddGate(Buf, id); err != nil {
-					return nil, err
-				}
-			}
-			if err := p.n.SetSignalName(id, t.text); err != nil {
+			if err := p.n.bindName(id, t.text); err != nil {
 				return nil, fmt.Errorf("eqn: line %d: %w", t.line, err)
 			}
 		}
@@ -473,13 +483,13 @@ func (p *eqnParser) parseUnary() (int, error) {
 func (p *eqnParser) parsePrimary() (int, error) {
 	t, ok := p.lx.next()
 	if !ok {
-		return 0, fmt.Errorf("eqn: unexpected end of expression")
+		return 0, fmt.Errorf("%s: unexpected end of expression", p.lx.lang())
 	}
 	switch t.kind {
 	case 'i':
 		id, ok := p.n.Lookup(t.text)
 		if !ok {
-			return 0, fmt.Errorf("eqn: line %d: signal %q used before definition", t.line, t.text)
+			return 0, fmt.Errorf("%s: line %d: signal %q used before definition", p.lx.lang(), t.line, t.text)
 		}
 		return id, nil
 	case '0':
@@ -496,7 +506,7 @@ func (p *eqnParser) parsePrimary() (int, error) {
 		}
 		return id, nil
 	default:
-		return 0, fmt.Errorf("eqn: line %d: unexpected %q in expression", t.line, tokenDesc(t))
+		return 0, fmt.Errorf("%s: line %d: unexpected %q in expression", p.lx.lang(), t.line, tokenDesc(t))
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
 
+	"github.com/galoisfield/gfre/internal/extract"
 	"github.com/galoisfield/gfre/internal/gen"
 	"github.com/galoisfield/gfre/internal/gf2poly"
 	"github.com/galoisfield/gfre/internal/netlist"
@@ -60,29 +63,40 @@ func TestReadEQNReadErrorIsParseError(t *testing.T) {
 	}
 }
 
-// TestReadEQNAllocationBound guards the reader's memory: it tokenizes one
-// line at a time, so parsing allocates little beyond the netlist it builds
-// (3.5 bytes per input byte for this design). A reader that tokenizes the
-// whole file before parsing allocates 78 and fails the bound.
+// TestReadEQNAllocationBound guards the readers' memory: each reads its
+// input into one string and lexes it one line at a time in place, so
+// parsing allocates little beyond the netlist it builds (3.5 bytes per
+// input byte as EQN, 3.3 as BLIF and 2.1 as Verilog for this design). A
+// reader that tokenizes the whole file before parsing allocates 66-70 and
+// fails the bound.
 func TestReadEQNAllocationBound(t *testing.T) {
 	n, err := gen.Mastrovito(64, gf2poly.MustParse("x^64+x^4+x^3+x+1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := n.WriteEQN(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := netlist.ReadEQN(bytes.NewReader(buf.Bytes()), "m64"); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(buf.Len())
-	t.Logf("ReadEQN allocated %.1f bytes per input byte", perByte)
-	if perByte > 40 {
-		t.Errorf("ReadEQN allocated %.1f bytes per input byte, want at most 40", perByte)
+	for _, f := range []struct {
+		format string
+		write  func(*netlist.Netlist, io.Writer) error
+	}{
+		{"eqn", (*netlist.Netlist).WriteEQN},
+		{"blif", (*netlist.Netlist).WriteBLIF},
+		{"verilog", (*netlist.Netlist).WriteVerilog},
+	} {
+		var buf bytes.Buffer
+		if err := f.write(n, &buf); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := netlist.Read(bytes.NewReader(buf.Bytes()), f.format, "m64"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(buf.Len())
+		t.Logf("%s: the read allocated %.1f bytes per input byte", f.format, perByte)
+		if perByte > 40 {
+			t.Errorf("%s: the read allocated %.1f bytes per input byte, want at most 40", f.format, perByte)
+		}
 	}
 }
 
@@ -207,4 +221,128 @@ func TestReadVerilogLongLine(t *testing.T) {
 	if vals[0]&1 != 1 {
 		t.Errorf("z(a=1, b=1) = %d, want 1", vals[0]&1)
 	}
+}
+
+// TestReadersNumberInFileOrder checks that the BLIF and Verilog readers
+// build each statement as it is read: a multiplier written as Verilog reads
+// back with the canonical digest it was written from, and one whose
+// statements are shuffled, as Verilog or as BLIF, reads to the same
+// function and the same P(x).
+func TestReadersNumberInFileOrder(t *testing.T) {
+	for _, arch := range []struct {
+		name  string
+		build func(int, gf2poly.Poly) (*netlist.Netlist, error)
+	}{{"mastrovito", gen.Mastrovito}, {"montgomery", gen.Montgomery}} {
+		for _, m := range []int{16, 64} {
+			p, err := polytab.Default(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := arch.build(m, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v, b bytes.Buffer
+			if err := n.WriteVerilog(&v); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.WriteBLIF(&b); err != nil {
+				t.Fatal(err)
+			}
+			back, err := netlist.ReadVerilog(bytes.NewReader(v.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := n.Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := back.Digest(); err != nil || got != want {
+				t.Errorf("%s m=%d: Verilog round trip digest %s (%v), want %s", arch.name, m, got, err, want)
+			}
+			r := rand.New(rand.NewSource(int64(m)))
+			for _, text := range []struct{ format, src string }{
+				{"verilog", shuffleStatements(r, v.String(), "  assign ", "  input ", "  output ", "  wire ")},
+				{"blif", shuffleStatements(r, b.String(), ".names ")},
+			} {
+				shuffled, err := netlist.Read(strings.NewReader(text.src), text.format, "shuffled")
+				if err != nil {
+					t.Fatalf("%s m=%d, shuffled %s: %v", arch.name, m, text.format, err)
+				}
+				if !sameFunction(t, n, shuffled) {
+					t.Errorf("%s m=%d, shuffled %s: the function differs from the written design's", arch.name, m, text.format)
+				}
+				ext, err := extract.IrreduciblePolynomial(shuffled, extract.Options{})
+				if err != nil {
+					t.Fatalf("%s m=%d, shuffled %s: %v", arch.name, m, text.format, err)
+				}
+				if ext.P.String() != p.String() {
+					t.Errorf("%s m=%d, shuffled %s: P(x) = %v, want %v", arch.name, m, text.format, ext.P, p)
+				}
+			}
+		}
+	}
+}
+
+// shuffleStatements shuffles the statements of a netlist text: the
+// indented lines that start none of the kept prefixes, with the lines
+// under each, for a BLIF text (kept ".names ") the blocks its kept lines
+// start.
+func shuffleStatements(r *rand.Rand, src string, prefixes ...string) string {
+	lines := strings.SplitAfter(src, "\n")
+	var head, tail []string
+	var stmts [][]string
+	blif := prefixes[0] == ".names "
+	for _, l := range lines {
+		switch {
+		case blif && strings.HasPrefix(l, ".names "):
+			stmts = append(stmts, []string{l})
+		case blif && len(stmts) > 0 && !strings.HasPrefix(l, "."):
+			stmts[len(stmts)-1] = append(stmts[len(stmts)-1], l)
+		case !blif && strings.HasPrefix(l, "  ") && !hasAnyPrefix(l, prefixes[1:]):
+			stmts = append(stmts, []string{l})
+		case len(stmts) == 0:
+			head = append(head, l)
+		default:
+			tail = append(tail, l)
+		}
+	}
+	r.Shuffle(len(stmts), func(i, j int) { stmts[i], stmts[j] = stmts[j], stmts[i] })
+	out := strings.Join(head, "")
+	for _, s := range stmts {
+		out += strings.Join(s, "")
+	}
+	return out + strings.Join(tail, "")
+}
+
+func hasAnyPrefix(s string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(s, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameFunction reports whether two netlists with the same ports compute
+// the same function on 64 random input lanes.
+func sameFunction(t *testing.T, a, b *netlist.Netlist) bool {
+	t.Helper()
+	if len(a.Inputs()) != len(b.Inputs()) || a.NumOutputs() != b.NumOutputs() {
+		return false
+	}
+	r := rand.New(rand.NewSource(1))
+	in := make([]uint64, len(a.Inputs()))
+	for i := range in {
+		in[i] = r.Uint64()
+	}
+	va, err := a.Simulate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := b.Simulate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Equal(a.OutputWords(va), b.OutputWords(vb))
 }

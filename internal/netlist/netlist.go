@@ -174,8 +174,9 @@ type Netlist struct {
 	// leaves the lists handed out earlier on the old copy, which still
 	// holds them.
 	fanins []int
-	// tables holds the truth tables of the LUT gates (gate.lut).
-	tables [][]bool
+	// tables is the arena the truth tables of the LUT gates (gate.lut)
+	// live in, one after another, as fanins holds their fanin lists.
+	tables []bool
 	// shadowed is a bitset over gate IDs: bit id is set once another gate
 	// or an output port carries "n<id>", the name NameOf synthesizes for an
 	// anonymous gate id. Such a name registered before gate id exists waits
@@ -214,7 +215,7 @@ func New(name string) *Netlist {
 // and LUT truth table as positions in the netlist's arenas.
 type gate struct {
 	off  uint32 // first fanin in the fanins arena
-	lut  uint32 // 1 + index of the truth table in tables; 0 for other cells
+	lut  uint32 // 1 + offset of the truth table in tables; 0 for other cells
 	typ  GateType
 	nfan uint8 // fanin count; at most maxLutInputs
 }
@@ -270,7 +271,8 @@ func (n *Netlist) Gate(id int) Gate {
 		g.Fanin = n.fanins[r.off:end:end]
 	}
 	if r.lut > 0 {
-		g.Table = n.tables[r.lut-1]
+		end := r.lut - 1 + 1<<r.nfan
+		g.Table = n.tables[r.lut-1 : end : end]
 	}
 	return g
 }
@@ -443,7 +445,10 @@ func (n *Netlist) AddLut(table []bool, fanin ...int) (int, error) {
 	if len(table) != 1<<uint(len(fanin)) {
 		return 0, fmt.Errorf("netlist: LUT table has %d rows for %d inputs", len(table), len(fanin))
 	}
-	return n.addChecked(Lut, fanin, append([]bool(nil), table...))
+	if len(n.tables)+len(table) >= math.MaxUint32 {
+		return 0, fmt.Errorf("netlist: LUT tables exceed %d rows", math.MaxUint32)
+	}
+	return n.addChecked(Lut, fanin, table)
 }
 
 // addChecked appends a gate after checking its fanins, copying them into
@@ -458,8 +463,8 @@ func (n *Netlist) addChecked(t GateType, fanin []int, table []bool) (int, error)
 	return n.appendGate(t, fanin, table), nil
 }
 
-// appendGate adds an anonymous gate, copying its fanins into the arena,
-// and returns its ID.
+// appendGate adds an anonymous gate, copying its fanins and truth table
+// into their arenas, and returns its ID.
 func (n *Netlist) appendGate(t GateType, fanin []int, table []bool) int {
 	id := len(n.gates)
 	r := gate{off: uint32(len(n.fanins)), typ: t, nfan: uint8(len(fanin))}
@@ -468,8 +473,8 @@ func (n *Netlist) appendGate(t GateType, fanin []int, table []bool) int {
 	}
 	n.fanins = append(n.fanins, fanin...)
 	if table != nil {
-		n.tables = append(n.tables, table)
-		r.lut = uint32(len(n.tables))
+		r.lut = uint32(len(n.tables)) + 1
+		n.tables = append(n.tables, table...)
 	}
 	n.gates = append(n.gates, r)
 	n.names = append(n.names, "")

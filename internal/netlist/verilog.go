@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -25,203 +26,277 @@ import (
 // vectors like "input [7:0] a;" which expand to a[7]..a[0]); the gate
 // primitives and/or/xor/xnor/nand/nor/not/buf (2-input for the binary ones);
 // assign with expressions over ~ & ^ | and parentheses; 1'b0/1'b1 constants;
-// // and /* */ comments. Behavioral constructs are rejected. All syntax and
-// structure failures are wrapped in ErrParse.
+// // and /* */ comments. Behavioral constructs are rejected. Statements may
+// come in any order; gates are numbered in file order where the file is
+// topological. All syntax and structure failures, a statement that drives
+// a primary input among them, are wrapped in ErrParse.
 func ReadVerilog(r io.Reader) (*Netlist, error) {
-	toks, err := lexVerilog(r)
-	if err != nil {
-		return nil, parseError(err)
-	}
-	p := &vParser{toks: toks}
-	n, err := p.parseModule()
+	n, err := readVerilog(r)
 	if err != nil {
 		return nil, parseError(err)
 	}
 	return n, nil
 }
 
-type vToken struct {
-	kind byte // 'i' ident, 'n' number, or a punctuation char
-	text string
-	line int
-}
-
-func lexVerilog(r io.Reader) ([]vToken, error) {
-	var toks []vToken
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 256*1024*1024)
-	line := 0
-	inBlockComment := false
-	for sc.Scan() {
-		line++
-		s := sc.Text()
-		i := 0
-		for i < len(s) {
-			if inBlockComment {
-				if j := strings.Index(s[i:], "*/"); j >= 0 {
-					i += j + 2
-					inBlockComment = false
-					continue
-				}
-				i = len(s)
-				continue
-			}
-			c := s[i]
-			switch {
-			case c == ' ' || c == '\t' || c == '\r':
-				i++
-			case strings.HasPrefix(s[i:], "//"):
-				i = len(s)
-			case strings.HasPrefix(s[i:], "/*"):
-				inBlockComment = true
-				i += 2
-			case c == '_' || c == '\\' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
-				j := i
-				if c == '\\' { // escaped identifier: up to whitespace
-					j++
-					for j < len(s) && s[j] != ' ' && s[j] != '\t' {
-						j++
-					}
-					toks = append(toks, vToken{'i', s[i+1 : j], line})
-					i = j
-					continue
-				}
-				for j < len(s) && (s[j] == '_' || s[j] == '$' ||
-					s[j] >= 'a' && s[j] <= 'z' || s[j] >= 'A' && s[j] <= 'Z' ||
-					s[j] >= '0' && s[j] <= '9') {
-					j++
-				}
-				toks = append(toks, vToken{'i', s[i:j], line})
-				i = j
-			case c >= '0' && c <= '9':
-				j := i
-				for j < len(s) && (s[j] >= '0' && s[j] <= '9' ||
-					s[j] == '\'' || s[j] == 'b' || s[j] == 'h' || s[j] == 'd' ||
-					s[j] >= 'a' && s[j] <= 'f' || s[j] >= 'A' && s[j] <= 'F') {
-					j++
-				}
-				toks = append(toks, vToken{'n', s[i:j], line})
-				i = j
-			case strings.IndexByte("()[],;=~&^|:", c) >= 0:
-				toks = append(toks, vToken{c, string(c), line})
-				i++
-			default:
-				return nil, fmt.Errorf("verilog: line %d: unexpected character %q", line, c)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+func readVerilog(r io.Reader) (*Netlist, error) {
+	src, err := readInput(r)
+	if err != nil {
 		return nil, fmt.Errorf("verilog: %w", err)
 	}
-	return toks, nil
+	lx := &eqnLexer{src: src, verilog: true}
+	n, err := (&vParser{lx: lx}).parseModule(strings.Count(src, "("))
+	for err == nil && lx.lexLine() { // what follows endmodule must lex
+	}
+	if lx.err != nil {
+		return nil, lx.err
+	}
+	return n, err
 }
 
+// vClass classifies input bytes for the Verilog lexer as eqnClass does for
+// EQN, with 'n' starting a number and '\\' an escaped identifier; '$'
+// only continues an identifier.
+var vClass = func() (c [256]byte) {
+	for _, b := range []byte(" \t\r") {
+		c[b] = ' '
+	}
+	for _, b := range []byte("()[],;=~&^|:") {
+		c[b] = '='
+	}
+	for _, b := range []byte("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ") {
+		c[b] = 'i'
+	}
+	for _, b := range []byte("0123456789") {
+		c[b] = 'n'
+	}
+	c['$'], c['\\'], c['\n'], c['/'] = '$', '\\', '\n', '/'
+	return c
+}()
+
+// vKind maps Verilog's operators to EQN's token kinds; other punctuation
+// keeps its own byte.
+var vKind = func() (k [256]byte) {
+	for i := range k {
+		k[i] = byte(i)
+	}
+	k['~'], k['&'], k['|'] = '!', '*', '+'
+	return k
+}()
+
+// lexVerilogLine is lexLine for Verilog. Its tokens carry their text as the
+// input has it; 1'b0 and 1'b1 are EQN's constants, any other number kind
+// 'n'. A block comment may span lines.
+func (lx *eqnLexer) lexVerilogLine() bool {
+	src, i := lx.src, lx.off
+	if i == len(src) {
+		return false
+	}
+	lx.lineNo++
+	lx.toks, lx.pos = lx.toks[:0], 0
+	tok := func(kind byte, j int) {
+		lx.toks = append(lx.toks, eqnToken{kind: kind, text: src[i:j], line: lx.lineNo})
+		i = j
+	}
+	for i < len(src) {
+		c := src[i]
+		switch {
+		case c == '\n':
+			lx.off = i + 1
+			return true
+		case lx.comment:
+			rest := src[i:]
+			if k := strings.IndexByte(rest, '\n'); k >= 0 {
+				rest = rest[:k]
+			}
+			if k := strings.Index(rest, "*/"); k >= 0 {
+				i += k + 2
+				lx.comment = false
+			} else {
+				i += len(rest)
+			}
+			continue
+		}
+		j := i + 1
+		switch vClass[c] {
+		case ' ':
+			i++
+		case '=':
+			tok(vKind[c], j)
+		case 'i':
+			for j < len(src) {
+				if k := vClass[src[j]]; k != 'i' && k != 'n' && k != '$' {
+					break
+				}
+				j++
+			}
+			tok('i', j)
+		case '\\': // an escaped identifier runs up to white space
+			for j < len(src) && vClass[src[j]] != ' ' && src[j] != '\n' {
+				j++
+			}
+			i++
+			tok('i', j)
+		case 'n':
+			for j < len(src) && vNumber(src[j]) {
+				j++
+			}
+			switch src[i:j] {
+			case "1'b0":
+				tok('0', j)
+			case "1'b1":
+				tok('1', j)
+			default:
+				tok('n', j)
+			}
+		case '/':
+			if j < len(src) && src[j] == '/' {
+				i = lx.skipComment(i)
+				break
+			}
+			if j < len(src) && src[j] == '*' {
+				lx.comment = true
+				i += 2
+				break
+			}
+			fallthrough
+		default:
+			if lx.err == nil {
+				lx.err = fmt.Errorf("verilog: line %d: unexpected character %q", lx.lineNo, c)
+			}
+			i++
+		}
+	}
+	lx.off = len(src)
+	return true
+}
+
+// vNumber reports whether b continues a number such as 12 or 1'b0.
+func vNumber(b byte) bool {
+	return vClass[b] == 'n' || b == '\'' || b == 'h' || b >= 'a' && b <= 'f' || b >= 'A' && b <= 'F'
+}
+
+// vParser reads a module's statements from the lexer and hands each to the
+// elaborator as it ends.
 type vParser struct {
-	toks []vToken
-	pos  int
-	n    *Netlist
-
-	declared map[string]bool
-	outputs  []string
-	// deferred gate/assign statements, resolved after all declarations.
-	stmts []vStmt
+	lx   *eqnLexer
+	e    *elaborator
+	args []string   // a gate primitive's connections, or an assign's signals
+	rhs  []eqnToken // an assign's right-hand side
 }
 
-type vStmt struct {
-	kind string   // gate primitive name or "assign"
-	args []string // gate: output then inputs; unused for assign
-	out  string   // assign target
-	expr []vToken // assign RHS tokens
-	line int
-}
-
-func (p *vParser) peek() (vToken, bool) {
-	if p.pos >= len(p.toks) {
-		return vToken{}, false
-	}
-	return p.toks[p.pos], true
-}
-
-func (p *vParser) next() (vToken, bool) {
-	t, ok := p.peek()
-	if ok {
-		p.pos++
-	}
-	return t, ok
-}
-
-func (p *vParser) expect(kind byte, what string) (vToken, error) {
-	t, ok := p.next()
+// expect reads a token of one of the kinds.
+func (p *vParser) expect(kinds string, what string) (eqnToken, error) {
+	t, ok := p.lx.next()
 	if !ok {
 		return t, fmt.Errorf("verilog: unexpected EOF, want %s", what)
 	}
-	if t.kind != kind {
-		return t, fmt.Errorf("verilog: line %d: got %q, want %s", t.line, t.text, what)
+	if strings.IndexByte(kinds, t.kind) < 0 {
+		return t, fmt.Errorf("verilog: line %d: got %q, want %s", t.line, tokenDesc(t), what)
 	}
 	return t, nil
 }
 
-// parseSignalList reads "a, b, c ;" or "[7:0] v ;" after a direction
-// keyword, returning expanded names.
-func (p *vParser) parseSignalList() ([]string, error) {
-	var names []string
+// number reads a number, a range bound or an index, and takes its leading
+// decimal digits: 1'b1 is 1 and 8'hff is 8.
+func (p *vParser) number(what string) (int, error) {
+	t, err := p.expect("n01", what)
+	if err != nil {
+		return 0, err
+	}
+	k := 0
+	for k < len(t.text) && vClass[t.text[k]] == 'n' {
+		k++
+	}
+	v, err := strconv.Atoi(t.text[:k])
+	if err != nil {
+		return 0, fmt.Errorf("verilog: line %d: bad %s %q", t.line, what, t.text)
+	}
+	return v, nil
+}
+
+// signal reads a signal name, a bit select "v[3]" included.
+func (p *vParser) signal(what string) (string, error) {
+	t, err := p.expect("i", what)
+	if err != nil {
+		return "", err
+	}
+	return p.bitSelect(t)
+}
+
+// bitSelect returns the name identifier t starts: its text, or "v[i]" when
+// a bit select follows.
+func (p *vParser) bitSelect(t eqnToken) (string, error) {
+	if p.lx.peekKind() != '[' {
+		return t.text, nil
+	}
+	p.lx.pos++
+	idx, err := p.number("index")
+	if err != nil {
+		return "", err
+	}
+	if _, err := p.expect("]", "']'"); err != nil {
+		return "", err
+	}
+	return t.text + "[" + strconv.Itoa(idx) + "]", nil
+}
+
+// signalList reads "a, b, c ;" or "[7:0] v ;" after a direction keyword
+// and calls add, when not nil, on every name, a vector's from its LSB.
+func (p *vParser) signalList(add func(string) error) error {
 	msb, lsb, vec := 0, 0, false
-	if t, ok := p.peek(); ok && t.kind == '[' {
-		p.pos++
-		hi, err := p.expect('n', "vector msb")
-		if err != nil {
-			return nil, err
+	if p.lx.peekKind() == '[' {
+		p.lx.pos++
+		var err error
+		if msb, err = p.number("vector msb"); err != nil {
+			return err
 		}
-		if _, err := p.expect(':', "':'"); err != nil {
-			return nil, err
+		if _, err := p.expect(":", "':'"); err != nil {
+			return err
 		}
-		lo, err := p.expect('n', "vector lsb")
-		if err != nil {
-			return nil, err
+		if lsb, err = p.number("vector lsb"); err != nil {
+			return err
 		}
-		if _, err := p.expect(']', "']'"); err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscanf(hi.text, "%d", &msb); err != nil {
-			return nil, fmt.Errorf("verilog: line %d: bad msb %q", hi.line, hi.text)
-		}
-		if _, err := fmt.Sscanf(lo.text, "%d", &lsb); err != nil {
-			return nil, fmt.Errorf("verilog: line %d: bad lsb %q", lo.line, lo.text)
+		if _, err := p.expect("]", "']'"); err != nil {
+			return err
 		}
 		vec = true
 	}
 	for {
-		t, err := p.expect('i', "signal name")
+		t, err := p.expect("i", "signal name")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if vec {
-			// Expand LSB-first (matching the generators' a0..a<m-1> port
-			// convention), regardless of declaration direction.
+		switch {
+		case add == nil:
+		case !vec:
+			err = add(t.text)
+		default:
+			// LSB first, matching the generators' a0..a<m-1> port
+			// convention, whichever way the range is declared.
 			step := 1
 			if msb < lsb {
 				step = -1
 			}
-			for i := lsb; ; i += step {
-				names = append(names, fmt.Sprintf("%s[%d]", t.text, i))
+			for i := lsb; err == nil; i += step {
+				err = add(t.text + "[" + strconv.Itoa(i) + "]")
 				if i == msb {
 					break
 				}
 			}
-		} else {
-			names = append(names, t.text)
 		}
-		sep, ok := p.next()
+		if err != nil {
+			return err
+		}
+		sep, ok := p.lx.next()
 		if !ok {
-			return nil, fmt.Errorf("verilog: unexpected EOF in declaration")
+			return fmt.Errorf("verilog: unexpected EOF in declaration")
 		}
 		switch sep.kind {
 		case ',':
-			continue
 		case ';':
-			return names, nil
+			return nil
 		default:
-			return nil, fmt.Errorf("verilog: line %d: got %q in declaration", sep.line, sep.text)
+			return fmt.Errorf("verilog: line %d: got %q in declaration", sep.line, tokenDesc(sep))
 		}
 	}
 }
@@ -231,19 +306,25 @@ var vGatePrims = map[string]GateType{
 	"nand": Nand, "nor": Nor, "not": Not, "buf": Buf,
 }
 
-func (p *vParser) parseModule() (*Netlist, error) {
-	p.declared = map[string]bool{}
-	if _, err := p.expectKeyword("module"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect('i', "module name")
+// parseModule reads the module; gates, the input's count of '(', one per
+// gate instance, sizes the netlist.
+func (p *vParser) parseModule(gates int) (*Netlist, error) {
+	t, err := p.expect("i", `"module"`)
 	if err != nil {
 		return nil, err
 	}
-	p.n = New(name.text)
+	if t.text != "module" {
+		return nil, fmt.Errorf("verilog: line %d: got %q, want \"module\"", t.line, t.text)
+	}
+	name, err := p.expect("i", "module name")
+	if err != nil {
+		return nil, err
+	}
+	n := New(name.text)
+	p.e = &elaborator{n: n, lang: "verilog", reserve: gates}
 	// Skip the port header up to ';'.
 	for {
-		t, ok := p.next()
+		t, ok := p.lx.next()
 		if !ok {
 			return nil, fmt.Errorf("verilog: unterminated module header")
 		}
@@ -251,454 +332,112 @@ func (p *vParser) parseModule() (*Netlist, error) {
 			break
 		}
 	}
-	var inputs []string
+	addOutput := func(name string) error {
+		p.e.outputs = append(p.e.outputs, name)
+		return nil
+	}
 	for {
-		t, ok := p.next()
+		t, ok := p.lx.next()
 		if !ok {
 			return nil, fmt.Errorf("verilog: missing endmodule")
 		}
 		if t.kind != 'i' {
-			return nil, fmt.Errorf("verilog: line %d: unexpected %q", t.line, t.text)
+			return nil, fmt.Errorf("verilog: line %d: unexpected %q", t.line, tokenDesc(t))
 		}
 		switch t.text {
 		case "endmodule":
-			return p.finish(inputs)
+			if err := p.e.finish(); err != nil {
+				return nil, err
+			}
+			if len(p.e.outputs) == 0 {
+				return nil, fmt.Errorf("verilog: module has no outputs")
+			}
+			return n, nil
 		case "input":
-			names, err := p.parseSignalList()
-			if err != nil {
-				return nil, err
-			}
-			inputs = append(inputs, names...)
-			for _, nm := range names {
-				p.declared[nm] = true
-			}
+			err = p.signalList(p.e.input)
 		case "output":
-			names, err := p.parseSignalList()
-			if err != nil {
-				return nil, err
-			}
-			p.outputs = append(p.outputs, names...)
-			for _, nm := range names {
-				p.declared[nm] = true
-			}
+			err = p.signalList(addOutput)
 		case "wire":
-			names, err := p.parseSignalList()
-			if err != nil {
-				return nil, err
-			}
-			for _, nm := range names {
-				p.declared[nm] = true
-			}
+			err = p.signalList(nil)
 		case "assign":
-			out, err := p.expect('i', "assign target")
-			if err != nil {
-				return nil, err
-			}
-			target := out.text
-			if t2, ok := p.peek(); ok && t2.kind == '[' {
-				idx, err := p.parseIndexSuffix()
-				if err != nil {
-					return nil, err
-				}
-				target = fmt.Sprintf("%s[%d]", target, idx)
-			}
-			if _, err := p.expect('=', "'='"); err != nil {
-				return nil, err
-			}
-			var expr []vToken
-			for {
-				t2, ok := p.next()
-				if !ok {
-					return nil, fmt.Errorf("verilog: line %d: unterminated assign", out.line)
-				}
-				if t2.kind == ';' {
-					break
-				}
-				expr = append(expr, t2)
-			}
-			p.stmts = append(p.stmts, vStmt{kind: "assign", out: target, expr: expr, line: out.line})
+			err = p.assign()
 		default:
-			prim, ok := vGatePrims[t.text]
-			if !ok {
-				return nil, fmt.Errorf("verilog: line %d: unsupported construct %q (structural subset only)", t.line, t.text)
-			}
-			_ = prim
-			// Optional instance name.
-			if t2, ok := p.peek(); ok && t2.kind == 'i' {
-				p.pos++
-			}
-			if _, err := p.expect('(', "'('"); err != nil {
-				return nil, err
-			}
-			var args []string
-			for {
-				a, err := p.expect('i', "port connection")
-				if err != nil {
-					return nil, err
-				}
-				nm := a.text
-				if t2, ok := p.peek(); ok && t2.kind == '[' {
-					idx, err := p.parseIndexSuffix()
-					if err != nil {
-						return nil, err
-					}
-					nm = fmt.Sprintf("%s[%d]", nm, idx)
-				}
-				args = append(args, nm)
-				sep, ok := p.next()
-				if !ok {
-					return nil, fmt.Errorf("verilog: line %d: unterminated gate", t.line)
-				}
-				if sep.kind == ')' {
-					break
-				}
-				if sep.kind != ',' {
-					return nil, fmt.Errorf("verilog: line %d: got %q in gate ports", sep.line, sep.text)
-				}
-			}
-			if _, err := p.expect(';', "';'"); err != nil {
-				return nil, err
-			}
-			p.stmts = append(p.stmts, vStmt{kind: t.text, args: args, line: t.line})
+			err = p.gate(t)
 		}
-	}
-}
-
-func (p *vParser) parseIndexSuffix() (int, error) {
-	if _, err := p.expect('[', "'['"); err != nil {
-		return 0, err
-	}
-	n, err := p.expect('n', "index")
-	if err != nil {
-		return 0, err
-	}
-	var idx int
-	if _, err := fmt.Sscanf(n.text, "%d", &idx); err != nil {
-		return 0, fmt.Errorf("verilog: line %d: bad index %q", n.line, n.text)
-	}
-	if _, err := p.expect(']', "']'"); err != nil {
-		return 0, err
-	}
-	return idx, nil
-}
-
-func (p *vParser) expectKeyword(kw string) (vToken, error) {
-	t, err := p.expect('i', fmt.Sprintf("%q", kw))
-	if err != nil {
-		return t, err
-	}
-	if t.text != kw {
-		return t, fmt.Errorf("verilog: line %d: got %q, want %q", t.line, t.text, kw)
-	}
-	return t, nil
-}
-
-// finish resolves the deferred statements into gates. Statements may appear
-// in any order; dependencies are resolved by demand-driven elaboration.
-func (p *vParser) finish(inputs []string) (*Netlist, error) {
-	for _, nm := range inputs {
-		if _, err := p.n.AddInput(nm); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
-	// Index statements by the signal they drive.
-	type driver struct {
-		stmt  vStmt
-		state int // 0 unvisited, 1 visiting, 2 done
-	}
-	drivers := map[string]*driver{}
-	for _, st := range p.stmts {
-		out := st.out
-		if st.kind != "assign" {
-			out = st.args[0]
-		}
-		if _, dup := drivers[out]; dup {
-			return nil, fmt.Errorf("verilog: line %d: signal %q driven twice", st.line, out)
-		}
-		drivers[out] = &driver{stmt: st}
-	}
+}
 
-	var build func(name string, line int) (int, error)
-	var elabStmt func(d *driver) (int, error)
-	build = func(name string, line int) (int, error) {
-		if id, ok := p.n.Lookup(name); ok {
-			return id, nil
-		}
-		d, ok := drivers[name]
+// assign reads "assign target = expr ;" after its keyword. The expression
+// is kept as tokens, bit selects folded into names, for EQN's grammar.
+func (p *vParser) assign() error {
+	out, err := p.signal("assign target")
+	if err != nil {
+		return err
+	}
+	eq, err := p.expect("=", "'='")
+	if err != nil {
+		return err
+	}
+	p.rhs, p.args = p.rhs[:0], p.args[:0]
+	for {
+		t, ok := p.lx.next()
 		if !ok {
-			return 0, fmt.Errorf("verilog: line %d: signal %q has no driver", line, name)
+			return fmt.Errorf("verilog: line %d: unterminated assign", eq.line)
 		}
-		switch d.state {
-		case 1:
-			return 0, fmt.Errorf("verilog: combinational cycle through %q", name)
-		case 2:
-			id, _ := p.n.Lookup(name)
-			return id, nil
+		if t.kind == 'i' {
+			if t.text, err = p.bitSelect(t); err != nil {
+				return err
+			}
+			p.args = append(p.args, t.text)
 		}
-		d.state = 1
-		id, err := elabStmt(d)
+		p.rhs = append(p.rhs, t)
+		if t.kind == ';' {
+			return p.e.add(stmt{out: out, line: eq.line, ins: p.args, toks: p.rhs})
+		}
+	}
+}
+
+// gate reads a gate primitive's instance, its name optional, after the
+// primitive t.
+func (p *vParser) gate(t eqnToken) error {
+	prim, ok := vGatePrims[t.text]
+	if !ok {
+		return fmt.Errorf("verilog: line %d: unsupported construct %q (structural subset only)", t.line, t.text)
+	}
+	if p.lx.peekKind() == 'i' {
+		p.lx.pos++
+	}
+	if _, err := p.expect("(", "'('"); err != nil {
+		return err
+	}
+	p.args = p.args[:0]
+	for {
+		a, err := p.signal("port connection")
 		if err != nil {
-			return 0, err
+			return err
 		}
-		d.state = 2
-		return id, nil
-	}
-
-	elabStmt = func(d *driver) (int, error) {
-		st := d.stmt
-		var id int
-		var err error
-		if st.kind == "assign" {
-			ep := &vExprParser{toks: st.expr, build: func(nm string) (int, error) { return build(nm, st.line) }, n: p.n, line: st.line}
-			id, err = ep.parseOr()
-			if err != nil {
-				return 0, err
-			}
-			if !ep.done() {
-				return 0, fmt.Errorf("verilog: line %d: trailing tokens in assign", st.line)
-			}
-		} else {
-			ty := vGatePrims[st.kind]
-			nin := len(st.args) - 1
-			if nin < 1 || ty.Arity() == 1 && nin != 1 || ty.Arity() == 2 && nin < 2 {
-				return 0, fmt.Errorf("verilog: line %d: %s with %d inputs", st.line, st.kind, nin)
-			}
-			fanin := make([]int, nin)
-			for i := 0; i < nin; i++ {
-				if fanin[i], err = build(st.args[i+1], st.line); err != nil {
-					return 0, err
-				}
-			}
-			id, err = p.emitPrim(ty, fanin, st.line)
-			if err != nil {
-				return 0, err
-			}
-		}
-		out := st.out
-		if st.kind != "assign" {
-			out = st.args[0]
-		}
-		// The RHS may have reduced to an already-named node (input or a
-		// previously named gate); buffer so the name binds uniquely.
-		if p.nameBound(id) {
-			if id, err = p.n.AddGate(Buf, id); err != nil {
-				return 0, err
-			}
-		}
-		if err := p.n.SetSignalName(id, out); err != nil {
-			return 0, err
-		}
-		return id, nil
-	}
-
-	// Elaborate every driven signal (keeps dangling logic, mirrors ReadBLIF).
-	names := make([]string, 0, len(drivers))
-	for nm := range drivers {
-		names = append(names, nm)
-	}
-	sort.Strings(names)
-	for _, nm := range names {
-		if _, err := build(nm, 0); err != nil {
-			return nil, err
-		}
-	}
-	for _, nm := range p.outputs {
-		id, ok := p.n.Lookup(nm)
+		p.args = append(p.args, a)
+		sep, ok := p.lx.next()
 		if !ok {
-			return nil, fmt.Errorf("verilog: output %q has no driver", nm)
+			return fmt.Errorf("verilog: line %d: unterminated gate", t.line)
 		}
-		if err := p.n.MarkOutput(nm, id); err != nil {
-			return nil, err
+		if sep.kind == ')' {
+			break
 		}
-	}
-	if len(p.outputs) == 0 {
-		return nil, fmt.Errorf("verilog: module has no outputs")
-	}
-	return p.n, nil
-}
-
-// emitPrim emits a gate primitive, chaining multi-input and/or/xor (and the
-// inverting variants as an inverted chain, per Verilog reduction semantics).
-func (p *vParser) emitPrim(ty GateType, fanin []int, line int) (int, error) {
-	if len(fanin) == ty.Arity() {
-		return p.n.AddGate(ty, fanin...)
-	}
-	base, invert := ty, false
-	switch ty {
-	case Nand:
-		base, invert = And, true
-	case Nor:
-		base, invert = Or, true
-	case Xnor:
-		base, invert = Xor, true
-	case And, Or, Xor:
-	default:
-		return 0, fmt.Errorf("verilog: line %d: %v cannot take %d inputs", line, ty, len(fanin))
-	}
-	id := fanin[0]
-	var err error
-	for _, f := range fanin[1:] {
-		if id, err = p.n.AddGate(base, id, f); err != nil {
-			return 0, err
+		if sep.kind != ',' {
+			return fmt.Errorf("verilog: line %d: got %q in gate ports", sep.line, tokenDesc(sep))
 		}
 	}
-	if invert {
-		return p.n.AddGate(Not, id)
+	if _, err := p.expect(";", "';'"); err != nil {
+		return err
 	}
-	return id, nil
-}
-
-// nameBound reports whether gate id already carries a name.
-func (p *vParser) nameBound(id int) bool {
-	nm := p.n.NameOf(id)
-	got, ok := p.n.Lookup(nm)
-	return ok && got == id
-}
-
-// vExprParser parses assign RHS expressions with Verilog precedence
-// ~ > & > ^ > | over resolved signal IDs.
-type vExprParser struct {
-	toks  []vToken
-	pos   int
-	build func(string) (int, error)
-	n     *Netlist
-	line  int
-}
-
-func (e *vExprParser) done() bool { return e.pos >= len(e.toks) }
-
-func (e *vExprParser) peek() (vToken, bool) {
-	if e.done() {
-		return vToken{}, false
+	if nin := len(p.args) - 1; nin < 1 || prim.Arity() == 1 && nin != 1 || prim.Arity() == 2 && nin < 2 {
+		return fmt.Errorf("verilog: line %d: %s with %d inputs", t.line, t.text, nin)
 	}
-	return e.toks[e.pos], true
-}
-
-func (e *vExprParser) parseOr() (int, error) {
-	id, err := e.parseXor()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		t, ok := e.peek()
-		if !ok || t.kind != '|' {
-			return id, nil
-		}
-		e.pos++
-		rhs, err := e.parseXor()
-		if err != nil {
-			return 0, err
-		}
-		if id, err = e.n.AddGate(Or, id, rhs); err != nil {
-			return 0, err
-		}
-	}
-}
-
-func (e *vExprParser) parseXor() (int, error) {
-	id, err := e.parseAnd()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		t, ok := e.peek()
-		if !ok || t.kind != '^' {
-			return id, nil
-		}
-		e.pos++
-		rhs, err := e.parseAnd()
-		if err != nil {
-			return 0, err
-		}
-		if id, err = e.n.AddGate(Xor, id, rhs); err != nil {
-			return 0, err
-		}
-	}
-}
-
-func (e *vExprParser) parseAnd() (int, error) {
-	id, err := e.parseUnary()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		t, ok := e.peek()
-		if !ok || t.kind != '&' {
-			return id, nil
-		}
-		e.pos++
-		rhs, err := e.parseUnary()
-		if err != nil {
-			return 0, err
-		}
-		if id, err = e.n.AddGate(And, id, rhs); err != nil {
-			return 0, err
-		}
-	}
-}
-
-func (e *vExprParser) parseUnary() (int, error) {
-	t, ok := e.peek()
-	if !ok {
-		return 0, fmt.Errorf("verilog: line %d: unexpected end of expression", e.line)
-	}
-	if t.kind == '~' {
-		e.pos++
-		id, err := e.parseUnary()
-		if err != nil {
-			return 0, err
-		}
-		return e.n.AddGate(Not, id)
-	}
-	return e.parsePrimary()
-}
-
-func (e *vExprParser) parsePrimary() (int, error) {
-	t, ok := e.peek()
-	if !ok {
-		return 0, fmt.Errorf("verilog: line %d: unexpected end of expression", e.line)
-	}
-	e.pos++
-	switch t.kind {
-	case 'i':
-		name := t.text
-		if t2, ok := e.peek(); ok && t2.kind == '[' {
-			// name[idx]
-			e.pos++
-			n2, ok := e.peek()
-			if !ok || n2.kind != 'n' {
-				return 0, fmt.Errorf("verilog: line %d: bad index", e.line)
-			}
-			e.pos++
-			if t3, ok := e.peek(); !ok || t3.kind != ']' {
-				return 0, fmt.Errorf("verilog: line %d: missing ']'", e.line)
-			}
-			e.pos++
-			name = fmt.Sprintf("%s[%s]", name, n2.text)
-		}
-		return e.build(name)
-	case 'n':
-		switch t.text {
-		case "1'b0":
-			return e.n.AddGate(Const0)
-		case "1'b1":
-			return e.n.AddGate(Const1)
-		}
-		return 0, fmt.Errorf("verilog: line %d: unsupported literal %q", e.line, t.text)
-	case '(':
-		id, err := e.parseOr()
-		if err != nil {
-			return 0, err
-		}
-		t2, ok := e.peek()
-		if !ok || t2.kind != ')' {
-			return 0, fmt.Errorf("verilog: line %d: missing ')'", e.line)
-		}
-		e.pos++
-		return id, nil
-	default:
-		return 0, fmt.Errorf("verilog: line %d: unexpected %q in expression", e.line, t.text)
-	}
+	return p.e.add(stmt{out: p.args[0], line: t.line, ins: p.args[1:], prim: prim})
 }
 
 // WriteVerilog renders the netlist as structural Verilog: gate primitives
@@ -766,10 +505,18 @@ func (n *Netlist) WriteVerilog(w io.Writer) error {
 			fmt.Fprintf(bw, "  assign %s = %s;\n", esc(n.NameOf(id)), n.verilogExpr(g, esc))
 		}
 	}
+	// Output ports that alias another signal get a buffer each, in name
+	// order as WriteEQN writes them, so that the text reads back to a
+	// netlist with this one's canonical render.
+	var aliases []int
 	for i, id := range n.outputs {
 		if n.NameOf(id) != n.outputNames[i] {
-			fmt.Fprintf(bw, "  assign %s = %s;\n", esc(n.outputNames[i]), esc(n.NameOf(id)))
+			aliases = append(aliases, i)
 		}
+	}
+	slices.SortStableFunc(aliases, func(i, j int) int { return strings.Compare(n.outputNames[i], n.outputNames[j]) })
+	for _, i := range aliases {
+		fmt.Fprintf(bw, "  assign %s = %s;\n", esc(n.outputNames[i]), esc(n.NameOf(n.outputs[i])))
 	}
 	fmt.Fprintln(bw, "endmodule")
 	return bw.Flush()

@@ -121,6 +121,8 @@ func TestReadVerilogErrors(t *testing.T) {
 		"module m ( a, z ); input a; output z; assign z = a; assign z = a; endmodule",         // double drive
 		"module m ( a, z ); input a; output z; wire w; assign w = z; assign z = w; endmodule", // cycle
 		"module m ( a, z ); input a; output z; assign z = (a; endmodule",                      // paren
+		"module m ( a, b, z ); input a, b; output z; assign a = b; assign z = b; endmodule",   // drives an input
+		"module m ( a, b, z ); input a, b; output z; buf g (a, b); assign z = b; endmodule",   // drives an input
 	}
 	for i, src := range bad {
 		if _, err := ReadVerilog(strings.NewReader(src)); err == nil {
