@@ -580,16 +580,23 @@ func TestEachSupportVarStops(t *testing.T) {
 	}
 }
 
-// TestVariableSizedMatchesVariable runs the same random substitution chains
-// from Variable and from VariableSized with presizes smaller, equal and
-// larger than the chain needs: the terms, occurrence counts and compacted
-// copies must agree, and TableSize must report at least the monomials kept.
-func TestVariableSizedMatchesVariable(t *testing.T) {
+// TestResetMatchesVariable runs random substitution chains, some of them
+// leaving the constant 1, from a fresh Variable and from one polynomial
+// Reset before each chain: the terms, occurrence counts, support and
+// compacted copies must agree, and a compacted copy must survive the resets
+// and chains that follow it unchanged.
+func TestResetMatchesVariable(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
+	var reused Poly
+	type kept struct {
+		c    Poly
+		text string
+	}
+	var copies []kept
 	for trial := 0; trial < 200; trial++ {
 		root := Var(7 + r.Intn(3))
 		plain := Variable(root)
-		sized := VariableSized(root, r.Intn(4)*r.Intn(64), r.Intn(4)*r.Intn(128))
+		reused.Reset(root)
 		for s := 1 + r.Intn(8); s > 0; s-- {
 			v := Var(1 + r.Intn(9))
 			e := randPoly(r, 6, 1+r.Intn(8))
@@ -597,18 +604,28 @@ func TestVariableSizedMatchesVariable(t *testing.T) {
 				continue
 			}
 			plain.Substitute(v, e)
-			sized.Substitute(v, e)
+			reused.Substitute(v, e)
 		}
-		if !sized.Equal(plain) || sized.String() != plain.String() || sized.Compact().String() != plain.String() {
-			t.Fatalf("trial %d: presized %v, plain %v", trial, sized, plain)
+		if !reused.Equal(plain) || !plain.Equal(reused) || reused.String() != plain.String() {
+			t.Fatalf("trial %d: reset %v, fresh %v", trial, reused, plain)
 		}
 		for v := Var(1); v <= 9; v++ {
-			if sized.VarOccurrences(v) != plain.VarOccurrences(v) {
-				t.Fatalf("trial %d: VarOccurrences(%d) presized %d, plain %d", trial, v, sized.VarOccurrences(v), plain.VarOccurrences(v))
+			if reused.VarOccurrences(v) != plain.VarOccurrences(v) {
+				t.Fatalf("trial %d: VarOccurrences(%d) reset %d, fresh %d", trial, v, reused.VarOccurrences(v), plain.VarOccurrences(v))
 			}
 		}
-		if monos, _ := sized.TableSize(); monos < sized.Len() {
-			t.Fatalf("trial %d: TableSize reports %d monomials for %d terms", trial, monos, sized.Len())
+		if got, want := reused.SupportVars(), plain.SupportVars(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: support reset %v, fresh %v", trial, got, want)
+		}
+		c := reused.Compact()
+		if c.String() != plain.String() {
+			t.Fatalf("trial %d: compacted %v, fresh %v", trial, c, plain)
+		}
+		copies = append(copies, kept{c, plain.String()})
+	}
+	for i, k := range copies {
+		if k.c.String() != k.text {
+			t.Fatalf("copy %d changed to %v after later resets, want %s", i, k.c, k.text)
 		}
 	}
 }

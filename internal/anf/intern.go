@@ -60,9 +60,22 @@ func newMonoTab(hint, arena int, seed uint64) *monoTab {
 		arena: make([]Var, 0, max(arena, 16)),
 	}
 	t.sizeSlots(hint)
+	t.addOne()
+	return t
+}
+
+// addOne interns the constant 1, as ID idOne, into an empty table.
+func (t *monoTab) addOne() {
 	tg := t.tag(nil)
 	t.slots[int(tg>>t.shift)] = t.add(nil, tg) + 1
-	return t
+}
+
+// reset empties the table to the constant 1, keeping its seed and buffers.
+func (t *monoTab) reset() {
+	clear(t.slots)
+	t.tags, t.off, t.arena, t.mask = t.tags[:0], t.off[:1], t.arena[:0], t.mask[:0]
+	t.memo.reset()
+	t.addOne()
 }
 
 // newSeed returns a random nonzero hash seed.
@@ -377,6 +390,12 @@ func (m *prodMemo) insert(slot int, key uint64, id uint32, seed uint64) {
 	}
 }
 
+// reset empties the memo, keeping its size.
+func (m *prodMemo) reset() {
+	clear(m.keys)
+	m.used = 0
+}
+
 // size allocates an empty memo for n entries at no more than half load.
 func (m *prodMemo) size(n int) {
 	size := 32
@@ -423,6 +442,12 @@ func (x *occIndex) init(entries int, seed uint64) {
 	x.seed = seed
 	x.sizeSlots(0)
 	x.ent = make([]occEntry, 1, max(entries, 16)+1)
+}
+
+// reset empties the index, keeping its buffers.
+func (x *occIndex) reset() {
+	clear(x.slots)
+	x.vars, x.head, x.tail, x.ent = x.vars[:0], x.head[:0], x.tail[:0], x.ent[:1]
 }
 
 func (x *occIndex) sizeSlots(n int) {

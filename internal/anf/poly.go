@@ -54,24 +54,27 @@ func newPolyState(hint, arena int, seed uint64) *poly {
 	return p
 }
 
-// TableSize reports how far p's tables grew: the monomials ever interned and
-// their variable occurrences, for presizing a polynomial expected to grow
-// alike (VariableSized).
-func (p Poly) TableSize() (monos, arena int) {
+// Reset sets p to the single variable v. A p that holds tables keeps them:
+// their seed and every buffer, emptied, so a polynomial rewritten once per
+// cone grows its tables only while a cone is larger than every one before.
+// The zero Poly gets fresh tables. Other handles to p's polynomial see the
+// reset; a copy that must outlive it is taken with Compact or Clone.
+func (p *Poly) Reset(v Var) {
 	if p.p == nil {
-		return 0, 0
+		p.p = newPolyState(0, 0, 0)
+	} else {
+		p.p.reset()
 	}
-	return p.p.tab.count(), len(p.p.tab.arena)
+	t := p.p.tab
+	t.scratch = append(t.scratch[:0], v)
+	p.p.toggle(t.internVars(t.scratch))
 }
 
-// VariableSized returns Variable(v) with tables presized for about monos
-// monomials over arena variable occurrences.
-func VariableSized(v Var, monos, arena int) Poly {
-	p := Poly{p: newPolyState(monos, arena, 0)}
-	p.p.words = make([]uint64, 0, (monos+63)/64)
-	p.p.listed = make([]bool, 0, monos)
-	p.Toggle(NewMono(v))
-	return p
+// reset empties p to the zero polynomial, keeping its buffers.
+func (p *poly) reset() {
+	p.tab.reset()
+	p.occ.reset()
+	p.words, p.listed, p.n = p.words[:0], p.listed[:0], 0
 }
 
 // FromMonos builds a polynomial as the XOR of the given monomials

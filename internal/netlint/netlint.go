@@ -112,16 +112,13 @@ type Context struct {
 	// Depth is the netlist's logic depth, off the level memo the context
 	// sweep's walk (netlist.DigestScan) fills.
 	Depth int
-	// reach is the netlist's Reachable bitset as the rules read it (see
-	// reachable): swept into found by whichever goroutine of Analyze
-	// claims reachOnce first.
-	reach, found []uint64
-	reachOnce    shared
-	// dups memoizes the structural duplicates (see duplicates); scanned is
-	// closed once the context sweep that they are read from is complete.
-	dups     []int
-	dupsOnce shared
-	scanned  chan struct{}
+	// reach is the bitset of gates in some output's fanin cone as the
+	// rules read it (see reachable).
+	reach []uint64
+	// pass is the second pass over the gates (gatePass.structure), run by
+	// whichever goroutine of Analyze claims passOnce first.
+	pass     gatePass
+	passOnce shared
 	// types[id] is gate id's type: one byte per gate, so rules that ask
 	// about their fanins' types stay in cache.
 	types []netlist.GateType
@@ -306,28 +303,22 @@ func (r *Report) MaxPredictedPeak() int {
 // constructors enforce those invariants — so lint raw files with
 // AnalyzeSource to get them.
 func Analyze(n *netlist.Netlist, opts Options) *Report {
-	// The semantic sweep is the longest pass and needs nothing the rules
-	// compute, so it runs at once on a goroutine of its own; Sem waits for
-	// it. The context sweep and the canonical netlist hash run meanwhile on
-	// this goroutine, in one walk over the gates (see netlist.DigestScan),
-	// and the hash is the sweep's cache key: a cached sweep stops as soon
-	// as the hash finds it. The reachability sweep and the duplicate search
-	// are each done by whichever goroutine claims it first, and a goroutine
-	// that finds one claimed goes on to the other rather than wait: so
-	// when both legs finish together, the two searches run side by side.
-	// Best effort: an unserializable netlist gets no content hash, and its
-	// sweep is not cached.
+	// The semantic sweep needs nothing the rules compute, so it runs at
+	// once on a goroutine of its own; Sem waits for it. The context sweep
+	// and the canonical netlist hash run meanwhile on this goroutine, in
+	// one walk over the gates (see netlist.DigestScan), and the hash is the
+	// sweep's cache key: a cached sweep stops as soon as the hash finds it.
+	// The second pass over the gates, for reachability and duplicates, is
+	// done by whichever goroutine claims it first, which is the semantic
+	// one unless its sweep was cached. Best effort: an unserializable
+	// netlist gets no content hash, and its sweep is not cached.
 	ctx := allocContext(n, opts)
 	sweep := sem.NewSweep(n, sem.Options{})
 	ctx.sweep = sweep
-	dups := !opts.disabled("redundant-gate")
 	swept := make(chan struct{})
 	go func() {
 		sweep.Run()
-		ctx.reachOnce.try(ctx.findReach)
-		if dups {
-			ctx.dupsOnce.try(ctx.findDuplicates)
-		}
+		ctx.passOnce.try(ctx.structure)
 		close(swept)
 	}()
 	defer func() {
@@ -338,13 +329,10 @@ func Analyze(n *netlist.Netlist, opts Options) *Report {
 	var err error
 	rep.ContentHash, err = n.DigestScan(ctx.scanGate)
 	ctx.Depth = n.Depth()
-	close(ctx.scanned)
 	if err == nil {
 		sweep.Consult(rep.ContentHash, ctx.types)
 	}
-	if dups {
-		ctx.dupsOnce.try(ctx.findDuplicates)
-	}
+	ctx.passOnce.try(ctx.structure)
 	for _, rule := range registry {
 		if rule.Check == nil || opts.disabled(rule.Name) {
 			continue
@@ -368,39 +356,38 @@ func newContext(n *netlist.Netlist, opts Options) *Context {
 		ctx.scanGate(id, typ, fanin)
 	}
 	ctx.Depth = n.Depth()
-	close(ctx.scanned)
 	return ctx
 }
 
 // allocContext returns a context whose forward sweep is still to run: one
-// scanGate call per gate, in ID order, and then close(scanned). The arrays
-// are as narrow as their values allow, and they come from the spare when
-// it is large enough: on a large netlist, fresh memory costs more than the
-// sweep that fills it.
+// scanGate call per gate, in ID order. The arrays are as narrow as their
+// values allow, and they come from the spare when it is large enough: on a
+// large netlist, fresh memory costs more than the sweep that fills it.
 func allocContext(n *netlist.Netlist, opts Options) *Context {
-	ctx := &Context{N: n, Opts: opts, scanned: make(chan struct{})}
-	ctx.reachOnce.done = make(chan struct{})
-	ctx.dupsOnce.done = make(chan struct{})
+	ctx := &Context{N: n, Opts: opts}
+	ctx.passOnce.done = make(chan struct{})
 	ng := n.NumGates()
 	spare.Lock()
 	a := spare.arrays
 	spare.arrays = nil
 	spare.Unlock()
 	if a == nil || cap(a.types) < ng {
-		a = &gateArrays{types: make([]netlist.GateType, ng), bounds: make([]int32, ng), dupTags: make([]uint32, ng)}
+		a = &gateArrays{types: make([]netlist.GateType, ng), bounds: make([]int32, ng),
+			dupTags: make([]uint32, ng), read: make([]uint64, (ng+63)/64)}
 	}
 	ctx.arrays = a
-	ctx.types, ctx.scan.bounds, ctx.scan.dupTags = a.types[:ng], a.bounds[:ng], a.dupTags[:ng]
-	ctx.scan.marks = a.marks
-	clear(ctx.scan.dupTags) // the sweep leaves untagged gates alone
+	ctx.types, ctx.scan.bounds = a.types[:ng], a.bounds[:ng]
+	ctx.pass.read, ctx.pass.dupTags, ctx.pass.marks = a.read[:(ng+63)/64], a.dupTags[:ng], a.marks
 	return ctx
 }
 
 // gateArrays are a context's per-gate arrays (types, gateScan's bounds,
-// dupTags and duplicate marks), kept between analyses in spare.
+// gatePass's read bitset, dupTags and duplicate marks), kept between
+// analyses in spare.
 type gateArrays struct {
 	types   []netlist.GateType
 	bounds  []int32
+	read    []uint64
 	dupTags []uint32
 	marks   []uint64
 }
@@ -416,13 +403,14 @@ var spare struct {
 // release hands the context's per-gate arrays back to spare once the
 // analysis is over; the report holds nothing of them.
 func (c *Context) release() {
-	c.arrays.marks = c.scan.marks
+	c.arrays.marks = c.pass.marks
 	spare.Lock()
 	defer spare.Unlock()
 	if spare.arrays == nil || cap(spare.arrays.types) < cap(c.arrays.types) {
 		spare.arrays = c.arrays
 	}
-	c.arrays, c.types, c.scan.bounds, c.scan.dupTags = nil, nil, nil, nil
+	c.arrays, c.types, c.scan.bounds = nil, nil, nil
+	c.pass.read, c.pass.dupTags, c.pass.marks = nil, nil, nil
 }
 
 // scanGate is the context sweep's step for gate id, whose fanins it has
@@ -455,32 +443,29 @@ func (s *shared) get(f func()) {
 	<-s.done
 }
 
-// findReach finds the gates in some output's fanin cone.
-func (c *Context) findReach() { c.found = c.N.Reachable() }
+// structure runs the second pass over the gates (gatePass.structure).
+func (c *Context) structure() { c.pass.structure(c.N) }
 
-// reachable returns the Reachable bitset: the first call finds it, unless
-// the other goroutine of Analyze has claimed it, and waits for it.
+// reachable returns the netlist's Reachable bitset, found on the first
+// call: the second pass's read bitset when every gate is in some output's
+// cone (gatePass.allReached), since the two are then equal, and only
+// otherwise the netlist's backward mark sweep.
 func (c *Context) reachable() []uint64 {
 	if c.reach == nil {
-		c.reachOnce.get(c.findReach)
-		c.reach = c.found
+		c.passOnce.get(c.structure)
+		c.reach = c.pass.read
+		if !c.pass.allReached(c.N) {
+			c.reach = c.N.Reachable()
+		}
 	}
 	return c.reach
 }
 
-// duplicates returns the structural duplicates (gateScan.duplicates):
-// the first caller finds them, once the context sweep is complete, and
-// any other waits for it.
+// duplicates returns the structural duplicates, found by the second pass
+// over the gates.
 func (c *Context) duplicates() []int {
-	c.dupsOnce.get(c.findDuplicates)
-	return c.dups
-}
-
-// findDuplicates finds the structural duplicates once the context sweep is
-// complete.
-func (c *Context) findDuplicates() {
-	<-c.scanned
-	c.dups = c.scan.duplicates(c.N)
+	c.passOnce.get(c.structure)
+	return c.pass.dups
 }
 
 // reached reports whether gate id lies in some output's fanin cone.

@@ -19,15 +19,25 @@ type gateScan struct {
 	// selfCancel, bufs: two-input gates reading one signal twice and
 	// pass-through buffers, ascending (redundant-gate).
 	selfCancel, bufs []int
-	// dupTags[id] hashes gate id's type and fanins, 0 for a gate the
-	// duplicate finder skips; ndup counts the others (redundant-gate).
-	dupTags []uint32
-	ndup    int
-	// marks is duplicates' bucket bitmap, kept with the per-gate arrays
-	// between analyses (see gateArrays).
-	marks []uint64
 	// Gate-mix counters of the architecture fingerprint.
 	xors, ands, partialAnds, internalAnds, complexCells, combinational int
+}
+
+// gatePass holds what Analyze's second pass over the gates finds
+// (structure): which gates some gate reads, and the structural duplicates.
+// Its arrays are kept with the context's between analyses (see
+// gateArrays).
+type gatePass struct {
+	// read is a bitset over gate IDs: bit id is set when a gate reads
+	// gate id or an output port is gate id (see allReached).
+	read []uint64
+	// dupTags[id] hashes gate id's type and fanins, 0 for a gate the
+	// duplicate finder skips, and marks is the duplicate finder's bucket
+	// bitmap.
+	dupTags []uint32
+	marks   []uint64
+	// dups lists the structural duplicates, ascending.
+	dups []int
 }
 
 // gate records gate id, of type typ on fanins fanin; types holds the
@@ -71,37 +81,65 @@ func (s *gateScan) gate(id int, typ netlist.GateType, fanin []int, types []netli
 		// x^x = 0, x·x = x, x+x = x, etc.: degenerate either way.
 		s.selfCancel = append(s.selfCancel, id)
 	}
-	h := uint64(1469598103934665603)
-	h = (h ^ uint64(typ)) * 1099511628211
-	for _, f := range fanin {
-		h = (h ^ (uint64(f) + 1)) * 1099511628211
-	}
-	s.dupTags[id] = uint32((h*0x9e3779b97f4a7c15)>>32) | 1
-	s.ndup++
 }
 
-// duplicates returns the structural duplicates, ascending: the gates with
-// the same type and fanin list as an earlier gate. Equal gates have equal
-// tags, so a first pass marks, in a bitmap over the tags' top bits small
-// enough to stay in cache, the buckets two or more gates share; only the
-// gates in such a bucket, a few percent of them, then go in id order
-// through an open-addressing table, where a probe compares tags and then
-// the gates themselves, so detection is exact.
-func (s *gateScan) duplicates(n *netlist.Netlist) []int {
-	if s.ndup == 0 {
-		return nil
+// allReached reports whether every gate of n lies in some output's fanin
+// cone: a gate that no gate reads and that drives no output is outside
+// every cone, and when there is none, every gate's chain of readers ends
+// at an output.
+func (p *gatePass) allReached(n *netlist.Netlist) bool {
+	ng := n.NumGates()
+	for w, r := range p.read {
+		full := ^uint64(0)
+		if k := ng - 64*w; k < 64 {
+			full = 1<<uint(k) - 1
+		}
+		if r != full {
+			return false
+		}
 	}
-	tags := s.dupTags
+	return true
+}
+
+// structure is the second pass over n's gates: it fills the read bitset
+// and finds the structural duplicates, the gates with the same type and
+// fanin list as an earlier gate. It reads the gates itself rather than the
+// context sweep's results, so the goroutine of Analyze that finishes its
+// own sweep first runs it without waiting for the other's. Equal gates
+// have equal tags, so the pass tags every gate and marks, in a bitmap over
+// the tags' top bits small enough to stay in cache, the buckets two or
+// more gates share; only the gates in such a bucket, a few percent of
+// them, then go in id order through an open-addressing table, where a
+// probe compares tags and then the gates themselves, so detection is
+// exact.
+func (p *gatePass) structure(n *netlist.Netlist) {
+	read, tags := p.read, p.dupTags
+	clear(read)
+	for i := range n.NumOutputs() {
+		o := n.Output(i)
+		read[o>>6] |= 1 << uint(o&63)
+	}
 	// Two bits per bucket, "seen" and "shared", side by side in one word.
-	shift := 32 - bits.Len(uint(8*s.ndup-1)) // about 8 buckets per gate
-	s.marks = slices.Grow(s.marks[:0], (1<<(32-shift)+31)/32)[:(1<<(32-shift)+31)/32]
-	marks := s.marks
+	shift := 32 - bits.Len(uint(8*max(len(tags), 1)-1)) // about 8 buckets per gate
+	p.marks = slices.Grow(p.marks[:0], (1<<(32-shift)+31)/32)[:(1<<(32-shift)+31)/32]
+	marks := p.marks
 	clear(marks)
 	nshared := 0
-	for _, tag := range tags {
-		if tag == 0 {
+	for id := range tags {
+		typ, fanin := n.Cell(id)
+		h := uint64(1469598103934665603)
+		h = (h ^ uint64(typ)) * 1099511628211
+		for _, f := range fanin {
+			read[f>>6] |= 1 << uint(f&63)
+			h = (h ^ (uint64(f) + 1)) * 1099511628211
+		}
+		switch typ {
+		case netlist.Input, netlist.Const0, netlist.Const1, netlist.Lut:
+			tags[id] = 0
 			continue
 		}
+		tag := uint32((h*0x9e3779b97f4a7c15)>>32) | 1
+		tags[id] = tag
 		b := tag >> shift
 		w, seen := &marks[b>>5], uint64(1)<<(2*(b&31))
 		if *w&seen != 0 {
@@ -111,8 +149,9 @@ func (s *gateScan) duplicates(n *netlist.Netlist) []int {
 			*w |= seen
 		}
 	}
+	p.dups = nil
 	if nshared == 0 {
-		return nil
+		return
 	}
 	// A shared bucket holds at most twice as many gates as second hits.
 	size := 16
@@ -121,7 +160,6 @@ func (s *gateScan) duplicates(n *netlist.Netlist) []int {
 	}
 	table := make([]uint64, size) // tag<<32 | id+1, 0 when empty
 	tshift := 64 - bits.TrailingZeros(uint(size))
-	var dups []int
 	for id, tag := range tags {
 		if tag == 0 {
 			continue
@@ -134,7 +172,7 @@ func (s *gateScan) duplicates(n *netlist.Netlist) []int {
 			if uint32(table[i]>>32) == tag {
 				g, e := n.Gate(id), n.Gate(int(uint32(table[i]))-1)
 				if e.Type == g.Type && slices.Equal(e.Fanin, g.Fanin) {
-					dups = append(dups, id)
+					p.dups = append(p.dups, id)
 					break
 				}
 			}
@@ -143,5 +181,4 @@ func (s *gateScan) duplicates(n *netlist.Netlist) []int {
 			table[i] = uint64(tag)<<32 | uint64(id+1)
 		}
 	}
-	return dups
 }

@@ -83,14 +83,22 @@ func cacheKey(n *netlist.Netlist, digest string, types []netlist.GateType, opts 
 		}
 	}
 	// The types go in whole blocks of the buffer: this loop runs once per
-	// gate on preflight's longer goroutine.
+	// gate on preflight's main goroutine, and looks for LUTs only in a
+	// netlist that has some.
 	var zeroLuts []int
+	luts := slices.Contains(types, netlist.Lut)
 	for base := 0; base < len(types); {
 		block := types[base:min(base+cap(buf)-len(buf), len(types))]
+		k := len(buf)
+		buf = buf[:k+len(block)]
 		for i, t := range block {
-			buf = append(buf, byte(t))
-			if t == netlist.Lut && !slices.Contains(n.Gate(base+i).Table, true) {
-				zeroLuts = append(zeroLuts, base+i)
+			buf[k+i] = byte(t)
+		}
+		if luts {
+			for i, t := range block {
+				if t == netlist.Lut && !slices.Contains(n.Gate(base+i).Table, true) {
+					zeroLuts = append(zeroLuts, base+i)
+				}
 			}
 		}
 		h.Write(buf) //nolint:errcheck

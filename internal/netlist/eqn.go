@@ -513,11 +513,12 @@ func (p *eqnParser) parsePrimary() (int, error) {
 // WriteEQN renders the netlist in equation format. Every non-input gate
 // becomes one assignment in topological order; complex cells and LUTs are
 // expanded into their Boolean expressions.
-func (n *Netlist) WriteEQN(w io.Writer) error { return n.writeEQN(w, nil) }
+func (n *Netlist) WriteEQN(w io.Writer) error { return n.writeEQN(w, nil, nil) }
 
 // writeEQN is WriteEQN, calling visit (when not nil) on every gate, in ID
-// order, as the walk over the gates passes it.
-func (n *Netlist) writeEQN(w io.Writer, visit func(id int, typ GateType, fanin []int)) error {
+// order, as the walk over the gates passes it, and setting every gate's
+// level in levels (when not nil).
+func (n *Netlist) writeEQN(w io.Writer, visit func(id int, typ GateType, fanin []int), levels []int32) error {
 	bw := bufio.NewWriter(w)
 	// Lines are appended into one reused chunk, each gate's name rendered
 	// into its word once, as the walk reaches the gate (a gate is referenced
@@ -559,6 +560,7 @@ func (n *Netlist) writeEQN(w io.Writer, visit func(id int, typ GateType, fanin [
 	for id := range n.gates {
 		names.name(n, id)
 		typ, fanin := n.Cell(id)
+		setLevel(levels, id, fanin)
 		if visit != nil {
 			visit(id, typ, fanin)
 		}

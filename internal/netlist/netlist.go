@@ -607,43 +607,51 @@ func (n *Netlist) Digest() (string, error) { return n.DigestScan(nil) }
 func (n *Netlist) DigestScan(visit func(id int, typ GateType, fanin []int)) (string, error) {
 	n.digestMu.Lock()
 	defer n.digestMu.Unlock()
-	step := visit
+	var levels []int32 // filled on the walk when the level memo is stale
 	if visit != nil {
 		n.levelMu.Lock()
 		defer n.levelMu.Unlock()
 		if n.levels == nil {
-			levels, depth := make([]int32, len(n.gates)), 0
+			levels = make([]int32, len(n.gates))
 			defer func() {
 				levelPasses.Add(1)
-				n.levels, n.depth = levels, depth
-			}()
-			step = func(id int, typ GateType, fanin []int) {
-				var l int32
-				for _, f := range fanin {
-					l = max(l, levels[f]+1)
+				n.levels, n.depth = levels, 0
+				if len(levels) > 0 {
+					n.depth = int(slices.Max(levels))
 				}
-				levels[id] = l
-				depth = max(depth, int(l))
-				visit(id, typ, fanin)
-			}
+			}()
 		}
 	}
 	if n.digest != "" && n.digestName == n.Name {
-		if step != nil {
+		if visit != nil {
 			for id := range n.gates {
 				typ, fanin := n.Cell(id)
-				step(id, typ, fanin)
+				setLevel(levels, id, fanin)
+				visit(id, typ, fanin)
 			}
 		}
 		return n.digest, nil
 	}
 	h := sha256.New()
-	if err := n.writeEQN(h, step); err != nil {
+	if err := n.writeEQN(h, visit, levels); err != nil {
 		return "", err
 	}
 	digests.Add(1)
 	n.digest, n.digestName = hex.EncodeToString(h.Sum(nil)), n.Name
 	return n.digest, nil
+}
+
+// setLevel sets levels[id] from gate id's fanins, whose levels are set;
+// levels nil leaves it alone.
+func setLevel(levels []int32, id int, fanin []int) {
+	if levels == nil {
+		return
+	}
+	var l int32
+	for _, f := range fanin {
+		l = max(l, levels[f]+1)
+	}
+	levels[id] = l
 }
 
 // digests counts Digest computations, memo hits excluded.

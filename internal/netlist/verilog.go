@@ -28,8 +28,10 @@ import (
 // assign with expressions over ~ & ^ | and parentheses; 1'b0/1'b1 constants;
 // // and /* */ comments. Behavioral constructs are rejected. Statements may
 // come in any order; gates are numbered in file order where the file is
-// topological. All syntax and structure failures, a statement that drives
-// a primary input among them, are wrapped in ErrParse.
+// topological. A file declares at most one input or output bit per byte
+// of its text. All syntax and structure failures, a statement that drives
+// a primary input and a declaration past that bound among them, are
+// wrapped in ErrParse.
 func ReadVerilog(r io.Reader) (*Netlist, error) {
 	n, err := readVerilog(r)
 	if err != nil {
@@ -44,7 +46,7 @@ func readVerilog(r io.Reader) (*Netlist, error) {
 		return nil, fmt.Errorf("verilog: %w", err)
 	}
 	lx := &eqnLexer{src: src, verilog: true}
-	n, err := (&vParser{lx: lx}).parseModule(strings.Count(src, "("))
+	n, err := (&vParser{lx: lx, ports: len(src)}).parseModule(strings.Count(src, "("))
 	for err == nil && lx.lexLine() { // what follows endmodule must lex
 	}
 	if lx.err != nil {
@@ -182,6 +184,9 @@ type vParser struct {
 	e    *elaborator
 	args []string   // a gate primitive's connections, or an assign's signals
 	rhs  []eqnToken // an assign's right-hand side
+	// ports is how many more port bits the file may declare: one per input
+	// byte, so a short file cannot declare a vector of millions of bits.
+	ports int
 }
 
 // expect reads a token of one of the kinds.
@@ -241,7 +246,8 @@ func (p *vParser) bitSelect(t eqnToken) (string, error) {
 }
 
 // signalList reads "a, b, c ;" or "[7:0] v ;" after a direction keyword
-// and calls add, when not nil, on every name, a vector's from its LSB.
+// and calls add, when not nil, on every name, a vector's from its LSB. The
+// port bits it declares count against p.ports before any name is built.
 func (p *vParser) signalList(add func(string) error) error {
 	msb, lsb, vec := 0, 0, false
 	if p.lx.peekKind() == '[' {
@@ -265,6 +271,13 @@ func (p *vParser) signalList(add func(string) error) error {
 		t, err := p.expect("i", "signal name")
 		if err != nil {
 			return err
+		}
+		if add != nil {
+			span := max(msb-lsb, lsb-msb) // the vector's width less one
+			if span >= p.ports {
+				return fmt.Errorf("verilog: line %d: declaring %s takes the file past one port bit per input byte", t.line, t.text)
+			}
+			p.ports -= span + 1
 		}
 		switch {
 		case add == nil:

@@ -2,8 +2,11 @@ package netlist
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 const sampleVerilog = `
@@ -128,6 +131,35 @@ func TestReadVerilogErrors(t *testing.T) {
 		if _, err := ReadVerilog(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d should fail:\n%s", i, src)
 		}
+	}
+}
+
+// TestReadVerilogDeclaredBitsBounded checks that a file declares at most
+// one port bit per input byte: a short module declaring a vector of
+// millions of bits fails fast with ErrParse instead of building a name per
+// bit, while the same vector in a file long enough for it reads.
+func TestReadVerilogDeclaredBitsBounded(t *testing.T) {
+	for _, src := range []string{
+		"module m ( a, z ); input [4000000:0] a; output z; assign z = a[0]; endmodule",
+		"module m ( a, z ); input a; output [0:4000000] z; assign z[0] = a; endmodule",
+		"module m ( a, z ); input [9223372036854775807:0] a; output z; assign z = a[0]; endmodule",
+		"module m ( a, b, z ); input [40:0] a, b; output z; assign z = a[0]; endmodule",
+	} {
+		start := time.Now()
+		_, err := ReadVerilog(strings.NewReader(src))
+		if d := time.Since(start); !errors.Is(err, ErrParse) || d > 100*time.Millisecond {
+			t.Errorf("%d-byte module: err %v after %v, want ErrParse in under 100ms:\n%s", len(src), err, d, src)
+		}
+	}
+	const width = 4000
+	src := fmt.Sprintf("module m ( a, z ); input [%d:0] a; output z; assign z = a[%d]; // %s\nendmodule\n",
+		width-1, width-1, strings.Repeat("-", width))
+	n, err := ReadVerilog(strings.NewReader(src))
+	if err != nil {
+		t.Fatalf("%d-bit vector in a %d-byte file: %v", width, len(src), err)
+	}
+	if len(n.Inputs()) != width {
+		t.Errorf("%d inputs, want %d", len(n.Inputs()), width)
 	}
 }
 

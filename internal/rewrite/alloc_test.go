@@ -13,10 +13,10 @@ import (
 
 // maxAllocsPerSubstitution bounds the heap allocations one iteration of
 // Algorithm 1 may make, amortized over a whole run. Gate models are written
-// into the worker's reused term buffer, and the cone's polynomial keeps its
-// monomials, product memo and occurrence lists in flat tables that grow by
-// doubling, so what remains is that growth plus each cone's own tables and
-// compacted result (0.3–0.4 per substitution on the designs below).
+// into the worker's reused term buffer, and the worker's polynomial keeps
+// its monomials, product memo and occurrence lists in flat tables that grow
+// by doubling and are reset, not rebuilt, per cone, so what remains is that
+// growth plus each cone's compacted result.
 const maxAllocsPerSubstitution = 1
 
 // TestRewriteAllocsPerSubstitution pins the allocation rate of the rewriting
@@ -57,6 +57,51 @@ func TestRewriteAllocsPerSubstitution(t *testing.T) {
 				tc.arch, per, maxAllocsPerSubstitution)
 		}
 	}
+}
+
+// Allocation budget of one m=64 Mastrovito cone on a warm worker: the most
+// that Compact's copy of any of those cones' expressions allocates on its
+// own (34, measured before workers kept their tables, when a warm worker's
+// cone allocated up to 85), plus a margin for the cone's governor and
+// substitution closure (2) and slack (2).
+const (
+	compactAllocsM64 = 34
+	warmConeMargin   = 4
+)
+
+// TestWarmWorkerAllocatesOnlyResult checks that a worker whose tables have
+// grown to its largest cone rewrites each further cone into them: what the
+// cone allocates is its Compact copy, within a small margin.
+func TestWarmWorkerAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guard: the race detector allocates on its own")
+	}
+	p, err := polytab.Default(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := gen.Mastrovito(64, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(nil)
+	for bit := range n.Outputs() {
+		if _, err := w.RewriteCone(n, bit, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	worst := 0.0
+	for bit := range n.Outputs() {
+		var br BitResult
+		cone := testing.AllocsPerRun(3, func() { br, _ = w.RewriteCone(n, bit, Options{}) })
+		compact := testing.AllocsPerRun(3, func() { br.Expr.Compact() })
+		worst = max(worst, cone)
+		if cone > compactAllocsM64+warmConeMargin || cone > compact+warmConeMargin {
+			t.Errorf("bit %d: a warm worker's cone allocated %.0f times, its Compact copy %.0f; want <= %d + %d and <= the copy + %d",
+				bit, cone, compact, compactAllocsM64, warmConeMargin, warmConeMargin)
+		}
+	}
+	t.Logf("m=64 Mastrovito: at most %.0f allocations per cone on a warm worker", worst)
 }
 
 // TestRewriteConeBytesIndependentOfM checks that a worker rewriting one

@@ -14,23 +14,21 @@ import (
 	"github.com/galoisfield/gfre/internal/obs"
 )
 
-// Worker is one rewriting goroutine's state: the gate-model buffer every
-// cone it rewrites refills, the size its last completed cone's tables
-// reached, which the next cone's tables start at, the span its per-cone
-// spans nest under, and the current cone's unpublished telemetry. Each cone
-// interns its monomials into tables of its own, which Compact drops once the
-// expression is copied out.
-// Keeping one working polynomial per worker and resetting it per cone
-// instead made an m=233 Mastrovito extraction about a third faster than
-// fresh tables, but preflight, held to 30% of extraction by
-// TestPreflightWallShare, cannot yet keep up with so fast an extraction:
-// the share read 22–34% (median 27%) over 20 isolated runs
-// (EXPERIMENTS.md). A Worker is not safe for concurrent use.
+// Worker is one rewriting goroutine's state: the working polynomial every
+// cone it rewrites starts from, the gate-model buffer every substitution
+// refills, the span its per-cone spans nest under, and the current cone's
+// unpublished telemetry. Each cone resets the working polynomial to its
+// output variable and keeps its intern table, product memo and occurrence
+// index, so a worker allocates tables only while a cone outgrows every cone
+// before it; Compact copies each finished expression out. A cone that fails
+// drops the polynomial, so one pathological cone's tables neither stay with
+// the worker nor get cleared again for every later cone. A Worker is not
+// safe for concurrent use.
 type Worker struct {
-	span         *obs.Span // parent of the per-cone spans; nil emits none
-	e            anf.Terms // gate-model buffer, refilled per substitution
-	monos, arena int       // table size of the last completed cone (anf.Poly.TableSize)
-	tally        tally     // the current cone's unpublished telemetry
+	span  *obs.Span // parent of the per-cone spans; nil emits none
+	f     anf.Poly  // working polynomial, reset per cone; zero after a failed cone
+	e     anf.Terms // gate-model buffer, refilled per substitution
+	tally tally     // the current cone's unpublished telemetry
 }
 
 // NewWorker returns a worker whose per-cone spans are children of span;
@@ -91,6 +89,7 @@ func (w *Worker) runCone(ctx context.Context, n *netlist.Netlist, bit, root int,
 		}
 		br.Err = err.Error()
 		h.countAbort(br)
+		w.f = anf.Poly{}
 	}
 	if span != nil {
 		retriedV := int64(0)

@@ -149,25 +149,26 @@ func (r *Result) PeakTerms() int {
 	return p
 }
 
-// EstimatedMemBytes approximates the working-set high-water mark: the
-// tables of one cone per worker, each at most the size of the largest
-// cone's, plus the retained expressions of all bits. It is the analogue of the paper's "Mem"
-// column (their numbers are resident-set sizes of the C++ tool; ours are
-// model estimates — shapes are comparable, absolute values are not).
+// RetainedBytesPerTerm is the memory a compacted expression holds per final
+// term: GC-settled HeapAlloc deltas on Mastrovito and Montgomery designs at
+// m=64, 163 and 233 read 74–86 B, rounded up to cover fixed per-table
+// overhead.
+const RetainedBytesPerTerm = 88
+
+// EstimatedMemBytes approximates the working-set high-water mark: one set
+// of tables per worker, reused from cone to cone and so at most the size of
+// the largest cone's, plus the retained expressions of all bits. It is the
+// analogue of the paper's "Mem" column (their numbers are resident-set
+// sizes of the C++ tool; ours are model estimates — shapes are comparable,
+// absolute values are not).
 func (r *Result) EstimatedMemBytes() int64 {
-	// Both constants are GC-settled HeapAlloc deltas on Mastrovito and
-	// Montgomery designs at m=64, 163 and 233. The tables of the largest
-	// cone, at its end, hold every monomial it interned and its product
-	// memo: 209–293 B per peak term. A compacted expression holds only its
-	// final terms: 74–86 B per term. Both are rounded up to cover fixed
-	// per-table overhead.
-	const (
-		tableBytesPerPeakTerm = 300
-		retainedBytesPerTerm  = 88
-	)
+	// GC-settled HeapAlloc deltas as for RetainedBytesPerTerm: the tables
+	// of the largest cone, at its end, hold every monomial it interned and
+	// its product memo, 209–293 B per peak term, rounded up.
+	const tableBytesPerPeakTerm = 300
 	var retained int64
 	for _, b := range r.Bits {
-		retained += int64(b.FinalTerms) * retainedBytesPerTerm
+		retained += int64(b.FinalTerms) * RetainedBytesPerTerm
 	}
 	return int64(max(r.Threads, 1))*int64(r.PeakTerms())*tableBytesPerPeakTerm + retained
 }
@@ -409,10 +410,10 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 	br := BitResult{}
 	br.Bit = -1
 
-	// The cone's tables start at the size the worker's last completed cone
-	// grew them to: cones come deepest first, so a cone's tables rarely
-	// have to double as it grows.
-	f := anf.VariableSized(anf.Var(root), w.monos, w.arena)
+	// F₀ = z in the worker's working polynomial, whose tables the cones
+	// before this one have already grown; a budget retry resets them again.
+	w.f.Reset(anf.Var(root))
+	f := w.f
 	br.PeakTerms = 1
 	// The worker's gate-model buffer: GateTerms refills it per substitution
 	// and SubstituteTerms reads it in place, so no polynomial is built per
@@ -519,13 +520,11 @@ func (w *Worker) rewrite(n *netlist.Netlist, root int, p pass) (BitResult, error
 		br.Status = StatusError
 		return br, fmt.Errorf("rewrite: non-input variable v%d (%s) survived rewriting", bad, n.NameOf(int(bad)))
 	}
-	// Compact drops the cone's intern-table churn (every monomial that ever
-	// existed during rewriting plus the product memo) so the returned
-	// expression holds only its final terms — the difference between MBs and
-	// KBs per bit on the large-m runs whose results live until extraction.
+	// Compact copies the final terms out of the worker's tables, which the
+	// next cone resets: the returned expression shares no memory with them
+	// and holds none of the cone's intern-table churn or product memo.
 	br.Expr = f.Compact()
 	br.FinalTerms = br.Expr.Len()
-	w.monos, w.arena = f.TableSize()
 	br.Runtime = time.Since(start)
 	return br, nil
 }

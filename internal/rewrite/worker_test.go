@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
+	"github.com/galoisfield/gfre/internal/anf"
 	"github.com/galoisfield/gfre/internal/gen"
 	"github.com/galoisfield/gfre/internal/netlist"
 	"github.com/galoisfield/gfre/internal/opt"
@@ -31,8 +33,10 @@ func sameCone(t *testing.T, what string, got, want BitResult) {
 // netlists of different sizes in shuffled orders: deepest cone first (the
 // big cones, then the small ones, as Outputs hands them out), shuffled, and
 // smallest first. Every cone must come out exactly as it does on a fresh
-// worker, whatever the worker's state held before: the gate models of
-// other cones and of other netlists, larger or smaller.
+// worker, whatever the worker's tables held before: the monomials and gate
+// models of other cones and of other netlists, larger or smaller. Each
+// result is checked again after the worker has rewritten two more cones, so
+// an expression that shared memory with the reset tables would show.
 func TestWorkerReuseMatchesFresh(t *testing.T) {
 	p, err := polytab.Default(16)
 	if err != nil {
@@ -81,28 +85,35 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 				slices.Reverse(order)
 			}
 			outs := n.Outputs()
-			for _, bit := range order {
+			done := make([]BitResult, 0, len(order))
+			for k, bit := range order {
 				got, err := w.rewrite(n, outs[bit], pass{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameCone(t, n.Name+"/"+n.OutputNames()[bit], got, fresh[i][bit])
+				done = append(done, got)
+				if k >= 2 {
+					old := order[k-2]
+					sameCone(t, n.Name+"/"+n.OutputNames()[old]+" two cones later", done[k-2], fresh[i][old])
+				}
 			}
 		}
 	}
 }
 
-// TestWorkerAfterAbort checks the two ways a cone can leave a worker
-// mid-cone: a budget abort, followed by its retry, and a panic. Healthy
-// cones rewritten on the same worker after either must match a fresh one,
-// and an aborted cone must not set the size the next cone's tables start
-// at.
+// TestWorkerAfterAbort checks the ways a cone can leave a worker mid-cone:
+// a budget abort after its retry, a panic, a cone timeout and a
+// cancellation. After each, the worker must hold no working polynomial, so
+// the failed cone's tables leave with it, and the healthy cones it rewrites
+// next must match a fresh worker's.
 func TestWorkerAfterAbort(t *testing.T) {
 	n := explodingNetlist(t, 6)
 	addSimpleOutput(t, n, "0")
 	addSimpleOutput(t, n, "1")
+	addExploding(t, n, 16, "t") // bit 3: 65536 terms if its deadline let it finish
 	var want []BitResult
-	for bit := range n.Outputs() {
+	for bit := range 3 {
 		br, err := NewWorker(nil).RewriteCone(n, bit, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -119,17 +130,23 @@ func TestWorkerAfterAbort(t *testing.T) {
 			}
 			sameCone(t, stage, got, want[bit])
 		}
+		if w.f == (anf.Poly{}) {
+			t.Fatalf("%s: the worker kept no working polynomial after healthy cones", stage)
+		}
+	}
+	dropped := func(stage string) {
+		t.Helper()
+		if w.f != (anf.Poly{}) {
+			t.Errorf("%s: the worker kept the failed cone's working polynomial", stage)
+		}
+		healthy("after " + stage)
 	}
 	healthy("before an abort")
-	monos, arena := w.monos, w.arena
+
 	if _, err := w.RewriteCone(n, 0, Options{BudgetTerms: 16}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("budget 16: err = %v, want ErrBudgetExceeded", err)
 	}
-	if w.monos != monos || w.arena != arena {
-		t.Errorf("a budget abort presized the next cone's tables to %d monomials, %d variables; its last completed cone's were %d, %d",
-			w.monos, w.arena, monos, arena)
-	}
-	healthy("after a budget abort")
+	dropped("a budget abort")
 
 	testPanicOutput = n.Outputs()[0]
 	_, err := w.RewriteCone(n, 0, Options{Ctx: context.Background()})
@@ -137,5 +154,17 @@ func TestWorkerAfterAbort(t *testing.T) {
 	if !errors.Is(err, ErrConePanic) {
 		t.Fatalf("err = %v, want ErrConePanic", err)
 	}
-	healthy("after a panic")
+	dropped("a panic")
+
+	if _, err := w.RewriteCone(n, 3, Options{ConeDeadline: time.Nanosecond}); !errors.Is(err, ErrConeTimeout) {
+		t.Fatalf("err = %v, want ErrConeTimeout", err)
+	}
+	dropped("a cone timeout")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := w.RewriteCone(n, 0, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	dropped("a cancellation")
 }

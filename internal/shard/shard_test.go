@@ -427,6 +427,43 @@ func TestStoreSingleFlightAndEviction(t *testing.T) {
 	}
 }
 
+// TestStoreDefaultBoundsTerms fills an unconfigured store past its bound in
+// retained final terms: the oldest entries go first, and the resident
+// terms never exceed DefaultStoreTerms.
+func TestStoreDefaultBoundsTerms(t *testing.T) {
+	s := NewStore(0)
+	big := func(bit int) rewrite.BitResult {
+		br := okResult(bit)
+		br.FinalTerms = DefaultStoreTerms/4 + 1 // four do not fit
+		return br
+	}
+	for bit := range 10 {
+		if !s.Put(testHash, bit, big(bit)) {
+			t.Fatalf("Put of bit %d must win", bit)
+		}
+		sum := 0
+		for _, br := range s.entries {
+			sum += br.FinalTerms
+		}
+		if s.terms != sum || sum > DefaultStoreTerms {
+			t.Fatalf("after bit %d: %d terms counted, %d resident, bound %d", bit, s.terms, sum, DefaultStoreTerms)
+		}
+		if s.Len() != min(bit+1, 3) {
+			t.Fatalf("after bit %d: %d entries, want %d", bit, s.Len(), min(bit+1, 3))
+		}
+	}
+	for bit := range 10 {
+		if _, ok := s.Get(testHash, bit); ok != (bit >= 7) {
+			t.Errorf("bit %d resident = %v; want only the newest three", bit, ok)
+		}
+	}
+	huge := okResult(10)
+	huge.FinalTerms = DefaultStoreTerms + 1
+	if s.Put(testHash, 10, huge) || s.Len() != 3 {
+		t.Errorf("an entry larger than the whole store was kept or evicted others: %d entries", s.Len())
+	}
+}
+
 func TestHubRoutesAndShipsNetlist(t *testing.T) {
 	p, err := polytab.Default(8)
 	if err != nil {

@@ -10,12 +10,12 @@ import (
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
-// DefaultStoreEntries bounds an unconfigured store. An entry holds one
-// cone's compacted expression, about 88 bytes per final term (see
-// rewrite.Result.EstimatedMemBytes): some 41 KB for an m=163 cone of 470
-// terms, so a store full of such cones holds about 2.7 GB. Callers serving
-// large fields size the store with NewStore.
-const DefaultStoreEntries = 1 << 16
+// DefaultStoreTerms bounds an unconfigured store by the final terms of the
+// expressions it retains: at rewrite.RetainedBytesPerTerm each, about
+// 256 MiB. An m=163 cone of 470 terms holds some 41 KB, so the bound keeps
+// about 6,500 such cones whatever the size of the fields served. Callers
+// that want an entry bound instead size the store with NewStore.
+const DefaultStoreTerms = (256 << 20) / rewrite.RetainedBytesPerTerm
 
 type storeKey struct {
 	hash string
@@ -27,21 +27,24 @@ type storeKey struct {
 // cones arrive together and are re-read together), so recency tracking
 // buys little over insertion order here.
 type Store struct {
-	mu      sync.Mutex
-	max     int
-	entries map[storeKey]rewrite.BitResult
-	order   []storeKey
-	hits    int
-	misses  int
+	mu       sync.Mutex
+	maxCones int // entry bound; 0 when the store is bounded by terms
+	maxTerms int // bound on retained final terms; 0 when bounded by entries
+	terms    int // final terms of the resident entries
+	entries  map[storeKey]rewrite.BitResult
+	order    []storeKey
+	hits     int
+	misses   int
 }
 
-// NewStore builds a store bounded to max entries (0 selects
-// DefaultStoreEntries).
+// NewStore builds a store bounded to max entries; max <= 0 bounds it to
+// DefaultStoreTerms retained final terms instead.
 func NewStore(max int) *Store {
+	s := &Store{maxCones: max, entries: map[storeKey]rewrite.BitResult{}}
 	if max <= 0 {
-		max = DefaultStoreEntries
+		s.maxCones, s.maxTerms = 0, DefaultStoreTerms
 	}
-	return &Store{max: max, entries: map[storeKey]rewrite.BitResult{}}
+	return s
 }
 
 // Get returns the cached result of (hash, bit).
@@ -69,15 +72,31 @@ func (s *Store) Put(hash string, bit int, br rewrite.BitResult) bool {
 	if _, ok := s.entries[k]; ok {
 		return false
 	}
-	if len(s.entries) >= s.max {
+	cost := storeTerms(br)
+	if s.maxTerms > 0 && cost > s.maxTerms {
+		return false // larger than the whole store
+	}
+	for !s.fits(cost) {
 		old := s.order[0]
 		s.order = s.order[1:]
+		s.terms -= storeTerms(s.entries[old])
 		delete(s.entries, old)
 	}
 	s.entries[k] = br
 	s.order = append(s.order, k)
+	s.terms += cost
 	return true
 }
+
+// fits reports whether an entry of cost terms fits beside the resident ones.
+func (s *Store) fits(cost int) bool {
+	return (s.maxCones == 0 || len(s.entries) < s.maxCones) &&
+		(s.maxTerms == 0 || s.terms+cost <= s.maxTerms)
+}
+
+// storeTerms is what an entry counts against a term bound: its final terms,
+// at least one, so a store of empty expressions is still bounded.
+func storeTerms(br rewrite.BitResult) int { return max(br.FinalTerms, 1) }
 
 // Len returns the resident entry count.
 func (s *Store) Len() int {
