@@ -193,7 +193,8 @@ type Result struct {
 
 	NumGates  int
 	NumInputs int
-	// SetsInterned / Widened expose intern-table pressure: Widened > 0
+	// SetsInterned (support sets stored, distinct ones once the pool
+	// indexes them) and Widened expose intern-table pressure: Widened > 0
 	// means support precision degraded to operand-class granularity for
 	// some wires.
 	SetsInterned int

@@ -373,12 +373,14 @@ func TestDupAtInsertsIgnoredVariable(t *testing.T) {
 	}
 }
 
-// TestSuppPoolInternsThroughGrowth interns more sets than the pool was
-// sized for, so its slot table rehashes several times, and checks that
-// every set keeps one ID and every lookup finds exactly its own set.
+// TestSuppPoolInternsThroughGrowth interns more sets than half the pool's
+// cap, so the pool appends the first ones, then indexes them and hash-conses
+// the rest while its slot table rehashes, and checks that every ID holds
+// its set, that interning a set again stores nothing and, once indexed,
+// always returns one ID.
 func TestSuppPoolInternsThroughGrowth(t *testing.T) {
 	classes := make([]Class, 130)
-	p := newSuppPool(len(classes), 1<<20, 8, classes)
+	p := newSuppPool(len(classes), 4000, 8, classes)
 	rng := rand.New(rand.NewSource(9))
 	var sets [][]uint64
 	for range 3000 {
@@ -389,17 +391,29 @@ func TestSuppPoolInternsThroughGrowth(t *testing.T) {
 		s[2] &= 3 // 130 inputs: two bits in the last word
 		sets = append(sets, s)
 	}
+	for i, s := range sets {
+		if id := p.intern(append([]uint64(nil), s...)); !slices.Equal(p.get(id), s) {
+			t.Fatalf("set %d interned as %d, which holds another set", i, id)
+		}
+	}
+	if !p.indexed {
+		t.Fatalf("%d sets stored and not indexed; cap %d", p.count(), p.cap)
+	}
+	stored := p.count()
 	ids := make([]int32, len(sets))
 	for i, s := range sets {
 		ids[i] = p.intern(append([]uint64(nil), s...))
+		if !slices.Equal(p.get(ids[i]), s) {
+			t.Fatalf("set %d re-interned as %d, which holds another set", i, ids[i])
+		}
 	}
 	for i, s := range sets {
 		if id := p.intern(append([]uint64(nil), s...)); id != ids[i] {
-			t.Fatalf("set %d re-interned as %d, first as %d", i, id, ids[i])
+			t.Fatalf("set %d interned as %d, then as %d", i, ids[i], id)
 		}
-		if id := p.lookup(s); id != ids[i] || !slices.Equal(p.get(id), s) {
-			t.Fatalf("set %d: lookup %d, interned %d", i, id, ids[i])
-		}
+	}
+	if p.count() != stored || p.distinct != stored {
+		t.Errorf("re-interning stored sets: %d stored, %d distinct, %d before", p.count(), p.distinct, stored)
 	}
 	if p.widens != 0 {
 		t.Errorf("%d widenings below the cap", p.widens)

@@ -5,32 +5,38 @@ import (
 	"slices"
 )
 
-// Support sets are bitsets over primary-input positions, hash-consed into a
-// slab so every distinct set is stored once and a per-wire fact carries only
-// a 4-byte ID. XOR trees reuse a few hundred distinct sets across tens of
-// thousands of gates, so interning is what keeps the sweep's memory linear
-// in the number of *distinct* cones rather than gates x inputs.
+// Support sets are bitsets over primary-input positions, stored in a slab
+// so a per-wire fact carries only a 4-byte ID. The abstract gates of a
+// multiplier's XOR trees almost all have support sets of their own (26,681
+// distinct sets for 27,218 abstract gates in an m=233 Mastrovito design),
+// so a small sweep only appends its sets. Once the slab holds half the
+// table cap, the pool hash-conses: it indexes the sets it holds, and from
+// then on stores each distinct set once and counts them against the cap,
+// which keeps the sweep's memory bounded whatever the design.
 //
 // When a hostile or degenerate design manufactures more distinct sets than
 // the table cap, intern widens the set to its operand-class closure (every
 // class with at least one member present is rounded up to the full class).
 // Closure is a superset — soundness of "input i may influence wire w" is
 // preserved — and it keeps the one distinction the lint rules need exact:
-// a widened set contains a key input iff the original did.
+// a widened set contains a key input iff the original did. Appending only
+// below half the cap changes no widening: no set can be widened before the
+// pool holds cap distinct sets, and the index counts them exactly.
 type suppPool struct {
 	nwords int
 	slab   []uint64 // set i occupies slab[i*nwords : (i+1)*nwords]
-	tags   []uint32 // set ID -> 32-bit hash tag of its content
-	// slots is an open-addressing table over the set IDs, probed linearly
-	// from a set's home slot: a slot holds ID+1, 0 when empty, and a probe
-	// compares tags before it touches the slab. A tag's top bits are its
-	// home slot, so growing re-homes slots without hashing a set again. The
-	// table starts small and doubles past half load: a sweep that interns
-	// few sets keeps it in cache.
-	slots  []uint32
-	shift  uint // 32 - log2(len(slots))
-	cap    int  // widen beyond this many distinct sets
-	widens int  // widening events (observability)
+	tags   []uint32 // set ID -> 32-bit hash tag of its content, once indexed
+	// slots is an open-addressing table over the distinct set IDs, probed
+	// linearly from a set's home slot: a slot holds ID+1, 0 when empty, and
+	// a probe compares tags before it touches the slab. A tag's top bits
+	// are its home slot, so growing re-homes slots without hashing a set
+	// again. The table doubles past half load.
+	slots    []uint32
+	shift    uint // 32 - log2(len(slots))
+	indexed  bool // sets are hash-consed: the slab reached cap/2
+	distinct int  // distinct sets in the slab, counted once indexed
+	cap      int  // widen beyond this many distinct sets
+	widens   int  // widening events (observability)
 
 	classMask [3][]uint64 // full-class masks, indexed by Class
 	scratch   []uint64
@@ -53,13 +59,9 @@ func (p *suppPool) reset(nvars, maxSets, sizeHint int, classOf []Class) {
 	nwords := max((nvars+63)/64, 1)
 	sizeHint = min(max(sizeHint, 64), maxSets)
 	p.nwords, p.cap, p.widens = nwords, maxSets, 0
+	p.indexed, p.distinct = false, 0
 	p.slab = slices.Grow(p.slab[:0], sizeHint*nwords)
-	p.tags = slices.Grow(p.tags[:0], sizeHint)
-	if p.slots == nil {
-		p.sizeSlots(1 << 10)
-	} else {
-		clear(p.slots)
-	}
+	p.tags = p.tags[:0]
 	p.scratch = slices.Grow(p.scratch[:0], nwords)[:nwords]
 	for c := range p.classMask {
 		p.classMask[c] = slices.Grow(p.classMask[c][:0], nwords)[:nwords]
@@ -70,7 +72,7 @@ func (p *suppPool) reset(nvars, maxSets, sizeHint int, classOf []Class) {
 	}
 	// Set 0 is the empty set.
 	clear(p.scratch)
-	p.intern(p.scratch)
+	p.slab = append(p.slab, p.scratch...)
 }
 
 func (p *suppPool) get(id int32) []uint64 {
@@ -111,20 +113,27 @@ func (p *suppPool) lookupHashed(tag uint32, buf []uint64) int32 {
 	return -1
 }
 
-// lookup returns the ID of an interned set equal to buf, or -1.
-func (p *suppPool) lookup(buf []uint64) int32 {
-	return p.lookupHashed(hashWords(buf), buf)
-}
-
-// intern returns the canonical ID for buf, inserting it if new. Past the
-// table cap, new sets are widened to their class closure first; the closure
-// family is finite (2^3 sets), so memory stays bounded no matter the input.
+// intern returns an ID for buf, whose set equals buf, storing buf if it is
+// new: below half the cap any nonempty set is new, and from there on, the
+// canonical ID of each distinct set. Past the table cap, new sets are
+// widened to their class closure first; the closure family is finite (2^3
+// sets), so memory stays bounded no matter the input.
 func (p *suppPool) intern(buf []uint64) int32 {
+	if !p.indexed {
+		if p.count() < p.cap/2 {
+			if eqWords(p.get(emptySet), buf) {
+				return emptySet
+			}
+			p.slab = append(p.slab, buf...)
+			return int32(p.count() - 1)
+		}
+		p.index()
+	}
 	h := hashWords(buf)
 	if id := p.lookupHashed(h, buf); id >= 0 {
 		return id
 	}
-	if p.count() >= p.cap {
+	if p.distinct >= p.cap {
 		p.widens++
 		p.widen(buf)
 		h = hashWords(buf)
@@ -134,15 +143,45 @@ func (p *suppPool) intern(buf []uint64) int32 {
 	}
 	id := int32(p.count())
 	p.slab = append(p.slab, buf...)
+	p.add(id, h)
+	return id
+}
+
+// index starts hash-consing: it tags the sets the slab holds and files
+// the first of each distinct set in the slot table.
+func (p *suppPool) index() {
+	p.indexed = true
+	if p.slots == nil {
+		p.sizeSlots(1 << 10)
+	} else {
+		clear(p.slots)
+	}
+	for id := range int32(p.count()) {
+		set := p.get(id)
+		h := hashWords(set)
+		if p.lookupHashed(h, set) >= 0 {
+			p.tags = append(p.tags, h) // a duplicate: stored, not filed
+			continue
+		}
+		p.add(id, h)
+	}
+}
+
+// add files set id, of tag h, as a new distinct set, growing the slot table
+// past half load. Sets are tagged in ID order: id is len(p.tags).
+func (p *suppPool) add(id int32, h uint32) {
 	p.tags = append(p.tags, h)
-	if 2*p.count() > len(p.slots) {
-		p.sizeSlots(2 * len(p.slots))
-		for id := range p.tags[:len(p.tags)-1] {
-			p.insertSlot(int32(id))
+	p.distinct++
+	if 2*p.distinct > len(p.slots) {
+		filed := p.slots
+		p.sizeSlots(2 * len(filed))
+		for _, v := range filed {
+			if v != 0 {
+				p.insertSlot(int32(v) - 1)
+			}
 		}
 	}
 	p.insertSlot(id)
-	return id
 }
 
 // sizeSlots allocates an empty slot table of size entries (a power of two).

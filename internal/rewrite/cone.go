@@ -1,7 +1,7 @@
 // One governed cone: the per-cone runner under both schedulers. Every
 // rewriting goroutine owns a Worker: Outputs gives one to each goroutine of
 // its pool, and the shard scheduler's workers (local goroutines and remote
-// gfred peers alike) hold one each and call RewriteCone per leased cone.
+// gfred peers alike) hold one per job and call RewriteCone per leased cone.
 package rewrite
 
 import (

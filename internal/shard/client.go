@@ -224,7 +224,14 @@ func RunPeer(ctx context.Context, base string, cfg PeerConfig) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rw := rewrite.NewWorker(nil)
+			// The worker, and with it the rewrite tables, lives for one
+			// job's leases: tables grown for a large field would otherwise
+			// be cleared for every cone of each later small one, and an
+			// idle peer would hold them indefinitely.
+			var (
+				rw  *rewrite.Worker
+				job string
+			)
 			// Reusable idle timer: time.After per iteration would leak a
 			// timer allocation for every empty poll.
 			var idle *time.Timer
@@ -236,6 +243,7 @@ func RunPeer(ctx context.Context, base string, cfg PeerConfig) error {
 			for ctx.Err() == nil {
 				g, err := cl.Lease(workerName(cfg.ID, w), 0)
 				if err != nil || g == nil {
+					rw = nil
 					if idle == nil {
 						idle = time.NewTimer(cfg.IdleSleep)
 					} else {
@@ -257,6 +265,9 @@ func RunPeer(ctx context.Context, base string, cfg PeerConfig) error {
 					cfg.Recorder.Emit("peer_lease", g.Lease, map[string]int64{
 						"epoch": int64(g.Epoch), "cones": int64(len(g.Cones)),
 					})
+				}
+				if rw == nil || g.Hash != job {
+					rw, job = rewrite.NewWorker(nil), g.Hash
 				}
 				ExecuteLease(ctx, cl, n, g, rw, cfg.Rewrite)
 			}

@@ -404,7 +404,7 @@ func TestPriorAndStoreSeeding(t *testing.T) {
 }
 
 func TestStoreSingleFlightAndEviction(t *testing.T) {
-	s := NewStore(2)
+	s := NewStore(2) // two terms: each okResult holds one final term
 	if !s.Put(testHash, 0, okResult(0)) {
 		t.Fatal("first Put must win")
 	}

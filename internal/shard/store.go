@@ -13,8 +13,7 @@ import (
 // DefaultStoreTerms bounds an unconfigured store by the final terms of the
 // expressions it retains: at rewrite.RetainedBytesPerTerm each, about
 // 256 MiB. An m=163 cone of 470 terms holds some 41 KB, so the bound keeps
-// about 6,500 such cones whatever the size of the fields served. Callers
-// that want an entry bound instead size the store with NewStore.
+// about 6,500 such cones whatever the size of the fields served.
 const DefaultStoreTerms = (256 << 20) / rewrite.RetainedBytesPerTerm
 
 type storeKey struct {
@@ -28,8 +27,7 @@ type storeKey struct {
 // buys little over insertion order here.
 type Store struct {
 	mu       sync.Mutex
-	maxCones int // entry bound; 0 when the store is bounded by terms
-	maxTerms int // bound on retained final terms; 0 when bounded by entries
+	maxTerms int // bound on retained final terms
 	terms    int // final terms of the resident entries
 	entries  map[storeKey]rewrite.BitResult
 	order    []storeKey
@@ -37,14 +35,13 @@ type Store struct {
 	misses   int
 }
 
-// NewStore builds a store bounded to max entries; max <= 0 bounds it to
-// DefaultStoreTerms retained final terms instead.
-func NewStore(max int) *Store {
-	s := &Store{maxCones: max, entries: map[storeKey]rewrite.BitResult{}}
-	if max <= 0 {
-		s.maxCones, s.maxTerms = 0, DefaultStoreTerms
+// NewStore builds a store bounded to maxTerms retained final terms;
+// maxTerms <= 0 selects DefaultStoreTerms.
+func NewStore(maxTerms int) *Store {
+	if maxTerms <= 0 {
+		maxTerms = DefaultStoreTerms
 	}
-	return s
+	return &Store{maxTerms: maxTerms, entries: map[storeKey]rewrite.BitResult{}}
 }
 
 // Get returns the cached result of (hash, bit).
@@ -73,10 +70,10 @@ func (s *Store) Put(hash string, bit int, br rewrite.BitResult) bool {
 		return false
 	}
 	cost := storeTerms(br)
-	if s.maxTerms > 0 && cost > s.maxTerms {
+	if cost > s.maxTerms {
 		return false // larger than the whole store
 	}
-	for !s.fits(cost) {
+	for s.terms+cost > s.maxTerms {
 		old := s.order[0]
 		s.order = s.order[1:]
 		s.terms -= storeTerms(s.entries[old])
@@ -88,13 +85,7 @@ func (s *Store) Put(hash string, bit int, br rewrite.BitResult) bool {
 	return true
 }
 
-// fits reports whether an entry of cost terms fits beside the resident ones.
-func (s *Store) fits(cost int) bool {
-	return (s.maxCones == 0 || len(s.entries) < s.maxCones) &&
-		(s.maxTerms == 0 || s.terms+cost <= s.maxTerms)
-}
-
-// storeTerms is what an entry counts against a term bound: its final terms,
+// storeTerms is what an entry counts against the bound: its final terms,
 // at least one, so a store of empty expressions is still bounded.
 func storeTerms(br rewrite.BitResult) int { return max(br.FinalTerms, 1) }
 
